@@ -11,66 +11,103 @@ half powers that pervade these algebras stay exact.  Monomial exponents may
 be negative (Laurent), and denominators such as (q - 1)^2 force a genuine
 fraction field.  Equality is decided by cross multiplication, never by
 sampling.
+
+Storage, bottom up: a ``GaussRational`` is the reduced integer triple
+(a, b, d) for (a + b*i)/d, so its arithmetic needs no ``Fraction``; a
+``CentralMonomial`` is a sorted tuple of (variable, exponent) pairs; a
+``Coefficient`` is a numerator/denominator pair of dicts mapping monomials
+to Gaussian rationals, whose denominator is the unit unless it has several
+terms.  Results that are canonical by construction skip re-canonicalization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
 
 
 class GaussRational:
-    """Exact complex rational a + b*i."""
+    """Exact complex rational (a + b*i)/d, stored as the integer triple
+    ``(a, b, d)`` with d > 0 and gcd(a, b, d) == 1.
 
-    __slots__ = ("re", "im")
+    The triple is unique for each value, so equality is a tuple compare.
+    ``re`` and ``im`` are read-only ``Fraction`` views for printing and
+    parsing; arithmetic stays on plain integers and one ``math.gcd``.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        _set(self, "_abd", (re.numerator * (d // re.denominator),
+                            im.numerator * (d // im.denominator), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    @property
+    def re(self):
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self):
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._abd
+        return bool(a) or bool(b)
 
     def __eq__(self, other):
-        if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+        if type(other) is GaussRational:
+            return self._abd == other._abd
+        if isinstance(other, int):
+            return self._abd == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._abd == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        if d1 == d2:
+            return _gauss(a1 + a2, b1 + b2, d1)
+        return _gauss(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _triple(-a, -b, d)
 
     def __sub__(self, other):
         return self + (-_as_gauss(other))
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRational:
+            other = _as_gauss(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+        a, b, d = self._abd
+        n = a * a + b * b
         if not n:
             raise DivisionByZero("inverse of zero")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gauss(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * _as_gauss(other).inverse()
@@ -78,7 +115,7 @@ class GaussRational:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussRational(1)
+        out = G_ONE
         base = self
         while k:
             if k & 1:
@@ -88,27 +125,50 @@ class GaussRational:
         return out
 
     def __str__(self):
-        if not self.im:
+        if not self._abd[1]:
             return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re} {sign} {imag})"
+        return f"({re} {sign} {imag})"
 
     __repr__ = __str__
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _triple(a, b, d):
+    """GaussRational from a triple already in lowest terms with d > 0."""
+    out = _new(GaussRational)
+    _set(out, "_abd", (a, b, d))
+    return out
+
+
+def _gauss(a, b, d):
+    """GaussRational (a + b*i)/d for integers with d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 def _as_gauss(x):
     if isinstance(x, GaussRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
+    if isinstance(x, int):
+        return _triple(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _triple(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
 
@@ -141,6 +201,10 @@ class CentralMonomial:
         return isinstance(other, CentralMonomial) and self.exps == other.exps
 
     def __mul__(self, other):
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         d = dict(self.exps)
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
@@ -316,48 +380,69 @@ def _p_substitute(a, assign):
 _P_ONE = {MONO_UNIT: G_ONE}
 
 
+def _canonical(num, den):
+    """Canonical (num, den) for num/den; takes ownership of both dicts.
+
+    A unit denominator is already canonical.  Any other single-term
+    denominator is folded into the numerator; a multi-term one is shifted
+    to nonnegative exponents, made monic and divided out when it divides
+    the numerator exactly.
+    """
+    if not den:
+        raise DivisionByZero("zero denominator")
+    if not num:
+        return {}, {MONO_UNIT: G_ONE}
+    if len(den) == 1:
+        ((m, c),) = den.items()
+        if m.is_unit and c == G_ONE:
+            return num, den
+        return _p_scale(num, m.inverse(), c.inverse()), {MONO_UNIT: G_ONE}
+    shift = _p_shift_mono(den)
+    if not shift.is_unit:
+        num = _p_scale(num, shift, G_ONE)
+        den = _p_scale(den, shift, G_ONE)
+    varlist = sorted(_p_vars(num) | _p_vars(den))
+    _, lc = _p_lead(den, varlist)
+    if lc != G_ONE:
+        inv = lc.inverse()
+        num = _p_scale(num, MONO_UNIT, inv)
+        den = _p_scale(den, MONO_UNIT, inv)
+    q = _p_divide_exact(num, den)
+    if q is not None:
+        return q, {MONO_UNIT: G_ONE}
+    return num, den
+
+
+def _coeff(num, den):
+    """Coefficient from a canonical (num, den) pair that nothing else holds."""
+    out = _new(Coefficient)
+    _set(out, "num", num)
+    _set(out, "den", den)
+    return out
+
+
 class Coefficient:
     """Element of the coefficient field.
 
-    Stored as numerator/denominator Laurent polynomials.  Construction
-    canonicalizes: a single-term denominator is folded into the numerator,
-    multi-term denominators are content-stripped and made monic, and exact
-    division is attempted so common factors like (q^2-1)/(q-1) collapse.
-    Equality falls back to cross multiplication, so representation gaps
-    never affect comparisons.
+    Stored as numerator/denominator Laurent polynomials, each a dict
+    ``CentralMonomial -> GaussRational``.  The denominator is either the
+    unit ``{1: 1}`` or has several terms; in the second case it is shifted to
+    nonnegative exponents, monic and does not divide the numerator exactly,
+    so common factors like (q^2-1)/(q-1) collapse.  The public constructor
+    copies its arguments and canonicalizes; operations whose result is
+    canonical by construction (negation, sums and products of operands with
+    unit denominators) skip that step.  Equality falls back to cross
+    multiplication, so representation gaps never affect comparisons.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None):
-        num = {} if num is None else num
-        den = dict(_P_ONE) if den is None else den
-        if not den:
-            raise DivisionByZero("zero denominator")
-        if not num:
-            object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", dict(_P_ONE))
-            return
-        if len(den) == 1:
-            ((m, c),) = den.items()
-            num = _p_scale(num, m.inverse(), c.inverse())
-            den = dict(_P_ONE)
-        else:
-            shift = _p_shift_mono(den)
-            if not shift.is_unit:
-                num = _p_scale(num, shift, G_ONE)
-                den = _p_scale(den, shift, G_ONE)
-            varlist = sorted(_p_vars(num) | _p_vars(den))
-            _, lc = _p_lead(den, varlist)
-            if lc != G_ONE:
-                inv = lc.inverse()
-                num = _p_scale(num, MONO_UNIT, inv)
-                den = _p_scale(den, MONO_UNIT, inv)
-            q = _p_divide_exact(num, den)
-            if q is not None:
-                num, den = q, dict(_P_ONE)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num = {} if num is None else dict(num)
+        den = {MONO_UNIT: G_ONE} if den is None else dict(den)
+        num, den = _canonical(num, den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Coefficient is immutable")
@@ -380,7 +465,7 @@ class Coefficient:
     def from_scalar(x):
         if isinstance(x, Coefficient):
             return x
-        return Coefficient(_p_const(_as_gauss(x)))
+        return _coeff(_p_const(_as_gauss(x)), {MONO_UNIT: G_ONE})
 
     @staticmethod
     def from_gauss(re, im=0):
@@ -438,17 +523,20 @@ class Coefficient:
         if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
             return NotImplemented
         other = Coefficient.from_scalar(other)
+        # a canonical one-term denominator is the unit
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _coeff(_p_add(self.num, other.num), {MONO_UNIT: G_ONE})
         if self.den == other.den:
-            return Coefficient(_p_add(self.num, other.num), dict(self.den))
-        return Coefficient(
+            return _coeff(*_canonical(_p_add(self.num, other.num), dict(self.den)))
+        return _coeff(*_canonical(
             _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
             _p_mul(self.den, other.den),
-        )
+        ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(_p_neg(self.num), dict(self.den))
+        return _coeff(_p_neg(self.num), dict(self.den))
 
     def __sub__(self, other):
         if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
@@ -464,14 +552,17 @@ class Coefficient:
         if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
             return NotImplemented
         other = Coefficient.from_scalar(other)
-        return Coefficient(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        if len(self.den) == 1 and len(other.den) == 1:
+            return _coeff(_p_mul(self.num, other.num), {MONO_UNIT: G_ONE})
+        return _coeff(*_canonical(_p_mul(self.num, other.num),
+                                  _p_mul(self.den, other.den)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of the zero coefficient")
-        return Coefficient(dict(self.den), dict(self.num))
+        return _coeff(*_canonical(dict(self.den), dict(self.num)))
 
     def __truediv__(self, other):
         return self * Coefficient.from_scalar(other).inverse()

@@ -19,10 +19,11 @@ the irreducible words form a linear basis.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .coeffs import Coefficient
-from .errors import NonTermination, OrientationError
+from .errors import NonTermination, OrientationError, ParamError
 from .ncpoly import NCPoly, Word
 
 DEFAULT_STEP_LIMIT = 10_000
@@ -201,7 +202,9 @@ def _apply_at(terms, word, coeff, pos, rule):
 def _reduce(poly, sys, trace):
     terms = dict(poly.terms)
     steps = 0
-    chain = []
+    # the last steps as (rule id, position, term dict); _apply_at returns a
+    # fresh dict each step, so no entry is mutated after it is recorded
+    chain = deque(maxlen=5)
     while True:
         best = None
         best_key = None
@@ -218,14 +221,14 @@ def _reduce(poly, sys, trace):
         steps += 1
         if steps > sys.step_limit:
             raise NonTermination(
-                f"step limit {sys.step_limit} exceeded", chain=chain[-5:]
+                f"step limit {sys.step_limit} exceeded",
+                chain=[(origin, p, NCPoly(t)) for origin, p, t in chain],
             )
         pos, rule = best_match
         terms = _apply_at(terms, best, terms[best], pos, rule)
-        snapshot = NCPoly(terms)
-        chain.append((rule.origin, pos, snapshot))
+        chain.append((rule.origin, pos, terms))
         if trace is not None:
-            trace.append((rule.origin, pos, snapshot))
+            trace.append((rule.origin, pos, NCPoly(terms)))
 
 
 def normalize(poly, sys):
@@ -268,7 +271,7 @@ def critical_pairs(sys, max_overlap_len=6):
     """
     max_len = max((len(r.lhs) for r in sys.rules), default=0)
     if max_overlap_len < max_len:
-        raise ValueError(
+        raise ParamError(
             f"max_overlap_len {max_overlap_len} is below the longest lhs {max_len}"
         )
     pairs = []

@@ -929,10 +929,12 @@ def run_suite(selection="all", k=10):
     """Run the corpus; returns reports in declaration order.
 
     ``selection`` is "all", a family id, a case id, or an iterable of case
-    ids.
+    ids.  ``k`` is the largest power-identity exponent, at least 1.
     """
     from .errors import ParamError
 
+    if k < 1:
+        raise ParamError(f"power-identity exponent k must be at least 1, got {k}")
     cases = build_cases(k=k)
     if selection in (None, "all"):
         chosen = cases

@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
+import pytest
+
+import qheis
 from qheis.cli import main
 
 
@@ -11,6 +16,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so an escaping exception shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qheis.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qheis.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestNormalize:
@@ -96,6 +111,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "nonexistent-id")
         assert code == 1
 
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_rejects_k_below_one(self, k):
+        # k < 1 would leave the power-identity cases nothing to check
+        code, out, err = run_cli_process("verify", "--k", k)
+        assert code == 1
+        assert "usage error" in err
+        assert "Traceback" not in err
+        assert "cases behaved as expected" not in out
+
 
 class TestConfluence:
     def test_classical(self, capsys):
@@ -115,6 +139,13 @@ class TestConfluence:
             code, out, _ = run_cli(capsys, "confluence", "--algebra", path)
         assert code == 4
         assert "unresolved" in out
+
+    def test_overlap_bound_below_lhs_is_usage_error(self):
+        code, _, err = run_cli_process("confluence", "--algebra", "gaddis",
+                                       "--max-overlap", "1")
+        assert code == 1
+        assert "usage error" in err
+        assert "Traceback" not in err
 
 
 class TestOre:

@@ -1,6 +1,7 @@
 """Exact coefficient field: arithmetic, equality, quantum integers,
 evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,114 @@ class TestGaussRational:
     def test_inverse_of_zero(self):
         with pytest.raises(DivisionByZero):
             GaussRational(0).inverse()
+
+
+# -- integer-triple kernel against a Fraction-pair reference ---------------
+
+def _ref_str(re, im):
+    if not im:
+        return str(re)
+    if not re:
+        return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}*i"
+    return f"({re} {'+' if im > 0 else '-'} {imag})"
+
+
+_parts = st.one_of(st.integers(-50, 50),
+                   st.fractions(max_denominator=10**6),
+                   st.fractions(max_denominator=30))
+_pairs = st.tuples(_parts, _parts).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+def _assert_matches(g, pair):
+    re, im = pair
+    assert (g.re, g.im) == (re, im)
+    a, b, d = g._abd
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    assert hash(g) == hash((re, im))
+    assert str(g) == _ref_str(re, im)
+    if not im:
+        assert g == re
+        if re.denominator == 1:
+            assert g == int(re)
+
+
+class TestGaussKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs, _pairs)
+    def test_field_operations_match_fraction_pairs(self, x, y):
+        gx, gy = GaussRational(*x), GaussRational(*y)
+        (r1, i1), (r2, i2) = x, y
+        _assert_matches(gx, x)
+        _assert_matches(gx + gy, (r1 + r2, i1 + i2))
+        _assert_matches(gx - gy, (r1 - r2, i1 - i2))
+        _assert_matches(-gx, (-r1, -i1))
+        _assert_matches(gx * gy, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+        assert (gx == gy) == (x == y)
+        if x != (0, 0):
+            n = r1 * r1 + i1 * i1
+            _assert_matches(gx.inverse(), (r1 / n, -i1 / n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pairs, _parts)
+    def test_mixed_with_scalars(self, x, s):
+        g, s = GaussRational(*x), Fraction(s)
+        _assert_matches(g + s, (x[0] + s, x[1]))
+        _assert_matches(s + g, (x[0] + s, x[1]))
+        _assert_matches(g * s, (x[0] * s, x[1] * s))
+        _assert_matches(s * g, (x[0] * s, x[1] * s))
+
+
+class TestCoefficientFastPaths:
+    """Results that skip re-canonicalization equal the fully canonicalized
+    slow path in value and representation, and own their dicts."""
+
+    @staticmethod
+    def _strategy():
+        pool = [coeff(t) for t in (
+            "1", "-3", "1/2", "i", "q", "q^-1", "q^(1/2)", "p^-1", "hbar",
+            "i*hbar", "q - 1", "q + p^-1")]
+        pool += [coeff("q - 1").inverse(), coeff("1 + hbar").inverse()]
+        return _pool_strategy(pool)
+
+    @staticmethod
+    def _check(got, slow, *operands):
+        assert got == slow
+        assert (got.num, got.den) == (slow.num, slow.den)
+        for d in (got.num, got.den):
+            for c in operands:
+                assert d is not c.num and d is not c.den
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ops_match_slow_path(self, data):
+        from qheis.coeffs import _p_add, _p_mul, _p_neg
+
+        def add(x, y):
+            if x.den == y.den:
+                return C(_p_add(x.num, y.num), x.den)
+            return C(_p_add(_p_mul(x.num, y.den), _p_mul(y.num, x.den)),
+                     _p_mul(x.den, y.den))
+
+        s = self._strategy()
+        a, b = data.draw(s), data.draw(s)
+        self._check(-a, C(_p_neg(a.num), a.den), a)
+        self._check(a + b, add(a, b), a, b)
+        self._check(a - b, add(a, C(_p_neg(b.num), b.den)), a, b)
+        self._check(a * b, C(_p_mul(a.num, b.num), _p_mul(a.den, b.den)), a, b)
+        if not a.is_zero:
+            self._check(a.inverse(), C(a.den, a.num), a)
+
+    def test_constructor_copies_its_arguments(self):
+        num = dict(coeff("q - 1").num)
+        den = dict(C.one().den)
+        c = C(num, den)
+        assert c.num is not num and c.den is not den
+        num.clear()
+        den.clear()
+        assert c == coeff("q - 1")
 
 
 class TestArithmetic:
