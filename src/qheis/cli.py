@@ -74,10 +74,9 @@ def _cmd_verify(args):
 
 def _cmd_confluence(args):
     pres = _load_algebra(args.algebra)
-    report = check_confluence(pres.system(), args.max_overlap)
+    report = check_confluence(pres.system())
     verdict = "confluent" if report.confluent else "NOT confluent"
-    print(f"{pres.name}: {verdict} up to overlap length {report.max_overlap_len} "
-          f"({report.checked} ambiguities checked)")
+    print(f"{pres.name}: {verdict} ({report.checked} ambiguities checked)")
     for cp in report.unresolved:
         print(f"unresolved {cp.overlap_word!r} via {cp.left_rule} / {cp.right_rule}")
         print(f"  left:  {format_expr(cp.left_result)}")
@@ -183,7 +182,6 @@ def build_parser():
 
     conf = sub.add_parser("confluence", help="local confluence report")
     conf.add_argument("--algebra", required=True)
-    conf.add_argument("--max-overlap", type=int, default=6)
     conf.set_defaults(func=_cmd_confluence)
 
     ore = sub.add_parser("ore", help="sigma/delta table of an Ore tower")

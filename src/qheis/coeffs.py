@@ -240,10 +240,6 @@ MONO_UNIT = CentralMonomial()
 # zero values never stored.
 # ---------------------------------------------------------------------------
 
-def _p_zero():
-    return {}
-
-
 def _p_const(g):
     return {MONO_UNIT: g} if g else {}
 
@@ -431,15 +427,18 @@ class Coefficient:
     so common factors like (q^2-1)/(q-1) collapse.  The public constructor
     copies its arguments and canonicalizes; operations whose result is
     canonical by construction (negation, sums and products of operands with
-    unit denominators) skip that step.  Equality falls back to cross
+    unit denominators) skip that step.  The constructor coerces int and
+    Fraction values and drops zero values from both dicts, so an all-zero
+    denominator raises DivisionByZero.  Equality falls back to cross
     multiplication, so representation gaps never affect comparisons.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None):
-        num = {} if num is None else dict(num)
-        den = {MONO_UNIT: G_ONE} if den is None else dict(den)
+        num = {} if num is None else {m: _as_gauss(c) for m, c in num.items() if c}
+        den = ({MONO_UNIT: G_ONE} if den is None
+               else {m: _as_gauss(c) for m, c in den.items() if c})
         num, den = _canonical(num, den)
         _set(self, "num", num)
         _set(self, "den", den)

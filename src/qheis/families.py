@@ -494,8 +494,21 @@ def unified(params):
                               "classical-limit pathway"})
 
 
-def _subs_poly(poly, assign):
+def subs_poly(poly, assign):
+    """Substitute central variables in every coefficient of ``poly``."""
     return NCPoly({w: c.substitute(assign) for w, c in poly.terms.items()})
+
+
+def unit_ratio(a, b):
+    """Scalar c with a == c*b, or None."""
+    if a.is_zero or b.is_zero or set(a.terms) != set(b.terms):
+        return None
+    w0 = next(iter(b.terms))
+    c = a.terms[w0] / b.terms[w0]
+    for w, bc in b.terms.items():
+        if not (a.terms[w] == c * bc):
+            return None
+    return c
 
 
 def classical_limit(presentation):
@@ -505,14 +518,14 @@ def classical_limit(presentation):
     (q-1) powers in a denominator are rejected with PoleAtPoint.
     """
     assign = {"s": 1}
-    rels = [(label, _subs_poly(p, assign)) for label, p in presentation.relations]
+    rels = [(label, subs_poly(p, assign)) for label, p in presentation.relations]
     rels = [(label, p) for label, p in rels if not p.is_zero]
     params = {}
     for k, v in presentation.parameters.items():
         if isinstance(v, Coefficient):
             params[k] = v.substitute(assign)
         elif isinstance(v, NCPoly):
-            params[k] = _subs_poly(v, assign)
+            params[k] = subs_poly(v, assign)
         else:
             params[k] = v
     meta = dict(presentation.metadata)
@@ -573,6 +586,10 @@ def extract_ore(presentation, tower_order):
     sysm = presentation.system()
     tower = tuple(presentation.gen(g) if isinstance(g, str) else g
                   for g in tower_order)
+    repeated = sorted({g.sym for g in tower if tower.count(g) > 1})
+    if repeated:
+        raise ParamError(f"{presentation.name}: tower lists "
+                         f"{', '.join(repeated)} more than once")
     sigma = {}
     delta = {}
 
@@ -608,13 +625,10 @@ def extract_ore(presentation, tower_order):
         for b in tower[i + 1:]:
             nf_ab = normalize(_w(a, b), sysm)
             nf_ba = normalize(_w(b, a), sysm)
-            na = {w: c for w, c in nf_ab.terms.items() if a in tuple(w)}
-            ma = {w: c for w, c in nf_ba.terms.items() if a in tuple(w)}
-            if not ma or set(na) != set(ma):
-                continue
-            w0 = next(iter(ma))
-            scale = na[w0] / ma[w0]
-            if any(not (na[w] == scale * ma[w]) for w in ma):
+            scale = unit_ratio(
+                NCPoly({w: c for w, c in nf_ab.terms.items() if a in tuple(w)}),
+                NCPoly({w: c for w, c in nf_ba.terms.items() if a in tuple(w)}))
+            if scale is None:
                 continue
             D = nf_ab - nf_ba * scale
             if any(a in tuple(w) for w in D.terms):

@@ -194,9 +194,6 @@ class NCPoly:
         # only scalars reach here; central scalars commute
         return self * other
 
-    def scale(self, c):
-        return self * Coefficient.from_scalar(c)
-
     def __pow__(self, k):
         k = int(k)
         if k < 0:

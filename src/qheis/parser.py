@@ -14,6 +14,8 @@ central symbols), then declared opaque symbols, then the built-in centrals
 ``i``, ``hbar``, ``q`` and ``p``.  Half-integer exponents are allowed on q
 and p only; generator powers must be nonnegative integers.  ``[a,b]`` is
 commutator sugar.
+Brackets nest at most ``MAX_NESTING`` deep and no exponent exceeds
+``MAX_POWER`` in magnitude; deeper or larger input is a ParseError.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from fractions import Fraction
 from .coeffs import Coefficient
 from .errors import ParseError
 from .ncpoly import NCPoly, commutator
+
+MAX_NESTING = 100
+MAX_POWER = 10_000
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^()\[\],/])")
@@ -52,6 +57,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.gens = getattr(scope, "generator_map", {}) if scope is not None else {}
         self.opaques = set(getattr(scope, "opaque_names", ())) if scope is not None else set()
 
@@ -101,6 +107,9 @@ class _Parser:
             return base
         tok = self.take()
         exp = self.exponent()
+        if abs(exp) > MAX_POWER:
+            raise ParseError(f"exponent {exp} at {tok[2]} exceeds the limit "
+                             f"{MAX_POWER}", tok[2])
         return self._power(base, tag, exp, tok[2])
 
     def exponent(self):
@@ -149,18 +158,14 @@ class _Parser:
     def atom(self):
         """Returns (NCPoly value, tag); the tag drives exponent rules."""
         tok = self.peek()
-        if self.at_op("("):
-            self.take()
-            value = self.expr()
-            self.take("op", ")")
+        if self.at_op("(", "["):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING} "
+                                 f"at {tok[2]}", tok[2])
+            self.depth += 1
+            value = self.group()
+            self.depth -= 1
             return value, "group"
-        if self.at_op("["):
-            self.take()
-            a = self.expr()
-            self.take("op", ",")
-            b = self.expr()
-            self.take("op", "]")
-            return commutator(a, b), "group"
         if tok[0] == "int":
             self.take()
             num = int(tok[1])
@@ -174,6 +179,17 @@ class _Parser:
             return self.resolve(tok[1], tok[2])
         raise ParseError(f"expected an expression, found {tok[1]!r} at {tok[2]}",
                          tok[2])
+
+    def group(self):
+        if self.take()[1] == "(":
+            value = self.expr()
+            self.take("op", ")")
+            return value
+        a = self.expr()
+        self.take("op", ",")
+        b = self.expr()
+        self.take("op", "]")
+        return commutator(a, b)
 
     def resolve(self, name, pos):
         if name in self.gens:

@@ -29,7 +29,7 @@ import re
 from .coeffs import Coefficient
 from .errors import ParseError, SchemaError
 from .ncpoly import Generator, NCPoly
-from .families import Presentation
+from .families import Presentation, _Scope
 
 _HEADER = "qheis-presentation 1"
 _GEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*?)(?:_(\d+))?$")
@@ -128,15 +128,11 @@ def load_presentation(text):
                               path=f"line[{lineno}]")
     if name is None:
         raise SchemaError("document has no name line", path="name")
-    gmap = {g.sym: g for g in gens}
-
-    class _Scope:
-        generator_map = gmap
-        opaque_names = {k for k, v in params.items() if v == "opaque"}
-
+    scope = _Scope(gens, [k for k, v in params.items() if v == "opaque"])
+    gmap = scope.generator_map
     for pname, pval, lineno in raw_params:
         try:
-            poly = parse_expr(pval, _Scope)
+            poly = parse_expr(pval, scope)
         except ParseError as exc:
             raise SchemaError(f"param {pname}: {exc}", path=f"param[{pname}]") from exc
         if all(len(w) == 0 for w in poly.terms):
@@ -160,7 +156,7 @@ def load_presentation(text):
     rels = []
     for label, expr, lineno in relations:
         try:
-            rels.append((label, parse_expr(expr, _Scope)))
+            rels.append((label, parse_expr(expr, scope)))
         except ParseError as exc:
             raise SchemaError(f"relation {label}: {exc}",
                               path=f"relation[{label}]") from exc

@@ -12,9 +12,10 @@ term orders are provided:
 
 Normalization applies, deterministically, the first matching rule at the
 leftmost position of the largest reducible word.  Local confluence is checked
-by resolving all overlap and inclusion ambiguities of the rule set (the
-diamond lemma); with termination this certifies unique normal forms and that
-the irreducible words form a linear basis.
+by resolving every overlap and inclusion ambiguity of the rule set (the
+diamond lemma; none is longer than 2*(longest lhs) - 1, so all are checked).
+With termination this certifies unique normal forms and that the irreducible
+words form a linear basis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .coeffs import Coefficient
-from .errors import NonTermination, OrientationError, ParamError
+from .errors import NonTermination, OrientationError
 from .ncpoly import NCPoly, Word
 
 DEFAULT_STEP_LIMIT = 10_000
@@ -135,11 +136,30 @@ class RewriteSystem:
         return f"RewriteSystem({len(self.rules)} rules, {self.order.kind})"
 
 
+def orient_relation(label, poly, order):
+    """The rule ``lead -> lead - poly/lc`` of the relation ``poly = 0``, with
+    ``lead`` the unique order-maximal word of ``poly`` and lc its coefficient.
+    A zero relation, a tied maximal word or a one-letter ``lead`` raises
+    OrientationError."""
+    if poly.is_zero:
+        raise OrientationError(f"relation {label} is identically zero")
+    words = list(poly.terms)
+    lead = max(words, key=order.key)
+    lk = order.key(lead)
+    if sum(1 for w in words if order.key(w) == lk) > 1:
+        raise OrientationError(f"relation {label} has no unique maximal word")
+    if len(lead) < 2:
+        raise OrientationError(
+            f"relation {label}: maximal word {lead!r} is shorter than two letters"
+        )
+    lc = poly.terms[lead]
+    return RewriteRule(Word(lead), NCPoly.from_word(lead) - poly * lc.inverse(), label)
+
+
 def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
     """Compile a presentation's relations into a RewriteSystem.
 
-    Each relation r = 0 becomes ``lead -> lead - r/lc`` where ``lead`` is the
-    unique order-maximal word of r and lc its coefficient.  Declared inverse
+    Each relation becomes a rule by ``orient_relation``.  Declared inverse
     pairs contribute the two cancellation rules g*g_inv -> 1 and
     g_inv*g -> 1 unless equivalent relations are already listed.  Exact
     duplicates and relations whose leading word is empty or a single letter
@@ -149,26 +169,14 @@ def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
     rules = []
     seen = {}
     for label, poly in presentation.relations:
-        if poly.is_zero:
-            raise OrientationError(f"relation {label} is identically zero")
-        words = list(poly.terms)
-        lead = max(words, key=order.key)
-        lk = order.key(lead)
-        if sum(1 for w in words if order.key(w) == lk) > 1:
-            raise OrientationError(f"relation {label} has no unique maximal word")
-        if len(lead) < 2:
+        rule = orient_relation(label, poly, order)
+        prev = seen.get(rule.lhs)
+        if prev is not None and prev.rhs == rule.rhs:
             raise OrientationError(
-                f"relation {label}: maximal word {lead!r} is shorter than two letters"
+                f"relations {prev.origin} and {label} orient to the same rule"
             )
-        lc = poly.terms[lead]
-        rhs = NCPoly.from_word(lead) - poly * lc.inverse()
-        prev = seen.get(lead)
-        if prev is not None and prev[1] == rhs:
-            raise OrientationError(
-                f"relations {prev[0]} and {label} orient to the same rule"
-            )
-        seen.setdefault(lead, (label, rhs))
-        rules.append(RewriteRule(Word(lead), rhs, label))
+        seen.setdefault(rule.lhs, rule)
+        rules.append(rule)
     for g, ginv in presentation.inverse_pairs:
         for a, b, tag in ((g, ginv, f"unit:{g.sym}*{ginv.sym}"),
                           (ginv, g, f"unit:{ginv.sym}*{g.sym}")):
@@ -262,18 +270,13 @@ class CriticalPair:
                 f"{self.right_rule}; {status})")
 
 
-def critical_pairs(sys, max_overlap_len=6):
+def critical_pairs(sys):
     """All overlap and inclusion ambiguities of the rule set.
 
     For every word in which two rule left sides overlap, both one-step
     results are computed and the pair is resolved when their normal forms
     agree.
     """
-    max_len = max((len(r.lhs) for r in sys.rules), default=0)
-    if max_overlap_len < max_len:
-        raise ParamError(
-            f"max_overlap_len {max_overlap_len} is below the longest lhs {max_len}"
-        )
     pairs = []
     rules = sys.rules
     for r1 in rules:
@@ -284,8 +287,6 @@ def critical_pairs(sys, max_overlap_len=6):
                 if tuple(l1[len(l1) - k:]) != tuple(l2[:k]):
                     continue
                 w = Word(tuple(l1) + tuple(l2[k:]))
-                if len(w) > max_overlap_len:
-                    continue
                 pairs.append((w, r1, 0, r2, len(l1) - k))
             # r2.lhs properly inside r1.lhs
             if r1 is not r2 and len(l2) <= len(l1):
@@ -319,15 +320,14 @@ class ConfluenceReport:
     confluent: bool
     unresolved: tuple
     checked: int
-    max_overlap_len: int
 
     def __repr__(self):
         verdict = "confluent" if self.confluent else "NOT confluent"
-        return (f"{verdict} up to overlap length {self.max_overlap_len} "
-                f"({self.checked} ambiguities, {len(self.unresolved)} unresolved)")
+        return (f"{verdict} ({self.checked} ambiguities, "
+                f"{len(self.unresolved)} unresolved)")
 
 
-def check_confluence(sys, max_overlap_len=6):
-    pairs = critical_pairs(sys, max_overlap_len)
+def check_confluence(sys):
+    pairs = critical_pairs(sys)
     unresolved = tuple(p for p in pairs if not p.resolved)
-    return ConfluenceReport(not unresolved, unresolved, len(pairs), max_overlap_len)
+    return ConfluenceReport(not unresolved, unresolved, len(pairs))

@@ -122,7 +122,7 @@ def test_criterion_confluence():
     t0 = time.monotonic()
     for fam in qheis.family_ids():
         pres = catalog(fam)
-        report = check_confluence(pres.system(), 6)
+        report = check_confluence(pres.system())
         assert report.confluent, (fam, report.unresolved)
         assert len(report.unresolved) == 0
     # irreducible words of the four-generator algebra stay on one side of

@@ -88,6 +88,20 @@ class TestNormalize:
                              "--expr", "p*x*p*x")
         assert out1 == out2
 
+    def test_deep_nesting_is_parse_error(self):
+        code, _, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                       "--expr", "(" * 3000 + "x" + ")" * 3000)
+        assert code == 2
+        assert "nested deeper than" in err
+        assert "Traceback" not in err
+
+    def test_huge_power_is_parse_error(self):
+        code, _, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                       "--expr", "x^99999999999")
+        assert code == 2
+        assert "exceeds the limit" in err
+        assert "Traceback" not in err
+
 
 class TestCommutator:
     def test_canonical_pair(self, capsys):
@@ -125,7 +139,7 @@ class TestConfluence:
     def test_classical(self, capsys):
         code, out, _ = run_cli(capsys, "confluence", "--algebra", "classical")
         assert code == 0
-        assert "confluent up to overlap length 6" in out
+        assert "classical: confluent (" in out
 
     def test_broken_variant_reports_pairs(self, capsys):
         import qheis
@@ -140,12 +154,15 @@ class TestConfluence:
         assert code == 4
         assert "unresolved" in out
 
-    def test_overlap_bound_below_lhs_is_usage_error(self):
-        code, _, err = run_cli_process("confluence", "--algebra", "gaddis",
-                                       "--max-overlap", "1")
-        assert code == 1
-        assert "usage error" in err
-        assert "Traceback" not in err
+    def test_long_self_overlap_not_confluent(self, capsys, tmp_path):
+        path = tmp_path / "abba.qpres"
+        path.write_text("qheis-presentation 1\nname: abba\ngenerator: a\n"
+                        "generator: b\ngenerator: c\n"
+                        "relation: r : a*b*b*a - c\n")
+        code, out, _ = run_cli(capsys, "confluence", "--algebra", str(path))
+        assert code == 4
+        assert out.startswith("abba: NOT confluent (1 ambiguities checked)\n")
+        assert "unresolved a*b*b*a*b*b*a via r / r" in out
 
 
 class TestOre:
@@ -155,6 +172,12 @@ class TestOre:
         assert code == 0
         assert "sigma_x(Lambda) = q*Lambda" in out
         assert "delta_x(p) = i*hbar*q^(-1/2)*Lambda" in out
+
+    def test_repeated_tower_entry_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "ore", "--algebra", "wess",
+                               "--tower", "x,x")
+        assert code == 1
+        assert "lists x more than once" in err
 
 
 class TestFamilies:

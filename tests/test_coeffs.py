@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qheis
-from qheis.coeffs import Coefficient, GaussRational, qnumber
+from qheis.coeffs import (G_ONE, G_ZERO, MONO_UNIT, CentralMonomial, Coefficient,
+                          GaussRational, qnumber)
 from qheis.errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
 
 C = Coefficient
@@ -176,6 +177,28 @@ class TestArithmetic:
 
     def test_zero_normalization(self):
         assert C.zero() == C.zero() / coeff("q - 1")
+
+    def test_constructor_drops_zero_values(self):
+        z = C.monomial({"s": 1}, 0)
+        assert z.is_zero
+        assert z == 0
+        assert str(z) == "0"
+        m = CentralMonomial({"s": 1})
+        assert C({m: G_ONE}, {MONO_UNIT: G_ONE, m: G_ZERO}) == C.q_power("1/2")
+
+    def test_constructor_coerces_plain_numbers(self):
+        m = CentralMonomial({"s": 1})
+        c = C({m: 2, MONO_UNIT: Fraction(1, 2)})
+        assert str(c) == str(coeff("2*q^(1/2) + 1/2"))
+        assert c == coeff("2*q^(1/2) + 1/2")
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(DivisionByZero):
+            C({MONO_UNIT: G_ONE}, {MONO_UNIT: 0})
+        with pytest.raises(DivisionByZero):
+            C({MONO_UNIT: G_ONE}, {MONO_UNIT: G_ZERO})
+        with pytest.raises(DivisionByZero):
+            C({MONO_UNIT: G_ONE}, {})
 
 
 class TestEquality:

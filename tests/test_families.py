@@ -115,6 +115,10 @@ class TestOre:
         assert ore.entry("z", "y") == (g.parse("p*y"), NCPoly.zero())
         assert ore.entry("z", "x") == (g.parse("p^-1*x"), NCPoly.zero())
 
+    def test_repeated_tower_entry(self, families):
+        with pytest.raises(ParamError, match="lists x more than once"):
+            extract_ore(families["wess"], ("x", "x"))
+
     def test_not_ore_shaped(self):
         # q-commuting letters with the mover trapped in the middle
         a = Generator("a", None, 0)

@@ -8,6 +8,7 @@ from qheis import (catalog, format_expr, load_presentation, parse_expr,
 from qheis.coeffs import Coefficient
 from qheis.errors import ParseError, SchemaError
 from qheis.ncpoly import NCPoly
+from qheis.parser import MAX_NESTING, MAX_POWER
 from qheis.printer import parse_machine
 
 C = Coefficient
@@ -62,6 +63,25 @@ class TestParse:
     def test_negative_generator_power(self, families):
         with pytest.raises(ParseError):
             parse_expr("x^-1", families["wess"])
+
+    def test_nesting_limit(self, families):
+        g = families["gaddis"]
+        n = MAX_NESTING
+        assert parse_expr("(" * n + "x" + ")" * n, g) == g.parse("x")
+        for text in ("(" * (n + 1) + "x" + ")" * (n + 1),
+                     "[x," * (n + 1) + "y" + "]" * (n + 1)):
+            with pytest.raises(ParseError) as exc:
+                parse_expr(text, g)
+            assert f"nested deeper than {n}" in str(exc.value)
+
+    def test_power_limit(self, families):
+        g = families["gaddis"]
+        with pytest.raises(ParseError) as exc:
+            parse_expr(f"x^{MAX_POWER + 1}", g)
+        assert f"exceeds the limit {MAX_POWER}" in str(exc.value)
+        with pytest.raises(ParseError):
+            parse_expr(f"(q - 1)^-{MAX_POWER + 1}", g)
+        assert parse_expr(f"q^{MAX_POWER}", g) == NCPoly.from_scalar(C.q_power(MAX_POWER))
 
     def test_scalar_group_power(self):
         poly = parse_expr("(q - 1)^-2", None)

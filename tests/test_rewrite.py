@@ -174,12 +174,12 @@ class TestTrace:
 class TestCriticalPairs:
     def test_classical_overlaps_resolve(self):
         cls = catalog("classical", indices=1)
-        pairs = critical_pairs(cls.system(), 6)
+        pairs = critical_pairs(cls.system())
         assert all(p.resolved for p in pairs)
 
     def test_gaddis_overlap_value(self, families):
         g = families["gaddis"]
-        pairs = critical_pairs(g.system(), 6)
+        pairs = critical_pairs(g.system())
         assert len(pairs) == 1
         cp = pairs[0]
         assert tuple(x.sym for x in cp.overlap_word) == ("y", "z", "x")
@@ -196,21 +196,31 @@ class TestCriticalPairs:
         kept = [(lab, rel) for lab, rel in w.relations if lab != "lambda_x"]
         broken = Presentation("wess-broken", w.generators, kept,
                               inverse_pairs=w.inverse_pairs)
-        report = check_confluence(broken.system(), 6)
+        report = check_confluence(broken.system())
         assert not report.confluent
         words = {tuple(g.sym for g in cp.overlap_word)
                  for cp in report.unresolved}
         assert ("x", "p", "Lambda") in words
 
-    def test_max_overlap_below_lhs_rejected(self, families):
-        with pytest.raises(ValueError):
-            critical_pairs(families["wess"].system(), 1)
+    def test_longest_overlap_is_checked(self):
+        # the only ambiguity of a*b*b*a -> c is its self-overlap of length
+        # 7, which reduces to c*b^2*a and to a*b^2*c
+        a, b, c = (Generator(s, None, i) for i, s in enumerate("abc"))
+        pres = Presentation("abba", [a, b, c], [
+            ("r", NCPoly.from_word((a, b, b, a)) - NCPoly.from_generator(c))])
+        report = check_confluence(pres.system())
+        assert not report.confluent
+        assert report.checked == 1
+        (cp,) = report.unresolved
+        assert cp.overlap_word == (a, b, b, a, b, b, a)
+        assert cp.left_result == NCPoly.from_word((c, b, b, a))
+        assert cp.right_result == NCPoly.from_word((a, b, b, c))
 
 
 class TestConfluence:
     @pytest.mark.parametrize("fam", qheis.family_ids())
     def test_catalog_families_confluent(self, fam, families):
-        report = check_confluence(families[fam].system(), 6)
+        report = check_confluence(families[fam].system())
         assert report.confluent, report
 
     def test_inverse_pairs_cancel(self, families):
@@ -222,7 +232,7 @@ class TestConfluence:
 
     def test_printed_two_parameter_variant_not_confluent(self):
         pres = catalog("gaddis", variant="printed")
-        report = check_confluence(pres.system(), 6)
+        report = check_confluence(pres.system())
         assert not report.confluent
 
 

@@ -1,6 +1,7 @@
 """Verification corpus behavior: individual verifiers, suite wiring,
 reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,13 @@ class TestSuite:
     def test_byte_determinism(self, reports):
         again = run_suite("all", k=10)
         assert reports_to_json(reports) == reports_to_json(again)
+
+    def test_report_bytes_pinned(self, reports):
+        # the whole report, every coefficient's printed text included;
+        # a change that is meant to alter it updates this hash and says why
+        digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+        assert digest == ("f8dc08f852b20dda577e0aef4d68de35"
+                          "56edd5a16b2e119fb17b68bd19fff087")
 
     def test_render_table_lists_every_case(self, reports):
         table = render_table(reports)
