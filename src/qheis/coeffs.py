@@ -373,9 +373,6 @@ def _p_substitute(a, assign):
     return out
 
 
-_P_ONE = {MONO_UNIT: G_ONE}
-
-
 def _canonical(num, den):
     """Canonical (num, den) for num/den; takes ownership of both dicts.
 
@@ -506,10 +503,6 @@ class Coefficient:
     @property
     def is_zero(self):
         return not self.num
-
-    @property
-    def is_one(self):
-        return self.num == _P_ONE and self.den == _P_ONE
 
     def variables(self):
         return sorted(_p_vars(self.num) | _p_vars(self.den))

@@ -27,6 +27,18 @@ class Generator:
     index: int | None = None
     precedence: int = 0
 
+    def __post_init__(self):
+        # every Word hash hashes its letters: compute the field hash once
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.index, self.precedence)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # unpickle through __init__: string hashes differ between processes
+        return Generator, (self.name, self.index, self.precedence)
+
     @property
     def sym(self):
         return self.name if self.index is None else f"{self.name}_{self.index}"
@@ -132,9 +144,6 @@ class NCPoly:
 
     def words(self):
         return sorted(self.terms, key=display_key, reverse=True)
-
-    def sorted_terms(self):
-        return [(w, self.terms[w]) for w in self.words()]
 
     def generators(self):
         out = {}

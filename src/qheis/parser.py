@@ -14,8 +14,11 @@ central symbols), then declared opaque symbols, then the built-in centrals
 ``i``, ``hbar``, ``q`` and ``p``.  Half-integer exponents are allowed on q
 and p only; generator powers must be nonnegative integers.  ``[a,b]`` is
 commutator sugar.
-Brackets nest at most ``MAX_NESTING`` deep and no exponent exceeds
-``MAX_POWER`` in magnitude; deeper or larger input is a ParseError.
+Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
+``MAX_POWER`` in magnitude and no product (power and commutator steps
+included) multiplies out more than ``MAX_TERMS`` pairs of terms; deeper or
+larger input, a zero denominator and an integer literal too long for ``int``
+are a ParseError.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from fractions import Fraction
 
 from .coeffs import Coefficient
 from .errors import ParseError
-from .ncpoly import NCPoly, commutator
+from .ncpoly import NCPoly
 
 MAX_NESTING = 100
 MAX_POWER = 10_000
+MAX_TERMS = 100_000
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^()\[\],/])")
@@ -97,8 +101,8 @@ class _Parser:
     def term(self):
         value = self.factor()
         while self.at_op("*"):
-            self.take()
-            value = value * self.factor()
+            pos = self.take()[2]
+            value = _product(value, self.factor(), pos)
         return value
 
     def factor(self):
@@ -119,18 +123,34 @@ class _Parser:
             if self.at_op("-"):
                 self.take()
                 sign = -1
-            num = int(self.take("int")[1])
-            den = 1
-            if self.at_op("/"):
-                self.take()
-                den = int(self.take("int")[1])
+            value = self.number()
             self.take("op", ")")
-            return Fraction(sign * num, den)
+            return sign * value
         sign = 1
         if self.at_op("-"):
             self.take()
             sign = -1
-        return Fraction(sign * int(self.take("int")[1]))
+        return Fraction(sign * self.integer())
+
+    def number(self):
+        """NUMBER as a Fraction; a zero denominator is a ParseError."""
+        num = self.integer()
+        if not self.at_op("/"):
+            return Fraction(num)
+        self.take()
+        pos = self.peek()[2]
+        den = self.integer()
+        if den == 0:
+            raise ParseError(f"division by zero at {pos}", pos)
+        return Fraction(num, den)
+
+    def integer(self):
+        tok = self.take("int")
+        try:
+            return int(tok[1])
+        except ValueError:  # the interpreter's limit on int-string digits
+            raise ParseError(f"integer literal of {len(tok[1])} digits at "
+                             f"{tok[2]} is too long", tok[2]) from None
 
     def _power(self, base, tag, exp, pos):
         if tag in ("q", "p"):
@@ -153,7 +173,11 @@ class _Parser:
         if k < 0:
             raise ParseError(
                 f"negative power of a generator expression at {pos}", pos)
-        return base ** k
+        # the steps of NCPoly.__pow__, each bounded by MAX_TERMS
+        out = NCPoly.one()
+        for _ in range(k):
+            out = _product(out, base, pos)
+        return out
 
     def atom(self):
         """Returns (NCPoly value, tag); the tag drives exponent rules."""
@@ -167,13 +191,7 @@ class _Parser:
             self.depth -= 1
             return value, "group"
         if tok[0] == "int":
-            self.take()
-            num = int(tok[1])
-            if self.at_op("/"):
-                self.take()
-                den = int(self.take("int")[1])
-                return NCPoly.from_scalar(Coefficient.from_gauss(Fraction(num, den))), "scalar"
-            return NCPoly.from_scalar(Coefficient.from_gauss(num)), "scalar"
+            return NCPoly.from_scalar(Coefficient.from_gauss(self.number())), "scalar"
         if tok[0] == "ident":
             self.take()
             return self.resolve(tok[1], tok[2])
@@ -181,7 +199,8 @@ class _Parser:
                          tok[2])
 
     def group(self):
-        if self.take()[1] == "(":
+        tok = self.take()
+        if tok[1] == "(":
             value = self.expr()
             self.take("op", ")")
             return value
@@ -189,7 +208,7 @@ class _Parser:
         self.take("op", ",")
         b = self.expr()
         self.take("op", "]")
-        return commutator(a, b)
+        return _product(a, b, tok[2]) - _product(b, a, tok[2])
 
     def resolve(self, name, pos):
         if name in self.gens:
@@ -212,6 +231,16 @@ class _Parser:
         hint = difflib.get_close_matches(name, known, n=1)
         suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ParseError(f"unknown symbol {name!r} at {pos}{suggestion}", pos)
+
+
+def _product(a, b, pos):
+    """``a * b``, refused before it is formed when it pairs more than
+    MAX_TERMS terms: that bounds both its size and its work."""
+    if len(a.terms) * len(b.terms) > MAX_TERMS:
+        raise ParseError(f"product at {pos} of {len(a.terms)} and "
+                         f"{len(b.terms)} terms exceeds the limit of "
+                         f"{MAX_TERMS} terms", pos)
+    return a * b
 
 
 def parse_expr(text, scope=None):

@@ -11,7 +11,11 @@ term orders are provided:
   inversion for extra low letters, as in h*x -> x*f(h) with deg f >= 2.
 
 Normalization applies, deterministically, the first matching rule at the
-leftmost position of the largest reducible word.  Local confluence is checked
+leftmost position of the largest reducible word; among words of equal order
+key the one inserted into the term dict first wins.  The next redex comes
+from a heap of the reducible words, each keyed and matched once when it
+enters the polynomial, so a step costs O(|rhs| log terms) and not a rescan of
+every term.  Local confluence is checked
 by resolving every overlap and inclusion ambiguity of the rule set (the
 diamond lemma; none is longer than 2*(longest lhs) - 1, so all are checked).
 With termination this certifies unique normal forms and that the irreducible
@@ -20,6 +24,7 @@ words form a linear basis.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -187,56 +192,76 @@ def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
 
 
 def _apply_at(terms, word, coeff, pos, rule):
-    """One rewrite step on a term dict: replace ``word``'s occurrence of
-    rule.lhs at ``pos``."""
-    out = dict(terms)
-    left = out.get(word, Coefficient.zero()) - coeff
+    """One rewrite step, in place on the term dict ``terms``: replace
+    ``coeff`` times ``word``'s occurrence of rule.lhs at ``pos``.  Returns
+    the words the step newly inserted, in insertion order."""
+    added = []
+    left = terms.get(word, Coefficient.zero()) - coeff
     if left.is_zero:
-        out.pop(word, None)
+        terms.pop(word, None)
     else:
-        out[word] = left
+        terms[word] = left
     prefix = tuple.__getitem__(word, slice(0, pos))
     suffix = tuple.__getitem__(word, slice(pos + len(rule.lhs), len(word)))
     for rw, rc in rule.rhs.terms.items():
         nw = Word(prefix + tuple(rw) + suffix)
-        s = out.get(nw, Coefficient.zero()) + coeff * rc
+        old = terms.get(nw)
+        s = (Coefficient.zero() if old is None else old) + coeff * rc
         if s.is_zero:
-            out.pop(nw, None)
+            terms.pop(nw, None)
         else:
-            out[nw] = s
-    return out
+            terms[nw] = s
+            if old is None:
+                added.append(nw)
+    return added
+
+
+def _descending(key):
+    """Heap key that sorts order keys from largest to smallest.  Precedence
+    sequences (the last entry) are compared only between words of one
+    length, so negating every entry reverses the order."""
+    *head, precs = key
+    return (*(-x for x in head), tuple(-p for p in precs))
 
 
 def _reduce(poly, sys, trace):
     terms = dict(poly.terms)
-    steps = 0
-    # the last steps as (rule id, position, term dict); _apply_at returns a
-    # fresh dict each step, so no entry is mutated after it is recorded
-    chain = deque(maxlen=5)
-    while True:
-        best = None
-        best_key = None
-        best_match = None
-        for w in terms:
-            k = sys.order.key(w)
-            if best_key is not None and k <= best_key:
-                continue
+    # Max-heap of the reducible words in ``terms`` by order key; ties go to
+    # the smaller insertion number, i.e. to the earlier word in dict order.
+    # A word removed from ``terms`` (and maybe re-inserted under a new
+    # number) leaves a stale entry, skipped through ``live``.
+    heap = []
+    live = {}
+    seq = 0
+
+    def enter(words):
+        nonlocal seq
+        for w in words:
             m = sys.first_redex(w)
             if m is not None:
-                best, best_key, best_match = w, k, m
-        if best is None:
-            return NCPoly(terms)
+                seq += 1
+                live[w] = seq
+                heapq.heappush(heap, (_descending(sys.order.key(w)), seq, w, m))
+
+    enter(terms)
+    steps = 0
+    # NCPoly snapshots of the last steps, for NonTermination.chain
+    chain = deque(maxlen=5)
+    while heap:
+        _, n, best, (pos, rule) = heapq.heappop(heap)
+        if live[best] != n or best not in terms:
+            continue
         steps += 1
         if steps > sys.step_limit:
-            raise NonTermination(
-                f"step limit {sys.step_limit} exceeded",
-                chain=[(origin, p, NCPoly(t)) for origin, p, t in chain],
-            )
-        pos, rule = best_match
-        terms = _apply_at(terms, best, terms[best], pos, rule)
-        chain.append((rule.origin, pos, terms))
-        if trace is not None:
-            trace.append((rule.origin, pos, NCPoly(terms)))
+            raise NonTermination(f"step limit {sys.step_limit} exceeded",
+                                 chain=chain)
+        enter(_apply_at(terms, best, terms[best], pos, rule))
+        if trace is not None or steps > sys.step_limit - chain.maxlen:
+            snap = (rule.origin, pos, NCPoly(terms))
+            chain.append(snap)
+            if trace is not None:
+                trace.append(snap)
+    return NCPoly(terms)
 
 
 def normalize(poly, sys):
@@ -306,8 +331,10 @@ def critical_pairs(sys):
             continue
         seen.add(sig)
         one = Coefficient.one()
-        left = NCPoly(_apply_at({w: one}, w, one, p1, r1))
-        right = NCPoly(_apply_at({w: one}, w, one, p2, r2))
+        left, right = {w: one}, {w: one}
+        _apply_at(left, w, one, p1, r1)
+        _apply_at(right, w, one, p2, r2)
+        left, right = NCPoly(left), NCPoly(right)
         resolved = normalize(left, sys) == normalize(right, sys)
         out.append(CriticalPair(w, r1.origin, r2.origin, left, right, resolved))
     out.sort(key=lambda cp: (sys.order.key(cp.overlap_word), cp.left_rule,

@@ -360,7 +360,9 @@ def _word_reducts(word, sys):
         if rule is None:
             continue
         one = Coefficient.one()
-        out.append(NCPoly(_apply_at({word: one}, word, one, pos, rule)))
+        terms = {word: one}
+        _apply_at(terms, word, one, pos, rule)
+        out.append(NCPoly(terms))
     return out
 
 

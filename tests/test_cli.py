@@ -102,6 +102,19 @@ class TestNormalize:
         assert "exceeds the limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("expr, message", [
+        ("1/0*x", "division by zero at 2"),
+        ("q^(1/0)", "division by zero at 5"),
+        ("1" * 5000 + "*x", "integer literal of 5000 digits at 0"),
+        ("(x+y)^9*(x+y)^9", "exceeds the limit of 100000 terms"),
+    ])
+    def test_hostile_input_is_parse_error(self, expr, message):
+        code, _, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                       "--expr", expr)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestCommutator:
     def test_canonical_pair(self, capsys):

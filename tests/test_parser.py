@@ -1,14 +1,16 @@
 """Expression grammar, printers, presentation documents."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qheis
 from qheis import (catalog, format_expr, load_presentation, parse_expr,
                    save_presentation)
 from qheis.coeffs import Coefficient
-from qheis.errors import ParseError, SchemaError
+from qheis.errors import ParseError, QheisError, SchemaError
 from qheis.ncpoly import NCPoly
-from qheis.parser import MAX_NESTING, MAX_POWER
+from qheis.parser import MAX_NESTING, MAX_POWER, MAX_TERMS
 from qheis.printer import parse_machine
 
 C = Coefficient
@@ -83,12 +85,62 @@ class TestParse:
             parse_expr(f"(q - 1)^-{MAX_POWER + 1}", g)
         assert parse_expr(f"q^{MAX_POWER}", g) == NCPoly.from_scalar(C.q_power(MAX_POWER))
 
+    def test_term_limit(self, families):
+        g = families["gaddis"]
+        # 2^16 words are formed before the next doubling is refused
+        for text in ("(x+y)^40", "(x+y)^9*(x+y)^9", "[(x+y)^9, (x+y)^9]"):
+            with pytest.raises(ParseError) as exc:
+                parse_expr(text, g)
+            assert f"exceeds the limit of {MAX_TERMS} terms" in str(exc.value)
+        assert len(parse_expr("(x+1)^30", g).terms) == 31
+
+    @pytest.mark.parametrize("text, position", [
+        ("1/0*x", 2), ("q^(1/0)", 5), ("q^(-3/0)", 6), ("1" * 5000 + "*x", 0),
+        ("x^" + "9" * 5000, 2)])
+    def test_bad_literal_is_parse_error(self, families, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert exc.value.position == position
+
     def test_scalar_group_power(self):
         poly = parse_expr("(q - 1)^-2", None)
         assert poly.coefficient(()) == (C.q_power(1) - 1) ** -2
 
     def test_rational_scalar(self):
         assert parse_expr("3/4", None).coefficient(()) == C.from_gauss("3/4")
+
+
+# Expressions built from the grammar's tokens.  Integers stay small (plus
+# one literal past the interpreter's digit limit) so that nested powers of
+# scalar groups stay cheap.
+_INTS = st.one_of(st.sampled_from(["0", "1", "2", "3"]),
+                  st.just(5000).map(lambda n: "1" * n))
+_NAMES = st.sampled_from(["x", "y", "z", "q", "p", "hbar", "i", "s", "w", "Foo"])
+_NUMBERS = st.one_of(_INTS, st.tuples(_INTS, _INTS).map("/".join))
+_EXPONENTS = st.one_of(
+    _INTS, _INTS.map("-{}".format),
+    st.tuples(st.sampled_from(["", "-"]), _NUMBERS).map("({0[0]}{0[1]})".format))
+_ATOMS = st.one_of(_NUMBERS, _NAMES)
+_EXPRS = st.recursive(
+    st.one_of(_ATOMS, st.tuples(_ATOMS, _EXPONENTS).map("^".join)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(inner, _EXPONENTS).map("({0[0]})^{0[1]}".format),
+        st.tuples(inner, inner).map("[{0[0]},{0[1]}]".format)),
+    max_leaves=6)
+_TOKENS = st.one_of(_INTS, _NAMES, st.sampled_from(list("/^()[],+-*")))
+_SOUPS = st.lists(_TOKENS, max_size=12).map(" ".join)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_EXPRS, _SOUPS))
+    def test_only_engine_errors_escape(self, families, text):
+        try:
+            parse_expr(text, families["gaddis"])
+        except QheisError:
+            pass
 
 
 class TestFormat:

@@ -1,17 +1,74 @@
 """Rewrite engine: orientation, normalization, traces, critical pairs."""
 
+import json
+import os
+import pickle
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qheis
 from qheis import (NCPoly, Presentation, catalog, check_confluence,
-                   critical_pairs, normalize, reduce_trace)
+                   critical_pairs, format_expr, normalize, reduce_trace)
 from qheis.coeffs import Coefficient
 from qheis.errors import NonTermination, OrientationError
-from qheis.ncpoly import Generator
-from qheis.rewrite import RewriteSystem, TermOrder
+from qheis.ncpoly import Generator, Word
+from qheis.printer import parse_machine
+from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, _apply_at
 from qheis.verify import random_poly
 
 C = Coefficient
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+
+
+def reference_reduce(poly, system, trace):
+    """The full-scan strategy: every step rescans all terms for the largest
+    reducible word, ties going to the earliest word in dict order."""
+    terms = dict(poly.terms)
+    chain = deque(maxlen=5)
+    while True:
+        best = best_key = None
+        for w in terms:
+            k = system.order.key(w)
+            if best_key is not None and k <= best_key:
+                continue
+            m = system.first_redex(w)
+            if m is not None:
+                best, best_key, (pos, rule) = w, k, m
+        if best is None:
+            return NCPoly(terms)
+        if len(trace) == system.step_limit:
+            raise NonTermination(f"step limit {system.step_limit} exceeded",
+                                 chain=chain)
+        _apply_at(terms, best, terms[best], pos, rule)
+        chain.append((rule.origin, pos, NCPoly(terms)))
+        trace.append(chain[-1])
+
+
+def _tied_system():
+    """Two generators of one precedence, so distinct words share an order
+    key and the tie-break decides the trace."""
+    a, b, c = (Generator("a", None, 0), Generator("b", None, 0),
+               Generator("c", None, 1))
+    w = NCPoly.from_word
+    rules = [
+        RewriteRule(Word((c, a)), C.q_power(1) * w((a, c)) + w((b,)), "c_a"),
+        RewriteRule(Word((c, b)), w((a, c)) - C.hbar_power(1) * w((b, c)), "c_b"),
+        RewriteRule(Word((c, c)), -NCPoly.one(), "c_c"),
+        RewriteRule(Word((b, b)), NCPoly.one(), "b_b"),
+    ]
+    return [a, b, c], RewriteSystem(rules, TermOrder("deglex"))
+
+
+def _snapshot(steps):
+    return [(origin, pos, format_expr(p, "machine"), list(p.terms))
+            for origin, pos, p in steps]
 
 
 class TestOrientation:
@@ -136,6 +193,15 @@ class TestNormalize:
                          * random_poly(rng, gens, 2))
                 assert normalize(a + shift, sysm) == normalize(a, sysm), fam
 
+    @pytest.mark.parametrize("workload", ["words", "growth"])
+    def test_benchmark_normal_forms(self, workload, families):
+        # the normal forms the benchmark checks its answers against
+        entries = json.loads((EXPECTED / f"{workload}.json").read_text())["requests"]
+        for e in entries:
+            pres = families[e["pres"]]
+            assert (normalize(pres.parse(e["expr"]), pres.system())
+                    == parse_machine(e["nf"])), (e["pres"], e["expr"])
+
     def test_length_eight_words_within_budget(self, rng, families):
         for fam, pres in families.items():
             sysm = pres.system()
@@ -143,6 +209,72 @@ class TestNormalize:
             for _ in range(5):
                 word = tuple(rng.choice(gens) for _ in range(8))
                 normalize(NCPoly.from_word(word), sysm)  # must not raise
+
+
+class TestStrategyEquivalence:
+    """The heap-driven normalize takes the same steps as the full scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["gha", "q_gha", "gaddis", "classical", "tied"]),
+           st.randoms(use_true_random=False), st.data())
+    def test_same_steps_as_full_scan(self, families, key, rng, data):
+        if key == "tied":
+            gens, sysm = _tied_system()
+        else:
+            gens, sysm = list(families[key].generators), families[key].system()
+        a = random_poly(rng, gens, max_len=5, max_terms=4)
+        want_trace = []
+        want = reference_reduce(a, sysm, want_trace)
+        got = normalize(a, sysm)
+        assert format_expr(got, "machine") == format_expr(want, "machine")
+        assert list(got.terms) == list(want.terms)
+        assert _snapshot(reduce_trace(a, sysm)) == _snapshot(want_trace)
+        if not want_trace:
+            return
+        limit = data.draw(st.integers(0, len(want_trace) - 1), label="limit")
+        starved = RewriteSystem(sysm.rules, sysm.order, step_limit=limit)
+        with pytest.raises(NonTermination) as ref:
+            reference_reduce(a, starved, [])
+        with pytest.raises(NonTermination) as exc:
+            normalize(a, starved)
+        assert str(exc.value) == str(ref.value)
+        assert _snapshot(exc.value.chain) == _snapshot(ref.value.chain)
+
+    def test_ties_follow_dict_order(self):
+        (a, b, c), sysm = _tied_system()
+        assert sysm.order.key((c, a)) == sysm.order.key((c, b))
+        # equal keys go in dict order: a*c*b before a*c*a; in the second
+        # input c*a precedes c*b, but the first step cancels c*a and the
+        # second re-inserts it after c*b
+        for words, origins in [([(a, c, b), (a, c, a)], ["c_b", "c_a"]),
+                               ([(c, c, c, a), (c, a), (c, b), (b, b, c, a)],
+                                ["c_c", "b_b", "c_b", "c_a"])]:
+            poly = NCPoly({w: 1 for w in words})
+            steps, want = reduce_trace(poly, sysm), []
+            reference_reduce(poly, sysm, want)
+            assert _snapshot(steps) == _snapshot(want)
+            assert [origin for origin, _, _ in steps[:len(origins)]] == origins
+
+    def test_equal_generators_hash_equal(self):
+        for args in (("x", None, 0), ("x", 2, 5), ("Lambda", None, 3)):
+            g, h = Generator(*args), Generator(*args)
+            assert g == h and g is not h
+            assert hash(g) == hash(h) == hash(args)
+            assert len({Word((g, h)), Word((h, g))}) == 1
+
+    def test_unpickled_generator_rehashes(self):
+        # pickled under another string-hash seed, the cached hash must not
+        # come along
+        code = ("import pickle, sys; from qheis.ncpoly import Generator; "
+                "sys.stdout.write(pickle.dumps(Generator('x', 2, 5)).hex())")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src,
+                                      PYTHONHASHSEED="1"))
+        g = pickle.loads(bytes.fromhex(out.stdout))
+        assert g == Generator("x", 2, 5)
+        assert hash(g) == hash(("x", 2, 5))
 
 
 class TestTrace:
