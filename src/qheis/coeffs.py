@@ -601,13 +601,6 @@ class Coefficient:
             raise PoleAtPoint("denominator vanishes under the substitution")
         return Coefficient(_p_substitute(self.num, assign), den)
 
-    # -- canonical serialization (used for hashing polynomial states) ----
-
-    def key(self):
-        num = tuple(sorted((m.exps, (c.re, c.im)) for m, c in self.num.items()))
-        den = tuple(sorted((m.exps, (c.re, c.im)) for m, c in self.den.items()))
-        return (num, den)
-
     def __repr__(self):
         from .printer import format_coefficient
 

@@ -145,13 +145,6 @@ class NCPoly:
     def words(self):
         return sorted(self.terms, key=display_key, reverse=True)
 
-    def generators(self):
-        out = {}
-        for w in self.terms:
-            for g in w:
-                out[g.sym] = g
-        return out
-
     def check_alphabet(self, *others):
         seen = {}
         _merge_alphabet(seen, self)
@@ -220,14 +213,6 @@ class NCPoly:
         return NotImplemented
 
     __hash__ = None
-
-    def key(self):
-        """Canonical hashable serialization (for oracle state sets)."""
-        items = []
-        for w in self.words():
-            items.append((tuple((g.name, g.index, g.precedence) for g in w),
-                          self.terms[w].key()))
-        return tuple(items)
 
     def __repr__(self):
         from .printer import format_expr

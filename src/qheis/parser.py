@@ -16,7 +16,8 @@ and p only; generator powers must be nonnegative integers.  ``[a,b]`` is
 commutator sugar.
 Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 ``MAX_POWER`` in magnitude and no product (power and commutator steps
-included) multiplies out more than ``MAX_TERMS`` pairs of terms; deeper or
+included, scalar powers too) pairs more than ``MAX_TERMS`` numerator or
+denominator terms of its coefficients, summed over its words; deeper or
 larger input, a zero denominator and an integer literal too long for ``int``
 are a ParseError.
 """
@@ -167,9 +168,21 @@ class _Parser:
         is_scalar = all(len(w) == 0 for w in base.terms)
         if is_scalar and (tag != "generator"):
             coeff = base.coefficient(())
-            if k < 0 and coeff.is_zero:
-                raise ParseError(f"negative power of zero at {pos}", pos)
-            return NCPoly.from_scalar(coeff ** k)
+            if k < 0:
+                if coeff.is_zero:
+                    raise ParseError(f"negative power of zero at {pos}", pos)
+                coeff, k = coeff.inverse(), -k
+            # the squarings of Coefficient.__pow__, each bounded by MAX_TERMS
+            out = Coefficient.one()
+            while k:
+                if k & 1:
+                    _refuse_pairing(_sizes((out,)), _sizes((coeff,)), pos)
+                    out = out * coeff
+                k >>= 1
+                if k:
+                    _refuse_pairing(_sizes((coeff,)), _sizes((coeff,)), pos)
+                    coeff = coeff * coeff
+            return NCPoly.from_scalar(out)
         if k < 0:
             raise ParseError(
                 f"negative power of a generator expression at {pos}", pos)
@@ -234,13 +247,30 @@ class _Parser:
 
 
 def _product(a, b, pos):
-    """``a * b``, refused before it is formed when it pairs more than
-    MAX_TERMS terms: that bounds both its size and its work."""
-    if len(a.terms) * len(b.terms) > MAX_TERMS:
-        raise ParseError(f"product at {pos} of {len(a.terms)} and "
-                         f"{len(b.terms)} terms exceeds the limit of "
-                         f"{MAX_TERMS} terms", pos)
+    """``a * b``, refused before it is formed when it pairs too many terms:
+    that bounds both its size and its work."""
+    _refuse_pairing(_sizes(a.terms.values()), _sizes(b.terms.values()), pos)
     return a * b
+
+
+def _sizes(coeffs):
+    """Numerator and denominator terms, summed over ``coeffs``; a
+    unit-denominator coefficient has one of each."""
+    num = den = 0
+    for c in coeffs:
+        num += len(c.num)
+        den += len(c.den)
+    return num, den
+
+
+def _refuse_pairing(a, b, pos):
+    """ParseError when a product of operands of ``_sizes`` a and b pairs
+    more than MAX_TERMS numerator or denominator terms."""
+    for part, na, nb in (("numerator", a[0], b[0]), ("denominator", a[1], b[1])):
+        if na * nb > MAX_TERMS:
+            raise ParseError(f"product at {pos} of {na} and {nb} {part} "
+                             f"terms exceeds the limit of {MAX_TERMS} terms",
+                             pos)
 
 
 def parse_expr(text, scope=None):

@@ -35,18 +35,15 @@ from .ncpoly import NCPoly, Word
 DEFAULT_STEP_LIMIT = 10_000
 
 
+@dataclass(frozen=True, slots=True)
 class TermOrder:
     """Well-ordering of words used to orient rules and steer normalization."""
 
-    __slots__ = ("kind",)
+    kind: str = "deglex"
 
-    def __init__(self, kind="deglex"):
-        if kind not in ("deglex", "invlex"):
-            raise ValueError(f"unknown term order {kind!r}")
-        object.__setattr__(self, "kind", kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TermOrder is immutable")
+    def __post_init__(self):
+        if self.kind not in ("deglex", "invlex"):
+            raise ValueError(f"unknown term order {self.kind!r}")
 
     def key(self, word):
         precs = tuple(g.precedence for g in word)
@@ -62,9 +59,6 @@ class TermOrder:
 
     def greater(self, w1, w2):
         return self.key(w1) > self.key(w2)
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.kind == other.kind
 
     def __repr__(self):
         return f"TermOrder({self.kind!r})"

@@ -9,6 +9,11 @@ diagnostics), and the classical limit.  Values reported in the literature
 that are inconsistent with the defining relations are first-class
 ``discrepancy`` cases: the suite documents them rather than hiding them.
 
+A case is declared once, as one row of a table (``_POLY_IDENTITIES``,
+``_ORE_CASES``, ``EXAMPLE_ROWS``, ``TABLE_ROWS``) or one ``add`` line in
+``build_cases``.  The row's id, claim and expected status feed the report:
+the runner reads them from the case it is called with.
+
 Every verifier is deterministic (fixed seeds); two runs produce identical
 reports byte for byte.
 """
@@ -17,12 +22,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 from .coeffs import Coefficient, GaussRational, qnumber
-from .errors import OracleDivergence, OracleOverflow, OrientationError, QheisError
+from .errors import (OracleDivergence, OracleOverflow, OrientationError,
+                     ParamError, QheisError)
 from .families import (Presentation, UnifiedParams, catalog, classical_limit,
                        extract_ore, subs_poly, unified, unified_relation_polys,
                        unit_ratio)
@@ -114,15 +121,22 @@ class VerificationCase:
     claim: str
     families: tuple
     expected: str
-    runner: object
+    runner: object           # called with this case, returns its report
+
+    def report(self, status, **fields):
+        return VerificationReport(self.case_id, self.claim, status,
+                                  self.expected, **fields)
 
     def run(self):
         try:
-            return self.runner()
+            return self.runner(self)
         except QheisError as exc:
-            return VerificationReport(self.case_id, self.claim, "error",
-                                      self.expected,
-                                      detail=f"{type(exc).__name__}: {exc}")
+            return self.report("error", detail=f"{type(exc).__name__}: {exc}")
+
+
+def _failed(expected):
+    """Status of a failed check: an expected discrepancy reproduces as one."""
+    return "discrepancy" if expected == "discrepancy" else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +167,19 @@ def _numeric_agree(a, b, rng, points=5):
 def verify_poly_identity(case_id, lhs, rhs, sys, expected="pass"):
     """Pass iff lhs - rhs normalizes to zero; passes are re-checked at five
     random pole-free central points."""
+    report = partial(VerificationReport, case_id, "poly_identity",
+                     expected=expected)
     rng = Random(_seed(case_id))
     nf = normalize(lhs - rhs, sys)
     if not nf.is_zero:
-        status = "discrepancy" if expected == "discrepancy" else "fail"
-        return VerificationReport(case_id, "poly_identity", status, expected,
-                                  detail="difference does not normalize to zero",
-                                  witness=format_expr(nf))
+        return report(_failed(expected),
+                      detail="difference does not normalize to zero",
+                      witness=format_expr(nf))
     nl, nr = normalize(lhs, sys), normalize(rhs, sys)
     if not _numeric_agree(nl, nr, rng):
-        return VerificationReport(
-            case_id, "poly_identity", "error", expected,
-            detail="symbolic pass but numeric spot-check mismatch")
-    return VerificationReport(case_id, "poly_identity", "pass", expected,
-                              detail="normal forms agree; 5 numeric points agree")
+        return report("error",
+                      detail="symbolic pass but numeric spot-check mismatch")
+    return report("pass", detail="normal forms agree; 5 numeric points agree")
 
 
 def _solve_scalar_combination(target, relations):
@@ -273,16 +286,17 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     polynomial by random ideal elements of one side must not change its
     normal form under any orientable side.
     """
+    report = partial(VerificationReport, case_id, "relation_set_equivalence",
+                     expected=expected)
     rng = Random(_seed(case_id))
     details = []
     for src, dst in ((p1, p2), (p2, p1)):
         for label, rel in src.all_relation_polys():
             ok, method = ideal_membership(rel, dst)
             if not ok:
-                return VerificationReport(
-                    case_id, "relation_set_equivalence", "fail", expected,
-                    detail=f"relation {label} of {src.name} not certified in "
-                           f"{dst.name}", witness=format_expr(rel))
+                return report("fail", detail=f"relation {label} of {src.name} "
+                                             f"not certified in {dst.name}",
+                              witness=format_expr(rel))
             details.append(f"{src.name}.{label} in <{dst.name}>: {method}")
     systems = []
     for p in (p1, p2):
@@ -296,10 +310,9 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
         a = random_poly(rng, gens, max_len=depth)
         if systems[0] is not None and systems[1] is not None:
             if normalize(a, systems[0]) != normalize(a, systems[1]):
-                return VerificationReport(
-                    case_id, "relation_set_equivalence", "fail", expected,
-                    detail="normal forms differ on a random polynomial",
-                    witness=format_expr(a))
+                return report("fail",
+                              detail="normal forms differ on a random polynomial",
+                              witness=format_expr(a))
         for sysm, other in ((systems[0], p2), (systems[1], p1)):
             if sysm is None:
                 continue
@@ -307,14 +320,20 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
             shift = (random_poly(rng, gens, 1) * rel * random_poly(rng, gens, 1)
                      * random_coeff(rng))
             if normalize(a + shift, sysm) != normalize(a, sysm):
-                return VerificationReport(
-                    case_id, "relation_set_equivalence", "fail", expected,
-                    detail=f"ideal shift by {label} moved a normal form",
-                    witness=format_expr(a))
+                return report("fail",
+                              detail=f"ideal shift by {label} moved a normal form",
+                              witness=format_expr(a))
         checked += 1
-    return VerificationReport(
-        case_id, "relation_set_equivalence", "pass", expected,
-        detail=f"both inclusions certified; {checked} random polynomials agree")
+    return report("pass", detail=f"both inclusions certified; {checked} random "
+                                 f"polynomials agree")
+
+
+def _power_expansions(pres, k):
+    """(label, product, its claimed normal form) for y*x^k and y^k*x."""
+    x, z, y = pres.poly("x"), pres.poly("z"), pres.poly("y")
+    q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
+    return ((f"y*x^{k}", y * x**k, x**k * y * q + x**(k - 1) * z * tail),
+            (f"y^{k}*x", y**k * x, x * y**k * q + z * y**(k - 1) * tail))
 
 
 def verify_power_identities(case_id="gaddis-power-identities", K=10,
@@ -323,27 +342,14 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
     1 <= k <= K."""
     pres = presentation or catalog("gaddis")
     sysm = pres.system()
-    x, z, y = pres.poly("x"), pres.poly("z"), pres.poly("y")
-    q = C.q_power(1)
-    hbar = C.hbar_power(1)
     for k in range(1, K + 1):
-        qn = qnumber(k)
-        lhs1 = normalize(y * x**k, sysm)
-        rhs1 = x**k * y * q**k + x**(k - 1) * z * (hbar * qn)
-        if lhs1 != rhs1:
-            return VerificationReport(
-                case_id, "power_identity",
-                "discrepancy" if expected == "discrepancy" else "fail", expected,
-                detail=f"y*x^{k} expansion mismatch",
-                witness=format_expr(lhs1 - rhs1))
-        lhs2 = normalize(y**k * x, sysm)
-        rhs2 = x * y**k * q**k + z * y**(k - 1) * (hbar * qn)
-        if lhs2 != rhs2:
-            return VerificationReport(
-                case_id, "power_identity",
-                "discrepancy" if expected == "discrepancy" else "fail", expected,
-                detail=f"y^{k}*x expansion mismatch",
-                witness=format_expr(lhs2 - rhs2))
+        for text, lhs, rhs in _power_expansions(pres, k):
+            got = normalize(lhs, sysm)
+            if got != rhs:
+                return VerificationReport(
+                    case_id, "power_identity", _failed(expected), expected,
+                    detail=f"{text} expansion mismatch",
+                    witness=format_expr(got - rhs))
     return VerificationReport(case_id, "power_identity", "pass", expected,
                               detail=f"both identities exact for k = 1..{K}")
 
@@ -440,45 +446,41 @@ class SpecializationRow:
     note: str = ""
 
 
-def _check_row_values(values, target, sysm):
+def _check_row_values(row, target, sysm):
     """Check the listed relations for one set of parameter values.
 
     Returns (ok, lines, unit_of_first_relation).
     """
-    x = target.poly(values["rename"]["x"])
-    p = target.poly(values["rename"]["p"])
-    y = target.poly(values["rename"]["y"]) if "y" in values["rename"] else NCPoly.zero()
-    psi = parse_expr(values["psi"], target)
-    pi = parse_expr(values["pi"], target)
-    phi = parse_expr(values["phi"], target)
-    rel1, rel2, rel3 = unified_relation_polys(values["n"], values["m"], values["l"],
+    x = target.poly(row.rename["x"])
+    p = target.poly(row.rename["p"])
+    y = target.poly(row.rename["y"]) if "y" in row.rename else NCPoly.zero()
+    psi = parse_expr(row.psi, target)
+    pi = parse_expr(row.pi, target)
+    phi = parse_expr(row.phi, target)
+    rel1, rel2, rel3 = unified_relation_polys(row.n, row.m, row.l,
                                               psi, pi, phi, x, y, p)
     polys = {"nH1": rel1, "nH2": rel2, "nH3": rel3}
     lines = []
     unit_repr = None
     ok = True
-    for name in values["relations"]:
+    for name in row.relations:
         rel = polys[name]
-        if values["at_q1"]:
+        if row.at_q1:
             rel = subs_poly(rel, {"s": 1})
-        matched = False
         for label, t in target.all_relation_polys():
             c = unit_ratio(rel, t)
             if c is not None:
-                lines.append(f"{name}: unit {format_expr(NCPoly.from_scalar(c))} "
-                             f"of target relation {label}")
-                if unit_repr is None:
-                    unit_repr = format_expr(NCPoly.from_scalar(c))
-                matched = True
+                unit = format_expr(NCPoly.from_scalar(c))
+                lines.append(f"{name}: unit {unit} of target relation {label}")
+                unit_repr = unit_repr or unit
                 break
-        if matched:
-            continue
-        nf = normalize(rel, sysm)
-        if nf.is_zero:
-            lines.append(f"{name}: normalizes to zero in the target")
         else:
-            lines.append(f"{name}: FAILS, residue {format_expr(nf)}")
-            ok = False
+            nf = normalize(rel, sysm)
+            if nf.is_zero:
+                lines.append(f"{name}: normalizes to zero in the target")
+            else:
+                lines.append(f"{name}: FAILS, residue {format_expr(nf)}")
+                ok = False
     return ok, lines, unit_repr
 
 
@@ -486,33 +488,24 @@ def verify_specialization(row):
     """Run a specialization row with its diagnostic attempts."""
     target = catalog(row.target, **row.target_params)
     target_sys = target.system()
-    base = {
-        "rename": row.rename, "n": row.n, "m": row.m, "l": row.l,
-        "psi": row.psi, "pi": row.pi, "phi": row.phi,
-        "relations": row.relations, "at_q1": row.at_q1,
-    }
+    report = partial(VerificationReport, row.row_id, "specialization",
+                     expected=row.expected)
+    note = (row.note,) if row.note else ()
     attempts = (("as printed", {}),) + tuple(row.attempts)
     all_lines = []
     for idx, (label, overrides) in enumerate(attempts):
-        values = dict(base)
-        values.update(overrides)
-        ok, lines, unit = _check_row_values(values, target, target_sys)
+        ok, lines, unit = _check_row_values(replace(row, **overrides), target,
+                                            target_sys)
         all_lines.append(f"[{label}] " + "; ".join(lines))
         if ok:
             if idx == 0:
-                return VerificationReport(
-                    row.row_id, "specialization", "pass", row.expected,
-                    detail=" | ".join(all_lines), unit=unit,
-                    annotations=(row.note,) if row.note else ())
-            return VerificationReport(
-                row.row_id, "specialization", "annotated", row.expected,
-                detail=" | ".join(all_lines), unit=unit,
-                annotations=(label,) + ((row.note,) if row.note else ()))
-    return VerificationReport(
-        row.row_id, "specialization", "discrepancy", row.expected,
-        detail=" | ".join(all_lines),
-        annotations=("no parameter correction recovers the target "
-                     "relations",) + ((row.note,) if row.note else ()))
+                return report("pass", detail=" | ".join(all_lines), unit=unit,
+                              annotations=note)
+            return report("annotated", detail=" | ".join(all_lines), unit=unit,
+                          annotations=(label,) + note)
+    return report("discrepancy", detail=" | ".join(all_lines),
+                  annotations=("no parameter correction recovers the target "
+                               "relations",) + note)
 
 
 # ---------------------------------------------------------------------------
@@ -521,105 +514,85 @@ def verify_specialization(row):
 
 def verify_ore_entry(case_id, presentation, tower, mover, over, sigma_text,
                      delta_text, expected="pass", note=""):
+    report = partial(VerificationReport, case_id, "ore_match", expected=expected)
     ore = extract_ore(presentation, tower)
     sig, delt = ore.entry(mover, over)
     if sig is None:
-        return VerificationReport(case_id, "ore_match", "fail", expected,
-                                  detail=f"pair ({mover}, {over}) not extracted")
+        return report("fail", detail=f"pair ({mover}, {over}) not extracted")
     want_sig = parse_expr(sigma_text, presentation)
     want_del = parse_expr(delta_text, presentation)
+    annotations = (note,) if note else ()
     if sig == want_sig and delt == want_del:
-        return VerificationReport(
-            case_id, "ore_match", "pass", expected,
-            detail=f"sigma_{mover}({over}) = {format_expr(sig)}, "
-                   f"delta_{mover}({over}) = {format_expr(delt)}",
-            annotations=(note,) if note else ())
-    status = "discrepancy" if expected == "discrepancy" else "fail"
-    return VerificationReport(
-        case_id, "ore_match", status, expected,
+        return report("pass",
+                      detail=f"sigma_{mover}({over}) = {format_expr(sig)}, "
+                             f"delta_{mover}({over}) = {format_expr(delt)}",
+                      annotations=annotations)
+    return report(
+        _failed(expected),
         detail=f"engine: sigma = {format_expr(sig)}, delta = {format_expr(delt)}; "
                f"reported: sigma = {format_expr(want_sig)}, "
                f"delta = {format_expr(want_del)}",
-        witness=format_expr(delt - want_del),
-        annotations=(note,) if note else ())
+        witness=format_expr(delt - want_del), annotations=annotations)
 
 
 # ---------------------------------------------------------------------------
 # Built-in corpus
 # ---------------------------------------------------------------------------
 
-def _case_wess_rearranged():
-    w = catalog("wess")
-    sysm = w.system()
-    lhs = w.parse("x*p - q^-1*p*x")
-    rhs = w.parse("i*hbar*Lambda*q^(-1/2)")
-    return verify_poly_identity("wess-relation-rearranged", lhs, rhs, sysm)
+# (case id, family, lhs, rhs, expected).  The solved schmudgen cross
+# relations are reported elsewhere with the hbar factor missing on one term
+# and a sign flipped; those printed forms are NOT in the ideal, which the two
+# discrepancy rows document.
+_POLY_IDENTITIES = (
+    ("wess-relation-rearranged", "wess", "x*p - q^-1*p*x",
+     "i*hbar*Lambda*q^(-1/2)", "pass"),
+    ("schmudgen-px-solved", "schmudgen", "p*x",
+     "-i*q^(-1/2)*u*hbar + i*q^(1/2)*u_inv*hbar", "pass"),
+    ("schmudgen-xp-solved", "schmudgen", "x*p",
+     "-i*q^(1/2)*u*hbar + i*q^(-1/2)*u_inv*hbar", "pass"),
+    ("classical-offdiagonal", "classical", "x_1*p_2", "p_2*x_1", "pass"),
+    ("schmudgen-printed-px", "schmudgen", "p*x",
+     "i*q^(1/2)*u - i*q^(-1/2)*u_inv*hbar", "discrepancy"),
+    ("schmudgen-printed-xp", "schmudgen", "x*p",
+     "i*q^(-1/2)*u_inv - i*q^(1/2)*u*hbar", "discrepancy"),
+)
 
 
-def _case_schmudgen_solved(which):
-    s = catalog("schmudgen")
-    sysm = s.system()
-    if which == "px":
-        lhs = s.parse("p*x")
-        rhs = s.parse("-i*q^(-1/2)*u*hbar + i*q^(1/2)*u_inv*hbar")
-    else:
-        lhs = s.parse("x*p")
-        rhs = s.parse("-i*q^(1/2)*u*hbar + i*q^(-1/2)*u_inv*hbar")
-    return verify_poly_identity(f"schmudgen-{which}-solved", lhs, rhs, sysm)
+def _identity(row, case):
+    _, family, lhs, rhs, _ = row
+    pres = catalog(family)
+    return verify_poly_identity(case.case_id, pres.parse(lhs), pres.parse(rhs),
+                                pres.system(), case.expected)
 
 
-def _case_schmudgen_printed(which):
-    # The solved cross relations are reported elsewhere with the hbar factor
-    # missing on one term and a sign flipped; those printed forms are NOT in
-    # the ideal, which this case documents.
-    s = catalog("schmudgen")
-    sysm = s.system()
-    if which == "px":
-        lhs = s.parse("p*x")
-        rhs = s.parse("i*q^(1/2)*u - i*q^(-1/2)*u_inv*hbar")
-    else:
-        lhs = s.parse("x*p")
-        rhs = s.parse("i*q^(-1/2)*u_inv - i*q^(1/2)*u*hbar")
-    return verify_poly_identity(f"schmudgen-printed-{which}", lhs, rhs, sysm,
-                                expected="discrepancy")
+def _equivalence(make_pair, case):
+    return verify_relation_set_equivalence(case.case_id, *make_pair(),
+                                           expected=case.expected)
 
 
-def _case_classical_offdiag():
-    c = catalog("classical")
-    sysm = c.system()
-    return verify_poly_identity("classical-offdiagonal",
-                                c.poly("x_1", "p_2"), c.poly("p_2", "x_1"), sysm)
+def _schmudgen_pair():
+    return catalog("schmudgen", variant="definition"), catalog("schmudgen")
 
 
-def _case_schmudgen_equivalence():
-    return verify_relation_set_equivalence(
-        "schmudgen-equivalence", catalog("schmudgen", variant="definition"),
-        catalog("schmudgen"))
-
-
-def _case_wess_equivalence():
+def _wess_rearranged_pair():
     w1 = catalog("wess")
     rels = [(lab, p) for lab, p in w1.relations if lab != "x_p"]
     rels.insert(0, ("x_p", w1.parse("x*p - q^-1*p*x - i*hbar*Lambda*q^(-1/2)")))
     w2 = Presentation("wess", w1.generators, rels, inverse_pairs=w1.inverse_pairs,
                       metadata=w1.metadata)
-    return verify_relation_set_equivalence("wess-rearranged-equivalence", w1, w2)
+    return w1, w2
 
 
-def _case_gaddis_one_parameter():
+def _gaddis_one_parameter_pair():
     q = C.q_power(1)
-    return verify_relation_set_equivalence(
-        "gaddis-one-parameter", catalog("gaddis", p=q),
-        catalog("gaddis", p=q, q=q))
+    return catalog("gaddis", p=q), catalog("gaddis", p=q, q=q)
 
 
-def _case_gaddis_printed_zx():
+def _case_gaddis_printed_zx(case):
     pres = catalog("gaddis", variant="printed")
     sysm = pres.system()
-    y, x = pres.poly("y"), pres.poly("x")
-    got = normalize(y * x * x, sysm)
-    want = (x * x * y * C.q_power(2)
-            + x * pres.poly("z") * (C.hbar_power(1) * qnumber(2)))
+    _, lhs, want = _power_expansions(pres, 2)[0]
+    got = normalize(lhs, sysm)
     report = check_confluence(sysm)
     lines = []
     if got == want:
@@ -628,7 +601,7 @@ def _case_gaddis_printed_zx():
     else:
         lines.append("k=2 power identity fails under the printed z-x relation "
                      "(coefficient q + q^-1 instead of q + p^-1)")
-        status = "discrepancy"
+        status = _failed(case.expected)
     if report.confluent:
         lines.append("printed variant unexpectedly confluent")
         status = "fail"
@@ -636,42 +609,38 @@ def _case_gaddis_printed_zx():
         cp = report.unresolved[0]
         lines.append(f"unresolved overlap {cp.overlap_word!r} witnesses the "
                      f"inconsistency")
-    return VerificationReport(
-        "gaddis-printed-zx", "power_identity", status, "discrepancy",
-        detail="; ".join(lines),
-        witness=format_expr(got - want),
-        annotations=("the consistent variant uses z*x = p^-1*x*z",))
+    return case.report(status, detail="; ".join(lines),
+                       witness=format_expr(got - want),
+                       annotations=("the consistent variant uses "
+                                    "z*x = p^-1*x*z",))
 
 
-def _case_wess_ore_discrepancy():
+def _case_wess_ore_discrepancy(case):
     w = catalog("wess")
     ore = extract_ore(w, ("Lambda", "p", "x"))
     _, delt = ore.entry("x", "p")
     doubled = parse_expr("i*q^(-1/2)*hbar^2*Lambda", w)
     derived = parse_expr("i*q^(-1/2)*hbar*Lambda", w)
     if delt == derived and not (delt == doubled):
-        return VerificationReport(
-            "wess-ore-delta-doubled-hbar", "ore_match", "discrepancy",
-            "discrepancy",
+        return case.report(
+            _failed(case.expected),
             detail="engine derives delta_x(p) = i*q^(-1/2)*hbar*Lambda from the "
                    "defining relation; the reported value squares hbar",
             witness=format_expr(doubled - delt))
-    return VerificationReport(
-        "wess-ore-delta-doubled-hbar", "ore_match", "fail", "discrepancy",
-        detail=f"unexpected engine delta {format_expr(delt)}")
+    return case.report("fail", detail=f"unexpected engine delta {format_expr(delt)}")
 
 
 def _sym_form(poly):
     return {tuple(g.sym for g in w): c for w, c in poly.terms.items()}
 
 
-def _case_classical_limit():
+def _case_classical_limit(case):
     uni = unified(UnifiedParams(1, 1, 1, psi="1", pi="0", phi="0"))
     lim = classical_limit(uni)
     lim_sys = orient(lim)
     cls = catalog("classical", indices=1)
     cls_sys = cls.system()
-    rng = Random(_seed("classical-limit-normal-forms"))
+    rng = Random(_seed(case.case_id))
     lx, lp = lim.gen("x_1"), lim.gen("p_1")
     cx, cp = cls.gen("x_1"), cls.gen("p_1")
     for _ in range(100):
@@ -683,18 +652,18 @@ def _case_classical_limit():
             a = a + NCPoly.from_word([lx if s == "x" else lp for s in syms], coeff)
             b = b + NCPoly.from_word([cx if s == "x" else cp for s in syms], coeff)
         if _sym_form(normalize(a, lim_sys)) != _sym_form(normalize(b, cls_sys)):
-            return VerificationReport(
-                "classical-limit-normal-forms", "relation_set_equivalence",
-                "fail", "pass", detail="normal forms differ",
-                witness=format_expr(a))
-    return VerificationReport(
-        "classical-limit-normal-forms", "relation_set_equivalence", "pass",
-        "pass",
-        detail="unified(n=m=l=1, psi=1) at q=1 matches the single-index "
-               "canonical algebra on 100 random polynomials")
+            return case.report("fail", detail="normal forms differ",
+                               witness=format_expr(a))
+    return case.report("pass", detail="unified(n=m=l=1, psi=1) at q=1 matches "
+                                      "the single-index canonical algebra on "
+                                      "100 random polynomials")
 
 
 # -- specialization rows ----------------------------------------------------
+
+def _specialization(row, case):
+    return verify_specialization(row)
+
 
 _WESS_EXAMPLE = {"n": -1, "m": -1, "l": -1, "psi": "hbar^2*q^(3/2)*Lambda",
                  "pi": "0", "phi": "0"}
@@ -705,129 +674,115 @@ _SCHM_EXAMPLE_NM1 = {"n": -1, "m": -1, "l": 0,
 _WS_EXAMPLE = {"n": -1, "m": -1, "l": -1, "psi": "q*hbar^2", "pi": "0",
                "phi": "q^-1*hbar^2"}
 
+# unified role -> generator symbol, the same for every row of a target
+_ROLES = {
+    "wess": {"x": "x", "y": "Lambda", "p": "p"},
+    "schmudgen": {"x": "x", "y": "u", "p": "p"},
+    "wess_schwenk": {"x": "x", "y": "xbar", "p": "p"},
+    "qhbar": {"x": "x", "p": "p"},
+    "qhbar_quantization": {"x": "x", "p": "p"},
+    "classical": {"x": "x_1", "y": "x_2", "p": "p_1"},
+}
+
+
+def _row(row_id, target, **values):
+    return SpecializationRow(row_id, target, _ROLES[target], **values)
+
+
 EXAMPLE_ROWS = (
-    SpecializationRow(
-        "wess-from-unified", "wess", {"x": "x", "y": "Lambda", "p": "p"},
-        **_WESS_EXAMPLE),
-    SpecializationRow(
-        "schmudgen-from-unified-n1", "schmudgen",
-        {"x": "x", "y": "u", "p": "p"}, **_SCHM_EXAMPLE_N1),
-    SpecializationRow(
-        "schmudgen-from-unified-n-1", "schmudgen",
-        {"x": "x", "y": "u", "p": "p"}, **_SCHM_EXAMPLE_NM1),
-    SpecializationRow(
-        "wess-schwenk-from-unified", "wess_schwenk",
-        {"x": "x", "y": "xbar", "p": "p"}, **_WS_EXAMPLE),
-    SpecializationRow(
-        "qhbar-from-unified", "qhbar", {"x": "x", "p": "p"},
-        n=-1, m=0, l=0, psi="hbar^2*q^(3/2)", relations=("nH1",)),
-    SpecializationRow(
-        "qhbar-quantization-from-unified", "qhbar_quantization",
-        {"x": "x", "p": "p"}, n=1, m=0, l=0, psi="D_jk", relations=("nH1",)),
-    SpecializationRow(
-        "classical-from-unified", "classical",
-        {"x": "x_1", "y": "x_2", "p": "p_1"}, n=1, m=1, l=1,
-        psi="1", pi="0", phi="0", at_q1=True,
-        target_params={"indices": 2}),
+    _row("wess-from-unified", "wess", **_WESS_EXAMPLE),
+    _row("schmudgen-from-unified-n1", "schmudgen", **_SCHM_EXAMPLE_N1),
+    _row("schmudgen-from-unified-n-1", "schmudgen", **_SCHM_EXAMPLE_NM1),
+    _row("wess-schwenk-from-unified", "wess_schwenk", **_WS_EXAMPLE),
+    _row("qhbar-from-unified", "qhbar",
+         n=-1, m=0, l=0, psi="hbar^2*q^(3/2)", relations=("nH1",)),
+    _row("qhbar-quantization-from-unified", "qhbar_quantization",
+         n=1, m=0, l=0, psi="D_jk", relations=("nH1",)),
+    _row("classical-from-unified", "classical",
+         n=1, m=1, l=1, psi="1", at_q1=True, target_params={"indices": 2}),
 )
 
 TABLE_ROWS = (
-    SpecializationRow(
-        "table-01-classical", "classical",
-        {"x": "x_1", "y": "x_2", "p": "p_1"}, n=1, m=1, l=1,
-        psi="1", pi="0", phi="1", at_q1=True, target_params={"indices": 2},
-        attempts=(("phi = 0 per the classical-limit row", {"phi": "0"}),),
-        expected="annotated",
-        note="reported phi = 1 makes the auxiliary generator a conjugate "
-             "pair of p, which the canonical relations exclude"),
-    SpecializationRow(
-        "table-02-classical", "classical",
-        {"x": "x_1", "y": "x_2", "p": "p_1"}, n=0, m=0, l=0,
-        psi="0", pi="0", phi="0", target_params={"indices": 2},
-        expected="discrepancy",
-        note="with n = 0 and psi = 0 the x-p pair commutes, which no "
-             "canonical relation allows at q != 1"),
-    SpecializationRow(
-        "table-03-wess", "wess", {"x": "x", "y": "Lambda", "p": "p"},
-        n=-1, m=0, l=0, psi="0", pi="hbar^2*q^(3/2)*Lambda", phi="0",
-        attempts=(
-            ("psi/pi columns swapped",
-             {"psi": "hbar^2*q^(3/2)*Lambda", "pi": "0"}),
-            ("columns swapped and m = -1 per the worked row", _WESS_EXAMPLE),
-        ),
-        expected="annotated",
-        note="passes-with-column-swap plus the worked row's m"),
-    SpecializationRow(
-        "table-04-wess", "wess", {"x": "x", "y": "Lambda", "p": "p"},
-        n=0, m=-1, l=0, psi="0", pi="0", phi="0",
-        attempts=(("worked-row values", _WESS_EXAMPLE),),
-        expected="annotated",
-        note="nH2 and nH3 hold as printed; nH1 needs the worked row's n, psi"),
-    SpecializationRow(
-        "table-05-wess", "wess", {"x": "x", "y": "Lambda", "p": "p"},
-        n=0, m=0, l=-1, psi="0", pi="0", phi="0",
-        attempts=(("worked-row values", _WESS_EXAMPLE),),
-        expected="annotated",
-        note="nH3 holds as printed; nH1, nH2 need the worked row's values"),
-    SpecializationRow(
-        "table-06-schmudgen", "schmudgen", {"x": "x", "y": "u", "p": "p"},
-        n=0, m=0, l=-1, psi="0", pi="0", phi="0",
-        attempts=(("worked-row values (n = 1)", _SCHM_EXAMPLE_N1),),
-        expected="annotated"),
-    SpecializationRow(
-        "table-07-schmudgen", "schmudgen", {"x": "x", "y": "u", "p": "p"},
-        n=0, m=-1, l=0, psi="0", pi="0", phi="0",
-        attempts=(("worked-row values (n = 1)", _SCHM_EXAMPLE_N1),),
-        expected="annotated"),
-    SpecializationRow(
-        "table-08-schmudgen", "schmudgen", {"x": "x", "y": "u", "p": "p"},
-        n=-1, m=0, l=0, psi="hbar^2*u*(q^(1/2) - q^(5/2))", pi="0", phi="0",
-        attempts=(("m = -1 per the worked row", {"m": -1}),),
-        expected="annotated",
-        note="nH1 and nH3 hold as printed"),
-    SpecializationRow(
-        "table-09-schmudgen", "schmudgen", {"x": "x", "y": "u", "p": "p"},
-        n=1, m=0, l=0, psi="(q^(3/2) - q^(-1/2))*u_inv", pi="0", phi="0",
-        attempts=(("psi sign and m per the worked row",
-                   {"psi": "(q^(-1/2) - q^(3/2))*u_inv", "m": -1}),),
-        expected="annotated",
-        note="the printed psi has the opposite sign of the worked row"),
-    SpecializationRow(
-        "table-10-wess-schwenk", "wess_schwenk",
-        {"x": "x", "y": "xbar", "p": "p"},
-        n=-1, m=0, l=0, psi="q*hbar^2", pi="0", phi="0",
-        attempts=(("worked-row values (l = m = -1, phi = q^-1*hbar^2)",
-                   _WS_EXAMPLE),),
-        expected="annotated",
-        note="nH1 holds as printed; the row omits the phi value its own "
-             "derivation produces"),
-    SpecializationRow(
-        "table-11-wess-schwenk", "wess_schwenk",
-        {"x": "x", "y": "xbar", "p": "p"},
-        n=0, m=0, l=-1, psi="0", pi="0", phi="q^-1*hbar^2",
-        attempts=(("worked-row values", _WS_EXAMPLE),),
-        expected="annotated",
-        note="nH3 with the (y,p) pairing holds as printed; the reported "
-             "derivation cites the x-y relation instead"),
-    SpecializationRow(
-        "table-12-wess-schwenk", "wess_schwenk",
-        {"x": "x", "y": "xbar", "p": "p"},
-        n=0, m=-1, l=0, psi="0", pi="0", phi="0",
-        attempts=(("worked-row values", _WS_EXAMPLE),),
-        expected="annotated",
-        note="nH2 holds as printed"),
-    SpecializationRow(
-        "table-13-qhbar", "qhbar", {"x": "x", "p": "p"},
-        n=-1, m=0, l=0, psi="hbar^2*q^(3/2)", relations=("nH1",)),
-    SpecializationRow(
-        "table-14-qhbar-quantization", "qhbar_quantization",
-        {"x": "x", "p": "p"}, n=-1, m=0, l=0, psi="D_jk", relations=("nH1",),
-        attempts=(("n = 1 per the worked row", {"n": 1}),),
-        expected="annotated",
-        note="the opaque structure function arises at n = 1, not n = -1"),
+    _row("table-01-classical", "classical",
+         n=1, m=1, l=1, psi="1", phi="1", at_q1=True,
+         target_params={"indices": 2},
+         attempts=(("phi = 0 per the classical-limit row", {"phi": "0"}),),
+         expected="annotated",
+         note="reported phi = 1 makes the auxiliary generator a conjugate "
+              "pair of p, which the canonical relations exclude"),
+    _row("table-02-classical", "classical",
+         n=0, m=0, l=0, target_params={"indices": 2},
+         expected="discrepancy",
+         note="with n = 0 and psi = 0 the x-p pair commutes, which no "
+              "canonical relation allows at q != 1"),
+    _row("table-03-wess", "wess",
+         n=-1, m=0, l=0, pi="hbar^2*q^(3/2)*Lambda",
+         attempts=(
+             ("psi/pi columns swapped",
+              {"psi": "hbar^2*q^(3/2)*Lambda", "pi": "0"}),
+             ("columns swapped and m = -1 per the worked row", _WESS_EXAMPLE),
+         ),
+         expected="annotated",
+         note="passes-with-column-swap plus the worked row's m"),
+    _row("table-04-wess", "wess",
+         n=0, m=-1, l=0,
+         attempts=(("worked-row values", _WESS_EXAMPLE),),
+         expected="annotated",
+         note="nH2 and nH3 hold as printed; nH1 needs the worked row's n, psi"),
+    _row("table-05-wess", "wess",
+         n=0, m=0, l=-1,
+         attempts=(("worked-row values", _WESS_EXAMPLE),),
+         expected="annotated",
+         note="nH3 holds as printed; nH1, nH2 need the worked row's values"),
+    _row("table-06-schmudgen", "schmudgen",
+         n=0, m=0, l=-1,
+         attempts=(("worked-row values (n = 1)", _SCHM_EXAMPLE_N1),),
+         expected="annotated"),
+    _row("table-07-schmudgen", "schmudgen",
+         n=0, m=-1, l=0,
+         attempts=(("worked-row values (n = 1)", _SCHM_EXAMPLE_N1),),
+         expected="annotated"),
+    _row("table-08-schmudgen", "schmudgen",
+         n=-1, m=0, l=0, psi="hbar^2*u*(q^(1/2) - q^(5/2))",
+         attempts=(("m = -1 per the worked row", {"m": -1}),),
+         expected="annotated",
+         note="nH1 and nH3 hold as printed"),
+    _row("table-09-schmudgen", "schmudgen",
+         n=1, m=0, l=0, psi="(q^(3/2) - q^(-1/2))*u_inv",
+         attempts=(("psi sign and m per the worked row",
+                    {"psi": "(q^(-1/2) - q^(3/2))*u_inv", "m": -1}),),
+         expected="annotated",
+         note="the printed psi has the opposite sign of the worked row"),
+    _row("table-10-wess-schwenk", "wess_schwenk",
+         n=-1, m=0, l=0, psi="q*hbar^2",
+         attempts=(("worked-row values (l = m = -1, phi = q^-1*hbar^2)",
+                    _WS_EXAMPLE),),
+         expected="annotated",
+         note="nH1 holds as printed; the row omits the phi value its own "
+              "derivation produces"),
+    _row("table-11-wess-schwenk", "wess_schwenk",
+         n=0, m=0, l=-1, phi="q^-1*hbar^2",
+         attempts=(("worked-row values", _WS_EXAMPLE),),
+         expected="annotated",
+         note="nH3 with the (y,p) pairing holds as printed; the reported "
+              "derivation cites the x-y relation instead"),
+    _row("table-12-wess-schwenk", "wess_schwenk",
+         n=0, m=-1, l=0,
+         attempts=(("worked-row values", _WS_EXAMPLE),),
+         expected="annotated",
+         note="nH2 holds as printed"),
+    _row("table-13-qhbar", "qhbar",
+         n=-1, m=0, l=0, psi="hbar^2*q^(3/2)", relations=("nH1",)),
+    _row("table-14-qhbar-quantization", "qhbar_quantization",
+         n=-1, m=0, l=0, psi="D_jk", relations=("nH1",),
+         attempts=(("n = 1 per the worked row", {"n": 1}),),
+         expected="annotated",
+         note="the opaque structure function arises at n = 1, not n = -1"),
 )
 
 
+# (case id, family, catalog params, tower, mover, over, sigma, delta,
+# expected, note)
 _ORE_CASES = (
     ("wess-ore-x-lambda", "wess", {}, ("Lambda", "p", "x"), "x", "Lambda",
      "q*Lambda", "0", "pass", ""),
@@ -853,47 +808,44 @@ _ORE_CASES = (
 )
 
 
+def _ore(row, case):
+    _, family, params, tower, mover, over, sigma, delta, _, note = row
+    return verify_ore_entry(case.case_id, catalog(family, **params), tower,
+                            mover, over, sigma, delta, case.expected, note)
+
+
 def build_cases(k=10):
+    """The corpus in report order.  Each case is declared once, as a table
+    row or an ``add`` line; its runner (``partial(runner, row)`` for a row)
+    takes the id and expected status from the case it is called with."""
     cases = []
 
     def add(case_id, claim, families, expected, runner):
         cases.append(VerificationCase(case_id, claim, tuple(families), expected,
                                       runner))
 
-    add("wess-relation-rearranged", "poly_identity", ("wess",), "pass",
-        _case_wess_rearranged)
-    add("schmudgen-px-solved", "poly_identity", ("schmudgen",), "pass",
-        lambda: _case_schmudgen_solved("px"))
-    add("schmudgen-xp-solved", "poly_identity", ("schmudgen",), "pass",
-        lambda: _case_schmudgen_solved("xp"))
-    add("classical-offdiagonal", "poly_identity", ("classical",), "pass",
-        _case_classical_offdiag)
-    add("schmudgen-printed-px", "poly_identity", ("schmudgen",), "discrepancy",
-        lambda: _case_schmudgen_printed("px"))
-    add("schmudgen-printed-xp", "poly_identity", ("schmudgen",), "discrepancy",
-        lambda: _case_schmudgen_printed("xp"))
+    for row in _POLY_IDENTITIES:
+        case_id, family, _, _, expected = row
+        add(case_id, "poly_identity", (family,), expected, partial(_identity, row))
     add("schmudgen-equivalence", "relation_set_equivalence", ("schmudgen",),
-        "pass", _case_schmudgen_equivalence)
+        "pass", partial(_equivalence, _schmudgen_pair))
     add("wess-rearranged-equivalence", "relation_set_equivalence", ("wess",),
-        "pass", _case_wess_equivalence)
+        "pass", partial(_equivalence, _wess_rearranged_pair))
     add("gaddis-one-parameter", "relation_set_equivalence", ("gaddis",),
-        "pass", _case_gaddis_one_parameter)
+        "pass", partial(_equivalence, _gaddis_one_parameter_pair))
     add("gaddis-power-identities", "power_identity", ("gaddis",), "pass",
-        lambda: verify_power_identities(K=k))
+        lambda case: verify_power_identities(case.case_id, K=k,
+                                             expected=case.expected))
     add("gaddis-printed-zx", "power_identity", ("gaddis",), "discrepancy",
         _case_gaddis_printed_zx)
-    for (case_id, fam, params, tower, mover, over, sig, delt, expected,
-         note) in _ORE_CASES:
-        add(case_id, "ore_match", (fam,), expected,
-            lambda fam=fam, params=params, tower=tower, mover=mover, over=over,
-            sig=sig, delt=delt, expected=expected, note=note, case_id=case_id:
-            verify_ore_entry(case_id, catalog(fam, **params), tower, mover,
-                             over, sig, delt, expected, note))
+    for row in _ORE_CASES:
+        case_id, family, *_, expected, _note = row
+        add(case_id, "ore_match", (family,), expected, partial(_ore, row))
     add("wess-ore-delta-doubled-hbar", "ore_match", ("wess",), "discrepancy",
         _case_wess_ore_discrepancy)
     for row in EXAMPLE_ROWS + TABLE_ROWS:
         add(row.row_id, "specialization", (row.target,), row.expected,
-            lambda row=row: verify_specialization(row))
+            partial(_specialization, row))
     add("classical-limit-normal-forms", "relation_set_equivalence",
         ("classical", "unified"), "pass", _case_classical_limit)
     return cases
@@ -905,8 +857,6 @@ def run_suite(selection="all", k=10):
     ``selection`` is "all", a family id, a case id, or an iterable of case
     ids.  ``k`` is the largest power-identity exponent, at least 1.
     """
-    from .errors import ParamError
-
     if k < 1:
         raise ParamError(f"power-identity exponent k must be at least 1, got {k}")
     cases = build_cases(k=k)

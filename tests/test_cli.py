@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -100,6 +101,15 @@ class TestNormalize:
                                        "--expr", "x^99999999999")
         assert code == 2
         assert "exceeds the limit" in err
+        assert "Traceback" not in err
+
+    def test_huge_coefficient_is_parse_error(self):
+        t0 = time.perf_counter()
+        code, _, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                       "--expr", "(q+1+hbar)^100")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert "numerator terms exceeds the limit of 100000 terms" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("expr, message", [

@@ -1,5 +1,7 @@
 """Expression grammar, printers, presentation documents."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,23 @@ class TestParse:
                 parse_expr(text, g)
             assert f"exceeds the limit of {MAX_TERMS} terms" in str(exc.value)
         assert len(parse_expr("(x+1)^30", g).terms) == 31
+
+    def test_coefficient_limit(self):
+        # (q+1+hbar)^64 would square 561 numerator terms; the power is
+        # refused before that product instead of expanding for seconds
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_expr("(q+1+hbar)^100")
+        assert time.perf_counter() - t0 < 5.0
+        assert exc.value.position == 10
+        assert (f"of 561 and 561 numerator terms exceeds the limit of "
+                f"{MAX_TERMS} terms") in str(exc.value)
+        with pytest.raises(ParseError):
+            parse_expr("(q+1+hbar)^-100")
+        base = C.q_power(1) + 1 + C.hbar_power(1)
+        assert parse_expr("(q+1+hbar)^20").coefficient(()) == base ** 20
+        assert parse_expr("(q+1+hbar)^-3").coefficient(()) == base ** -3
+        assert parse_expr("0^0") == NCPoly.one()
 
     @pytest.mark.parametrize("text, position", [
         ("1/0*x", 2), ("q^(1/0)", 5), ("q^(-3/0)", 6), ("1" * 5000 + "*x", 0),

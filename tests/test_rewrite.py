@@ -387,3 +387,10 @@ class TestTermOrder:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             TermOrder("mystery")
+
+    def test_value_semantics(self):
+        order = TermOrder()
+        assert order == TermOrder("deglex") != TermOrder("invlex")
+        assert repr(order) == "TermOrder('deglex')"
+        with pytest.raises(AttributeError):
+            order.kind = "invlex"

@@ -173,3 +173,67 @@ class TestSuite:
     def test_unit_reported_for_specializations(self, reports):
         by_id = {r.case_id: r for r in reports}
         assert by_id["qhbar-from-unified"].unit is not None
+
+
+class TestCaseDeclaration:
+    """A case's id, claim and expected status are declared once; the report
+    carries them, and the failed-check rule maps an expected discrepancy to
+    ``discrepancy`` and anything else to ``fail``."""
+
+    def test_reports_carry_their_case_fields(self):
+        cases = qheis.build_cases(k=3)
+        assert len({c.case_id for c in cases}) == len(cases)
+        for case in cases:
+            r = case.run()
+            assert (r.case_id, r.claim, r.expected) == \
+                (case.case_id, case.claim, case.expected)
+
+    def test_error_report_carries_case_fields(self):
+        def runner(case):
+            raise ParamError("boom")
+
+        case = qheis.VerificationCase("t-err", "poly_identity", ("wess",),
+                                      "pass", runner)
+        r = case.run()
+        assert (r.case_id, r.claim, r.status, r.expected) == \
+            ("t-err", "poly_identity", "error", "pass")
+        assert r.detail == "ParamError: boom"
+
+    @pytest.mark.parametrize("expected, status", [
+        ("discrepancy", "discrepancy"), ("pass", "fail"), ("annotated", "fail")])
+    def test_failed_identity(self, expected, status):
+        cls = catalog("classical", indices=1)
+        r = qheis.verify_poly_identity("t-id", cls.parse("x_1*p_1"),
+                                 cls.parse("p_1*x_1"), cls.system(), expected)
+        assert r.status == status
+        assert r.ok == (expected == "discrepancy")
+        assert r.witness
+
+    @pytest.mark.parametrize("expected, status", [
+        ("discrepancy", "discrepancy"), ("pass", "fail"), ("annotated", "fail")])
+    def test_failed_ore_entry(self, expected, status):
+        r = qheis.verify.verify_ore_entry("t-ore", catalog("wess"), ("Lambda", "p", "x"),
+                             "x", "p", "q^-1*p", "i*q^(-1/2)*hbar^2*Lambda",
+                             expected)
+        assert r.status == status
+        assert r.witness
+
+    @pytest.mark.parametrize("expected, status", [
+        ("discrepancy", "discrepancy"), ("pass", "fail")])
+    def test_failed_power_identity(self, expected, status):
+        r = verify_power_identities(
+            "t-pow", K=3, presentation=catalog("gaddis", variant="printed"),
+            expected=expected)
+        assert r.status == status
+        assert r.detail == "y*x^2 expansion mismatch"
+
+    def test_unreproduced_discrepancy_is_pass_not_ok(self):
+        cls = catalog("classical", indices=1)
+        r = qheis.verify_poly_identity("t-id", cls.parse("x_1*p_1"),
+                                 cls.parse("x_1*p_1"), cls.system(),
+                                 "discrepancy")
+        assert r.status == "pass" and not r.ok
+        r = qheis.verify.verify_ore_entry("t-ore", catalog("wess"), ("Lambda", "p", "x"),
+                             "x", "p", "q^-1*p", "i*q^(-1/2)*hbar*Lambda",
+                             "discrepancy")
+        assert r.status == "pass" and not r.ok
