@@ -14,10 +14,11 @@ sampling.
 
 Storage, bottom up: a ``GaussRational`` is the reduced integer triple
 (a, b, d) for (a + b*i)/d, so its arithmetic needs no ``Fraction``; a
-``CentralMonomial`` is a sorted tuple of (variable, exponent) pairs; a
-``Coefficient`` is a numerator/denominator pair of dicts mapping monomials
-to Gaussian rationals, whose denominator is the unit unless it has several
-terms.  Results that are canonical by construction skip re-canonicalization.
+monomial is the tuple of its (variable, nonzero exponent) pairs, sorted by
+variable, with ``()`` for 1; a ``Coefficient`` is a numerator/denominator
+pair of dicts mapping monomials to Gaussian rationals, whose denominator is
+the unit unless it has several terms.  Results that are canonical by
+construction skip re-canonicalization.
 """
 
 from __future__ import annotations
@@ -113,16 +114,8 @@ class GaussRational:
         return self * _as_gauss(other).inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = G_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return _power(base, abs(k), G_ONE, GaussRational.__mul__)
 
     def __str__(self):
         if not self._abd[1]:
@@ -172,72 +165,68 @@ def _as_gauss(x):
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
 
+def _power(base, k, one, mul):
+    """``base**k`` for an integer k >= 0 by square-and-multiply, with
+    ``mul`` the product: ``k.bit_length() - 1`` squarings and one product
+    per set bit of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
 G_ZERO = GaussRational(0)
 G_ONE = GaussRational(1)
 G_I = GaussRational(0, 1)
 
 
-class CentralMonomial:
-    """Product of central-variable powers; zero exponents are never stored."""
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps=()):
-        if isinstance(exps, dict):
-            items = exps.items()
-        else:
-            items = exps
-        pairs = tuple(sorted((v, e) for v, e in items if e))
-        object.__setattr__(self, "exps", pairs)
-        object.__setattr__(self, "_hash", hash(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CentralMonomial is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, CentralMonomial) and self.exps == other.exps
-
-    def __mul__(self, other):
-        if not other.exps:
-            return self
-        if not self.exps:
-            return other
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return CentralMonomial(d)
-
-    def inverse(self):
-        return CentralMonomial(tuple((v, -e) for v, e in self.exps))
-
-    def exponent(self, var):
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def variables(self):
-        return [v for v, _ in self.exps]
-
-    @property
-    def is_unit(self):
-        return not self.exps
-
-    def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(f"{v}^{e}" if e != 1 else v for v, e in self.exps)
+MONO_UNIT = ()
 
 
-MONO_UNIT = CentralMonomial()
+def _mono(pairs):
+    """Canonical monomial of (variable, exponent) pairs: repeated variables
+    add up, zero exponents drop and the rest sort by variable."""
+    exps = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted([ve for ve in exps.items() if ve[1]]))
+
+
+def _mono_mul(m1, m2):
+    if not m2:
+        return m1
+    if not m1:
+        return m2
+    return _mono(m1 + m2)
+
+
+def _mono_inv(m):
+    return tuple((v, -e) for v, e in m)
+
+
+def _checked_poly(poly):
+    """Copy of a ``monomial -> number`` dict with values coerced and zeros
+    dropped; ParamError unless every key is a canonical monomial."""
+    for m in poly:
+        try:
+            ok = (type(m) is tuple and _mono(m) == m
+                  and all(type(e) is int for _, e in m))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ParamError(f"monomial {m!r} is not a tuple of (variable, "
+                             f"nonzero integer exponent) pairs sorted by "
+                             f"distinct variables")
+    return {m: _as_gauss(c) for m, c in poly.items() if c}
 
 
 # ---------------------------------------------------------------------------
-# Internal Laurent-polynomial helpers: dict CentralMonomial -> GaussRational,
-# zero values never stored.
+# Internal Laurent-polynomial helpers: dict monomial -> GaussRational, zero
+# values never stored.
 # ---------------------------------------------------------------------------
 
 def _p_const(g):
@@ -263,7 +252,7 @@ def _p_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = m1 * m2
+            m = _mono_mul(m1, m2)
             s = out.get(m, G_ZERO) + c1 * c2
             if s:
                 out[m] = s
@@ -275,18 +264,21 @@ def _p_mul(a, b):
 def _p_scale(a, mono, g):
     if not g:
         return {}
-    return {m * mono: c * g for m, c in a.items()}
+    return {_mono_mul(m, mono): c * g for m, c in a.items()}
 
 
 def _p_vars(a):
     vs = set()
     for m in a:
-        vs.update(m.variables())
+        vs.update(v for v, _ in m)
     return vs
 
 
 def _mono_vector(m, varlist):
-    return tuple(m.exponent(v) for v in varlist)
+    """Exponents of ``m`` on ``varlist``: the lex monomial order, one home
+    for the kernel and the printer."""
+    exps = dict(m)
+    return tuple(exps.get(v, 0) for v in varlist)
 
 
 def _p_lead(a, varlist):
@@ -299,9 +291,9 @@ def _p_shift_mono(a):
     """Monomial m with a*m a genuine polynomial (min exponent 0 per variable)."""
     mins = {}
     for m in a:
-        for v, e in m.exps:
+        for v, e in m:
             mins[v] = min(mins.get(v, 0), e)
-    return CentralMonomial({v: -e for v, e in mins.items() if e < 0})
+    return _mono((v, -e) for v, e in mins.items() if e < 0)
 
 
 def _p_divide_exact(a, b):
@@ -319,18 +311,14 @@ def _p_divide_exact(a, b):
     rem = dict(num)
     while rem:
         lead_r, lc_r = _p_lead(rem, varlist)
-        vec = tuple(
-            er - eb
-            for er, eb in zip(_mono_vector(lead_r, varlist), _mono_vector(lead_b, varlist))
-        )
-        if any(e < 0 for e in vec):
+        m = _mono_mul(lead_r, _mono_inv(lead_b))
+        if any(e < 0 for _, e in m):
             return None
-        m = CentralMonomial(dict(zip(varlist, vec)))
         c = lc_r * inv_lc_b
         quot[m] = c
         rem = _p_add(rem, _p_scale(den, m, -c))
     # undo the Laurent shifts: a/b = (num/den) * sb/sa
-    adj = sb * sa.inverse()
+    adj = _mono_mul(sb, _mono_inv(sa))
     return _p_scale(quot, adj, G_ONE)
 
 
@@ -338,7 +326,7 @@ def _p_eval(a, point):
     total = G_ZERO
     for m, c in a.items():
         val = c
-        for v, e in m.exps:
+        for v, e in m:
             if v not in point:
                 raise UnboundVariable(f"no value assigned to central variable {v!r}")
             base = _as_gauss(point[v])
@@ -353,18 +341,15 @@ def _p_substitute(a, assign):
     out = {}
     for m, c in a.items():
         val = c
-        rest = {}
-        for v, e in m.exps:
+        for v, e in m:
             if v in assign:
                 base = _as_gauss(assign[v])
                 if e < 0 and not base:
                     raise PoleAtPoint(f"variable {v} is 0 but occurs with exponent {e}")
                 val = val * base**e
-            else:
-                rest[v] = e
         if not val:
             continue
-        m2 = CentralMonomial(rest)
+        m2 = tuple(ve for ve in m if ve[0] not in assign)
         s = out.get(m2, G_ZERO) + val
         if s:
             out[m2] = s
@@ -387,11 +372,11 @@ def _canonical(num, den):
         return {}, {MONO_UNIT: G_ONE}
     if len(den) == 1:
         ((m, c),) = den.items()
-        if m.is_unit and c == G_ONE:
+        if not m and c == G_ONE:
             return num, den
-        return _p_scale(num, m.inverse(), c.inverse()), {MONO_UNIT: G_ONE}
+        return _p_scale(num, _mono_inv(m), c.inverse()), {MONO_UNIT: G_ONE}
     shift = _p_shift_mono(den)
-    if not shift.is_unit:
+    if shift:
         num = _p_scale(num, shift, G_ONE)
         den = _p_scale(den, shift, G_ONE)
     varlist = sorted(_p_vars(num) | _p_vars(den))
@@ -417,25 +402,27 @@ def _coeff(num, den):
 class Coefficient:
     """Element of the coefficient field.
 
-    Stored as numerator/denominator Laurent polynomials, each a dict
-    ``CentralMonomial -> GaussRational``.  The denominator is either the
-    unit ``{1: 1}`` or has several terms; in the second case it is shifted to
+    Stored as numerator/denominator Laurent polynomials, each a dict from
+    monomials to GaussRational values.  A monomial is a tuple of
+    (variable, nonzero integer exponent) pairs sorted by distinct variables,
+    and ``MONO_UNIT == ()`` is 1.  The denominator is either the unit
+    ``{(): 1}`` or has several terms; in the second case it is shifted to
     nonnegative exponents, monic and does not divide the numerator exactly,
     so common factors like (q^2-1)/(q-1) collapse.  The public constructor
     copies its arguments and canonicalizes; operations whose result is
     canonical by construction (negation, sums and products of operands with
     unit denominators) skip that step.  The constructor coerces int and
     Fraction values and drops zero values from both dicts, so an all-zero
-    denominator raises DivisionByZero.  Equality falls back to cross
-    multiplication, so representation gaps never affect comparisons.
+    denominator raises DivisionByZero; a key that is not a monomial raises
+    ParamError.  Equality falls back to cross multiplication, so
+    representation gaps never affect comparisons.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None):
-        num = {} if num is None else {m: _as_gauss(c) for m, c in num.items() if c}
-        den = ({MONO_UNIT: G_ONE} if den is None
-               else {m: _as_gauss(c) for m, c in den.items() if c})
+        num = {} if num is None else _checked_poly(num)
+        den = {MONO_UNIT: G_ONE} if den is None else _checked_poly(den)
         num, den = _canonical(num, den)
         _set(self, "num", num)
         _set(self, "den", den)
@@ -469,7 +456,7 @@ class Coefficient:
 
     @staticmethod
     def monomial(exps, scalar=G_ONE):
-        return Coefficient({CentralMonomial(exps): _as_gauss(scalar)})
+        return Coefficient({_mono(exps.items()): _as_gauss(scalar)})
 
     @staticmethod
     def q_power(exp):
@@ -561,16 +548,8 @@ class Coefficient:
 
     def __pow__(self, k):
         k = int(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = _C_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = self.inverse() if k < 0 else self
+        return _power(base, abs(k), _C_ONE, Coefficient.__mul__)
 
     # -- comparison ----------------------------------------------------
 
@@ -599,7 +578,7 @@ class Coefficient:
         den = _p_substitute(self.den, assign)
         if not den:
             raise PoleAtPoint("denominator vanishes under the substitution")
-        return Coefficient(_p_substitute(self.num, assign), den)
+        return _coeff(*_canonical(_p_substitute(self.num, assign), den))
 
     def __repr__(self):
         from .printer import format_coefficient
@@ -619,7 +598,8 @@ def qnumber(k):
     """
     if k < 0 or int(k) != k:
         raise ParamError(f"qnumber index must be a nonnegative integer, got {k}")
+    k = int(k)
     total = _C_ZERO
-    for i in range(int(k)):
+    for i in range(k):
         total = total + Coefficient.monomial({"s": 2 * i, "t": -2 * (k - 1 - i)})
     return total

@@ -28,7 +28,7 @@ import difflib
 import re
 from fractions import Fraction
 
-from .coeffs import Coefficient
+from .coeffs import Coefficient, _power
 from .errors import ParseError
 from .ncpoly import NCPoly
 
@@ -94,8 +94,9 @@ class _Parser:
         if negate:
             value = -value
         while self.at_op("+", "-"):
-            op = self.take()[1]
+            _, op, pos = self.take()
             rhs = self.term()
+            _refuse_sum(value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -172,17 +173,11 @@ class _Parser:
                 if coeff.is_zero:
                     raise ParseError(f"negative power of zero at {pos}", pos)
                 coeff, k = coeff.inverse(), -k
-            # the squarings of Coefficient.__pow__, each bounded by MAX_TERMS
-            out = Coefficient.one()
-            while k:
-                if k & 1:
-                    _refuse_pairing(_sizes((out,)), _sizes((coeff,)), pos)
-                    out = out * coeff
-                k >>= 1
-                if k:
-                    _refuse_pairing(_sizes((coeff,)), _sizes((coeff,)), pos)
-                    coeff = coeff * coeff
-            return NCPoly.from_scalar(out)
+
+            def bounded(a, b):
+                _refuse_pairing(_sizes((a,)), _sizes((b,)), pos)
+                return a * b
+            return NCPoly.from_scalar(_power(coeff, k, Coefficient.one(), bounded))
         if k < 0:
             raise ParseError(
                 f"negative power of a generator expression at {pos}", pos)
@@ -221,7 +216,9 @@ class _Parser:
         self.take("op", ",")
         b = self.expr()
         self.take("op", "]")
-        return _product(a, b, tok[2]) - _product(b, a, tok[2])
+        ab, ba = _product(a, b, tok[2]), _product(b, a, tok[2])
+        _refuse_sum(ab, ba, tok[2])
+        return ab - ba
 
     def resolve(self, name, pos):
         if name in self.gens:
@@ -271,6 +268,18 @@ def _refuse_pairing(a, b, pos):
             raise ParseError(f"product at {pos} of {na} and {nb} {part} "
                              f"terms exceeds the limit of {MAX_TERMS} terms",
                              pos)
+
+
+def _refuse_sum(a, b, pos):
+    """ParseError when ``a`` plus or minus ``b`` pairs more than MAX_TERMS
+    terms.  The coefficients of a shared word add over the product of their
+    denominators when these differ, so each is multiplied by the other's
+    denominator d, taken as d/d."""
+    for w, cb in b.terms.items():
+        ca = a.terms.get(w)
+        if ca is not None and ca.den != cb.den:
+            _refuse_pairing(_sizes((ca,)), (len(cb.den),) * 2, pos)
+            _refuse_pairing(_sizes((cb,)), (len(ca.den),) * 2, pos)
 
 
 def parse_expr(text, scope=None):

@@ -10,16 +10,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .coeffs import CentralMonomial, Coefficient, G_ONE, GaussRational
+from .coeffs import (MONO_UNIT, Coefficient, G_ONE, GaussRational, _mono,
+                     _mono_inv, _mono_mul, _mono_vector, _p_vars)
 from .ncpoly import Generator, NCPoly, Word
-
-_UNIT = CentralMonomial()
 
 
 def _mono_sorted(poly):
-    varlist = sorted({v for m in poly for v in m.variables()})
-    return sorted(poly.items(),
-                  key=lambda mc: tuple(mc[0].exponent(v) for v in varlist),
+    varlist = sorted(_p_vars(poly))
+    return sorted(poly.items(), key=lambda mc: _mono_vector(mc[0], varlist),
                   reverse=True)
 
 
@@ -84,7 +82,7 @@ def _scalar_mono(g, mono, latex=False, raw=frozenset()):
         parts.append("i")
     elif g.re != 1:
         parts.append(str(g.re))
-    for v, e in sorted(mono.exps, key=lambda ve: (_VAR_ORDER.get(ve[0], 3), ve[0])):
+    for v, e in sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3), ve[0])):
         parts.append(_var_latex(v, e) if latex else _var_plain(v, e, raw))
     if not parts:
         parts.append("1")
@@ -120,16 +118,16 @@ def _num_body(num, latex=False, raw=frozenset()):
     lead_neg = _gauss_is_negative(vals[0][1])
     if lead_neg:
         vals = [(m, -g) for m, g in vals]
-    mins = dict(vals[0][0].exps)
+    mins = dict(vals[0][0])
     for m, _ in vals[1:]:
-        cur = dict(m.exps)
+        cur = dict(m)
         mins = {v: min(e, cur.get(v, 0)) for v, e in mins.items() if v in cur}
-    content = CentralMonomial({v: e for v, e in mins.items() if e > 0})
-    rest = {m * content.inverse(): g for m, g in vals}
+    content = _mono((v, e) for v, e in mins.items() if e > 0)
+    rest = {_mono_mul(m, _mono_inv(content)): g for m, g in vals}
     parts = []
     if all_imag:
         parts.append("i")
-    if not content.is_unit:
+    if content:
         parts.extend(_scalar_mono(G_ONE, content, latex, raw))
     parts.append(f"({_poly_sum_body(rest, latex, raw)})")
     return lead_neg, parts
@@ -140,7 +138,7 @@ def _coeff_parts(c, latex=False, raw=frozenset()):
     if c.is_zero:
         return False, ["0"]
     neg, parts = _num_body(c.num, latex, raw)
-    if c.den != {_UNIT: G_ONE}:
+    if c.den != {MONO_UNIT: G_ONE}:
         den_body = _poly_sum_body(c.den, latex, raw)
         if latex:
             joined = _join(parts, latex)
@@ -237,7 +235,7 @@ def format_expr(poly, style="plain", scope=None):
 # -- machine format ---------------------------------------------------------
 
 def _poly_json(p):
-    return [[list(m.exps), str(g.re), str(g.im)] for m, g in _mono_sorted(p)]
+    return [[list(m), str(g.re), str(g.im)] for m, g in _mono_sorted(p)]
 
 
 def _format_machine(poly):
@@ -261,9 +259,9 @@ def parse_machine(text):
     terms = {}
     for t in data["terms"]:
         word = Word(tuple(Generator(n, i, pr) for n, i, pr in t["word"]))
-        num = {CentralMonomial(tuple((v, e) for v, e in m)):
-               GaussRational(Fraction(re), Fraction(im)) for m, re, im in t["num"]}
-        den = {CentralMonomial(tuple((v, e) for v, e in m)):
-               GaussRational(Fraction(re), Fraction(im)) for m, re, im in t["den"]}
+        num = {_mono(m): GaussRational(Fraction(re), Fraction(im))
+               for m, re, im in t["num"]}
+        den = {_mono(m): GaussRational(Fraction(re), Fraction(im))
+               for m, re, im in t["den"]}
         terms[word] = Coefficient(num, den)
     return NCPoly(terms)

@@ -112,6 +112,17 @@ class TestNormalize:
         assert "numerator terms exceeds the limit of 100000 terms" in err
         assert "Traceback" not in err
 
+    def test_huge_sum_is_parse_error(self):
+        t0 = time.perf_counter()
+        code, _, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                       "--expr",
+                                       "(q+1+hbar)^-40 + (q+2+hbar)^-40")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert ("product at 15 of 861 and 861 denominator terms exceeds the "
+                "limit of 100000 terms") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("expr, message", [
         ("1/0*x", "division by zero at 2"),
         ("q^(1/0)", "division by zero at 5"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qheis
-from qheis.coeffs import (G_ONE, G_ZERO, MONO_UNIT, CentralMonomial, Coefficient,
-                          GaussRational, qnumber)
+from qheis.coeffs import (G_ONE, G_ZERO, MONO_UNIT, Coefficient, GaussRational,
+                          qnumber)
 from qheis.errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
 
 C = Coefficient
@@ -183,11 +183,11 @@ class TestArithmetic:
         assert z.is_zero
         assert z == 0
         assert str(z) == "0"
-        m = CentralMonomial({"s": 1})
+        m = (("s", 1),)
         assert C({m: G_ONE}, {MONO_UNIT: G_ONE, m: G_ZERO}) == C.q_power("1/2")
 
     def test_constructor_coerces_plain_numbers(self):
-        m = CentralMonomial({"s": 1})
+        m = (("s", 1),)
         c = C({m: 2, MONO_UNIT: Fraction(1, 2)})
         assert str(c) == str(coeff("2*q^(1/2) + 1/2"))
         assert c == coeff("2*q^(1/2) + 1/2")
@@ -346,3 +346,113 @@ def test_eq_iff_equal_at_points(rng, coeff_pool):
         # disagreement anywhere certifies inequality
         if not agree:
             assert not equal
+
+
+class TestPower:
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_matches_repeated_multiplication(self, k):
+        g = GaussRational(Fraction(3, 2), -1)
+        c = coeff("(q + 1 + hbar)*(q - p^-1)^-1")
+        for x, one in ((g, G_ONE), (c, C.one())):
+            base = x if k >= 0 else x.inverse()
+            want = one
+            for _ in range(abs(k)):
+                want = want * base
+            assert x ** k == want
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 40, 63, 64, 1000])
+    def test_square_and_multiply_count(self, k):
+        from qheis.coeffs import _power
+
+        calls = []
+
+        def mul(a, b):
+            calls.append(a is b)
+            return a * b
+
+        # Fraction products are fresh objects, so only a squaring passes
+        # the same object twice
+        assert _power(Fraction(3), k, Fraction(1), mul) == 3 ** k
+        assert calls.count(True) == max(k.bit_length() - 1, 0)
+        assert calls.count(False) == bin(k).count("1")
+
+
+def _is_monomial(m):
+    return (type(m) is tuple
+            and all(type(v) is str and type(e) is int and e for v, e in m)
+            and all(a < b for (a, _), (b, _) in zip(m, m[1:])))
+
+
+def _assert_monomial_keys(c):
+    for poly in (c.num, c.den):
+        for m in poly:
+            assert _is_monomial(m), m
+
+
+class TestMonomialKeys:
+    """Every kernel result is keyed by canonical monomials: tuples of
+    (variable, nonzero integer exponent) pairs sorted by distinct
+    variables."""
+
+    _ATOMS = ("q", "q^(-1/2)", "p^(1/2)", "hbar^-1", "i", "s", "t", "2/3",
+              "(q - 1)", "(1 + hbar)^-1", "(q + p^-1)^2", "(s*t - 1)^-1")
+
+    @staticmethod
+    def _strategy():
+        pool = [coeff(t) for t in (
+            "1", "-3", "i", "q", "q^-1", "q^(1/2)", "p^-1", "hbar", "q - 1",
+            "q + p^-1", "q^(-1/2)*hbar - p")]
+        pool += [C.opaque("D_12"), C.opaque("D_3", -2) * coeff("q - hbar"),
+                 coeff("q - 1").inverse(), coeff("1 + hbar*p").inverse()]
+        return _pool_strategy(pool)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_results_have_canonical_keys(self, data):
+        from qheis.printer import format_expr, parse_machine
+
+        s = self._strategy()
+        a, b = data.draw(s), data.draw(s)
+        results = [a + b, a - b, a * b]
+        if not a.is_zero:
+            results.append(a.inverse())
+        for assign in ({"s": 2}, {"h": Fraction(1, 3), "D_12": 1}, {"t": 0}):
+            try:
+                results.append(a.substitute(assign))
+            except PoleAtPoint:
+                pass
+        for c in results:
+            _assert_monomial_keys(c)
+            text = format_expr(qheis.NCPoly.from_scalar(c), "machine")
+            back = parse_machine(text).coefficient(())
+            _assert_monomial_keys(back)
+            assert back == c
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("+-*"), st.sampled_from(_ATOMS)),
+                    min_size=1, max_size=5))
+    def test_parsed_coefficients_have_canonical_keys(self, parts):
+        text = "".join(op + atom for op, atom in parts).lstrip("+*")
+        _assert_monomial_keys(coeff(text))
+
+    @pytest.mark.parametrize("key", [
+        (("t", 1), ("s", 1)),  # unsorted
+        (("s", 0),),  # zero exponent
+        (("s", 1), ("s", 2)),  # repeated variable
+        (("s", 1.5),), (("s", True),), "s", (("s",),), (("s", "x"),)])
+    def test_constructor_rejects_other_keys(self, key):
+        with pytest.raises(ParamError):
+            C({key: G_ONE})
+        with pytest.raises(ParamError):
+            C({MONO_UNIT: G_ONE}, {key: G_ONE, MONO_UNIT: G_ONE})
+
+    def test_exponents_stay_integers(self):
+        from qheis.printer import parse_machine
+
+        # an integer-valued float index gives the integer quantum number
+        assert str(qnumber(3.0)) == str(qnumber(3)) == "(q^2 + q*p^-1 + p^-2)"
+        _assert_monomial_keys(qnumber(3.0))
+        text = ('{"format":"qheis-poly-v1","terms":[{"word":[],'
+                '"num":[[[["s",1.5]],"1","0"]],"den":[[[],"1","0"]]}]}')
+        with pytest.raises(ParamError):
+            parse_machine(text)

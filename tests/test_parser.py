@@ -114,6 +114,29 @@ class TestParse:
         assert parse_expr("0^0") == NCPoly.one()
 
     @pytest.mark.parametrize("text, position", [
+        ("(q+1+hbar)^-40 + (q+2+hbar)^-40", 15),
+        ("(q+1+hbar)^-40*x - (q+2+hbar)^-40*x", 17),
+        ("[(q+1+hbar)^-40*x + (q+2+hbar)^-40*y, x + y]", 0)])
+    def test_sum_limit(self, families, text, position):
+        # cross-multiplying the two 861-term denominators is refused
+        # before it is formed
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert time.perf_counter() - t0 < 5.0
+        assert exc.value.position == position
+        assert (f"of 861 and 861 denominator terms exceeds the limit of "
+                f"{MAX_TERMS} terms") in str(exc.value)
+
+    def test_sums_within_limit(self):
+        a, b = (C.q_power(1) + n + C.hbar_power(1) for n in (1, 2))
+        assert parse_expr("(q+1+hbar)^-3 + (q+2+hbar)^-3").coefficient(()) == \
+            a ** -3 + b ** -3
+        # 325^2 pairings, but over one denominator
+        assert parse_expr("(q+1+hbar)^-24 - 2*(q+1+hbar)^-24").coefficient(()) == \
+            -a ** -24
+
+    @pytest.mark.parametrize("text, position", [
         ("1/0*x", 2), ("q^(1/0)", 5), ("q^(-3/0)", 6), ("1" * 5000 + "*x", 0),
         ("x^" + "9" * 5000, 2)])
     def test_bad_literal_is_parse_error(self, families, text, position):
