@@ -12,12 +12,17 @@ be negative (Laurent), and denominators such as (q - 1)^2 force a genuine
 fraction field.  Equality is decided by cross multiplication, never by
 sampling.
 
-Storage, bottom up: a ``GaussRational`` is the reduced integer triple
-(a, b, d) for (a + b*i)/d, so its arithmetic needs no ``Fraction``; a
-monomial is the tuple of its (variable, nonzero exponent) pairs, sorted by
-variable, with ``()`` for 1; a ``Coefficient`` is a numerator/denominator
-pair of dicts mapping monomials to Gaussian rationals, whose denominator is
-the unit unless it has several terms.  Results that are canonical by
+Storage, bottom up: a Gaussian rational (a + b*i)/d is the reduced integer
+triple ``(a, b, d)``, with d > 0 and gcd(a, b, d) == 1, so each value has
+one triple; a monomial is the tuple of its (variable, nonzero exponent)
+pairs, sorted by variable, with ``()`` for 1; a Laurent polynomial is a dict
+from monomials to nonzero triples.  A ``Coefficient`` is a
+numerator/denominator pair of such dicts, whose denominator is the unit
+unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
+plain integers and tuples only; ``GaussRational`` objects are built at the
+boundary: ``GaussRational`` arithmetic wraps the triple helpers,
+``Coefficient.num``/``.den`` are ``GaussRational``-valued views, and
+``evaluate`` returns a ``GaussRational``.  Results that are canonical by
 construction skip re-canonicalization.
 """
 
@@ -28,14 +33,86 @@ from math import gcd, lcm
 
 from .errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
 
+# ---------------------------------------------------------------------------
+# Gaussian rationals as reduced integer triples (a, b, d) = (a + b*i)/d.
+# ---------------------------------------------------------------------------
+
+_T_ZERO = (0, 0, 1)
+_T_ONE = (1, 0, 1)
+
+
+def _t_reduce(a, b, d):
+    """Triple for (a + b*i)/d with d > 0: one gcd, and none when d == 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _t_add(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        if d1 == 1:
+            return a1 + a2, b1 + b2, 1
+        return _t_reduce(a1 + a2, b1 + b2, d1)
+    return _t_reduce(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _t_mul(x, y):
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if b1 or b2:
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+    else:
+        a, b = a1 * a2, 0
+    if d1 == 1 == d2:
+        return a, b, 1
+    return _t_reduce(a, b, d1 * d2)
+
+
+def _t_neg(x):
+    a, b, d = x
+    return -a, -b, d
+
+
+def _t_inv(x):
+    # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+    a, b, d = x
+    if not b:
+        if not a:
+            raise DivisionByZero("inverse of zero")
+        # gcd(a, d) == 1 already
+        return (d, 0, a) if a > 0 else (-d, 0, -a)
+    return _t_reduce(d * a, -d * b, a * a + b * b)
+
+
+def _t_pow(x, k):
+    return _power(_t_inv(x) if k < 0 else x, abs(k), _T_ONE, _t_mul)
+
+
+def _power(base, k, one, mul):
+    """``base**k`` for an integer k >= 0 by square-and-multiply, with
+    ``mul`` the product: ``k.bit_length() - 1`` squarings and one product
+    per set bit of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
 
 class GaussRational:
-    """Exact complex rational (a + b*i)/d, stored as the integer triple
-    ``(a, b, d)`` with d > 0 and gcd(a, b, d) == 1.
+    """Exact complex rational (a + b*i)/d: the public wrapper of one reduced
+    triple ``(a, b, d)``.
 
     The triple is unique for each value, so equality is a tuple compare.
     ``re`` and ``im`` are read-only ``Fraction`` views for printing and
-    parsing; arithmetic stays on plain integers and one ``math.gcd``.
+    parsing; arithmetic runs on the triple helpers.
     """
 
     __slots__ = ("_abd",)
@@ -43,11 +120,8 @@ class GaussRational:
     def __init__(self, re=0, im=0):
         re, im = Fraction(re), Fraction(im)
         d = lcm(re.denominator, im.denominator)
-        _set(self, "_abd", (re.numerator * (d // re.denominator),
-                            im.numerator * (d // im.denominator), d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
+        self._abd = (re.numerator * (d // re.denominator),
+                     im.numerator * (d // im.denominator), d)
 
     @property
     def re(self):
@@ -64,58 +138,41 @@ class GaussRational:
         return bool(a) or bool(b)
 
     def __eq__(self, other):
-        if type(other) is GaussRational:
-            return self._abd == other._abd
-        if isinstance(other, int):
-            return self._abd == (other, 0, 1)
-        if isinstance(other, Fraction):
-            return self._abd == (other.numerator, 0, other.denominator)
+        if isinstance(other, (GaussRational, int, Fraction)):
+            return self._abd == _as_triple(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        a, b, d = self._abd
+        if b:
+            return hash(self._abd)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __add__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        a1, b1, d1 = self._abd
-        a2, b2, d2 = other._abd
-        if d1 == d2:
-            return _gauss(a1 + a2, b1 + b2, d1)
-        return _gauss(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _wrap(_t_add(self._abd, _as_triple(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a, b, d = self._abd
-        return _triple(-a, -b, d)
+        return _wrap(_t_neg(self._abd))
 
     def __sub__(self, other):
-        return self + (-_as_gauss(other))
+        return _wrap(_t_add(self._abd, _t_neg(_as_triple(other))))
 
     def __mul__(self, other):
-        if type(other) is not GaussRational:
-            other = _as_gauss(other)
-        a1, b1, d1 = self._abd
-        a2, b2, d2 = other._abd
-        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return _wrap(_t_mul(self._abd, _as_triple(other)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
-        a, b, d = self._abd
-        n = a * a + b * b
-        if not n:
-            raise DivisionByZero("inverse of zero")
-        return _gauss(d * a, -d * b, n)
+        return _wrap(_t_inv(self._abd))
 
     def __truediv__(self, other):
-        return self * _as_gauss(other).inverse()
+        return _wrap(_t_mul(self._abd, _t_inv(_as_triple(other))))
 
     def __pow__(self, k):
-        base = self.inverse() if k < 0 else self
-        return _power(base, abs(k), G_ONE, GaussRational.__mul__)
+        return _wrap(_t_pow(self._abd, k))
 
     def __str__(self):
         if not self._abd[1]:
@@ -136,52 +193,28 @@ class GaussRational:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
-def _triple(a, b, d):
-    """GaussRational from a triple already in lowest terms with d > 0."""
+def _wrap(t):
+    """GaussRational of a reduced triple."""
     out = _new(GaussRational)
-    _set(out, "_abd", (a, b, d))
+    out._abd = t
     return out
 
 
-def _gauss(a, b, d):
-    """GaussRational (a + b*i)/d for integers with d > 0."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-    return _triple(a, b, d)
-
-
-def _as_gauss(x):
+def _as_triple(x):
     if isinstance(x, GaussRational):
-        return x
+        return x._abd
     if isinstance(x, int):
-        return _triple(int(x), 0, 1)
+        return int(x), 0, 1
     if isinstance(x, Fraction):
-        return _triple(x.numerator, 0, x.denominator)
+        return x.numerator, 0, x.denominator
     raise TypeError(f"cannot coerce {x!r} to GaussRational")
 
 
-def _power(base, k, one, mul):
-    """``base**k`` for an integer k >= 0 by square-and-multiply, with
-    ``mul`` the product: ``k.bit_length() - 1`` squarings and one product
-    per set bit of k."""
-    out = one
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return out
-
-
-G_ZERO = GaussRational(0)
-G_ONE = GaussRational(1)
-G_I = GaussRational(0, 1)
+G_ZERO = _wrap(_T_ZERO)
+G_ONE = _wrap(_T_ONE)
+G_I = _wrap((0, 1, 1))
 
 
 MONO_UNIT = ()
@@ -209,8 +242,8 @@ def _mono_inv(m):
 
 
 def _checked_poly(poly):
-    """Copy of a ``monomial -> number`` dict with values coerced and zeros
-    dropped; ParamError unless every key is a canonical monomial."""
+    """Triple-valued copy of a ``monomial -> number`` dict, zeros dropped;
+    ParamError unless every key is a canonical monomial."""
     for m in poly:
         try:
             ok = (type(m) is tuple and _mono(m) == m
@@ -221,50 +254,50 @@ def _checked_poly(poly):
             raise ParamError(f"monomial {m!r} is not a tuple of (variable, "
                              f"nonzero integer exponent) pairs sorted by "
                              f"distinct variables")
-    return {m: _as_gauss(c) for m, c in poly.items() if c}
+    return {m: _as_triple(c) for m, c in poly.items() if c}
 
 
 # ---------------------------------------------------------------------------
-# Internal Laurent-polynomial helpers: dict monomial -> GaussRational, zero
-# values never stored.
+# Internal Laurent-polynomial helpers: dict monomial -> triple, zero values
+# never stored.  Each returns a new dict.
 # ---------------------------------------------------------------------------
-
-def _p_const(g):
-    return {MONO_UNIT: g} if g else {}
-
 
 def _p_add(a, b):
     out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, G_ZERO) + c
-        if s:
+    for m, y in b.items():
+        x = out.get(m)
+        if x is None:
+            out[m] = y
+            continue
+        s = _t_add(x, y)
+        if s[0] or s[1]:
             out[m] = s
         else:
-            out.pop(m, None)
+            del out[m]
     return out
 
 
 def _p_neg(a):
-    return {m: -c for m, c in a.items()}
+    return {m: (-x, -y, d) for m, (x, y, d) in a.items()}
 
 
 def _p_mul(a, b):
     out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
+    get = out.get
+    for m1, x in a.items():
+        for m2, y in b.items():
             m = _mono_mul(m1, m2)
-            s = out.get(m, G_ZERO) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+            p = _t_mul(x, y)
+            s = get(m)
+            out[m] = p if s is None else _t_add(s, p)
+    return {m: s for m, s in out.items() if s[0] or s[1]}
 
 
-def _p_scale(a, mono, g):
-    if not g:
-        return {}
-    return {_mono_mul(m, mono): c * g for m, c in a.items()}
+def _p_scale(a, mono, t):
+    """a * mono * t for a nonzero triple t."""
+    if t == _T_ONE:
+        return {_mono_mul(m, mono): c for m, c in a.items()}
+    return {_mono_mul(m, mono): _t_mul(c, t) for m, c in a.items()}
 
 
 def _p_vars(a):
@@ -297,65 +330,60 @@ def _p_shift_mono(a):
 
 
 def _p_divide_exact(a, b):
-    """Exact Laurent division a/b, or None when b does not divide a."""
+    """Exact Laurent division a/b, or None when b does not divide a.
+
+    ``b`` must be a polynomial (no negative exponents), as ``_canonical``
+    leaves every multi-term denominator; only ``a`` is shifted.
+    """
     if not a:
         return {}
     sa = _p_shift_mono(a)
-    sb = _p_shift_mono(b)
-    num = _p_scale(a, sa, G_ONE)
-    den = _p_scale(b, sb, G_ONE)
-    varlist = sorted(_p_vars(num) | _p_vars(den))
-    lead_b, lc_b = _p_lead(den, varlist)
-    inv_lc_b = lc_b.inverse()
+    rem = _p_scale(a, sa, _T_ONE)
+    varlist = sorted(_p_vars(rem) | _p_vars(b))
+    lead_b, lc_b = _p_lead(b, varlist)
+    inv_lead_b, inv_lc_b = _mono_inv(lead_b), _t_inv(lc_b)
     quot = {}
-    rem = dict(num)
     while rem:
         lead_r, lc_r = _p_lead(rem, varlist)
-        m = _mono_mul(lead_r, _mono_inv(lead_b))
+        m = _mono_mul(lead_r, inv_lead_b)
         if any(e < 0 for _, e in m):
             return None
-        c = lc_r * inv_lc_b
+        c = _t_mul(lc_r, inv_lc_b)
         quot[m] = c
-        rem = _p_add(rem, _p_scale(den, m, -c))
-    # undo the Laurent shifts: a/b = (num/den) * sb/sa
-    adj = _mono_mul(sb, _mono_inv(sa))
-    return _p_scale(quot, adj, G_ONE)
+        rem = _p_add(rem, _p_scale(b, m, _t_neg(c)))
+    # undo the Laurent shift: a/b = (a*sa/b) / sa
+    return _p_scale(quot, _mono_inv(sa), _T_ONE)
+
+
+def _point_value(point, v, e):
+    """Triple of ``point[v]**e``."""
+    x = _as_triple(point[v])
+    if e < 0 and not (x[0] or x[1]):
+        raise PoleAtPoint(f"variable {v} is 0 but occurs with exponent {e}")
+    return _t_pow(x, e)
 
 
 def _p_eval(a, point):
-    total = G_ZERO
+    total = _T_ZERO
     for m, c in a.items():
-        val = c
         for v, e in m:
             if v not in point:
                 raise UnboundVariable(f"no value assigned to central variable {v!r}")
-            base = _as_gauss(point[v])
-            if e < 0 and not base:
-                raise PoleAtPoint(f"variable {v} is 0 but occurs with exponent {e}")
-            val = val * base**e
-        total = total + val
+            c = _t_mul(c, _point_value(point, v, e))
+        total = _t_add(total, c)
     return total
 
 
 def _p_substitute(a, assign):
     out = {}
     for m, c in a.items():
-        val = c
         for v, e in m:
             if v in assign:
-                base = _as_gauss(assign[v])
-                if e < 0 and not base:
-                    raise PoleAtPoint(f"variable {v} is 0 but occurs with exponent {e}")
-                val = val * base**e
-        if not val:
-            continue
-        m2 = tuple(ve for ve in m if ve[0] not in assign)
-        s = out.get(m2, G_ZERO) + val
-        if s:
-            out[m2] = s
-        else:
-            out.pop(m2, None)
-    return out
+                c = _t_mul(c, _point_value(assign, v, e))
+        m = tuple(ve for ve in m if ve[0] not in assign)
+        s = out.get(m)
+        out[m] = c if s is None else _t_add(s, c)
+    return {m: c for m, c in out.items() if c[0] or c[1]}
 
 
 def _canonical(num, den):
@@ -369,66 +397,77 @@ def _canonical(num, den):
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return {}, {MONO_UNIT: G_ONE}
+        return {}, {MONO_UNIT: _T_ONE}
     if len(den) == 1:
         ((m, c),) = den.items()
-        if not m and c == G_ONE:
+        if not m and c == _T_ONE:
             return num, den
-        return _p_scale(num, _mono_inv(m), c.inverse()), {MONO_UNIT: G_ONE}
+        return _p_scale(num, _mono_inv(m), _t_inv(c)), {MONO_UNIT: _T_ONE}
     shift = _p_shift_mono(den)
     if shift:
-        num = _p_scale(num, shift, G_ONE)
-        den = _p_scale(den, shift, G_ONE)
+        num = _p_scale(num, shift, _T_ONE)
+        den = _p_scale(den, shift, _T_ONE)
     varlist = sorted(_p_vars(num) | _p_vars(den))
     _, lc = _p_lead(den, varlist)
-    if lc != G_ONE:
-        inv = lc.inverse()
+    if lc != _T_ONE:
+        inv = _t_inv(lc)
         num = _p_scale(num, MONO_UNIT, inv)
         den = _p_scale(den, MONO_UNIT, inv)
     q = _p_divide_exact(num, den)
     if q is not None:
-        return q, {MONO_UNIT: G_ONE}
+        return q, {MONO_UNIT: _T_ONE}
     return num, den
 
 
 def _coeff(num, den):
     """Coefficient from a canonical (num, den) pair that nothing else holds."""
     out = _new(Coefficient)
-    _set(out, "num", num)
-    _set(out, "den", den)
+    out._num = num
+    out._den = den
     return out
+
+
+def _gauss_view(poly):
+    return {m: _wrap(c) for m, c in poly.items()}
 
 
 class Coefficient:
     """Element of the coefficient field.
 
-    Stored as numerator/denominator Laurent polynomials, each a dict from
-    monomials to GaussRational values.  A monomial is a tuple of
-    (variable, nonzero integer exponent) pairs sorted by distinct variables,
-    and ``MONO_UNIT == ()`` is 1.  The denominator is either the unit
-    ``{(): 1}`` or has several terms; in the second case it is shifted to
-    nonnegative exponents, monic and does not divide the numerator exactly,
-    so common factors like (q^2-1)/(q-1) collapse.  The public constructor
-    copies its arguments and canonicalizes; operations whose result is
-    canonical by construction (negation, sums and products of operands with
-    unit denominators) skip that step.  The constructor coerces int and
-    Fraction values and drops zero values from both dicts, so an all-zero
-    denominator raises DivisionByZero; a key that is not a monomial raises
-    ParamError.  Equality falls back to cross multiplication, so
-    representation gaps never affect comparisons.
+    Stored as numerator/denominator Laurent polynomials ``_num`` and
+    ``_den``, each a dict from monomials to reduced ``(a, b, d)`` triples.
+    A monomial is a tuple of (variable, nonzero integer exponent) pairs
+    sorted by distinct variables, and ``MONO_UNIT == ()`` is 1.  The
+    denominator is either the unit ``{(): (1, 0, 1)}`` or has several terms;
+    in the second case it is shifted to nonnegative exponents, monic and
+    does not divide the numerator exactly, so common factors like
+    (q^2-1)/(q-1) collapse.  ``num`` and ``den`` are read-only views: each
+    access builds a fresh ``{monomial: GaussRational}`` dict, the form the
+    public constructor takes.
+
+    The public constructor copies its arguments and canonicalizes;
+    operations whose result is canonical by construction (negation, sums
+    and products of operands with unit denominators) skip that step.  The
+    constructor coerces int and Fraction values and drops zero values from
+    both dicts, so an all-zero denominator raises DivisionByZero; a key that
+    is not a monomial raises ParamError.  Equality falls back to cross
+    multiplication, so representation gaps never affect comparisons.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num=None, den=None):
         num = {} if num is None else _checked_poly(num)
-        den = {MONO_UNIT: G_ONE} if den is None else _checked_poly(den)
-        num, den = _canonical(num, den)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        den = {MONO_UNIT: _T_ONE} if den is None else _checked_poly(den)
+        self._num, self._den = _canonical(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Coefficient is immutable")
+    @property
+    def num(self):
+        return _gauss_view(self._num)
+
+    @property
+    def den(self):
+        return _gauss_view(self._den)
 
     # -- constructors -------------------------------------------------
 
@@ -448,15 +487,16 @@ class Coefficient:
     def from_scalar(x):
         if isinstance(x, Coefficient):
             return x
-        return _coeff(_p_const(_as_gauss(x)), {MONO_UNIT: G_ONE})
+        t = _as_triple(x)
+        return _coeff({MONO_UNIT: t} if t[0] or t[1] else {}, {MONO_UNIT: _T_ONE})
 
     @staticmethod
     def from_gauss(re, im=0):
-        return Coefficient(_p_const(GaussRational(re, im)))
+        return Coefficient.from_scalar(GaussRational(re, im))
 
     @staticmethod
     def monomial(exps, scalar=G_ONE):
-        return Coefficient({_mono(exps.items()): _as_gauss(scalar)})
+        return Coefficient({_mono(exps.items()): scalar})
 
     @staticmethod
     def q_power(exp):
@@ -489,10 +529,10 @@ class Coefficient:
 
     @property
     def is_zero(self):
-        return not self.num
+        return not self._num
 
     def variables(self):
-        return sorted(_p_vars(self.num) | _p_vars(self.den))
+        return sorted(_p_vars(self._num) | _p_vars(self._den))
 
     # -- field arithmetic ----------------------------------------------
 
@@ -503,19 +543,20 @@ class Coefficient:
             return NotImplemented
         other = Coefficient.from_scalar(other)
         # a canonical one-term denominator is the unit
-        if len(self.den) == 1 and len(other.den) == 1:
-            return _coeff(_p_add(self.num, other.num), {MONO_UNIT: G_ONE})
-        if self.den == other.den:
-            return _coeff(*_canonical(_p_add(self.num, other.num), dict(self.den)))
+        if len(self._den) == 1 and len(other._den) == 1:
+            return _coeff(_p_add(self._num, other._num), {MONO_UNIT: _T_ONE})
+        if self._den == other._den:
+            return _coeff(*_canonical(_p_add(self._num, other._num),
+                                      dict(self._den)))
         return _coeff(*_canonical(
-            _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
-            _p_mul(self.den, other.den),
+            _p_add(_p_mul(self._num, other._den), _p_mul(other._num, self._den)),
+            _p_mul(self._den, other._den),
         ))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _coeff(_p_neg(self.num), dict(self.den))
+        return _coeff(_p_neg(self._num), dict(self._den))
 
     def __sub__(self, other):
         if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
@@ -531,17 +572,17 @@ class Coefficient:
         if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
             return NotImplemented
         other = Coefficient.from_scalar(other)
-        if len(self.den) == 1 and len(other.den) == 1:
-            return _coeff(_p_mul(self.num, other.num), {MONO_UNIT: G_ONE})
-        return _coeff(*_canonical(_p_mul(self.num, other.num),
-                                  _p_mul(self.den, other.den)))
+        if len(self._den) == 1 and len(other._den) == 1:
+            return _coeff(_p_mul(self._num, other._num), {MONO_UNIT: _T_ONE})
+        return _coeff(*_canonical(_p_mul(self._num, other._num),
+                                  _p_mul(self._den, other._den)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("inverse of the zero coefficient")
-        return _coeff(*_canonical(dict(self.den), dict(self.num)))
+        return _coeff(*_canonical(dict(self._den), dict(self._num)))
 
     def __truediv__(self, other):
         return self * Coefficient.from_scalar(other).inverse()
@@ -554,13 +595,13 @@ class Coefficient:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, Coefficient._SCALARS):
             other = Coefficient.from_scalar(other)
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return _p_mul(self.num, other.den) == _p_mul(other.num, self.den)
+        if self._den == other._den:
+            return self._num == other._num
+        return _p_mul(self._num, other._den) == _p_mul(other._num, self._den)
 
     __hash__ = None
 
@@ -568,17 +609,17 @@ class Coefficient:
 
     def evaluate(self, point):
         """Exact value at a full assignment of central variables."""
-        d = _p_eval(self.den, point)
-        if not d:
+        d = _p_eval(self._den, point)
+        if not (d[0] or d[1]):
             raise PoleAtPoint("denominator vanishes at the evaluation point")
-        return _p_eval(self.num, point) * d.inverse()
+        return _wrap(_t_mul(_p_eval(self._num, point), _t_inv(d)))
 
     def substitute(self, assign):
         """Partial substitution of central variables; other variables stay."""
-        den = _p_substitute(self.den, assign)
+        den = _p_substitute(self._den, assign)
         if not den:
             raise PoleAtPoint("denominator vanishes under the substitution")
-        return _coeff(*_canonical(_p_substitute(self.num, assign), den))
+        return _coeff(*_canonical(_p_substitute(self._num, assign), den))
 
     def __repr__(self):
         from .printer import format_coefficient
@@ -587,8 +628,8 @@ class Coefficient:
 
 
 _C_ZERO = Coefficient()
-_C_ONE = Coefficient(_p_const(G_ONE))
-_C_I = Coefficient(_p_const(G_I))
+_C_ONE = Coefficient.from_scalar(1)
+_C_I = Coefficient.from_scalar(G_I)
 
 
 def qnumber(k):

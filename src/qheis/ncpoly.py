@@ -86,7 +86,8 @@ def _merge_alphabet(seen, poly):
         for g in w:
             key = (g.name, g.index)
             prev = seen.setdefault(key, g)
-            if prev != g:
+            # presentations hand out one object per letter
+            if prev is not g and prev != g:
                 raise AlphabetError(
                     f"generator {g.sym} declared twice with different precedence"
                 )
@@ -104,7 +105,7 @@ class NCPoly:
                 c = Coefficient.from_scalar(c)
                 if not c.is_zero:
                     clean[Word(w)] = c
-        object.__setattr__(self, "terms", clean)
+        _set(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("NCPoly is immutable")
@@ -163,12 +164,12 @@ class NCPoly:
                 out.pop(w, None)
             else:
                 out[w] = s
-        return NCPoly(out)
+        return _ncpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return _ncpoly({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-NCPoly.from_scalar(other))
@@ -190,7 +191,7 @@ class NCPoly:
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return NCPoly(out)
+        return _ncpoly(out)
 
     def __rmul__(self, other):
         # only scalars reach here; central scalars commute
@@ -218,6 +219,17 @@ class NCPoly:
         from .printer import format_expr
 
         return format_expr(self, "plain")
+
+
+_set = object.__setattr__
+
+
+def _ncpoly(terms):
+    """NCPoly from Word keys and nonzero Coefficient values that nothing
+    else holds: the validation of ``NCPoly.__init__`` is skipped."""
+    out = object.__new__(NCPoly)
+    _set(out, "terms", terms)
+    return out
 
 
 _ZERO = NCPoly()

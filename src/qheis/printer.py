@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .coeffs import (MONO_UNIT, Coefficient, G_ONE, GaussRational, _mono,
                      _mono_inv, _mono_mul, _mono_vector, _p_vars)
+from .errors import QheisError, SchemaError
 from .ncpoly import Generator, NCPoly, Word
 
 
@@ -251,17 +252,32 @@ def _format_machine(poly):
                       separators=(",", ":"))
 
 
+def _machine_poly(entries):
+    return {_mono(m): GaussRational(Fraction(re), Fraction(im))
+            for m, re, im in entries}
+
+
 def parse_machine(text):
-    """Inverse of the machine format."""
-    data = json.loads(text)
-    if data.get("format") != "qheis-poly-v1":
-        raise ValueError("not a qheis machine-format polynomial")
-    terms = {}
-    for t in data["terms"]:
-        word = Word(tuple(Generator(n, i, pr) for n, i, pr in t["word"]))
-        num = {_mono(m): GaussRational(Fraction(re), Fraction(im))
-               for m, re, im in t["num"]}
-        den = {_mono(m): GaussRational(Fraction(re), Fraction(im))
-               for m, re, im in t["den"]}
-        terms[word] = Coefficient(num, den)
-    return NCPoly(terms)
+    """Inverse of the machine format.  A malformed document raises
+    SchemaError, whose ``path`` names the part that failed."""
+    path = "document"
+    try:
+        data = json.loads(text)
+        path = "format"
+        if data.get("format") != "qheis-poly-v1":
+            raise ValueError("not a qheis machine-format polynomial")
+        path = "terms"
+        terms = {}
+        for n, t in enumerate(data["terms"]):
+            path = f"terms[{n}].word"
+            word = Word(tuple(Generator(name, i, pr) for name, i, pr in t["word"]))
+            path = f"terms[{n}].num"
+            num = _machine_poly(t["num"])
+            path = f"terms[{n}].den"
+            den = _machine_poly(t["den"])
+            path = f"terms[{n}]"
+            terms[word] = Coefficient(num, den)
+        return NCPoly(terms)
+    except (QheisError, ValueError, TypeError, LookupError, AttributeError,
+            RecursionError) as exc:
+        raise SchemaError(f"machine format, {path}: {exc}", path=path) from exc

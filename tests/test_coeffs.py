@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import qheis
 from qheis.coeffs import (G_ONE, G_ZERO, MONO_UNIT, Coefficient, GaussRational,
-                          qnumber)
-from qheis.errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
+                          _mono, qnumber)
+from qheis.errors import (DivisionByZero, ParamError, PoleAtPoint, SchemaError,
+                          UnboundVariable)
 
 C = Coefficient
 
@@ -31,6 +32,11 @@ class TestGaussRational:
     def test_inverse_of_zero(self):
         with pytest.raises(DivisionByZero):
             GaussRational(0).inverse()
+
+    def test_hash_agrees_with_eq(self):
+        assert len({3, GaussRational(3)}) == 1
+        assert len({Fraction(-1, 2), GaussRational(Fraction(-1, 2))}) == 1
+        assert len({GaussRational(1, 2), GaussRational(Fraction(2, 2), 2)}) == 1
 
 
 # -- integer-triple kernel against a Fraction-pair reference ---------------
@@ -57,7 +63,8 @@ def _assert_matches(g, pair):
     a, b, d = g._abd
     assert d > 0
     assert math.gcd(a, b, d) == 1
-    assert hash(g) == hash((re, im))
+    # a real value hashes like the equal Fraction, so hashing agrees with ==
+    assert hash(g) == (hash(g._abd) if im else hash(re))
     assert str(g) == _ref_str(re, im)
     if not im:
         assert g == re
@@ -106,30 +113,34 @@ class TestCoefficientFastPaths:
     @staticmethod
     def _check(got, slow, *operands):
         assert got == slow
-        assert (got.num, got.den) == (slow.num, slow.den)
-        for d in (got.num, got.den):
+        assert (got._num, got._den) == (slow._num, slow._den)
+        for d in (got._num, got._den):
             for c in operands:
-                assert d is not c.num and d is not c.den
+                assert d is not c._num and d is not c._den
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_ops_match_slow_path(self, data):
-        from qheis.coeffs import _p_add, _p_mul, _p_neg
+        from qheis.coeffs import _canonical, _coeff, _p_add, _p_mul, _p_neg
+
+        def slow(num, den):
+            return _coeff(*_canonical(num, dict(den)))
 
         def add(x, y):
-            if x.den == y.den:
-                return C(_p_add(x.num, y.num), x.den)
-            return C(_p_add(_p_mul(x.num, y.den), _p_mul(y.num, x.den)),
-                     _p_mul(x.den, y.den))
+            if x._den == y._den:
+                return slow(_p_add(x._num, y._num), x._den)
+            return slow(_p_add(_p_mul(x._num, y._den), _p_mul(y._num, x._den)),
+                        _p_mul(x._den, y._den))
 
         s = self._strategy()
         a, b = data.draw(s), data.draw(s)
-        self._check(-a, C(_p_neg(a.num), a.den), a)
+        self._check(-a, slow(_p_neg(a._num), a._den), a)
         self._check(a + b, add(a, b), a, b)
-        self._check(a - b, add(a, C(_p_neg(b.num), b.den)), a, b)
-        self._check(a * b, C(_p_mul(a.num, b.num), _p_mul(a.den, b.den)), a, b)
+        self._check(a - b, add(a, slow(_p_neg(b._num), b._den)), a, b)
+        self._check(a * b, slow(_p_mul(a._num, b._num), _p_mul(a._den, b._den)),
+                    a, b)
         if not a.is_zero:
-            self._check(a.inverse(), C(a.den, a.num), a)
+            self._check(a.inverse(), slow(dict(a._den), a._num), a)
 
     def test_constructor_copies_its_arguments(self):
         num = dict(coeff("q - 1").num)
@@ -139,6 +150,120 @@ class TestCoefficientFastPaths:
         num.clear()
         den.clear()
         assert c == coeff("q - 1")
+
+    def test_views_are_fresh_gauss_dicts(self):
+        c = coeff("(q - 1/2 + i*hbar)*(q + p^-1)^-1")
+        for view, raw in ((c.num, c._num), (c.den, c._den)):
+            assert all(type(g) is GaussRational for g in view.values())
+            assert {m: g._abd for m, g in view.items()} == raw
+        assert c.num is not c.num and c.den is not c.den
+        c.num.clear()
+        back = C(c.num, c.den)
+        assert (back._num, back._den) == (c._num, c._den)
+        assert back == c == coeff("q - 1/2 + i*hbar") / coeff("q + p^-1")
+        with pytest.raises(AttributeError):
+            c.num = {}
+
+
+# -- triple-valued Laurent kernel against a GaussRational-valued reference --
+
+_VARS = ("h", "s", "t")
+_monos = st.lists(st.tuples(st.sampled_from(_VARS), st.integers(-3, 3)),
+                  max_size=3).map(_mono)
+_nonneg_monos = st.lists(st.tuples(st.sampled_from(_VARS), st.integers(0, 3)),
+                         min_size=1, max_size=3).map(_mono)
+_gauss = st.one_of(
+    st.integers(-5, 5).map(GaussRational),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
+        lambda p: GaussRational(*p)),
+    _pairs.map(lambda p: GaussRational(*p))).filter(bool)
+
+
+def _poly(monos, min_size=0):
+    return st.dictionaries(monos, _gauss, min_size=min_size, max_size=5)
+
+
+def _raw(p):
+    return {m: g._abd for m, g in p.items()}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, g in b.items():
+        out[m] = out.get(m, G_ZERO) + g
+    return {m: g for m, g in out.items() if g}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, g1 in a.items():
+        for m2, g2 in b.items():
+            m = _mono(m1 + m2)
+            out[m] = out.get(m, G_ZERO) + g1 * g2
+    return {m: g for m, g in out.items() if g}
+
+
+def _view(raw):
+    return {m: GaussRational(Fraction(a, d), Fraction(b, d))
+            for m, (a, b, d) in raw.items()}
+
+
+def _assert_reduced(raw):
+    for (a, b, d) in raw.values():
+        assert type(a) is type(b) is type(d) is int
+        assert d > 0 and math.gcd(a, b, d) == 1 and (a or b)
+
+
+class TestTripleKernel:
+    """Sums, products, inverses and canonical forms on raw triples equal the
+    same computations on GaussRational values, and every stored triple is
+    reduced: d > 0, gcd(a, b, d) == 1, never zero."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly(_monos), _poly(_monos))
+    def test_sum_and_product(self, a, b):
+        from qheis.coeffs import _p_add, _p_mul, _p_neg
+
+        ra, rb = _raw(a), _raw(b)
+        for got, want in ((_p_add(ra, rb), _ref_add(a, b)),
+                          (_p_mul(ra, rb), _ref_mul(a, b)),
+                          (_p_neg(ra), {m: -g for m, g in a.items()})):
+            _assert_reduced(got)
+            assert got == _raw(want)
+        assert (ra, rb) == (_raw(a), _raw(b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_poly(_monos), _poly(_monos, min_size=1))
+    def test_canonical_and_inverse(self, a, d):
+        from qheis.coeffs import _canonical, _p_lead, _p_vars
+
+        num, den = _canonical(_raw(a), _raw(d))
+        _assert_reduced(num)
+        _assert_reduced(den)
+        assert _ref_mul(_view(num), d) == _ref_mul(a, _view(den))
+        if den != {MONO_UNIT: (1, 0, 1)}:
+            assert len(den) > 1
+            assert all(e >= 0 for m in den for _, e in m)
+            varlist = sorted(_p_vars(num) | _p_vars(den))
+            assert _p_lead(den, varlist)[1] == (1, 0, 1)
+        if a:
+            c = C(a, d)
+            inv = c.inverse()
+            _assert_reduced(inv._num)
+            _assert_reduced(inv._den)
+            assert _ref_mul(inv.num, c.num) == _ref_mul(inv.den, c.den)
+            assert (c * inv)._num == {MONO_UNIT: (1, 0, 1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(_poly(_monos), _poly(_nonneg_monos, min_size=1), _gauss)
+    def test_canonical_divides_out_exact_factor(self, q, d, c0):
+        from qheis.coeffs import _canonical
+
+        d = {**d, MONO_UNIT: c0}
+        if len(d) < 2:
+            return
+        num, den = _canonical(_raw(_ref_mul(d, q)), _raw(d))
+        assert (num, den) == (_raw(q), {MONO_UNIT: (1, 0, 1)})
 
 
 class TestArithmetic:
@@ -454,5 +579,6 @@ class TestMonomialKeys:
         _assert_monomial_keys(qnumber(3.0))
         text = ('{"format":"qheis-poly-v1","terms":[{"word":[],'
                 '"num":[[[["s",1.5]],"1","0"]],"den":[[[],"1","0"]]}]}')
-        with pytest.raises(ParamError):
+        with pytest.raises(SchemaError) as exc:
             parse_machine(text)
+        assert isinstance(exc.value.__cause__, ParamError)

@@ -217,6 +217,20 @@ class TestFormat:
         a = g.normalize("y*y*x")
         assert parse_machine(format_expr(a, "machine")) == a
 
+    @pytest.mark.parametrize("text, path", [
+        ('{"format":"qheis-poly-v1","terms":[{"word":[],'
+         '"num":[[5,"1","0"]],"den":[[[],"1","0"]]}]}', "terms[0].num"),
+        ('{"format":"qheis-poly-v1","terms":[{"word":[],'
+         '"num":[[[],"x","0"]],"den":[[[],"1","0"]]}]}', "terms[0].num"),
+        ("not json", "document"),
+        ("[]", "format"),
+        ('{"format":"qheis-poly-v2","terms":[]}', "format"),
+    ])
+    def test_malformed_machine_text_is_schema_error(self, text, path):
+        with pytest.raises(SchemaError) as exc:
+            parse_machine(text)
+        assert exc.value.path == path
+
     def test_plain_round_trip_all_families(self, rng, families, coeff_pool):
         for fam, pres in families.items():
             gens = list(pres.generators)
