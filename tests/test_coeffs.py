@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qheis
@@ -221,13 +221,17 @@ class TestTripleKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(_poly(_monos), _poly(_monos))
+    # (1 + s)*(1 - s): the s terms cancel
+    @example({MONO_UNIT: G_ONE, (("s", 1),): G_ONE},
+             {MONO_UNIT: G_ONE, (("s", 1),): -G_ONE})
     def test_sum_and_product(self, a, b):
         from qheis.coeffs import _p_add, _p_mul, _p_neg
 
         ra, rb = _raw(a), _raw(b)
         for got, want in ((_p_add(ra, rb), _ref_add(a, b)),
                           (_p_mul(ra, rb), _ref_mul(a, b)),
-                          (_p_neg(ra), {m: -g for m, g in a.items()})):
+                          (_p_neg(ra), {m: -g for m, g in a.items()}),
+                          (_p_add(ra, _p_neg(ra)), {})):
             _assert_reduced(got)
             assert got == _raw(want)
         assert (ra, rb) == (_raw(a), _raw(b))
