@@ -1,6 +1,7 @@
 """Free-algebra polynomials: noncommutative arithmetic, commutators,
 substitution."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -50,20 +51,18 @@ class TestFreeProducts:
         with pytest.raises(AlphabetError):
             (w(X) + w(P)) * w(other_x)
 
-    @pytest.mark.parametrize("op", ["+", "*"])
+    @pytest.mark.parametrize("op", [operator.add, operator.mul])
     def test_alphabet_clash_on_sums_and_products(self, op):
         # same name and index, different precedence: never the same letter
         clash = Generator("x", None, 7)
         a, b = w(X, P) + w(U), w(P) * 2 + w(clash, P)
-        with pytest.raises(AlphabetError):
-            a + b if op == "+" else a * b
-        with pytest.raises(AlphabetError):
-            b + a if op == "+" else b * a
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(AlphabetError):
+                op(x, y)
         # an equal but distinct object is the same letter
         twin = Generator("x", None, 0)
         assert twin is not X
-        assert (w(X) + w(twin) if op == "+" else w(X) * w(twin)) == (
-            w(X) * 2 if op == "+" else w(X, X))
+        assert op(w(X), w(twin)) == op(w(X), w(X))
 
 
 class TestCommutator:
