@@ -137,8 +137,11 @@ class GaussRational:
         a, b, _ = self._abd
         return bool(a) or bool(b)
 
+    # Binary operators return NotImplemented for an operand they cannot
+    # coerce, so that Python tries its reflected method (a Coefficient's).
+
     def __eq__(self, other):
-        if isinstance(other, (GaussRational, int, Fraction)):
+        if isinstance(other, _SCALARS):
             return self._abd == _as_triple(other)
         return NotImplemented
 
@@ -150,6 +153,8 @@ class GaussRational:
         return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __add__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return _wrap(_t_add(self._abd, _as_triple(other)))
 
     __radd__ = __add__
@@ -158,9 +163,13 @@ class GaussRational:
         return _wrap(_t_neg(self._abd))
 
     def __sub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return _wrap(_t_add(self._abd, _t_neg(_as_triple(other))))
 
     def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return _wrap(_t_mul(self._abd, _as_triple(other)))
 
     __rmul__ = __mul__
@@ -169,6 +178,8 @@ class GaussRational:
         return _wrap(_t_inv(self._abd))
 
     def __truediv__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return _wrap(_t_mul(self._abd, _t_inv(_as_triple(other))))
 
     def __pow__(self, k):
@@ -192,6 +203,7 @@ class GaussRational:
     __repr__ = __str__
 
 
+_SCALARS = (int, Fraction, GaussRational)
 _new = object.__new__
 
 
@@ -536,10 +548,8 @@ class Coefficient:
 
     # -- field arithmetic ----------------------------------------------
 
-    _SCALARS = (int, Fraction, GaussRational)
-
     def __add__(self, other):
-        if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
+        if not isinstance(other, (Coefficient, *_SCALARS)):
             return NotImplemented
         other = Coefficient.from_scalar(other)
         # a canonical one-term denominator is the unit
@@ -559,17 +569,17 @@ class Coefficient:
         return _coeff(_p_neg(self._num), dict(self._den))
 
     def __sub__(self, other):
-        if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
+        if not isinstance(other, (Coefficient, *_SCALARS)):
             return NotImplemented
         return self + (-Coefficient.from_scalar(other))
 
     def __rsub__(self, other):
-        if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
+        if not isinstance(other, (Coefficient, *_SCALARS)):
             return NotImplemented
         return Coefficient.from_scalar(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, (Coefficient,) + Coefficient._SCALARS):
+        if not isinstance(other, (Coefficient, *_SCALARS)):
             return NotImplemented
         other = Coefficient.from_scalar(other)
         if len(self._den) == 1 and len(other._den) == 1:
@@ -587,6 +597,11 @@ class Coefficient:
     def __truediv__(self, other):
         return self * Coefficient.from_scalar(other).inverse()
 
+    def __rtruediv__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return Coefficient.from_scalar(other) * self.inverse()
+
     def __pow__(self, k):
         k = int(k)
         base = self.inverse() if k < 0 else self
@@ -595,7 +610,7 @@ class Coefficient:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Coefficient._SCALARS):
+        if isinstance(other, _SCALARS):
             other = Coefficient.from_scalar(other)
         if not isinstance(other, Coefficient):
             return NotImplemented

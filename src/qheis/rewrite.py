@@ -15,22 +15,48 @@ leftmost position of the largest reducible word; among words of equal order
 key the one inserted into the term dict first wins.  The next redex comes
 from a heap of the reducible words, each keyed and matched once when it
 enters the polynomial, so a step costs O(|rhs| log terms) and not a rescan of
-every term.  Local confluence is checked
-by resolving every overlap and inclusion ambiguity of the rule set (the
-diamond lemma; none is longer than 2*(longest lhs) - 1, so all are checked).
-With termination this certifies unique normal forms and that the irreducible
-words form a linear basis.
+every term.
+
+Inside ``normalize`` a word is a ``str`` with one character (its code) per
+distinct generator, so hashing, slicing, concatenation and matching run in
+C; ``Word`` and ``NCPoly`` appear only at entry, at exit and in trace and
+chain snapshots.  Each system builds its code tables on its first
+normalization, not in ``__init__``, so loading a presentation costs nothing
+extra.  The tables are:
+
+* the code of each letter some rule mentions; a letter no rule mentions gets
+  a code in a per-call copy, so nothing leaks into the system;
+* each lhs code with its rule and its rhs as code strings;
+* one regex of the escaped lhs codes joined by ``|``, shortest first: a
+  search returns the leftmost position and, there, the shortest lhs, which
+  is ``first_redex``;
+* two ``str.translate`` tables from codes to precedence ranks, ascending and
+  descending, so that a heap key is ``(-len, descending ranks)`` for deglex
+  and ``(-inversions, -len, descending ranks)`` for invlex, with the
+  inversions counted on the ascending ranks.  Tied precedences share a rank.
+
+The word-level API (``TermOrder.key``, ``match_at``, ``first_redex``,
+``is_irreducible``, ``_apply_at``) stays on ``Word`` tuples: critical pairs
+and the brute-force oracle use it, and it is the independent reference the
+tests hold the code-string kernel to.
+
+Local confluence is checked by resolving every overlap and inclusion
+ambiguity of the rule set (the diamond lemma; none is longer than
+2*(longest lhs) - 1, so all are checked).  With termination this certifies
+unique normal forms and that the irreducible words form a linear basis.
 """
 
 from __future__ import annotations
 
-import heapq
+import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .coeffs import Coefficient
 from .errors import NonTermination, OrientationError
-from .ncpoly import NCPoly, Word
+from .ncpoly import NCPoly, Word, _ncpoly
 
 DEFAULT_STEP_LIMIT = 10_000
 
@@ -77,7 +103,7 @@ class RewriteRule:
 class RewriteSystem:
     """Validated, immutable collection of oriented rules."""
 
-    __slots__ = ("rules", "order", "step_limit", "_by_lhs", "_lengths")
+    __slots__ = ("rules", "order", "step_limit", "_by_lhs", "_lengths", "_codes")
 
     def __init__(self, rules, order=None, step_limit=DEFAULT_STEP_LIMIT):
         order = order or TermOrder("deglex")
@@ -106,6 +132,7 @@ class RewriteSystem:
         object.__setattr__(self, "step_limit", int(step_limit))
         object.__setattr__(self, "_by_lhs", by_lhs)
         object.__setattr__(self, "_lengths", tuple(sorted({len(r.lhs) for r in rules})))
+        object.__setattr__(self, "_codes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -130,6 +157,26 @@ class RewriteSystem:
 
     def is_irreducible(self, word):
         return self.first_redex(word) is None
+
+    def _code_tables(self):
+        """``(letters, code, desc, asc, search, by_lhs)``, built on the first
+        call: the letters the rules mention, in code order, and their
+        tables (see ``_alphabet``); ``search`` finds the first redex of a
+        code string, and ``by_lhs`` maps each lhs code to its rule and the
+        rule's rhs as a tuple of ``(code, Coefficient)`` pairs."""
+        if self._codes is None:
+            letters = list(dict.fromkeys(
+                g for r in self.rules for w in (r.lhs, *r.rhs.terms) for g in w))
+            code, desc, asc = _alphabet(letters)
+            by_lhs = {}
+            for r in self.rules:
+                rhs = tuple((_encode(code, w), c) for w, c in r.rhs.terms.items())
+                by_lhs[_encode(code, r.lhs)] = (r, rhs)
+            # "(?!)" never matches: the pattern of a system without rules
+            pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
+            object.__setattr__(self, "_codes", (letters, code, desc, asc,
+                                                re.compile(pattern).search, by_lhs))
+        return self._codes
 
     def __repr__(self):
         return f"RewriteSystem({len(self.rules)} rules, {self.order.kind})"
@@ -185,16 +232,11 @@ def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
     return RewriteSystem(rules, order, step_limit)
 
 
-def _apply_at(terms, word, coeff, pos, rule):
+def _apply_at(terms, word, pos, rule):
     """One rewrite step, in place on the term dict ``terms``: replace
-    ``coeff`` times ``word``'s occurrence of rule.lhs at ``pos``.  Returns
-    the words the step newly inserted, in insertion order."""
-    added = []
-    left = terms.get(word, Coefficient.zero()) - coeff
-    if left.is_zero:
-        terms.pop(word, None)
-    else:
-        terms[word] = left
+    ``word`` and its coefficient by the rewrite of its occurrence of
+    rule.lhs at ``pos``."""
+    coeff = terms.pop(word)
     prefix = tuple.__getitem__(word, slice(0, pos))
     suffix = tuple.__getitem__(word, slice(pos + len(rule.lhs), len(word)))
     for rw, rc in rule.rhs.terms.items():
@@ -205,21 +247,58 @@ def _apply_at(terms, word, coeff, pos, rule):
             terms.pop(nw, None)
         else:
             terms[nw] = s
-            if old is None:
-                added.append(nw)
-    return added
 
 
-def _descending(key):
-    """Heap key that sorts order keys from largest to smallest.  Precedence
-    sequences (the last entry) are compared only between words of one
-    length, so negating every entry reverses the order."""
-    *head, precs = key
-    return (*(-x for x in head), tuple(-p for p in precs))
+def _alphabet(letters):
+    """Codes and rank tables of ``letters``: ``code`` maps the i-th letter
+    to ``chr(i)``; ``asc`` and ``desc`` translate each code to the rank of
+    its precedence among the letters' distinct precedences, counted from
+    the lowest and from the highest."""
+    code = {g: chr(i) for i, g in enumerate(letters)}
+    precs = sorted({g.precedence for g in letters})
+    rank = {p: r for r, p in enumerate(precs)}
+    top = len(precs) - 1
+    asc = str.maketrans({c: chr(rank[g.precedence]) for g, c in code.items()})
+    desc = str.maketrans({c: chr(top - rank[g.precedence]) for g, c in code.items()})
+    return code, desc, asc
+
+
+def _encode(code, word):
+    return "".join([code[g] for g in word])
+
+
+def _inversions(ranks):
+    """Number of pairs i < j with ranks[i] > ranks[j]."""
+    inv = 0
+    seen = []  # the characters right of the current one, sorted
+    for c in reversed(ranks):
+        k = bisect_left(seen, c)
+        inv += k
+        seen.insert(k, c)
+    return inv
 
 
 def _reduce(poly, sys, trace):
-    terms = dict(poly.terms)
+    letters, code, desc, asc, search, by_lhs = sys._code_tables()
+    words = {}  # code string -> Word: the input's own Words, then decoded ones
+    terms = {}
+    for w, c in poly.terms.items():
+        try:
+            s = _encode(code, w)
+        except KeyError:
+            # letters no rule mentions get codes in a per-call copy
+            letters = letters + [g for g in dict.fromkeys(w) if g not in code]
+            code, desc, asc = _alphabet(letters)
+            s = _encode(code, w)
+        words[s] = w
+        terms[s] = c
+
+    def word(s):
+        w = words.get(s)
+        if w is None:
+            w = words[s] = Word(map(letters.__getitem__, map(ord, s)))
+        return w
+
     # Max-heap of the reducible words in ``terms`` by order key; ties go to
     # the smaller insertion number, i.e. to the earlier word in dict order.
     # A word removed from ``terms`` (and maybe re-inserted under a new
@@ -227,35 +306,57 @@ def _reduce(poly, sys, trace):
     heap = []
     live = {}
     seq = 0
+    invlex = sys.order.kind == "invlex"
 
-    def enter(words):
+    def enter(w):
         nonlocal seq
-        for w in words:
-            m = sys.first_redex(w)
-            if m is not None:
-                seq += 1
-                live[w] = seq
-                heapq.heappush(heap, (_descending(sys.order.key(w)), seq, w, m))
+        m = search(w)
+        if m is not None:
+            seq += 1
+            live[w] = seq
+            if invlex:
+                key = (-_inversions(w.translate(asc)), -len(w), w.translate(desc))
+            else:
+                key = (-len(w), w.translate(desc))
+            heappush(heap, (key, seq, w, m))
 
-    enter(terms)
+    for w in terms:
+        enter(w)
     steps = 0
+    limit = sys.step_limit
     # NCPoly snapshots of the last steps, for NonTermination.chain
     chain = deque(maxlen=5)
     while heap:
-        _, n, best, (pos, rule) = heapq.heappop(heap)
+        _, n, best, m = heappop(heap)
         if live[best] != n or best not in terms:
             continue
         steps += 1
-        if steps > sys.step_limit:
-            raise NonTermination(f"step limit {sys.step_limit} exceeded",
-                                 chain=chain)
-        enter(_apply_at(terms, best, terms[best], pos, rule))
-        if trace is not None or steps > sys.step_limit - chain.maxlen:
-            snap = (rule.origin, pos, NCPoly(terms))
+        if steps > limit:
+            raise NonTermination(f"step limit {limit} exceeded", chain=chain)
+        rule, rhs = by_lhs[m.group()]
+        pos = m.start()
+        # the step always cancels the rewritten word
+        coeff = terms.pop(best)
+        prefix, suffix = best[:pos], best[m.end():]
+        for rw, rc in rhs:
+            nw = prefix + rw + suffix
+            old = terms.get(nw)
+            if old is None:
+                terms[nw] = coeff * rc
+                enter(nw)
+                continue
+            s = old + coeff * rc
+            if s.is_zero:
+                del terms[nw]
+            else:
+                terms[nw] = s
+        if trace is not None or steps > limit - chain.maxlen:
+            snap = (rule.origin, pos,
+                    _ncpoly({word(s): c for s, c in terms.items()}))
             chain.append(snap)
             if trace is not None:
                 trace.append(snap)
-    return NCPoly(terms)
+    return _ncpoly({word(s): c for s, c in terms.items()})
 
 
 def normalize(poly, sys):
@@ -326,8 +427,8 @@ def critical_pairs(sys):
         seen.add(sig)
         one = Coefficient.one()
         left, right = {w: one}, {w: one}
-        _apply_at(left, w, one, p1, r1)
-        _apply_at(right, w, one, p2, r2)
+        _apply_at(left, w, p1, r1)
+        _apply_at(right, w, p2, r2)
         left, right = NCPoly(left), NCPoly(right)
         resolved = normalize(left, sys) == normalize(right, sys)
         out.append(CriticalPair(w, r1.origin, r2.origin, left, right, resolved))

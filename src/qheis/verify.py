@@ -365,9 +365,8 @@ def _word_reducts(word, sys):
         rule = sys.match_at(word, pos)
         if rule is None:
             continue
-        one = Coefficient.one()
-        terms = {word: one}
-        _apply_at(terms, word, one, pos, rule)
+        terms = {word: Coefficient.one()}
+        _apply_at(terms, word, pos, rule)
         out.append(NCPoly(terms))
     return out
 

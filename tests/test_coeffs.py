@@ -2,6 +2,7 @@
 evaluation."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,16 @@ class TestGaussRational:
         assert len({3, GaussRational(3)}) == 1
         assert len({Fraction(-1, 2), GaussRational(Fraction(-1, 2))}) == 1
         assert len({GaussRational(1, 2), GaussRational(Fraction(2, 2), 2)}) == 1
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_coefficient_operand_uses_reflected_method(self, op):
+        for right in (C.one(), C.q_power(1)):
+            got = op(GaussRational(2), right)
+            assert isinstance(got, Coefficient)
+            assert got == op(C.from_scalar(2), right)
+        with pytest.raises(TypeError):
+            op(GaussRational(1), "x")
 
 
 # -- integer-triple kernel against a Fraction-pair reference ---------------

@@ -1,5 +1,6 @@
 """Rewrite engine: orientation, normalization, traces, critical pairs."""
 
+import functools
 import json
 import os
 import pickle
@@ -46,7 +47,7 @@ def reference_reduce(poly, system, trace):
         if len(trace) == system.step_limit:
             raise NonTermination(f"step limit {system.step_limit} exceeded",
                                  chain=chain)
-        _apply_at(terms, best, terms[best], pos, rule)
+        _apply_at(terms, best, pos, rule)
         chain.append((rule.origin, pos, NCPoly(terms)))
         trace.append(chain[-1])
 
@@ -66,9 +67,62 @@ def _tied_system():
     return [a, b, c], RewriteSystem(rules, TermOrder("deglex"))
 
 
+WIDE = 320  # codes run past 0xFF and through every regex metacharacter
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_system(kind):
+    """Generated system on WIDE generators g_i of precedence 4*(i//2): the
+    letters tie in pairs, and the gaps between pairs leave room for
+    foreign letters.  Every letter occurs in some left side.  Under invlex
+    some rules trade an inversion for a longer word."""
+    g = [Generator("g", i, 4 * (i // 2)) for i in range(WIDE)]
+    w = NCPoly.from_word
+    rules = []
+    for i in range(WIDE - 1):
+        hi, lo = g[i + 1], g[i]
+        if i % 2 == 0:
+            rules.append(RewriteRule(Word((hi, lo)), w((lo,)) - NCPoly.one(), f"t{i}"))
+            # never fires: the shorter t{i} matches wherever it does
+            rules.append(RewriteRule(Word((hi, lo, lo)), w((hi,)), f"v{i}"))
+            if i + 2 < WIDE:
+                rules.append(RewriteRule(Word((g[i + 2], lo)), -w((lo, g[i + 2])),
+                                         f"u{i}"))
+        elif kind == "invlex" and i % 4 == 1:
+            rules.append(RewriteRule(Word((hi, lo)), C.q_power(1) * w((lo, hi, hi)),
+                                     f"s{i}"))
+        else:
+            rules.append(RewriteRule(Word((hi, lo)), C.q_power(1) * w((lo, hi))
+                                     + C.hbar_power(1) * w((g[i - 1],)), f"s{i}"))
+        rules.append(RewriteRule(Word((lo, lo, lo)), w((lo,)), f"c{i}"))
+    return g, RewriteSystem(rules, TermOrder(kind))
+
+
+def _wide_window(kind, b):
+    """The wide system, the letters g_b..g_b+3, and four letters no rule
+    mentions, whose precedences fall below, between, above and tied with
+    the window's.  (g_b+1, g_b) is a left side."""
+    g, sysm = _wide_system(kind)
+    foreign = [Generator("f", 0, -1), Generator("f", 1, 4 * (b // 2) + 1),
+               Generator("f", 2, 4 * WIDE), Generator("f", 3, 4 * ((b + 1) // 2))]
+    return sysm, g[b:b + 4], foreign
+
+
 def _snapshot(steps):
     return [(origin, pos, format_expr(p, "machine"), list(p.terms))
             for origin, pos, p in steps]
+
+
+def _assert_same_as_reference(a, sysm):
+    """normalize and reduce_trace give the full scan's normal form, term
+    order and trace; returns the trace."""
+    want_trace = []
+    want = reference_reduce(a, sysm, want_trace)
+    got = normalize(a, sysm)
+    assert format_expr(got, "machine") == format_expr(want, "machine")
+    assert list(got.terms) == list(want.terms)
+    assert _snapshot(reduce_trace(a, sysm)) == _snapshot(want_trace)
+    return want_trace
 
 
 class TestOrientation:
@@ -215,20 +269,20 @@ class TestStrategyEquivalence:
     """The heap-driven normalize takes the same steps as the full scan."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["gha", "q_gha", "gaddis", "classical", "tied"]),
+    @given(st.sampled_from(["gha", "q_gha", "gaddis", "classical", "tied",
+                            "wide_deglex", "wide_invlex"]),
            st.randoms(use_true_random=False), st.data())
     def test_same_steps_as_full_scan(self, families, key, rng, data):
         if key == "tied":
             gens, sysm = _tied_system()
+        elif key.startswith("wide_"):
+            sysm, window, foreign = _wide_window(key[5:], rng.randrange(WIDE - 3))
+            # rule letters weighted up, so that most words reduce
+            gens = window * 4 + foreign
         else:
             gens, sysm = list(families[key].generators), families[key].system()
         a = random_poly(rng, gens, max_len=5, max_terms=4)
-        want_trace = []
-        want = reference_reduce(a, sysm, want_trace)
-        got = normalize(a, sysm)
-        assert format_expr(got, "machine") == format_expr(want, "machine")
-        assert list(got.terms) == list(want.terms)
-        assert _snapshot(reduce_trace(a, sysm)) == _snapshot(want_trace)
+        want_trace = _assert_same_as_reference(a, sysm)
         if not want_trace:
             return
         limit = data.draw(st.integers(0, len(want_trace) - 1), label="limit")
@@ -239,6 +293,46 @@ class TestStrategyEquivalence:
             normalize(a, starved)
         assert str(exc.value) == str(ref.value)
         assert _snapshot(exc.value.chain) == _snapshot(ref.value.chain)
+
+    @pytest.mark.parametrize("kind", ["deglex", "invlex"])
+    def test_every_letter_of_a_wide_alphabet(self, kind):
+        # each letter in turn, so every code, 0xFF and the regex
+        # metacharacters among them, is matched and ranked
+        q = C.q_power(1)
+        for b in range(WIDE - 3):
+            sysm, (g0, g1, g2, g3), (below, between, above, tied) = _wide_window(kind, b)
+            a = NCPoly({(g3, g2, g1, g0): 1, (g1, between, g0, g0, g0): q,
+                        (above, g2, tied, g1, below): 1, (g1, g0, g0): -q})
+            # words that differ only in their last letter: its rank
+            # decides the order of the steps
+            a = a + NCPoly({(g1, g0, t): 1 for t in (between, g2, below, tied, above)})
+            assert _assert_same_as_reference(a, sysm), b
+
+    def test_code_tables_stay_per_system(self, families, rng):
+        # the two systems share rules but not tables, and letters no rule
+        # mentions do not enter either system's tables
+        pres = families["gaddis"]
+        sysm = pres.system()
+        part = RewriteSystem(sysm.rules[:1], sysm.order)
+        gens = list(pres.generators)
+        x, z, _ = gens  # precedences 0, 1, 2; z*x is part's one left side
+        foreign = [Generator("f", 0, -1), Generator("f", 1, 1), Generator("f", 2, 3)]
+        for i in range(30):
+            for s in (sysm, part):
+                a = random_poly(rng, gens, 5, 4)
+                if i % 3 == 1:
+                    # the order of these steps follows the ranks of the last
+                    # letters
+                    tails = rng.sample(foreign + gens, 6)
+                    a = a + NCPoly({(z, x, t): 1 for t in tails})
+                _assert_same_as_reference(a, s)
+
+    def test_system_without_rules(self, rng, families):
+        empty = RewriteSystem([], TermOrder("invlex"))
+        a = random_poly(rng, list(families["gha"].generators), 5, 4)
+        got = normalize(a, empty)
+        assert got == a and list(got.terms) == list(a.terms)
+        assert reduce_trace(a, empty) == []
 
     def test_ties_follow_dict_order(self):
         (a, b, c), sysm = _tied_system()
