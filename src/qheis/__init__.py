@@ -8,10 +8,10 @@ cataloged deformations.
 """
 
 from .coeffs import Coefficient, GaussRational, qnumber
-from .errors import (AlphabetError, DivisionByZero, NonTermination,
-                     NotOreShaped, OracleDivergence, OracleOverflow,
-                     OrientationError, ParamError, ParseError, PoleAtPoint,
-                     QheisError, SchemaError, UnboundGenerator,
+from .errors import (AlphabetError, DivisionByZero, ExponentOverflow,
+                     NonTermination, NotOreShaped, OracleDivergence,
+                     OracleOverflow, OrientationError, ParamError, ParseError,
+                     PoleAtPoint, QheisError, SchemaError, UnboundGenerator,
                      UnboundVariable, UnknownFamily)
 from .families import (FAMILIES, OreData, Presentation, UnifiedParams,
                        catalog, classical_limit, expand_schema, extract_ore,

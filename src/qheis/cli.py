@@ -11,9 +11,10 @@ import argparse
 import os
 import sys
 
-from .errors import (NonTermination, NotOreShaped, OracleDivergence,
-                     OracleOverflow, OrientationError, ParamError, ParseError,
-                     QheisError, SchemaError, UnknownFamily)
+from .errors import (ExponentOverflow, NonTermination, NotOreShaped,
+                     OracleDivergence, OracleOverflow, OrientationError,
+                     ParamError, ParseError, QheisError, SchemaError,
+                     UnknownFamily)
 from .families import FAMILIES, catalog, extract_ore, family_ids
 from .presfile import load_presentation_file
 from .printer import format_expr
@@ -214,7 +215,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (OrientationError, NonTermination, NotOreShaped, OracleOverflow,
-            OracleDivergence) as exc:
+            OracleDivergence, ExponentOverflow) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return ENGINE_ERROR
     except QheisError as exc:

@@ -14,16 +14,30 @@ sampling.
 
 Storage, bottom up: a Gaussian rational (a + b*i)/d is the reduced integer
 triple ``(a, b, d)``, with d > 0 and gcd(a, b, d) == 1, so each value has
-one triple; a monomial is the tuple of its (variable, nonzero exponent)
-pairs, sorted by variable, with ``()`` for 1; a Laurent polynomial is a dict
-from monomials to nonzero triples.  A ``Coefficient`` is a
+one triple.  A monomial is one int: each variable is interned, process-wide
+and append-only, to a field index i on first use (s, t and h take 0, 1 and
+2), and bits [W*i, W*(i+1)) hold its signed exponent, W = 30.  A product of
+monomials is then one int addition, the inverse is ``-m`` and 1 is ``0``.
+Exponents lie in [-2^28, 2^28), ``EXP_LIMIT`` = 2^28: with ``OFF`` holding
+2^28 and ``GUARD`` the top bit in each field a key uses, ``(m + OFF) &
+GUARD`` is zero exactly when every field of m is in range.  That test runs
+where a tuple monomial is encoded and on every product (powers included),
+so fields never wrap; an exponent out of range raises ExponentOverflow,
+which the CLI reports as an engine error (exit code 3).  A name interned
+late gets a new field and leaves earlier keys unchanged; the masks cover
+only the fields the operands use, so the work of a product does not grow
+with the number of interned names.  A Laurent polynomial is a dict from
+packed monomials to nonzero triples.  A ``Coefficient`` is a
 numerator/denominator pair of such dicts, whose denominator is the unit
 unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
-plain integers and tuples only; ``GaussRational`` objects are built at the
-boundary: ``GaussRational`` arithmetic wraps the triple helpers,
-``Coefficient.num``/``.den`` are ``GaussRational``-valued views, and
-``evaluate`` returns a ``GaussRational``.  Results that are canonical by
-construction skip re-canonicalization.
+plain integers only.  The public form of a monomial stays the tuple of its
+(variable, nonzero exponent) pairs, sorted by variable, with ``()`` for 1:
+the constructor and ``monomial`` validate and encode it in one pass, and
+``Coefficient.num``/``.den`` decode to ``{tuple monomial: GaussRational}``
+views, which the printer and the machine format read, so no output depends
+on the interning order.  ``GaussRational`` arithmetic wraps the triple
+helpers, and ``evaluate`` returns a ``GaussRational``.  Results that are
+canonical by construction skip re-canonicalization.
 """
 
 from __future__ import annotations
@@ -31,7 +45,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DivisionByZero, ParamError, PoleAtPoint, UnboundVariable
+from .errors import (DivisionByZero, ExponentOverflow, ParamError, PoleAtPoint,
+                     UnboundVariable)
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals as reduced integer triples (a, b, d) = (a + b*i)/d.
@@ -167,6 +182,11 @@ class GaussRational:
             return NotImplemented
         return _wrap(_t_add(self._abd, _t_neg(_as_triple(other))))
 
+    def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return _wrap(_t_add(_as_triple(other), _t_neg(self._abd)))
+
     def __mul__(self, other):
         if not isinstance(other, _SCALARS):
             return NotImplemented
@@ -181,6 +201,11 @@ class GaussRational:
         if not isinstance(other, _SCALARS):
             return NotImplemented
         return _wrap(_t_mul(self._abd, _t_inv(_as_triple(other))))
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return _wrap(_t_mul(_as_triple(other), _t_inv(self._abd)))
 
     def __pow__(self, k):
         return _wrap(_t_pow(self._abd, k))
@@ -229,49 +254,134 @@ G_ONE = _wrap(_T_ONE)
 G_I = _wrap((0, 1, 1))
 
 
+# ---------------------------------------------------------------------------
+# Monomials.  The public form is the tuple of (variable, nonzero exponent)
+# pairs sorted by variable; inside the kernel a monomial is one int, whose
+# field i (bits [W*i, W*(i+1))) holds the signed exponent of the variable with
+# interned index i.
+# ---------------------------------------------------------------------------
+
 MONO_UNIT = ()
+
+_W = 30
+EXP_LIMIT = 1 << (_W - 2)  # every exponent e has -EXP_LIMIT <= e < EXP_LIMIT
+_FIELD = (1 << _W) - 1
+_SHIFT = {}  # variable -> bit offset of its field; append-only
+_NAMES = []  # field index -> variable
+
+
+def _intern(v):
+    _SHIFT[v] = sh = _W * len(_NAMES)
+    _NAMES.append(v)
+    return sh
+
+
+for _v in ("s", "t", "h"):
+    _intern(_v)
+
+
+def _mask_pair(k):
+    """``(OFF, GUARD)`` over fields 0..k: EXP_LIMIT in each field, and each
+    field's top bit."""
+    ones = ((1 << (_W * (k + 1))) - 1) // _FIELD
+    return ones << (_W - 2), ones << (_W - 1)
+
+
+_MASKS = [_mask_pair(k) for k in range(16)]
+
+
+def _masks(top):
+    """``(OFF, GUARD)`` over every field a key of magnitude at most ``top``
+    uses: an in-range key whose highest nonzero field is j has a magnitude
+    of W*j to W*j + W - 1 bits."""
+    k = top.bit_length() // _W
+    return _MASKS[k] if k < len(_MASKS) else _mask_pair(k)
+
+
+def _limit_error(v, e):
+    return ExponentOverflow(f"exponent {e} of {v} is outside the limit: "
+                            f"exponents lie in [-2^{_W - 2}, 2^{_W - 2})")
+
+
+def _overflow(m):
+    """Raise for the lowest field of ``m`` outside the limit; each field of
+    ``m`` is a sum of two in-range exponents."""
+    half = 2 * EXP_LIMIT
+    i = 0
+    while True:
+        e = ((m + half) & _FIELD) - half
+        if not -EXP_LIMIT <= e < EXP_LIMIT:
+            raise _limit_error(_NAMES[i], e)
+        m = (m - e) >> _W
+        i += 1
+
+
+def _field(v, e):
+    """``e`` placed in the field of variable ``v``, interned on first use."""
+    if type(v) is not str or type(e) is not int:
+        raise ParamError(f"{v!r}^{e!r} is not a variable name with an "
+                         f"integer exponent")
+    if not -EXP_LIMIT <= e < EXP_LIMIT:
+        raise _limit_error(v, e)
+    sh = _SHIFT.get(v)
+    return e << (_intern(v) if sh is None else sh)
+
+
+def _pack(m):
+    """Packed key of a tuple monomial, validated in the same pass."""
+    if type(m) is tuple:
+        key, prev = 0, ""
+        for ve in m:
+            if type(ve) is not tuple or len(ve) != 2:
+                break
+            v, e = ve
+            if type(v) is not str or v <= prev or type(e) is not int or not e:
+                break
+            key += _field(v, e)
+            prev = v
+        else:
+            return key
+    raise ParamError(f"monomial {m!r} is not a tuple of (variable, nonzero "
+                     f"integer exponent) pairs sorted by distinct variables")
+
+
+def _unpack(m):
+    """Tuple monomial of a packed key."""
+    pairs = []
+    i = 0
+    while m:
+        e = ((m + EXP_LIMIT) & _FIELD) - EXP_LIMIT
+        if e:
+            pairs.append((_NAMES[i], e))
+        m = (m - e) >> _W
+        i += 1
+    pairs.sort()
+    return tuple(pairs)
 
 
 def _mono(pairs):
-    """Canonical monomial of (variable, exponent) pairs: repeated variables
-    add up, zero exponents drop and the rest sort by variable."""
+    """Canonical tuple monomial of (variable, exponent) pairs: repeated
+    variables add up, zero exponents drop and the rest sort by variable."""
     exps = {}
     for v, e in pairs:
         exps[v] = exps.get(v, 0) + e
     return tuple(sorted([ve for ve in exps.items() if ve[1]]))
 
 
-def _mono_mul(m1, m2):
-    if not m2:
-        return m1
-    if not m1:
-        return m2
-    return _mono(m1 + m2)
-
-
-def _mono_inv(m):
-    return tuple((v, -e) for v, e in m)
-
-
 def _checked_poly(poly):
-    """Triple-valued copy of a ``monomial -> number`` dict, zeros dropped;
-    ParamError unless every key is a canonical monomial."""
-    for m in poly:
-        try:
-            ok = (type(m) is tuple and _mono(m) == m
-                  and all(type(e) is int for _, e in m))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ParamError(f"monomial {m!r} is not a tuple of (variable, "
-                             f"nonzero integer exponent) pairs sorted by "
-                             f"distinct variables")
-    return {m: _as_triple(c) for m, c in poly.items() if c}
+    """Packed, triple-valued copy of a ``monomial -> number`` dict, zeros
+    dropped; ParamError unless every key is a canonical tuple monomial."""
+    out = {}
+    for m, c in poly.items():
+        key = _pack(m)
+        if c:
+            out[key] = _as_triple(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Internal Laurent-polynomial helpers: dict monomial -> triple, zero values
-# never stored.  Each returns a new dict.
+# Internal Laurent-polynomial helpers: dict packed monomial -> triple, zero
+# values never stored.  Each returns a new dict.
 # ---------------------------------------------------------------------------
 
 def _p_add(a, b):
@@ -293,78 +403,130 @@ def _p_neg(a):
     return {m: (-x, -y, d) for m, (x, y, d) in a.items()}
 
 
+def _check(keys, top):
+    """ExponentOverflow unless every key is in range; each key is a sum of
+    two in-range keys of magnitude at most ``top``.  Such sums never
+    collide with an in-range key, so checking the keys of a result checks
+    every product that went into it."""
+    off, guard = _masks(top)
+    for m in keys:
+        if (m + off) & guard:
+            _overflow(m)
+
+
 def _p_mul(a, b):
+    if len(b) == 1:
+        ((m, t),) = b.items()
+        return _p_scale(a, m, t)
+    if len(a) == 1:
+        ((m, t),) = a.items()
+        return _p_scale(b, m, t)
+    if not (a and b):
+        return {}
     out = {}
     get = out.get
     for m1, x in a.items():
         for m2, y in b.items():
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
             p = _t_mul(x, y)
             s = get(m)
             out[m] = p if s is None else _t_add(s, p)
+    _check(out, max(max(a), -min(a), max(b), -min(b)))
     return {m: s for m, s in out.items() if s[0] or s[1]}
 
 
 def _p_scale(a, mono, t):
     """a * mono * t for a nonzero triple t."""
-    if t == _T_ONE:
-        return {_mono_mul(m, mono): c for m, c in a.items()}
-    return {_mono_mul(m, mono): _t_mul(c, t) for m, c in a.items()}
+    if t != _T_ONE:
+        out = {m + mono: _t_mul(c, t) for m, c in a.items()}
+    elif mono:
+        out = {m + mono: c for m, c in a.items()}
+    else:
+        return dict(a)
+    if mono and a:
+        _check(out, max(max(a), -min(a), abs(mono)))
+    return out
+
+
+def _p_used(a, off):
+    """An int whose field i is nonzero exactly when some key of ``a`` has a
+    nonzero exponent there; ``off`` covers the fields of ``a``."""
+    acc = 0
+    for m in a:
+        acc |= (m + off) ^ off
+    return acc
+
+
+def _field_names(used):
+    names = []
+    i = 0
+    while used:
+        if used & _FIELD:
+            names.append(_NAMES[i])
+        used >>= _W
+        i += 1
+    return names
 
 
 def _p_vars(a):
-    vs = set()
-    for m in a:
-        vs.update(v for v, _ in m)
-    return vs
+    if not a:
+        return []
+    return _field_names(_p_used(a, _masks(max(max(a), -min(a)))[0]))
 
 
-def _mono_vector(m, varlist):
-    """Exponents of ``m`` on ``varlist``: the lex monomial order, one home
-    for the kernel and the printer."""
-    exps = dict(m)
-    return tuple(exps.get(v, 0) for v in varlist)
-
-
-def _p_lead(a, varlist):
-    """Leading (monomial, coeff) under lex order on the given variable list."""
-    lead = max(a, key=lambda m: _mono_vector(m, varlist))
+def _p_lead(a, shifts, off):
+    """Leading (monomial, coeff) under lex order on variable names:
+    ``shifts`` are the bit offsets of the variables that occur, sorted by
+    name, and ``off`` covers the fields of ``a``.  The biased fields of
+    ``m + off`` order like the exponents."""
+    lead = max(a, key=lambda m: [((m + off) >> sh) & _FIELD for sh in shifts])
     return lead, a[lead]
 
 
-def _p_shift_mono(a):
-    """Monomial m with a*m a genuine polynomial (min exponent 0 per variable)."""
-    mins = {}
+def _p_shift_mono(a, off):
+    """Monomial m with a*m a genuine polynomial (min exponent 0 per
+    variable); ``off`` covers the fields of ``a``.  A field's bit W-2 in
+    ``m + off`` is clear exactly when its exponent is negative, so only the
+    fields with a negative exponent are read."""
+    low = off
     for m in a:
-        for v, e in m:
-            mins[v] = min(mins.get(v, 0), e)
-    return _mono((v, -e) for v, e in mins.items() if e < 0)
+        low &= m + off
+    neg = off ^ low
+    out = 0
+    sh = 0
+    while neg >> sh:
+        if (neg >> sh) & _FIELD:
+            e = min(((m + off) >> sh) & _FIELD for m in a) - EXP_LIMIT
+            out -= e << sh
+        sh += _W
+    return out
 
 
-def _p_divide_exact(a, b):
+def _p_divide_exact(a, b, shifts, off):
     """Exact Laurent division a/b, or None when b does not divide a.
 
     ``b`` must be a polynomial (no negative exponents), as ``_canonical``
-    leaves every multi-term denominator; only ``a`` is shifted.
+    leaves every multi-term denominator; only ``a`` is shifted.  ``shifts``
+    and ``off`` are those of ``_p_lead`` for the fields of a and b.
     """
     if not a:
         return {}
-    sa = _p_shift_mono(a)
+    sa = _p_shift_mono(a, off)
     rem = _p_scale(a, sa, _T_ONE)
-    varlist = sorted(_p_vars(rem) | _p_vars(b))
-    lead_b, lc_b = _p_lead(b, varlist)
-    inv_lead_b, inv_lc_b = _mono_inv(lead_b), _t_inv(lc_b)
+    lead_b, lc_b = _p_lead(b, shifts, off)
+    inv_lc_b = _t_inv(lc_b)
     quot = {}
     while rem:
-        lead_r, lc_r = _p_lead(rem, varlist)
-        m = _mono_mul(lead_r, inv_lead_b)
-        if any(e < 0 for _, e in m):
+        lead_r, lc_r = _p_lead(rem, shifts, off)
+        m = lead_r - lead_b
+        # rem and b are polynomials, so every field of m is in range
+        if (m + off) & off != off:
             return None
         c = _t_mul(lc_r, inv_lc_b)
         quot[m] = c
         rem = _p_add(rem, _p_scale(b, m, _t_neg(c)))
     # undo the Laurent shift: a/b = (a*sa/b) / sa
-    return _p_scale(quot, _mono_inv(sa), _T_ONE)
+    return _p_scale(quot, -sa, _T_ONE)
 
 
 def _point_value(point, v, e):
@@ -378,7 +540,7 @@ def _point_value(point, v, e):
 def _p_eval(a, point):
     total = _T_ZERO
     for m, c in a.items():
-        for v, e in m:
+        for v, e in _unpack(m):
             if v not in point:
                 raise UnboundVariable(f"no value assigned to central variable {v!r}")
             c = _t_mul(c, _point_value(point, v, e))
@@ -389,10 +551,10 @@ def _p_eval(a, point):
 def _p_substitute(a, assign):
     out = {}
     for m, c in a.items():
-        for v, e in m:
+        for v, e in _unpack(m):
             if v in assign:
                 c = _t_mul(c, _point_value(assign, v, e))
-        m = tuple(ve for ve in m if ve[0] not in assign)
+                m -= e << _SHIFT[v]
         s = out.get(m)
         out[m] = c if s is None else _t_add(s, c)
     return {m: c for m, c in out.items() if c[0] or c[1]}
@@ -409,25 +571,27 @@ def _canonical(num, den):
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
-        return {}, {MONO_UNIT: _T_ONE}
+        return {}, {0: _T_ONE}
     if len(den) == 1:
         ((m, c),) = den.items()
         if not m and c == _T_ONE:
             return num, den
-        return _p_scale(num, _mono_inv(m), _t_inv(c)), {MONO_UNIT: _T_ONE}
-    shift = _p_shift_mono(den)
+        return _p_scale(num, -m, _t_inv(c)), {0: _T_ONE}
+    off = _masks(max(max(num), -min(num), max(den), -min(den)))[0]
+    shift = _p_shift_mono(den, off)
     if shift:
         num = _p_scale(num, shift, _T_ONE)
         den = _p_scale(den, shift, _T_ONE)
-    varlist = sorted(_p_vars(num) | _p_vars(den))
-    _, lc = _p_lead(den, varlist)
+    shifts = [_SHIFT[v] for v in
+              sorted(_field_names(_p_used(num, off) | _p_used(den, off)))]
+    _, lc = _p_lead(den, shifts, off)
     if lc != _T_ONE:
         inv = _t_inv(lc)
-        num = _p_scale(num, MONO_UNIT, inv)
-        den = _p_scale(den, MONO_UNIT, inv)
-    q = _p_divide_exact(num, den)
+        num = _p_scale(num, 0, inv)
+        den = _p_scale(den, 0, inv)
+    q = _p_divide_exact(num, den, shifts, off)
     if q is not None:
-        return q, {MONO_UNIT: _T_ONE}
+        return q, {0: _T_ONE}
     return num, den
 
 
@@ -440,17 +604,18 @@ def _coeff(num, den):
 
 
 def _gauss_view(poly):
-    return {m: _wrap(c) for m, c in poly.items()}
+    return {_unpack(m): _wrap(c) for m, c in poly.items()}
 
 
 class Coefficient:
     """Element of the coefficient field.
 
     Stored as numerator/denominator Laurent polynomials ``_num`` and
-    ``_den``, each a dict from monomials to reduced ``(a, b, d)`` triples.
-    A monomial is a tuple of (variable, nonzero integer exponent) pairs
-    sorted by distinct variables, and ``MONO_UNIT == ()`` is 1.  The
-    denominator is either the unit ``{(): (1, 0, 1)}`` or has several terms;
+    ``_den``, each a dict from packed monomials (see the module docstring)
+    to reduced ``(a, b, d)`` triples.  A public monomial is a tuple of
+    (variable, nonzero integer exponent) pairs sorted by distinct
+    variables, and ``MONO_UNIT == ()`` is 1.  The denominator is either the
+    unit ``{0: (1, 0, 1)}`` or has several terms;
     in the second case it is shifted to nonnegative exponents, monic and
     does not divide the numerator exactly, so common factors like
     (q^2-1)/(q-1) collapse.  ``num`` and ``den`` are read-only views: each
@@ -470,7 +635,7 @@ class Coefficient:
 
     def __init__(self, num=None, den=None):
         num = {} if num is None else _checked_poly(num)
-        den = {MONO_UNIT: _T_ONE} if den is None else _checked_poly(den)
+        den = {0: _T_ONE} if den is None else _checked_poly(den)
         self._num, self._den = _canonical(num, den)
 
     @property
@@ -500,7 +665,7 @@ class Coefficient:
         if isinstance(x, Coefficient):
             return x
         t = _as_triple(x)
-        return _coeff({MONO_UNIT: t} if t[0] or t[1] else {}, {MONO_UNIT: _T_ONE})
+        return _coeff({0: t} if t[0] or t[1] else {}, {0: _T_ONE})
 
     @staticmethod
     def from_gauss(re, im=0):
@@ -508,7 +673,12 @@ class Coefficient:
 
     @staticmethod
     def monomial(exps, scalar=G_ONE):
-        return Coefficient({_mono(exps.items()): scalar})
+        key = 0
+        for v, e in exps.items():
+            if e:
+                key += _field(v, e)
+        t = _as_triple(scalar)
+        return _coeff({key: t} if t[0] or t[1] else {}, {0: _T_ONE})
 
     @staticmethod
     def q_power(exp):
@@ -544,7 +714,7 @@ class Coefficient:
         return not self._num
 
     def variables(self):
-        return sorted(_p_vars(self._num) | _p_vars(self._den))
+        return sorted({*_p_vars(self._num), *_p_vars(self._den)})
 
     # -- field arithmetic ----------------------------------------------
 
@@ -554,7 +724,7 @@ class Coefficient:
         other = Coefficient.from_scalar(other)
         # a canonical one-term denominator is the unit
         if len(self._den) == 1 and len(other._den) == 1:
-            return _coeff(_p_add(self._num, other._num), {MONO_UNIT: _T_ONE})
+            return _coeff(_p_add(self._num, other._num), {0: _T_ONE})
         if self._den == other._den:
             return _coeff(*_canonical(_p_add(self._num, other._num),
                                       dict(self._den)))
@@ -583,7 +753,7 @@ class Coefficient:
             return NotImplemented
         other = Coefficient.from_scalar(other)
         if len(self._den) == 1 and len(other._den) == 1:
-            return _coeff(_p_mul(self._num, other._num), {MONO_UNIT: _T_ONE})
+            return _coeff(_p_mul(self._num, other._num), {0: _T_ONE})
         return _coeff(*_canonical(_p_mul(self._num, other._num),
                                   _p_mul(self._den, other._den)))
 

@@ -9,6 +9,11 @@ class DivisionByZero(QheisError, ZeroDivisionError):
     """Inversion of the zero scalar."""
 
 
+class ExponentOverflow(QheisError, OverflowError):
+    """A central variable's exponent leaves the range the coefficient kernel
+    stores: -2^28 <= e < 2^28."""
+
+
 class PoleAtPoint(QheisError, ArithmeticError):
     """A denominator vanishes at an evaluation or substitution point."""
 

@@ -19,7 +19,8 @@ Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 included, scalar powers too) pairs more than ``MAX_TERMS`` numerator or
 denominator terms of its coefficients, summed over its words; deeper or
 larger input, a zero denominator and an integer literal too long for ``int``
-are a ParseError.
+are a ParseError.  Powers whose central exponents leave the coefficient
+kernel's range raise its ExponentOverflow.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def _sizes(coeffs):
     unit-denominator coefficient has one of each."""
     num = den = 0
     for c in coeffs:
-        num += len(c.num)
-        den += len(c.den)
+        num += len(c._num)
+        den += len(c._den)
     return num, den
 
 
@@ -277,9 +278,9 @@ def _refuse_sum(a, b, pos):
     denominator d, taken as d/d."""
     for w, cb in b.terms.items():
         ca = a.terms.get(w)
-        if ca is not None and ca.den != cb.den:
-            _refuse_pairing(_sizes((ca,)), (len(cb.den),) * 2, pos)
-            _refuse_pairing(_sizes((cb,)), (len(ca.den),) * 2, pos)
+        if ca is not None and ca._den != cb._den:
+            _refuse_pairing(_sizes((ca,)), (len(cb._den),) * 2, pos)
+            _refuse_pairing(_sizes((cb,)), (len(ca._den),) * 2, pos)
 
 
 def parse_expr(text, scope=None):

@@ -10,16 +10,21 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .coeffs import (MONO_UNIT, Coefficient, G_ONE, GaussRational, _mono,
-                     _mono_inv, _mono_mul, _mono_vector, _p_vars)
+from .coeffs import Coefficient, G_ONE, GaussRational, _mono
 from .errors import QheisError, SchemaError
 from .ncpoly import Generator, NCPoly, Word
 
 
 def _mono_sorted(poly):
-    varlist = sorted(_p_vars(poly))
-    return sorted(poly.items(), key=lambda mc: _mono_vector(mc[0], varlist),
-                  reverse=True)
+    """Items of a ``{tuple monomial: GaussRational}`` view, leading first
+    under lex order on the variable names."""
+    varlist = sorted({v for m in poly for v, _ in m})
+
+    def exponents(mc):
+        exps = dict(mc[0])
+        return [exps.get(v, 0) for v in varlist]
+
+    return sorted(poly.items(), key=exponents, reverse=True)
 
 
 def _gauss_is_negative(g):
@@ -124,7 +129,8 @@ def _num_body(num, latex=False, raw=frozenset()):
         cur = dict(m)
         mins = {v: min(e, cur.get(v, 0)) for v, e in mins.items() if v in cur}
     content = _mono((v, e) for v, e in mins.items() if e > 0)
-    rest = {_mono_mul(m, _mono_inv(content)): g for m, g in vals}
+    inv = tuple((v, -e) for v, e in content)
+    rest = {_mono(m + inv): g for m, g in vals} if inv else dict(vals)
     parts = []
     if all_imag:
         parts.append("i")
@@ -139,7 +145,8 @@ def _coeff_parts(c, latex=False, raw=frozenset()):
     if c.is_zero:
         return False, ["0"]
     neg, parts = _num_body(c.num, latex, raw)
-    if c.den != {MONO_UNIT: G_ONE}:
+    # a canonical one-term denominator is the unit
+    if len(c._den) > 1:
         den_body = _poly_sum_body(c.den, latex, raw)
         if latex:
             joined = _join(parts, latex)

@@ -163,14 +163,16 @@ class RewriteSystem:
         call: the letters the rules mention, in code order, and their
         tables (see ``_alphabet``); ``search`` finds the first redex of a
         code string, and ``by_lhs`` maps each lhs code to its rule and the
-        rule's rhs as a tuple of ``(code, Coefficient)`` pairs."""
+        rule's rhs as a tuple of ``(code, Coefficient)`` pairs, with None
+        for a coefficient 1."""
         if self._codes is None:
             letters = list(dict.fromkeys(
                 g for r in self.rules for w in (r.lhs, *r.rhs.terms) for g in w))
             code, desc, asc = _alphabet(letters)
             by_lhs = {}
             for r in self.rules:
-                rhs = tuple((_encode(code, w), c) for w, c in r.rhs.terms.items())
+                rhs = tuple((_encode(code, w), None if c == 1 else c)
+                            for w, c in r.rhs.terms.items())
                 by_lhs[_encode(code, r.lhs)] = (r, rhs)
             # "(?!)" never matches: the pattern of a system without rules
             pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
@@ -340,12 +342,13 @@ def _reduce(poly, sys, trace):
         prefix, suffix = best[:pos], best[m.end():]
         for rw, rc in rhs:
             nw = prefix + rw + suffix
+            c = coeff if rc is None else coeff * rc
             old = terms.get(nw)
             if old is None:
-                terms[nw] = coeff * rc
+                terms[nw] = c
                 enter(nw)
                 continue
-            s = old + coeff * rc
+            s = old + c
             if s.is_zero:
                 del terms[nw]
             else:

@@ -123,6 +123,13 @@ class TestNormalize:
                 "limit of 100000 terms") in err
         assert "Traceback" not in err
 
+    def test_exponent_limit_is_engine_error(self):
+        code, out, err = run_cli_process("normalize", "--algebra", "gaddis",
+                                         "--expr", "((q^10000)^10000)^10000*x")
+        assert (code, out) == (3, "")
+        assert err == ("engine error: exponent 400000000 of s is outside the "
+                       "limit: exponents lie in [-2^28, 2^28)\n")
+
     @pytest.mark.parametrize("expr, message", [
         ("1/0*x", "division by zero at 2"),
         ("q^(1/0)", "division by zero at 5"),

@@ -6,14 +6,14 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qheis
-from qheis.coeffs import (G_ONE, G_ZERO, MONO_UNIT, Coefficient, GaussRational,
-                          _mono, qnumber)
-from qheis.errors import (DivisionByZero, ParamError, PoleAtPoint, SchemaError,
-                          UnboundVariable)
+from qheis.coeffs import (EXP_LIMIT, G_ONE, G_ZERO, MONO_UNIT, Coefficient,
+                          GaussRational, _mono, _pack, _unpack, qnumber)
+from qheis.errors import (DivisionByZero, ExponentOverflow, ParamError,
+                          PoleAtPoint, SchemaError, UnboundVariable)
 
 C = Coefficient
 
@@ -48,6 +48,25 @@ class TestGaussRational:
             assert got == op(C.from_scalar(2), right)
         with pytest.raises(TypeError):
             op(GaussRational(1), "x")
+
+    @pytest.mark.parametrize("left", [1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_plain_number_on_the_left(self, op, left):
+        for right in (GaussRational(2), GaussRational(Fraction(-2, 3), 5)):
+            got = op(left, right)
+            assert type(got) is GaussRational
+            assert got == op(GaussRational(left), right)
+
+    @pytest.mark.parametrize("left", [1, Fraction(1, 2)])
+    def test_plain_number_over_zero(self, left):
+        with pytest.raises(DivisionByZero):
+            left / GaussRational(0)
+
+    @pytest.mark.parametrize("op", [operator.sub, operator.truediv])
+    def test_other_left_operands_refused(self, op):
+        with pytest.raises(TypeError):
+            op("x", GaussRational(1))
 
 
 # -- integer-triple kernel against a Fraction-pair reference ---------------
@@ -166,7 +185,7 @@ class TestCoefficientFastPaths:
         c = coeff("(q - 1/2 + i*hbar)*(q + p^-1)^-1")
         for view, raw in ((c.num, c._num), (c.den, c._den)):
             assert all(type(g) is GaussRational for g in view.values())
-            assert {m: g._abd for m, g in view.items()} == raw
+            assert {_pack(m): g._abd for m, g in view.items()} == raw
         assert c.num is not c.num and c.den is not c.den
         c.num.clear()
         back = C(c.num, c.den)
@@ -195,7 +214,8 @@ def _poly(monos, min_size=0):
 
 
 def _raw(p):
-    return {m: g._abd for m, g in p.items()}
+    """Kernel form of a GaussRational-valued tuple-keyed dict."""
+    return {_pack(m): g._abd for m, g in p.items()}
 
 
 def _ref_add(a, b):
@@ -205,18 +225,36 @@ def _ref_add(a, b):
     return {m: g for m, g in out.items() if g}
 
 
+class _RefOverflow(Exception):
+    pass
+
+
+def _ref_mono_mul(m1, m2):
+    m = _mono(m1 + m2)
+    if not all(-EXP_LIMIT <= e < EXP_LIMIT for _, e in m):
+        raise _RefOverflow(m)
+    return m
+
+
 def _ref_mul(a, b):
     out = {}
     for m1, g1 in a.items():
         for m2, g2 in b.items():
-            m = _mono(m1 + m2)
+            m = _ref_mono_mul(m1, m2)
             out[m] = out.get(m, G_ZERO) + g1 * g2
     return {m: g for m, g in out.items() if g}
 
 
 def _view(raw):
-    return {m: GaussRational(Fraction(a, d), Fraction(b, d))
+    return {_unpack(m): GaussRational(Fraction(a, d), Fraction(b, d))
             for m, (a, b, d) in raw.items()}
+
+
+def _ref_lead(p):
+    """Leading monomial of a tuple-keyed dict under lex order on the
+    variable names."""
+    varlist = sorted({v for m in p for v, _ in m})
+    return max(p, key=lambda m: [dict(m).get(v, 0) for v in varlist])
 
 
 def _assert_reduced(raw):
@@ -250,24 +288,24 @@ class TestTripleKernel:
     @settings(max_examples=150, deadline=None)
     @given(_poly(_monos), _poly(_monos, min_size=1))
     def test_canonical_and_inverse(self, a, d):
-        from qheis.coeffs import _canonical, _p_lead, _p_vars
+        from qheis.coeffs import _canonical
 
         num, den = _canonical(_raw(a), _raw(d))
         _assert_reduced(num)
         _assert_reduced(den)
         assert _ref_mul(_view(num), d) == _ref_mul(a, _view(den))
-        if den != {MONO_UNIT: (1, 0, 1)}:
+        if den != _raw({MONO_UNIT: G_ONE}):
             assert len(den) > 1
-            assert all(e >= 0 for m in den for _, e in m)
-            varlist = sorted(_p_vars(num) | _p_vars(den))
-            assert _p_lead(den, varlist)[1] == (1, 0, 1)
+            view = _view(den)
+            assert all(e >= 0 for m in view for _, e in m)
+            assert view[_ref_lead(view)] == G_ONE
         if a:
             c = C(a, d)
             inv = c.inverse()
             _assert_reduced(inv._num)
             _assert_reduced(inv._den)
             assert _ref_mul(inv.num, c.num) == _ref_mul(inv.den, c.den)
-            assert (c * inv)._num == {MONO_UNIT: (1, 0, 1)}
+            assert (c * inv)._num == _raw({MONO_UNIT: G_ONE})
 
     @settings(max_examples=100, deadline=None)
     @given(_poly(_monos), _poly(_nonneg_monos, min_size=1), _gauss)
@@ -278,7 +316,191 @@ class TestTripleKernel:
         if len(d) < 2:
             return
         num, den = _canonical(_raw(_ref_mul(d, q)), _raw(d))
-        assert (num, den) == (_raw(q), {MONO_UNIT: (1, 0, 1)})
+        assert (num, den) == (_raw(q), _raw({MONO_UNIT: G_ONE}))
+
+
+# -- packed kernel against the tuple reference, exponents up to the limit ---
+
+def _ref_scale(a, mono, g):
+    return {_ref_mono_mul(m, mono): x * g for m, x in a.items()}
+
+
+def _ref_inv(m):
+    return tuple((v, -e) for v, e in m)
+
+
+def _ref_shift(p):
+    mins = {}
+    for m in p:
+        for v, e in m:
+            mins[v] = min(mins.get(v, 0), e)
+    return _mono((v, -e) for v, e in mins.items() if e < 0)
+
+
+def _ref_canonical(num, den):
+    """``_canonical`` step for step on tuple keys and GaussRational
+    values."""
+    if not num:
+        return {}, {MONO_UNIT: G_ONE}
+    if len(den) == 1:
+        ((m, g),) = den.items()
+        return _ref_scale(num, _ref_inv(m), g.inverse()), {MONO_UNIT: G_ONE}
+    s = _ref_shift(den)
+    num, den = _ref_scale(num, s, G_ONE), _ref_scale(den, s, G_ONE)
+    lc = den[_ref_lead(den)].inverse()
+    num, den = _ref_scale(num, (), lc), _ref_scale(den, (), lc)
+    # exact division by the now monic den
+    s = _ref_shift(num)
+    rem = _ref_scale(num, s, G_ONE)
+    lead = _ref_lead(den)
+    quot = {}
+    while rem:
+        lr = _ref_lead(rem)
+        m = _mono(lr + _ref_inv(lead))
+        if any(e < 0 for _, e in m):
+            return num, den
+        quot[m] = rem[lr]
+        rem = _ref_add(rem, _ref_scale(den, m, -rem[lr]))
+    return _ref_scale(quot, _ref_inv(s), G_ONE), {MONO_UNIT: G_ONE}
+
+
+def _in_range(p):
+    return all(-EXP_LIMIT <= e < EXP_LIMIT for m in p for _, e in m)
+
+
+def _offset(mono, p):
+    return {_mono(m + mono): g for m, g in p.items()}
+
+
+_big_exps = st.one_of(
+    st.integers(-3, 3), st.integers(-EXP_LIMIT, EXP_LIMIT - 1),
+    st.sampled_from([EXP_LIMIT - 1, EXP_LIMIT - 2, -EXP_LIMIT, 1 - EXP_LIMIT]))
+_big_monos = st.dictionaries(st.sampled_from(_VARS), _big_exps,
+                             max_size=3).map(lambda d: _mono(d.items()))
+
+
+class TestPackedKernel:
+    """Packed monomial keys give the same sums, products, scalings and
+    canonical forms as the tuple monomials, and raise where a tuple
+    exponent leaves the limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_big_monos, _big_monos, _poly(_monos), _poly(_monos), _big_monos,
+           _gauss)
+    # s^(L-1) times s + 1: one product reaches the limit
+    @example(((("s", EXP_LIMIT - 1),)), MONO_UNIT, {MONO_UNIT: G_ONE},
+             {(("s", 1),): G_ONE, MONO_UNIT: G_ONE}, (("s", 1),), G_ONE)
+    def test_matches_tuple_reference(self, o1, o2, p, q, mono, g):
+        from qheis.coeffs import _canonical, _p_add, _p_mul, _p_scale
+
+        # small polynomials times monomials near the limit
+        a, b = _offset(o1, p), _offset(o2, q)
+        assume(_in_range(a) and _in_range(b))
+        ra, rb = _raw(a), _raw(b)
+        cases = [(lambda: _p_add(ra, rb), lambda: _raw(_ref_add(a, b))),
+                 (lambda: _p_mul(ra, rb), lambda: _raw(_ref_mul(a, b))),
+                 (lambda: _p_scale(ra, _pack(mono), g._abd),
+                  lambda: _raw(_ref_scale(a, mono, g)))]
+        # a multi-term denominator shares the numerator's offset, so that
+        # exact division stays short: dividing s^N + 1 by s + 1 takes N
+        # steps in either kernel
+        den = b if len(q) == 1 else _offset(o1, q)
+        if den and _in_range(den):
+            cases.append((lambda: _canonical(dict(ra), _raw(den)),
+                          lambda: tuple(map(_raw, _ref_canonical(a, den)))))
+        for got, want in cases:
+            try:
+                want = want()
+            except _RefOverflow:
+                with pytest.raises(ExponentOverflow):
+                    got()
+            else:
+                assert got() == want
+        assert (ra, rb) == (_raw(a), _raw(b))
+
+
+class TestExponentLimit:
+    """Exponents lie in [-EXP_LIMIT, EXP_LIMIT), checked where monomials
+    enter and in every product."""
+
+    @pytest.mark.parametrize("e", [EXP_LIMIT - 1, -EXP_LIMIT])
+    def test_largest_exponents_enter(self, e):
+        for c in (C.monomial({"h": e}), C({(("h", e),): 1})):
+            assert c.num == {(("h", e),): G_ONE}
+
+    @pytest.mark.parametrize("e", [EXP_LIMIT, -EXP_LIMIT - 1, 2 ** 70])
+    def test_entry_beyond_the_limit(self, e):
+        for make in (lambda: C.monomial({"D_12": e}),
+                     lambda: C({(("D_12", e),): 1}),
+                     lambda: C({MONO_UNIT: 1}, {(("D_12", e),): 1})):
+            with pytest.raises(ExponentOverflow, match=r"D_12.*2\^28"):
+                make()
+        with pytest.raises(ExponentOverflow):
+            C.q_power(2 ** 70)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_products_at_the_limit(self, sign):
+        top = EXP_LIMIT - 1 if sign > 0 else -EXP_LIMIT
+        near = C.monomial({"s": top - sign})
+        step = C.monomial({"s": sign})
+        assert near * step == C.monomial({"s": top})
+        with pytest.raises(ExponentOverflow, match="exponent"):
+            near * step * step
+        # in a sum of products and behind a multi-term denominator
+        with pytest.raises(ExponentOverflow):
+            (near * step + 1) * (step + C.monomial({"t": 1}))
+        with pytest.raises(ExponentOverflow):
+            (near * step) / (C.monomial({"t": 1}) + 1) * step
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_power_at_the_limit(self, sign):
+        s = C.monomial({"s": sign})
+        last = EXP_LIMIT if sign < 0 else EXP_LIMIT - 1
+        for k in (last - 1, last):
+            assert s ** k == C.monomial({"s": sign * k})
+        with pytest.raises(ExponentOverflow):
+            s ** (last + 1)
+        with pytest.raises(ExponentOverflow):
+            s.inverse() ** -(last + 1)
+
+    def test_inverse_at_the_limit(self):
+        with pytest.raises(ExponentOverflow):
+            C.monomial({"s": -EXP_LIMIT}).inverse()
+        assert C.monomial({"s": 1 - EXP_LIMIT}).inverse() == \
+            C.monomial({"s": EXP_LIMIT - 1})
+
+
+class TestInterning:
+    """Variables get their fields on first use, for the whole process; a
+    late name changes neither earlier keys nor any printed output."""
+
+    def test_late_names_leave_earlier_results_intact(self):
+        a = coeff("(q - 1/2 + i*hbar)*(q + p^-1)^-1") * C.opaque("D_34", -2)
+        before = (a.num, a.den, str(a), a.variables())
+        late = [f"late_{i}" for i in range(300)]
+        for name in late:
+            C.opaque(name)
+        assert (a.num, a.den, str(a), a.variables()) == before
+        assert a * C.opaque(late[-1]) / C.opaque(late[-1]) == a
+
+    def test_many_names_still_compute(self):
+        names = [f"wide_{i:03}" for i in range(300)]
+        for name in names:
+            C.opaque(name)
+        # fields far above those of s, t and h
+        x = C.one() + C.opaque(names[-1], 3) + C.monomial(
+            {"s": 1, names[147]: -2}) + C.opaque(names[147])
+        far = C.opaque(names[-1])
+        # x*far + far^2 over x + far: the exact quotient is far
+        assert (x * far + far * far) / (x + far) == far
+        y = x * x
+        assert y.num == _ref_mul(x.num, x.num)
+        assert str(C.opaque(names[-1], 2) * C.opaque(names[0])) == \
+            f"{names[0]}*{names[-1]}^2"
+        point = {"s": 3, names[147]: 2, names[-1]: 5}
+        assert y.evaluate(point) == x.evaluate(point) ** 2
+        with pytest.raises(ExponentOverflow, match=names[-1]):
+            C.opaque(names[-1], EXP_LIMIT - 1) * far
 
 
 class TestArithmetic:

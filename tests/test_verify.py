@@ -3,6 +3,10 @@ reports."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from qheis.verify import (ideal_membership, render_table,
                           reports_to_json, verify_relation_set_equivalence)
 
 C = Coefficient
+REPORT_SHA256 = ("f8dc08f852b20dda577e0aef4d68de35"
+                 "56edd5a16b2e119fb17b68bd19fff087")
 
 
 class TestBruteForce:
@@ -152,8 +158,22 @@ class TestSuite:
         # the whole report, every coefficient's printed text included;
         # a change that is meant to alter it updates this hash and says why
         digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
-        assert digest == ("f8dc08f852b20dda577e0aef4d68de35"
-                          "56edd5a16b2e119fb17b68bd19fff087")
+        assert digest == REPORT_SHA256
+
+    def test_report_bytes_independent_of_interning_order(self):
+        # opaque names interned before the catalog's own variables take the
+        # low fields of the packed monomial keys; no byte may change
+        code = ("import hashlib\n"
+                "from qheis import Coefficient, reports_to_json, run_suite\n"
+                "for name in ('zz', 'A', 'D_jk', 'D_21', 'h_0'):\n"
+                "    Coefficient.opaque(name)\n"
+                "text = reports_to_json(run_suite('all', k=10))\n"
+                "print(hashlib.sha256(text.encode()).hexdigest())\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == REPORT_SHA256
 
     def test_render_table_lists_every_case(self, reports):
         table = render_table(reports)
