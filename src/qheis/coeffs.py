@@ -23,10 +23,12 @@ Exponents lie in [-2^28, 2^28), ``EXP_LIMIT`` = 2^28: with ``OFF`` holding
 GUARD`` is zero exactly when every field of m is in range.  That test runs
 where a tuple monomial is encoded and on every product (powers included),
 so fields never wrap; an exponent out of range raises ExponentOverflow,
-which the CLI reports as an engine error (exit code 3).  A name interned
-late gets a new field and leaves earlier keys unchanged; the masks cover
-only the fields the operands use, so the work of a product does not grow
-with the number of interned names.  A Laurent polynomial is a dict from
+which the CLI reports as an engine error (exit code 3).  Interning takes a
+lock, so threads that meet a new name at once agree on its one field; the
+lock-free read path sees a name only after its field is named.  A name
+interned late gets a new field and leaves earlier keys unchanged; the masks
+cover only the fields the operands use, so the work of a product does not
+grow with the number of interned names.  A Laurent polynomial is a dict from
 packed monomials to nonzero triples.  A ``Coefficient`` is a
 numerator/denominator pair of such dicts, whose denominator is the unit
 unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
@@ -42,6 +44,7 @@ canonical by construction skip re-canonicalization.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -268,12 +271,20 @@ EXP_LIMIT = 1 << (_W - 2)  # every exponent e has -EXP_LIMIT <= e < EXP_LIMIT
 _FIELD = (1 << _W) - 1
 _SHIFT = {}  # variable -> bit offset of its field; append-only
 _NAMES = []  # field index -> variable
+_INTERN_LOCK = threading.Lock()
 
 
 def _intern(v):
-    _SHIFT[v] = sh = _W * len(_NAMES)
-    _NAMES.append(v)
-    return sh
+    """Bit offset of ``v``'s field, interning ``v`` on first use.  Under the
+    lock a name gets one field however many threads race to intern it, and
+    ``_SHIFT[v]`` is published only after ``_NAMES`` names the field."""
+    with _INTERN_LOCK:
+        sh = _SHIFT.get(v)
+        if sh is None:
+            sh = _W * len(_NAMES)
+            _NAMES.append(v)
+            _SHIFT[v] = sh
+        return sh
 
 
 for _v in ("s", "t", "h"):
@@ -474,12 +485,17 @@ def _p_vars(a):
     return _field_names(_p_used(a, _masks(max(max(a), -min(a)))[0]))
 
 
+def _lex_key(shifts, off):
+    """Sort key for lex order on variable names: ``shifts`` are the bit
+    offsets of the variables that occur, sorted by name, and ``off`` covers
+    the fields of the monomials keyed.  The biased fields of ``m + off``
+    order like the exponents."""
+    return lambda m: [((m + off) >> sh) & _FIELD for sh in shifts]
+
+
 def _p_lead(a, shifts, off):
-    """Leading (monomial, coeff) under lex order on variable names:
-    ``shifts`` are the bit offsets of the variables that occur, sorted by
-    name, and ``off`` covers the fields of ``a``.  The biased fields of
-    ``m + off`` order like the exponents."""
-    lead = max(a, key=lambda m: [((m + off) >> sh) & _FIELD for sh in shifts])
+    """Leading (monomial, coeff) under ``_lex_key(shifts, off)``."""
+    lead = max(a, key=_lex_key(shifts, off))
     return lead, a[lead]
 
 
@@ -508,6 +524,11 @@ def _p_divide_exact(a, b, shifts, off):
     ``b`` must be a polynomial (no negative exponents), as ``_canonical``
     leaves every multi-term denominator; only ``a`` is shifted.  ``shifts``
     and ``off`` are those of ``_p_lead`` for the fields of a and b.
+
+    Quotient terms come in decreasing lex order, and the last term of an
+    exact quotient is trail(a)/trail(b), trail being the lex-smallest term:
+    a quotient term m below it, i.e. with m*trail(b) below trail(a), ends a
+    failing division at once instead of after one step per degree.
     """
     if not a:
         return {}
@@ -515,12 +536,15 @@ def _p_divide_exact(a, b, shifts, off):
     rem = _p_scale(a, sa, _T_ONE)
     lead_b, lc_b = _p_lead(b, shifts, off)
     inv_lc_b = _t_inv(lc_b)
+    lex = _lex_key(shifts, off)
+    floor = lex(min(rem, key=lex))
+    trail_b = min(b, key=lex)
     quot = {}
     while rem:
         lead_r, lc_r = _p_lead(rem, shifts, off)
         m = lead_r - lead_b
         # rem and b are polynomials, so every field of m is in range
-        if (m + off) & off != off:
+        if (m + off) & off != off or lex(m + trail_b) < floor:
             return None
         c = _t_mul(lc_r, inv_lc_b)
         quot[m] = c

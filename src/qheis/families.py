@@ -565,11 +565,10 @@ def _split_ore_shape(nf, mover):
     P = {}
     D = {}
     for w, c in nf.terms.items():
-        letters = tuple(w)
-        if mover not in letters:
+        if mover not in w:
             D[w] = c
-        elif letters[-1] == mover and mover not in letters[:-1]:
-            P[Word(letters[:-1])] = c
+        elif w[-1] == mover and mover not in w[:-1]:
+            P[Word(w[:-1])] = c
         else:
             return None
     return NCPoly(P), NCPoly(D)
@@ -626,12 +625,12 @@ def extract_ore(presentation, tower_order):
             nf_ab = normalize(_w(a, b), sysm)
             nf_ba = normalize(_w(b, a), sysm)
             scale = unit_ratio(
-                NCPoly({w: c for w, c in nf_ab.terms.items() if a in tuple(w)}),
-                NCPoly({w: c for w, c in nf_ba.terms.items() if a in tuple(w)}))
+                NCPoly({w: c for w, c in nf_ab.terms.items() if a in w}),
+                NCPoly({w: c for w, c in nf_ba.terms.items() if a in w}))
             if scale is None:
                 continue
             D = nf_ab - nf_ba * scale
-            if any(a in tuple(w) for w in D.terms):
+            if any(a in w for w in D.terms):
                 continue
             record(a, b, _w(b) * scale, D)
     return OreData(tower, sigma, delta)

@@ -48,25 +48,13 @@ class Generator:
 
 
 class Word(tuple):
-    """Noncommutative monomial: a tuple of generators."""
+    """Noncommutative monomial: a tuple of generators.  Its slices are plain
+    tuples."""
 
     __slots__ = ()
 
     def __mul__(self, other):
         return Word(tuple.__add__(self, other))
-
-    def __getitem__(self, item):
-        r = tuple.__getitem__(self, item)
-        return Word(r) if isinstance(item, slice) else r
-
-    def find(self, sub, start=0):
-        """Index of the leftmost occurrence of ``sub`` at or after ``start``,
-        or -1."""
-        n, m = len(self), len(sub)
-        for i in range(start, n - m + 1):
-            if tuple.__getitem__(self, slice(i, i + m)) == tuple(sub):
-                return i
-        return -1
 
     def __repr__(self):
         return "*".join(g.sym for g in self) if self else "1"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
 
 from .coeffs import Coefficient, G_ONE, GaussRational, _mono
 from .errors import QheisError, SchemaError
@@ -163,14 +164,7 @@ def format_coefficient(c, latex=False):
 
 
 def _run_lengths(word):
-    i = 0
-    letters = tuple(word)
-    while i < len(letters):
-        j = i
-        while j < len(letters) and letters[j] == letters[i]:
-            j += 1
-        yield letters[i], j - i
-        i = j
+    return [(g, len(list(run))) for g, run in groupby(word)]
 
 
 def _word_plain(word):

@@ -35,10 +35,10 @@ extra.  The tables are:
   and ``(-inversions, -len, descending ranks)`` for invlex, with the
   inversions counted on the ascending ranks.  Tied precedences share a rank.
 
-The word-level API (``TermOrder.key``, ``match_at``, ``first_redex``,
-``is_irreducible``, ``_apply_at``) stays on ``Word`` tuples: critical pairs
-and the brute-force oracle use it, and it is the independent reference the
-tests hold the code-string kernel to.
+The word-level API (``redexes``, ``first_redex``, ``is_irreducible``,
+``_apply_at``, ``TermOrder.key``) stays on ``Word`` tuples: the brute-force
+oracle and the inclusion ambiguities of critical pairs take every redex, and
+it is the independent reference the tests hold the code-string kernel to.
 
 Local confluence is checked by resolving every overlap and inclusion
 ambiguity of the rule set (the diamond lemma; none is longer than
@@ -137,23 +137,21 @@ class RewriteSystem:
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
 
-    def match_at(self, word, pos):
-        """First rule whose lhs occurs in ``word`` at ``pos`` (shortest lhs
-        wins), or None."""
-        for L in self._lengths:
-            if pos + L > len(word):
-                break
-            r = self._by_lhs.get(tuple.__getitem__(word, slice(pos, pos + L)))
-            if r is not None:
-                return r
-        return None
+    def redexes(self, word):
+        """Every ``(pos, rule)`` whose lhs occurs in ``word`` at ``pos``:
+        leftmost position first, and at each position the shortest lhs
+        first."""
+        n = len(word)
+        for pos in range(n):
+            for L in self._lengths:
+                if pos + L > n:
+                    break
+                r = self._by_lhs.get(word[pos:pos + L])
+                if r is not None:
+                    yield pos, r
 
     def first_redex(self, word):
-        for pos in range(len(word)):
-            r = self.match_at(word, pos)
-            if r is not None:
-                return pos, r
-        return None
+        return next(self.redexes(word), None)
 
     def is_irreducible(self, word):
         return self.first_redex(word) is None
@@ -239,10 +237,9 @@ def _apply_at(terms, word, pos, rule):
     ``word`` and its coefficient by the rewrite of its occurrence of
     rule.lhs at ``pos``."""
     coeff = terms.pop(word)
-    prefix = tuple.__getitem__(word, slice(0, pos))
-    suffix = tuple.__getitem__(word, slice(pos + len(rule.lhs), len(word)))
+    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
     for rw, rc in rule.rhs.terms.items():
-        nw = Word(prefix + tuple(rw) + suffix)
+        nw = Word(prefix + rw + suffix)
         old = terms.get(nw)
         s = (Coefficient.zero() if old is None else old) + coeff * rc
         if s.is_zero:
@@ -400,41 +397,29 @@ def critical_pairs(sys):
     results are computed and the pair is resolved when their normal forms
     agree.
     """
-    pairs = []
-    rules = sys.rules
-    for r1 in rules:
-        for r2 in rules:
-            l1, l2 = r1.lhs, r2.lhs
-            # suffix of r1.lhs equals prefix of r2.lhs
-            for k in range(1, min(len(l1), len(l2))):
-                if tuple(l1[len(l1) - k:]) != tuple(l2[:k]):
-                    continue
-                w = Word(tuple(l1) + tuple(l2[k:]))
-                pairs.append((w, r1, 0, r2, len(l1) - k))
-            # r2.lhs properly inside r1.lhs
-            if r1 is not r2 and len(l2) <= len(l1):
-                start = 0
-                while True:
-                    idx = l1.find(l2, start)
-                    if idx < 0:
-                        break
-                    if not (idx == 0 and len(l1) == len(l2)):
-                        pairs.append((l1, r1, 0, r2, idx))
-                    start = idx + 1
     out = []
-    seen = set()
-    for w, r1, p1, r2, p2 in pairs:
-        sig = (tuple(w), r1.origin, p1, r2.origin, p2)
-        if sig in seen or (r1 is r2 and p1 == p2):
-            continue
-        seen.add(sig)
-        one = Coefficient.one()
+    one = Coefficient.one()
+
+    def add(w, r1, r2, p2):
         left, right = {w: one}, {w: one}
-        _apply_at(left, w, p1, r1)
+        _apply_at(left, w, 0, r1)
         _apply_at(right, w, p2, r2)
         left, right = NCPoly(left), NCPoly(right)
         resolved = normalize(left, sys) == normalize(right, sys)
         out.append(CriticalPair(w, r1.origin, r2.origin, left, right, resolved))
+
+    for r1 in sys.rules:
+        l1 = r1.lhs
+        for r2 in sys.rules:
+            l2 = r2.lhs
+            # suffix of r1.lhs equals prefix of r2.lhs
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k:] == l2[:k]:
+                    add(Word(l1 + l2[k:]), r1, r2, len(l1) - k)
+        # another lhs inside r1.lhs
+        for pos, r2 in sys.redexes(l1):
+            if r2 is not r1:
+                add(l1, r1, r2, pos)
     out.sort(key=lambda cp: (sys.order.key(cp.overlap_word), cp.left_rule,
                              cp.right_rule))
     return out

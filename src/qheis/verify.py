@@ -24,7 +24,7 @@ import json
 import zlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from random import Random
 
 from .coeffs import Coefficient, GaussRational, qnumber
@@ -54,8 +54,13 @@ _COEFF_POOL = ("1", "2", "3", "i", "q", "q^-1", "q^(1/2)", "p", "p^-1",
                "hbar", "i*hbar", "2*q^(1/2)", "hbar^-1", "i*q^(-1/2)")
 
 
+@cache
+def _coeff_pool():
+    return tuple(parse_expr(text).coefficient(()) for text in _COEFF_POOL)
+
+
 def random_coeff(rng):
-    return parse_expr(rng.choice(_COEFF_POOL)).coefficient(())
+    return rng.choice(_coeff_pool())
 
 
 def random_word(rng, gens, max_len):
@@ -305,6 +310,8 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
         except OrientationError:
             systems.append(None)
     gens = list(p1.generators)
+    # the relations that shift a sample under each side's system
+    other_rels = (p2.all_relation_polys(), p1.all_relation_polys())
     checked = 0
     for k in range(samples):
         a = random_poly(rng, gens, max_len=depth)
@@ -313,10 +320,10 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
                 return report("fail",
                               detail="normal forms differ on a random polynomial",
                               witness=format_expr(a))
-        for sysm, other in ((systems[0], p2), (systems[1], p1)):
+        for sysm, rels in zip(systems, other_rels):
             if sysm is None:
                 continue
-            label, rel = other.all_relation_polys()[k % len(other.all_relation_polys())]
+            label, rel = rels[k % len(rels)]
             shift = (random_poly(rng, gens, 1) * rel * random_poly(rng, gens, 1)
                      * random_coeff(rng))
             if normalize(a + shift, sysm) != normalize(a, sysm):
@@ -359,12 +366,10 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
 # ---------------------------------------------------------------------------
 
 def _word_reducts(word, sys):
-    """Every single-step rewrite of a word, over all positions and rules."""
+    """Every single-step rewrite of a word: at every position, one per rule
+    whose lhs occurs there (``RewriteSystem.redexes``)."""
     out = []
-    for pos in range(len(word)):
-        rule = sys.match_at(word, pos)
-        if rule is None:
-            continue
+    for pos, rule in sys.redexes(word):
         terms = {word: Coefficient.one()}
         _apply_at(terms, word, pos, rule)
         out.append(NCPoly(terms))

@@ -19,13 +19,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, timeout=60):
     """The CLI in a fresh interpreter, so an escaping exception shows as a
     traceback on stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qheis.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "qheis.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -129,6 +130,14 @@ class TestNormalize:
         assert (code, out) == (3, "")
         assert err == ("engine error: exponent 400000000 of s is outside the "
                        "limit: exponents lie in [-2^28, 2^28)\n")
+
+    def test_failing_division_of_a_large_power_ends(self):
+        # q + 1 does not divide q^100000000: the exact division gives up at
+        # its first quotient term, not after one step per degree
+        code, out, err = run_cli_process(
+            "normalize", "--algebra", "gaddis",
+            "--expr", "(q^10000)^10000*(q+1)^-1*x", timeout=20)
+        assert (code, out, err) == (0, "q^100000000*(q + 1)^-1*x\n", "")
 
     @pytest.mark.parametrize("expr, message", [
         ("1/0*x", "division by zero at 2"),

@@ -3,6 +3,8 @@ evaluation."""
 
 import math
 import operator
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 import qheis
 from qheis.coeffs import (EXP_LIMIT, G_ONE, G_ZERO, MONO_UNIT, Coefficient,
-                          GaussRational, _mono, _pack, _unpack, qnumber)
+                          GaussRational, _NAMES, _mono, _pack, _unpack,
+                          qnumber)
 from qheis.errors import (DivisionByZero, ExponentOverflow, ParamError,
                           PoleAtPoint, SchemaError, UnboundVariable)
 
@@ -501,6 +504,34 @@ class TestInterning:
         assert y.evaluate(point) == x.evaluate(point) ** 2
         with pytest.raises(ExponentOverflow, match=names[-1]):
             C.opaque(names[-1], EXP_LIMIT - 1) * far
+
+
+    def test_threads_agree_on_a_new_name(self):
+        # 8 threads meet each fresh name at once, with the switch interval
+        # shortened so that they interleave inside the interning
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(30):
+                name = f"race_{trial}"
+                barrier = threading.Barrier(8)
+                results = [None] * 8
+
+                def work(k):
+                    barrier.wait(timeout=10)
+                    results[k] = C.opaque(name)
+
+                threads = [threading.Thread(target=work, args=(k,))
+                           for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert _NAMES.count(name) == 1
+                assert all(r == results[0] for r in results)
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestArithmetic:

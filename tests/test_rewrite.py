@@ -25,7 +25,9 @@ from qheis.verify import random_poly
 
 C = Coefficient
 
-EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "perfbench" / "expected"
+EXAMPLES = ROOT / "docs" / "examples"
 
 
 def reference_reduce(poly, system, trace):
@@ -441,6 +443,79 @@ class TestCriticalPairs:
         assert cp.overlap_word == (a, b, b, a, b, b, a)
         assert cp.left_result == NCPoly.from_word((c, b, b, a))
         assert cp.right_result == NCPoly.from_word((a, b, b, c))
+
+
+    def test_matches_independent_enumeration(self, rng):
+        # generated systems on two or three letters with left sides of 2-4
+        # letters, so self-overlaps (a*a*a) and inclusions at every
+        # position occur
+        kinds = set()
+        for _ in range(60):
+            letters = [Generator(s, None, i)
+                       for i, s in enumerate("abc"[:rng.randint(2, 3)])]
+            lhss = {tuple(rng.choice(letters) for _ in range(rng.randint(2, 4)))
+                    for _ in range(rng.randint(1, 5))}
+            rules = [RewriteRule(Word(lhs), NCPoly.from_word(lhs[:1]), f"r{i}")
+                     for i, lhs in enumerate(sorted(lhss, key=repr))]
+            sysm = RewriteSystem(rules, TermOrder("deglex"))
+            want = _ambiguities(rules, sysm.order)
+            got = [(tuple(cp.overlap_word), cp.left_rule, cp.right_rule)
+                   for cp in critical_pairs(sysm)]
+            assert got == [w[:3] for w in want], rules
+            kinds.update(w[3] for w in want)
+        assert kinds == {"self-overlap", "overlap", "prefix", "infix", "suffix"}
+
+    def test_rules_sharing_a_label_keep_every_ambiguity(self):
+        # a*b*c holds the overlap of a*b with b*c and the inclusions of
+        # both in a*b*c; under one label the overlap and the inclusion of
+        # b*c have the same word, labels and positions
+        a, b, c = (Generator(s, None, i) for i, s in enumerate("abc"))
+        rules = [RewriteRule(Word(lhs), NCPoly.from_word(lhs[:1]), "r")
+                 for lhs in ((a, b, c), (a, b), (b, c))]
+        pairs = critical_pairs(RewriteSystem(rules, TermOrder("deglex")))
+        assert [cp.overlap_word for cp in pairs] == [(a, b, c)] * 3
+        assert sorted((repr(cp.left_result), repr(cp.right_result))
+                      for cp in pairs) == [("a", "a*b"), ("a", "a*c"), ("a*c", "a*b")]
+
+    def test_catalog_counts_match_the_benchmark(self):
+        # the ambiguity counts the benchmark checks its answers against
+        layers = json.loads((EXPECTED / "layers.json").read_text())
+        for key, want in layers["confluence"].items():
+            if key.endswith(".qpres"):
+                pres = qheis.load_presentation_file(str(EXAMPLES / key))
+            else:
+                family, _, variant = key.partition(":")
+                pres = (catalog(family, variant=variant) if variant
+                        else catalog(family))
+            report = check_confluence(pres.system())
+            assert (report.checked, report.confluent) == \
+                (want["checked"], want["confluent"]), key
+
+
+def _ambiguities(rules, order):
+    """``(word, left rule, right rule, kind)`` of every ambiguity, sorted
+    like ``critical_pairs``: the lhs of r2 placed at each offset p inside
+    the lhs of r1, kept when the letters they share agree.  Offset 0 with
+    a longer l2 is l1 inside l2, listed as (r2, r1)."""
+    out = []
+    for r1 in rules:
+        for r2 in rules:
+            l1, l2 = tuple(r1.lhs), tuple(r2.lhs)
+            for p in range(len(l1)):
+                end = p + len(l2)
+                if (r1 is r2 and p == 0) or (p == 0 and end > len(l1)):
+                    continue
+                if l1[p:end] != l2[:len(l1) - p]:
+                    continue
+                if end > len(l1):
+                    kind = "self-overlap" if r1 is r2 else "overlap"
+                    out.append((l1[:p] + l2, r1.origin, r2.origin, kind))
+                else:
+                    kind = ("prefix" if p == 0 else
+                            "suffix" if end == len(l1) else "infix")
+                    out.append((l1, r1.origin, r2.origin, kind))
+    out.sort(key=lambda a: (order.key(a[0]), a[1], a[2]))
+    return out
 
 
 class TestConfluence:

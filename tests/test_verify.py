@@ -15,7 +15,8 @@ from qheis import (brute_force_reduce, catalog, normalize, run_suite,
                    suite_ok, verify_power_identities)
 from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, ParamError
-from qheis.ncpoly import NCPoly
+from qheis.ncpoly import Generator, NCPoly, Word
+from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.verify import (ideal_membership, render_table,
                           reports_to_json, verify_relation_set_equivalence)
 
@@ -49,6 +50,20 @@ class TestBruteForce:
         pres = catalog("gaddis", variant="printed")
         with pytest.raises(OracleDivergence):
             brute_force_reduce(pres.parse("y*z*x"), pres.system())
+
+
+    def test_every_rule_at_a_position_is_a_branch(self):
+        # a*b and a*b*c both match a*b*c at 0; the shorter one alone leads
+        # to a*c, so an oracle that tried only it would agree with normalize
+        a, b, c, d = (Generator(s, None, i) for i, s in enumerate("abcd"))
+        w = NCPoly.from_word
+        sysm = RewriteSystem([RewriteRule(Word((a, b)), w((a,)), "ab"),
+                              RewriteRule(Word((a, b, c)), w((d,)), "abc")],
+                             TermOrder("deglex"))
+        assert normalize(w((a, b, c)), sysm) == w((a, c))
+        with pytest.raises(OracleDivergence) as exc:
+            brute_force_reduce(w((a, b, c)), sysm)
+        assert exc.value.forms == (w((a, c)), w((d,)))
 
 
 class TestPowerIdentities:
