@@ -357,15 +357,14 @@ def _pack(m):
 
 
 def _unpack(m):
-    """Tuple monomial of a packed key."""
+    """Tuple monomial of a packed key, read from the lowest nonzero field
+    (the one with the lowest set bit) up, skipping the zero fields."""
     pairs = []
-    i = 0
     while m:
-        e = ((m + EXP_LIMIT) & _FIELD) - EXP_LIMIT
-        if e:
-            pairs.append((_NAMES[i], e))
-        m = (m - e) >> _W
-        i += 1
+        sh = ((m & -m).bit_length() - 1) // _W * _W
+        e = (((m >> sh) + EXP_LIMIT) & _FIELD) - EXP_LIMIT
+        pairs.append((_NAMES[sh // _W], e))
+        m -= e << sh
     pairs.sort()
     return tuple(pairs)
 

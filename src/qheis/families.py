@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .coeffs import Coefficient
 from .errors import (AlphabetError, NotOreShaped, ParamError, UnknownFamily)
-from .ncpoly import Generator, NCPoly, Word
+from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
 from .rewrite import normalize, orient
 
 C = Coefficient
@@ -43,13 +43,18 @@ def _p(exp=1):
     return C.p_power(exp)
 
 
-def _w(*gens):
-    return NCPoly.from_word(gens)
+def _words(*gens):
+    """``_w(*word)``: a word over one alphabet of ``gens``, shared by a
+    builder's relations."""
+    alphabet = Alphabet(gens)
+    return lambda *word: _ncpoly({alphabet.encode(word): C.one()}, alphabet)
 
 
 class Presentation:
     """A named algebra: generators with precedence, inverse pairs, relations
-    (each polynomial meaning ``poly = 0``), parameters and free metadata."""
+    (each polynomial meaning ``poly = 0``), parameters and free metadata.
+    The relations, ``parse``, ``poly`` and the rewrite system share one
+    ``alphabet`` of the generators."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -71,18 +76,22 @@ class Presentation:
             gmap[g.sym] = g
         if len({g.precedence for g in self.generators}) != len(self.generators):
             raise ParamError(f"{self.name}: generator precedences are not distinct")
+        self.alphabet = alphabet = Alphabet(self.generators)
         labels = set()
+        relations = []
         for label, poly in self.relations:
             if label in labels:
                 raise ParamError(f"{self.name}: duplicate relation label {label}")
             labels.add(label)
-            for w in poly.terms:
-                for g in w:
-                    if gmap.get(g.sym) != g:
-                        raise AlphabetError(
-                            f"{self.name}: relation {label} uses undeclared "
-                            f"generator {g.sym}"
-                        )
+            for g in poly.letters():
+                if g not in alphabet.code:
+                    raise AlphabetError(
+                        f"{self.name}: relation {label} uses undeclared "
+                        f"generator {g.sym}"
+                    )
+            # the letters of its words keep their codes in the join
+            relations.append((label, _ncpoly(_over(alphabet, poly)[1], alphabet)))
+        self.relations = tuple(relations)
         for g, ginv in self.inverse_pairs:
             for x in (g, ginv):
                 if gmap.get(x.sym) != x:
@@ -105,7 +114,9 @@ class Presentation:
         return Word(tuple(self.gen(s) for s in syms))
 
     def poly(self, *syms):
-        return NCPoly.from_word(self.word(*syms))
+        """The word of ``syms`` (the unit for none) over ``alphabet``."""
+        return _ncpoly({self.alphabet.encode(self.word(*syms)): C.one()},
+                       self.alphabet)
 
     def parse(self, text):
         from .parser import parse_expr
@@ -130,7 +141,7 @@ class Presentation:
             for a, b in ((g, ginv), (ginv, g)):
                 label = f"unit:{a.sym}*{b.sym}"
                 if label not in listed:
-                    out.append((label, _w(a, b) - NCPoly.one()))
+                    out.append((label, self.poly(a.sym, b.sym) - 1))
         return out
 
     def __eq__(self, other):
@@ -140,23 +151,10 @@ class Presentation:
                 self.order_kind) != (other.name, other.generators,
                                      other.inverse_pairs, other.order_kind):
             return False
-        if len(self.relations) != len(other.relations):
-            return False
-        for (l1, p1), (l2, p2) in zip(self.relations, other.relations):
-            if l1 != l2 or p1 != p2:
-                return False
-        if self.metadata != other.metadata:
-            return False
-        if set(self.parameters) != set(other.parameters):
-            return False
-        for k, v in self.parameters.items():
-            w = other.parameters[k]
-            if isinstance(v, (Coefficient, NCPoly)) or isinstance(w, (Coefficient, NCPoly)):
-                if not (v == w):
-                    return False
-            elif v != w:
-                return False
-        return True
+        # relations and parameters compare by value, across alphabets too
+        return (self.relations == other.relations
+                and self.metadata == other.metadata
+                and self.parameters == other.parameters)
 
     __hash__ = None
 
@@ -180,6 +178,8 @@ class _Scope:
         self.name = "<schema>"
         self.generator_map = {g.sym: g for g in generators}
         self.opaque_names = set(opaques)
+        # a symbol declared twice is the Presentation's error to report
+        self.alphabet = Alphabet(self.generator_map.values())
 
 
 def expand_schema(template, ranges, generators, label="rel", predicate=None):
@@ -244,6 +244,7 @@ def _wess():
     lam = Generator("Lambda", None, 1)
     p = Generator("p", None, 2)
     x = Generator("x", None, 3)
+    _w = _words(li, lam, p, x)
     rels = [
         ("x_p", _q("1/2") * _w(x, p) - _q("-1/2") * _w(p, x) - I * HBAR * _w(lam)),
         ("lambda_x", _w(lam, x) - _q(-1) * _w(x, lam)),
@@ -271,6 +272,7 @@ def _schmudgen(variant="equivalent"):
     p = Generator("p", None, 1)
     ui = Generator("u_inv", None, 2)
     u = Generator("u", None, 3)
+    _w = _words(x, p, ui, u)
     base = [
         ("u_p", _w(u, p) - _q(1) * _w(p, u)),
         ("u_x", _w(u, x) - _q(-1) * _w(x, u)),
@@ -301,6 +303,7 @@ def _wess_schwenk():
     x = Generator("x", None, 0)
     xbar = Generator("xbar", None, 1)
     p = Generator("p", None, 2)
+    _w = _words(x, xbar, p)
     rels = [
         ("p_x", _w(p, x) - _q(1) * _w(x, p) + I * HBAR * NCPoly.one()),
         ("p_xbar", _w(p, xbar) - _q(-1) * _w(xbar, p) + I * _q(-1) * HBAR * NCPoly.one()),
@@ -321,6 +324,7 @@ def _gaddis(p=None, q=None, variant="consistent"):
     x = Generator("x", None, 0)
     z = Generator("z", None, 1)
     y = Generator("y", None, 2)
+    _w = _words(x, z, y)
     # The widely printed form of the z-x relation uses q**-1; it is
     # inconsistent with the power identities and breaks confluence for
     # p != q, so the default uses p**-1 and the printed form is kept as a
@@ -347,10 +351,9 @@ def _poly_in_h(value, h, what):
         except ParseError as exc:
             raise ParamError(f"{what} must be a polynomial in h: {exc}") from exc
     value = NCPoly.from_scalar(value)
-    for w in value.terms:
-        for g in w:
-            if g != h:
-                raise ParamError(f"{what} must be a polynomial in h, found {g.sym}")
+    for g in value.letters():
+        if g != h:
+            raise ParamError(f"{what} must be a polynomial in h, found {g.sym}")
     return value
 
 
@@ -358,6 +361,7 @@ def _gha(f="h^2"):
     x = Generator("x", None, 0)
     h = Generator("h", None, 1)
     y = Generator("y", None, 2)
+    _w = _words(x, h, y)
     f = _poly_in_h(f, h, "f")
     rels = [
         ("h_x", _w(h, x) - _w(x) * f),
@@ -372,6 +376,7 @@ def _q_gha(f="h^2", g="h"):
     x = Generator("x", None, 0)
     h = Generator("h", None, 1)
     y = Generator("y", None, 2)
+    _w = _words(x, h, y)
     f = _poly_in_h(f, h, "f")
     g = _poly_in_h(g, h, "g")
     rels = [
@@ -386,6 +391,7 @@ def _q_gha(f="h^2", g="h"):
 def _qhbar():
     x = Generator("x", None, 0)
     p = Generator("p", None, 1)
+    _w = _words(x, p)
     rels = [
         ("p_x", _w(p, x) - _q(1) * _w(x, p) + I * _q("1/2") * HBAR * NCPoly.one()),
     ]
@@ -396,6 +402,7 @@ def _qhbar():
 def _qhbar_quantization(opaque="D_jk"):
     x = Generator("x", None, 0)
     p = Generator("p", None, 1)
+    _w = _words(x, p)
     d = C.opaque(opaque)
     rels = [
         ("x_p", _w(x, p) - _q(1) * _w(p, x) - I * HBAR * d * NCPoly.one()),
@@ -460,6 +467,7 @@ def unified(params):
     ps = [Generator("p", b, len(xs) + len(ys) + i) for i, b in enumerate(params.beta_range)]
     gens = xs + ys + ps
     scope = _Scope(gens)
+    _w = _words(*gens)
 
     def as_poly(v):
         if isinstance(v, str):
@@ -496,17 +504,20 @@ def unified(params):
 
 def subs_poly(poly, assign):
     """Substitute central variables in every coefficient of ``poly``."""
-    return NCPoly({w: c.substitute(assign) for w, c in poly.terms.items()})
+    return _ncpoly({s: c2 for s, c in poly._terms.items()
+                    if not (c2 := c.substitute(assign)).is_zero}, poly.alphabet)
 
 
 def unit_ratio(a, b):
     """Scalar c with a == c*b, or None."""
-    if a.is_zero or b.is_zero or set(a.terms) != set(b.terms):
+    _, bt = _over(a.alphabet, b)
+    at = a._terms
+    if not at or not bt or at.keys() != bt.keys():
         return None
-    w0 = next(iter(b.terms))
-    c = a.terms[w0] / b.terms[w0]
-    for w, bc in b.terms.items():
-        if not (a.terms[w] == c * bc):
+    s0 = next(iter(bt))
+    c = at[s0] / bt[s0]
+    for s, bc in bt.items():
+        if not (at[s] == c * bc):
             return None
     return c
 
@@ -562,16 +573,17 @@ class OreData:
 
 def _split_ore_shape(nf, mover):
     """Split a normal form as P*mover + D with P, D free of the mover."""
+    m = nf.alphabet.code[mover]
     P = {}
     D = {}
-    for w, c in nf.terms.items():
-        if mover not in w:
-            D[w] = c
-        elif w[-1] == mover and mover not in w[:-1]:
-            P[Word(w[:-1])] = c
+    for s, c in nf._terms.items():
+        if m not in s:
+            D[s] = c
+        elif s[-1] == m and m not in s[:-1]:
+            P[s[:-1]] = c
         else:
             return None
-    return NCPoly(P), NCPoly(D)
+    return _ncpoly(P, nf.alphabet), _ncpoly(D, nf.alphabet)
 
 
 def extract_ore(presentation, tower_order):
@@ -583,18 +595,21 @@ def extract_ore(presentation, tower_order):
     a*b - sigma*a - delta to zero.
     """
     sysm = presentation.system()
-    tower = tuple(presentation.gen(g) if isinstance(g, str) else g
+    tower = tuple(presentation.gen(g if isinstance(g, str) else g.sym)
                   for g in tower_order)
     repeated = sorted({g.sym for g in tower if tower.count(g) > 1})
     if repeated:
         raise ParamError(f"{presentation.name}: tower lists "
                          f"{', '.join(repeated)} more than once")
+    if len(tower) < 2:
+        raise ParamError(f"{presentation.name}: a tower needs at least two "
+                         f"generators, got {len(tower)}")
     sigma = {}
     delta = {}
 
     def record(a, b, P, D):
         key = (a.sym, b.sym)
-        check = _w(a, b) - P * _w(a) - D
+        check = presentation.poly(a.sym, b.sym) - P * presentation.poly(a.sym) - D
         if not normalize(check, sysm).is_zero:
             raise NotOreShaped(f"internal check failed for pair ({a.sym}, {b.sym})")
         sigma[key] = P
@@ -604,16 +619,14 @@ def extract_ore(presentation, tower_order):
         earlier = tower[:i]
         allowed = {g.sym for g in earlier}
         for b in earlier:
-            nf = normalize(_w(a, b), sysm)
+            nf = normalize(presentation.poly(a.sym, b.sym), sysm)
             split = _split_ore_shape(nf, a)
             if split is None:
                 raise NotOreShaped(
                     f"{presentation.name}: normal form of {a.sym}*{b.sym} is not "
                     f"sigma*{a.sym} + delta")
             P, D = split
-            used = set()
-            for w in list(P.terms) + list(D.terms):
-                used.update(g.sym for g in w)
+            used = {g.sym for g in P.letters() + D.letters()}
             if not used <= allowed:
                 raise NotOreShaped(
                     f"{presentation.name}: sigma/delta for ({a.sym}, {b.sym}) "
@@ -622,17 +635,18 @@ def extract_ore(presentation, tower_order):
     # reverse readings: a*b = c*(b*a) + D solved for a scalar c
     for i, a in enumerate(tower):
         for b in tower[i + 1:]:
-            nf_ab = normalize(_w(a, b), sysm)
-            nf_ba = normalize(_w(b, a), sysm)
-            scale = unit_ratio(
-                NCPoly({w: c for w, c in nf_ab.terms.items() if a in w}),
-                NCPoly({w: c for w, c in nf_ba.terms.items() if a in w}))
+            nf_ab = normalize(presentation.poly(a.sym, b.sym), sysm)
+            nf_ba = normalize(presentation.poly(b.sym, a.sym), sysm)
+            m = nf_ab.alphabet.code[a]
+            scale = unit_ratio(*(_ncpoly({s: c for s, c in nf._terms.items()
+                                          if m in s}, nf.alphabet)
+                                 for nf in (nf_ab, nf_ba)))
             if scale is None:
                 continue
             D = nf_ab - nf_ba * scale
-            if any(a in w for w in D.terms):
+            if any(m in s for s in D._terms):
                 continue
-            record(a, b, _w(b) * scale, D)
+            record(a, b, presentation.poly(b.sym) * scale, D)
     return OreData(tower, sigma, delta)
 
 
@@ -640,6 +654,7 @@ def presentation_from_ore(ore, name, generators, inverse_pairs=(),
                           order_kind="deglex"):
     """Rebuild a presentation from tower sigma/delta data."""
     gmap = {g.sym: g for g in generators}
+    _w = _words(*generators)
     rels = []
     for i, a in enumerate(ore.tower):
         for b in ore.tower[:i]:

@@ -1,10 +1,13 @@
 """Words and free-algebra polynomials over a generator alphabet.
 
-A Word is a flat sequence of generators (no run-length compression); the
-empty word is the multiplicative identity.  An NCPoly maps words to exact
-coefficients and supports noncommutative ring arithmetic, commutators and
-homomorphic substitution.  Nothing here knows about relations: products are
-free, reduction lives in the rewrite module.
+An Alphabet gives its i-th letter the code ``chr(i)``, so a word is a
+``str``.  An NCPoly maps code strings over its alphabet to exact
+coefficients: noncommutative ring arithmetic, commutators and substitution.
+A presentation's relations, parser, rewrite system and normal forms share
+its one alphabet; other polynomials mix after a join that appends the right
+side's new letters.  ``terms`` and ``words()`` are views keyed by ``Word``
+tuples for outside callers.  Products are free: reduction lives in the
+rewrite module.
 """
 
 from __future__ import annotations
@@ -27,18 +30,6 @@ class Generator:
     index: int | None = None
     precedence: int = 0
 
-    def __post_init__(self):
-        # every Word hash hashes its letters: compute the field hash once
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.index, self.precedence)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # unpickle through __init__: string hashes differ between processes
-        return Generator, (self.name, self.index, self.precedence)
-
     @property
     def sym(self):
         return self.name if self.index is None else f"{self.name}_{self.index}"
@@ -53,38 +44,65 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        return Word(tuple.__add__(self, other))
-
     def __repr__(self):
         return "*".join(g.sym for g in self) if self else "1"
 
 
-EMPTY_WORD = Word()
+class Alphabet:
+    """Letters in code order, each once; ``code`` maps a letter to its code.
+    ``asc`` and ``desc`` map a code to its letter's precedence rank counted
+    from the lowest and the highest, so ``s.translate(asc)`` compares as the
+    precedences of ``s`` do; tied precedences share a rank."""
 
+    __slots__ = ("letters", "code", "asc", "desc")
 
-def display_key(word):
-    """Deterministic word ordering for printing: by length, then by the
-    precedence sequence."""
-    return (len(word), tuple(g.precedence for g in word))
-
-
-def _merge_alphabet(seen, poly):
-    for w in poly.terms:
-        for g in w:
-            key = (g.name, g.index)
-            prev = seen.setdefault(key, g)
-            # presentations hand out one object per letter
-            if prev is not g and prev != g:
+    def __init__(self, letters):
+        self.letters = letters = tuple(dict.fromkeys(letters))
+        self.code = {g: chr(i) for i, g in enumerate(letters)}
+        first = {}
+        for g in letters:
+            # equal letters are merged above: this one differs in precedence
+            if first.setdefault((g.name, g.index), g) is not g:
                 raise AlphabetError(
-                    f"generator {g.sym} declared twice with different precedence"
-                )
+                    f"generator {g.sym} declared twice with different precedence")
+        precs = sorted({g.precedence for g in letters})
+        rank = {p: r for r, p in enumerate(precs)}
+        self.asc = {i: rank[g.precedence] for i, g in enumerate(letters)}
+        self.desc = {i: len(precs) - 1 - r for i, r in self.asc.items()}
+
+    def encode(self, word):
+        """Code string of a sequence of this alphabet's letters."""
+        return "".join([self.code[g] for g in word])
+
+    def word(self, s):
+        """Word of a code string."""
+        return Word(map(self.letters.__getitem__, map(ord, s)))
+
+
+_EMPTY = Alphabet(())
+
+
+def _over(alphabet, poly):
+    """``(joined, terms)``: ``alphabet`` plus ``poly``'s new letters (two
+    precedences of a name raise AlphabetError), and ``poly``'s terms over it."""
+    other = poly.alphabet
+    if other is alphabet or other.letters == alphabet.letters[:len(other.letters)]:
+        return alphabet, poly._terms
+    if alphabet.letters == other.letters[:len(alphabet.letters)]:
+        return other, poly._terms
+    new = [g for g in other.letters if g not in alphabet.code]
+    joined = Alphabet(alphabet.letters + tuple(new)) if new else alphabet
+    table = {i: joined.code[g] for i, g in enumerate(other.letters)}
+    return joined, {s.translate(table): c for s, c in poly._terms.items()}
 
 
 class NCPoly:
-    """Free-algebra element: finite mapping Word -> Coefficient."""
+    """Free-algebra element: a finite mapping from code strings over
+    ``alphabet`` to nonzero Coefficients.  The public constructor takes a
+    mapping from words (sequences of generators) to scalars and keys it over
+    a new alphabet of their letters."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("alphabet", "_terms")
 
     def __init__(self, terms=None):
         clean = {}
@@ -92,8 +110,10 @@ class NCPoly:
             for w, c in terms.items():
                 c = Coefficient.from_scalar(c)
                 if not c.is_zero:
-                    clean[Word(w)] = c
-        _set(self, "terms", clean)
+                    clean[tuple(w)] = c
+        alphabet = Alphabet(g for w in clean for g in w)
+        _set(self, "alphabet", alphabet)
+        _set(self, "_terms", {alphabet.encode(w): c for w, c in clean.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("NCPoly is immutable")
@@ -120,44 +140,56 @@ class NCPoly:
     def from_scalar(c):
         if isinstance(c, NCPoly):
             return c
-        return NCPoly({EMPTY_WORD: c})
+        c = Coefficient.from_scalar(c)
+        return _ncpoly({} if c.is_zero else {"": c}, _EMPTY)
 
-    # -- predicates -----------------------------------------------------
+    # -- views and predicates ----------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only view: a fresh ``{Word: Coefficient}`` dict each time."""
+        word = self.alphabet.word
+        return {word(s): c for s, c in self._terms.items()}
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def coefficient(self, word):
-        return self.terms.get(Word(word), Coefficient.zero())
+        try:
+            s = self.alphabet.encode(word)
+        except KeyError:  # a letter outside the alphabet
+            return Coefficient.zero()
+        return self._terms.get(s, Coefficient.zero())
 
     def words(self):
-        return sorted(self.terms, key=display_key, reverse=True)
+        """Words in the printer's order."""
+        word = self.alphabet.word
+        return [word(s) for s, _ in _display_items(self)]
 
-    def check_alphabet(self, *others):
-        seen = {}
-        _merge_alphabet(seen, self)
-        for o in others:
-            _merge_alphabet(seen, o)
+    def letters(self):
+        """The generators in the words, in order of first occurrence."""
+        letters = self.alphabet.letters
+        return [letters[ord(ch)] for ch in dict.fromkeys("".join(self._terms))]
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = NCPoly.from_scalar(other)
-        self.check_alphabet(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Coefficient.zero()) + c
-            if s.is_zero:
-                out.pop(w, None)
+        alphabet, terms = _over(self.alphabet, other)
+        out = dict(self._terms)
+        for s, c in terms.items():
+            c = out.get(s, Coefficient.zero()) + c
+            if c.is_zero:
+                out.pop(s, None)
             else:
-                out[w] = s
-        return _ncpoly(out)
+                out[s] = c
+        return _ncpoly(out, alphabet)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _ncpoly({w: -c for w, c in self.terms.items()})
+        return _ncpoly({s: -c for s, c in self._terms.items()}, self.alphabet)
 
     def __sub__(self, other):
         return self + (-NCPoly.from_scalar(other))
@@ -168,18 +200,21 @@ class NCPoly:
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             c = Coefficient.from_scalar(other)
-            return NCPoly({w: cc * c for w, cc in self.terms.items()})
-        self.check_alphabet(other)
+            # a product of nonzero scalars is nonzero
+            return _ncpoly({} if c.is_zero else
+                           {s: cc * c for s, cc in self._terms.items()},
+                           self.alphabet)
+        alphabet, terms = _over(self.alphabet, other)
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = out.get(w, Coefficient.zero()) + c1 * c2
-                if s.is_zero:
-                    out.pop(w, None)
+        for s1, c1 in self._terms.items():
+            for s2, c2 in terms.items():
+                s = s1 + s2
+                c = out.get(s, Coefficient.zero()) + c1 * c2
+                if c.is_zero:
+                    out.pop(s, None)
                 else:
-                    out[w] = s
-        return _ncpoly(out)
+                    out[s] = c
+        return _ncpoly(out, alphabet)
 
     def __rmul__(self, other):
         # only scalars reach here; central scalars commute
@@ -195,11 +230,12 @@ class NCPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, NCPoly):
-            return self.terms == other.terms
         if isinstance(other, (int, Coefficient, GaussRational)):
-            return self.terms == NCPoly.from_scalar(other).terms
-        return NotImplemented
+            other = NCPoly.from_scalar(other)
+        elif not isinstance(other, NCPoly):
+            return NotImplemented
+        return (len(self._terms) == len(other._terms)
+                and self._terms == _over(self.alphabet, other)[1])
 
     __hash__ = None
 
@@ -212,16 +248,25 @@ class NCPoly:
 _set = object.__setattr__
 
 
-def _ncpoly(terms):
-    """NCPoly from Word keys and nonzero Coefficient values that nothing
-    else holds: the validation of ``NCPoly.__init__`` is skipped."""
+def _ncpoly(terms, alphabet):
+    """NCPoly from code-string keys over ``alphabet`` and nonzero Coefficient
+    values that nothing else holds: the validation of ``NCPoly.__init__`` is
+    skipped."""
     out = object.__new__(NCPoly)
-    _set(out, "terms", terms)
+    _set(out, "alphabet", alphabet)
+    _set(out, "_terms", terms)
     return out
 
 
-_ZERO = NCPoly()
-_ONE = NCPoly({EMPTY_WORD: Coefficient.one()})
+_ZERO = _ncpoly({}, _EMPTY)
+_ONE = _ncpoly({"": Coefficient.one()}, _EMPTY)
+
+
+def _display_items(poly):
+    """``(code, coefficient)`` pairs in display order."""
+    asc = poly.alphabet.asc
+    return sorted(poly._terms.items(),
+                  key=lambda sc: (len(sc[0]), sc[0].translate(asc)), reverse=True)
 
 
 def commutator(a, b):
@@ -239,13 +284,15 @@ def substitute(poly, mapping):
     for k, v in mapping.items():
         sym = k.sym if isinstance(k, Generator) else str(k)
         images[sym] = NCPoly.from_scalar(v)
+    letters = poly.alphabet.letters
     out = NCPoly.zero()
-    for w, c in poly.terms.items():
+    for s, c in poly._terms.items():
         img = NCPoly.one()
-        for g in w:
-            if g.sym not in images:
-                raise UnboundGenerator(f"no image for generator {g.sym}")
-            img = img * images[g.sym]
+        for ch in s:
+            sym = letters[ord(ch)].sym
+            if sym not in images:
+                raise UnboundGenerator(f"no image for generator {sym}")
+            img = img * images[sym]
         out = out + img * c
     return out
 
@@ -253,10 +300,8 @@ def substitute(poly, mapping):
 def central_scale_eval(poly, point):
     """Evaluate every coefficient at a central point, keeping the words.
 
-    Returns a mapping Word -> GaussRational; zero values are kept so the
-    caller can see exactly which words vanished.
+    Returns a mapping Word -> GaussRational in display order; zero values
+    are kept so the caller can see exactly which words vanished.
     """
-    out = {}
-    for w in poly.words():
-        out[w] = poly.terms[w].evaluate(point)
-    return out
+    word = poly.alphabet.word
+    return {word(s): c.evaluate(point) for s, c in _display_items(poly)}

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .coeffs import Coefficient, _power
 from .errors import ParseError
-from .ncpoly import NCPoly
+from .ncpoly import NCPoly, _ncpoly, _over
 
 MAX_NESTING = 100
 MAX_POWER = 10_000
@@ -66,6 +66,7 @@ class _Parser:
         self.depth = 0
         self.gens = getattr(scope, "generator_map", {}) if scope is not None else {}
         self.opaques = set(getattr(scope, "opaque_names", ())) if scope is not None else set()
+        self.alphabet = getattr(scope, "alphabet", None)
 
     def peek(self):
         return self.tokens[self.k]
@@ -167,7 +168,7 @@ class _Parser:
             raise ParseError(f"fractional exponent {exp} allowed on q and p only "
                              f"(at {pos})", pos)
         k = int(exp)
-        is_scalar = all(len(w) == 0 for w in base.terms)
+        is_scalar = all(len(s) == 0 for s in base._terms)
         if is_scalar and (tag != "generator"):
             coeff = base.coefficient(())
             if k < 0:
@@ -223,7 +224,8 @@ class _Parser:
 
     def resolve(self, name, pos):
         if name in self.gens:
-            return NCPoly.from_generator(self.gens[name]), "generator"
+            return _ncpoly({self.alphabet.code[self.gens[name]]: Coefficient.one()},
+                           self.alphabet), "generator"
         if name in self.opaques:
             return NCPoly.from_scalar(Coefficient.opaque(name)), "opaque"
         if name == "i":
@@ -247,7 +249,7 @@ class _Parser:
 def _product(a, b, pos):
     """``a * b``, refused before it is formed when it pairs too many terms:
     that bounds both its size and its work."""
-    _refuse_pairing(_sizes(a.terms.values()), _sizes(b.terms.values()), pos)
+    _refuse_pairing(_sizes(a._terms.values()), _sizes(b._terms.values()), pos)
     return a * b
 
 
@@ -276,8 +278,9 @@ def _refuse_sum(a, b, pos):
     terms.  The coefficients of a shared word add over the product of their
     denominators when these differ, so each is multiplied by the other's
     denominator d, taken as d/d."""
-    for w, cb in b.terms.items():
-        ca = a.terms.get(w)
+    _, terms = _over(a.alphabet, b)
+    for s, cb in terms.items():
+        ca = a._terms.get(s)
         if ca is not None and ca._den != cb._den:
             _refuse_pairing(_sizes((ca,)), (len(cb._den),) * 2, pos)
             _refuse_pairing(_sizes((cb,)), (len(ca._den),) * 2, pos)
@@ -286,8 +289,9 @@ def _refuse_sum(a, b, pos):
 def parse_expr(text, scope=None):
     """Parse an expression into an NCPoly over the scope's alphabet.
 
-    ``scope`` is a Presentation (or anything with ``generator_map`` and
-    ``opaque_names``); None parses pure coefficient expressions.
+    ``scope`` is a Presentation (or anything with ``generator_map``,
+    ``opaque_names`` and the ``alphabet`` of those generators); None parses
+    pure coefficient expressions.
     """
     parser = _Parser(text, scope)
     value = parser.expr()

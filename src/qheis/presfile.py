@@ -135,7 +135,7 @@ def load_presentation(text):
             poly = parse_expr(pval, scope)
         except ParseError as exc:
             raise SchemaError(f"param {pname}: {exc}", path=f"param[{pname}]") from exc
-        if all(len(w) == 0 for w in poly.terms):
+        if all(len(s) == 0 for s in poly._terms):
             coeff = poly.coefficient(())
             num = coeff.num
             if len(num) <= 1 and coeff.den == Coefficient.one().den:

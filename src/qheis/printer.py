@@ -13,7 +13,7 @@ from itertools import groupby
 
 from .coeffs import Coefficient, G_ONE, GaussRational, _mono
 from .errors import QheisError, SchemaError
-from .ncpoly import Generator, NCPoly, Word
+from .ncpoly import Generator, NCPoly, Word, _display_items
 
 
 def _mono_sorted(poly):
@@ -163,12 +163,12 @@ def format_coefficient(c, latex=False):
     return ("-" if neg else "") + _join(parts, latex)
 
 
-def _run_lengths(word):
-    return [(g, len(list(run))) for g, run in groupby(word)]
+def _run_lengths(s, letters):
+    return [(letters[ord(ch)], len(list(run))) for ch, run in groupby(s)]
 
 
-def _word_plain(word):
-    return [g.sym if k == 1 else f"{g.sym}^{k}" for g, k in _run_lengths(word)]
+def _word_plain(s, letters):
+    return [g.sym if k == 1 else f"{g.sym}^{k}" for g, k in _run_lengths(s, letters)]
 
 
 _LATEX_SPECIAL = {
@@ -186,9 +186,9 @@ def _gen_latex(g):
     return base
 
 
-def _word_latex(word):
+def _word_latex(s, letters):
     out = []
-    for g, k in _run_lengths(word):
+    for g, k in _run_lengths(s, letters):
         base = _gen_latex(g)
         out.append(base if k == 1 else f"{base}^{{{k}}}")
     return out
@@ -201,7 +201,7 @@ def format_expr(poly, style="plain", scope=None):
     the same name, the central variable is printed as its base square root
     (s or t) so the plain form stays unambiguous and re-parseable.  Pass the
     presentation as ``scope`` to use its full alphabet for that decision;
-    otherwise the polynomial's own letters decide.
+    otherwise the letters that occur in the polynomial's words decide.
     """
     if style == "machine":
         return _format_machine(poly)
@@ -213,14 +213,14 @@ def format_expr(poly, style="plain", scope=None):
     if scope is not None:
         gen_names = {g.name for g in getattr(scope, "generator_map", {}).values()}
     else:
-        gen_names = {g.name for w in poly.terms for g in w}
+        gen_names = {g.name for g in poly.letters()}
     raw = frozenset(base for name, base in (("q", "s"), ("p", "t"))
                     if name in gen_names)
+    letters = poly.alphabet.letters
     out = []
-    for w in poly.words():
-        c = poly.terms[w]
+    for s, c in _display_items(poly):
         neg, cparts = _coeff_parts(c, latex, raw)
-        wparts = (_word_latex(w) if latex else _word_plain(w)) if len(w) else []
+        wparts = (_word_latex if latex else _word_plain)(s, letters)
         if wparts and cparts == ["1"]:
             body = _join(wparts, latex)
         elif wparts:
@@ -242,10 +242,9 @@ def _poly_json(p):
 
 def _format_machine(poly):
     terms = []
-    for w in poly.words():
-        c = poly.terms[w]
+    for s, c in _display_items(poly):
         terms.append({
-            "word": [[g.name, g.index, g.precedence] for g in w],
+            "word": [[g.name, g.index, g.precedence] for g in poly.alphabet.word(s)],
             "num": _poly_json(c.num),
             "den": _poly_json(c.den),
         })
@@ -278,6 +277,7 @@ def parse_machine(text):
             den = _machine_poly(t["den"])
             path = f"terms[{n}]"
             terms[word] = Coefficient(num, den)
+        path = "terms"  # the words' letters form one alphabet
         return NCPoly(terms)
     except (QheisError, ValueError, TypeError, LookupError, AttributeError,
             RecursionError) as exc:

@@ -12,33 +12,14 @@ term orders are provided:
 
 Normalization applies, deterministically, the first matching rule at the
 leftmost position of the largest reducible word; among words of equal order
-key the one inserted into the term dict first wins.  The next redex comes
-from a heap of the reducible words, each keyed and matched once when it
-enters the polynomial, so a step costs O(|rhs| log terms) and not a rescan of
-every term.
+key the one inserted into the term dict first wins.  A heap holds the
+reducible words, each keyed and matched once when it enters the polynomial,
+so a step costs O(|rhs| log terms) and not a rescan of every term.
 
-Inside ``normalize`` a word is a ``str`` with one character (its code) per
-distinct generator, so hashing, slicing, concatenation and matching run in
-C; ``Word`` and ``NCPoly`` appear only at entry, at exit and in trace and
-chain snapshots.  Each system builds its code tables on its first
-normalization, not in ``__init__``, so loading a presentation costs nothing
-extra.  The tables are:
-
-* the code of each letter some rule mentions; a letter no rule mentions gets
-  a code in a per-call copy, so nothing leaks into the system;
-* each lhs code with its rule and its rhs as code strings;
-* one regex of the escaped lhs codes joined by ``|``, shortest first: a
-  search returns the leftmost position and, there, the shortest lhs, which
-  is ``first_redex``;
-* two ``str.translate`` tables from codes to precedence ranks, ascending and
-  descending, so that a heap key is ``(-len, descending ranks)`` for deglex
-  and ``(-inversions, -len, descending ranks)`` for invlex, with the
-  inversions counted on the ascending ranks.  Tied precedences share a rank.
-
-The word-level API (``redexes``, ``first_redex``, ``is_irreducible``,
-``_apply_at``, ``TermOrder.key``) stays on ``Word`` tuples: the brute-force
-oracle and the inclusion ambiguities of critical pairs take every redex, and
-it is the independent reference the tests hold the code-string kernel to.
+Words are code strings over the system's alphabet, its presentation's (see
+``ncpoly``).  A regex of the left sides, shortest first, finds the leftmost
+redex and there the shortest left side; order keys compare the alphabet's
+precedence ranks.
 
 Local confluence is checked by resolving every overlap and inclusion
 ambiguity of the rule set (the diamond lemma; none is longer than
@@ -56,7 +37,7 @@ from heapq import heappop, heappush
 
 from .coeffs import Coefficient
 from .errors import NonTermination, OrientationError
-from .ncpoly import NCPoly, Word, _ncpoly
+from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
 
@@ -72,16 +53,18 @@ class TermOrder:
             raise ValueError(f"unknown term order {self.kind!r}")
 
     def key(self, word):
-        precs = tuple(g.precedence for g in word)
+        """Sort key of a Word."""
+        return self._key(tuple(g.precedence for g in word))
+
+    def code_key(self, s, alphabet):
+        """Sort key of a code string over ``alphabet``; within one alphabet
+        it orders words as ``key`` does."""
+        return self._key(s.translate(alphabet.asc))
+
+    def _key(self, ranks):
         if self.kind == "deglex":
-            return (len(word), precs)
-        inv = 0
-        for i in range(len(precs)):
-            pi = precs[i]
-            for j in range(i + 1, len(precs)):
-                if pi > precs[j]:
-                    inv += 1
-        return (inv, len(word), precs)
+            return (len(ranks), ranks)
+        return (_inversions(ranks), len(ranks), ranks)
 
     def greater(self, w1, w2):
         return self.key(w1) > self.key(w2)
@@ -101,85 +84,79 @@ class RewriteRule:
 
 
 class RewriteSystem:
-    """Validated, immutable collection of oriented rules."""
+    """Validated, immutable collection of oriented rules, over the join of
+    the alphabets of their sides."""
 
-    __slots__ = ("rules", "order", "step_limit", "_by_lhs", "_lengths", "_codes")
+    __slots__ = ("rules", "order", "step_limit", "alphabet", "_by_lhs",
+                 "_lengths", "_search")
 
     def __init__(self, rules, order=None, step_limit=DEFAULT_STEP_LIMIT):
         order = order or TermOrder("deglex")
         rules = tuple(rules)
+        alphabet = _EMPTY
+        for p in (*(r.rhs for r in rules), NCPoly({r.lhs: 1 for r in rules})):
+            alphabet, _ = _over(alphabet, p)
+        # lhs code -> (rule, rhs as (code, Coefficient) pairs, None for 1)
         by_lhs = {}
         for r in rules:
             if len(r.lhs) < 2:
                 raise OrientationError(
                     f"rule {r.origin}: left side {r.lhs!r} is shorter than two letters"
                 )
-            if r.lhs in by_lhs:
+            lhs = alphabet.encode(r.lhs)
+            if lhs in by_lhs:
                 raise OrientationError(
-                    f"rules {by_lhs[r.lhs].origin} and {r.origin} share the left side "
-                    f"{r.lhs!r}"
+                    f"rules {by_lhs[lhs][0].origin} and {r.origin} share the left "
+                    f"side {r.lhs!r}"
                 )
-            lk = order.key(r.lhs)
-            for w in r.rhs.terms:
-                if not lk > order.key(w):
+            lk = order.code_key(lhs, alphabet)
+            _, rhs = _over(alphabet, r.rhs)
+            for s in rhs:
+                if not lk > order.code_key(s, alphabet):
                     raise OrientationError(
-                        f"rule {r.origin}: right-side word {w!r} is not smaller than "
-                        f"{r.lhs!r}"
+                        f"rule {r.origin}: right-side word {alphabet.word(s)!r} is "
+                        f"not smaller than {r.lhs!r}"
                     )
-            by_lhs[r.lhs] = r
+            by_lhs[lhs] = (r, tuple((s, None if c == 1 else c)
+                                    for s, c in rhs.items()))
+        # "(?!)" never matches: the pattern of a system without rules
+        pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "step_limit", int(step_limit))
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_by_lhs", by_lhs)
-        object.__setattr__(self, "_lengths", tuple(sorted({len(r.lhs) for r in rules})))
-        object.__setattr__(self, "_codes", None)
+        object.__setattr__(self, "_lengths", tuple(sorted({len(s) for s in by_lhs})))
+        object.__setattr__(self, "_search", re.compile(pattern).search)
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
 
-    def redexes(self, word):
-        """Every ``(pos, rule)`` whose lhs occurs in ``word`` at ``pos``:
-        leftmost position first, and at each position the shortest lhs
-        first."""
-        n = len(word)
+    def redexes(self, s):
+        """Every ``(pos, lhs)`` with a left side ``lhs`` at ``pos`` of the code
+        string ``s``: leftmost first, and at a position shortest first."""
+        n = len(s)
         for pos in range(n):
             for L in self._lengths:
                 if pos + L > n:
                     break
-                r = self._by_lhs.get(word[pos:pos + L])
-                if r is not None:
-                    yield pos, r
-
-    def first_redex(self, word):
-        return next(self.redexes(word), None)
-
-    def is_irreducible(self, word):
-        return self.first_redex(word) is None
-
-    def _code_tables(self):
-        """``(letters, code, desc, asc, search, by_lhs)``, built on the first
-        call: the letters the rules mention, in code order, and their
-        tables (see ``_alphabet``); ``search`` finds the first redex of a
-        code string, and ``by_lhs`` maps each lhs code to its rule and the
-        rule's rhs as a tuple of ``(code, Coefficient)`` pairs, with None
-        for a coefficient 1."""
-        if self._codes is None:
-            letters = list(dict.fromkeys(
-                g for r in self.rules for w in (r.lhs, *r.rhs.terms) for g in w))
-            code, desc, asc = _alphabet(letters)
-            by_lhs = {}
-            for r in self.rules:
-                rhs = tuple((_encode(code, w), None if c == 1 else c)
-                            for w, c in r.rhs.terms.items())
-                by_lhs[_encode(code, r.lhs)] = (r, rhs)
-            # "(?!)" never matches: the pattern of a system without rules
-            pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
-            object.__setattr__(self, "_codes", (letters, code, desc, asc,
-                                                re.compile(pattern).search, by_lhs))
-        return self._codes
+                lhs = s[pos:pos + L]
+                if lhs in self._by_lhs:
+                    yield pos, lhs
 
     def __repr__(self):
         return f"RewriteSystem({len(self.rules)} rules, {self.order.kind})"
+
+
+_ONE = Coefficient.one()
+
+
+def _reduct(sys, s, pos, lhs):
+    """Term dict of the one-step rewrite of the word ``s`` (coefficient 1)
+    at the occurrence of the left side ``lhs`` at ``pos``."""
+    prefix, suffix = s[:pos], s[pos + len(lhs):]
+    return {prefix + rw + suffix: _ONE if rc is None else rc
+            for rw, rc in sys._by_lhs[lhs][1]}
 
 
 def orient_relation(label, poly, order):
@@ -189,17 +166,20 @@ def orient_relation(label, poly, order):
     OrientationError."""
     if poly.is_zero:
         raise OrientationError(f"relation {label} is identically zero")
-    words = list(poly.terms)
-    lead = max(words, key=order.key)
-    lk = order.key(lead)
-    if sum(1 for w in words if order.key(w) == lk) > 1:
+    alphabet = poly.alphabet
+    keys = [order.code_key(s, alphabet) for s in poly._terms]
+    lk = max(keys)
+    if keys.count(lk) > 1:
         raise OrientationError(f"relation {label} has no unique maximal word")
+    lead = list(poly._terms)[keys.index(lk)]
     if len(lead) < 2:
         raise OrientationError(
-            f"relation {label}: maximal word {lead!r} is shorter than two letters"
+            f"relation {label}: maximal word {alphabet.word(lead)!r} is shorter "
+            f"than two letters"
         )
-    lc = poly.terms[lead]
-    return RewriteRule(Word(lead), NCPoly.from_word(lead) - poly * lc.inverse(), label)
+    lc = poly._terms[lead]
+    return RewriteRule(alphabet.word(lead),
+                       _ncpoly({lead: _ONE}, alphabet) - poly * lc.inverse(), label)
 
 
 def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
@@ -228,48 +208,14 @@ def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
                           (ginv, g, f"unit:{ginv.sym}*{g.sym}")):
             lhs = Word((a, b))
             if lhs not in {r.lhs for r in rules}:
-                rules.append(RewriteRule(lhs, NCPoly.one(), tag))
+                rules.append(RewriteRule(lhs, presentation.poly(), tag))
     return RewriteSystem(rules, order, step_limit)
-
-
-def _apply_at(terms, word, pos, rule):
-    """One rewrite step, in place on the term dict ``terms``: replace
-    ``word`` and its coefficient by the rewrite of its occurrence of
-    rule.lhs at ``pos``."""
-    coeff = terms.pop(word)
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    for rw, rc in rule.rhs.terms.items():
-        nw = Word(prefix + rw + suffix)
-        old = terms.get(nw)
-        s = (Coefficient.zero() if old is None else old) + coeff * rc
-        if s.is_zero:
-            terms.pop(nw, None)
-        else:
-            terms[nw] = s
-
-
-def _alphabet(letters):
-    """Codes and rank tables of ``letters``: ``code`` maps the i-th letter
-    to ``chr(i)``; ``asc`` and ``desc`` translate each code to the rank of
-    its precedence among the letters' distinct precedences, counted from
-    the lowest and from the highest."""
-    code = {g: chr(i) for i, g in enumerate(letters)}
-    precs = sorted({g.precedence for g in letters})
-    rank = {p: r for r, p in enumerate(precs)}
-    top = len(precs) - 1
-    asc = str.maketrans({c: chr(rank[g.precedence]) for g, c in code.items()})
-    desc = str.maketrans({c: chr(top - rank[g.precedence]) for g, c in code.items()})
-    return code, desc, asc
-
-
-def _encode(code, word):
-    return "".join([code[g] for g in word])
 
 
 def _inversions(ranks):
     """Number of pairs i < j with ranks[i] > ranks[j]."""
     inv = 0
-    seen = []  # the characters right of the current one, sorted
+    seen = []  # the items right of the current one, sorted
     for c in reversed(ranks):
         k = bisect_left(seen, c)
         inv += k
@@ -278,25 +224,10 @@ def _inversions(ranks):
 
 
 def _reduce(poly, sys, trace):
-    letters, code, desc, asc, search, by_lhs = sys._code_tables()
-    words = {}  # code string -> Word: the input's own Words, then decoded ones
-    terms = {}
-    for w, c in poly.terms.items():
-        try:
-            s = _encode(code, w)
-        except KeyError:
-            # letters no rule mentions get codes in a per-call copy
-            letters = letters + [g for g in dict.fromkeys(w) if g not in code]
-            code, desc, asc = _alphabet(letters)
-            s = _encode(code, w)
-        words[s] = w
-        terms[s] = c
-
-    def word(s):
-        w = words.get(s)
-        if w is None:
-            w = words[s] = Word(map(letters.__getitem__, map(ord, s)))
-        return w
+    alphabet, terms = _over(sys.alphabet, poly)
+    terms = dict(terms)
+    asc, desc = alphabet.asc, alphabet.desc
+    search, by_lhs = sys._search, sys._by_lhs
 
     # Max-heap of the reducible words in ``terms`` by order key; ties go to
     # the smaller insertion number, i.e. to the earlier word in dict order.
@@ -351,12 +282,11 @@ def _reduce(poly, sys, trace):
             else:
                 terms[nw] = s
         if trace is not None or steps > limit - chain.maxlen:
-            snap = (rule.origin, pos,
-                    _ncpoly({word(s): c for s, c in terms.items()}))
+            snap = (rule.origin, pos, _ncpoly(dict(terms), alphabet))
             chain.append(snap)
             if trace is not None:
                 trace.append(snap)
-    return _ncpoly({word(s): c for s, c in terms.items()})
+    return _ncpoly(terms, alphabet)
 
 
 def normalize(poly, sys):
@@ -397,32 +327,30 @@ def critical_pairs(sys):
     results are computed and the pair is resolved when their normal forms
     agree.
     """
+    alphabet, by_lhs = sys.alphabet, sys._by_lhs
     out = []
-    one = Coefficient.one()
 
-    def add(w, r1, r2, p2):
-        left, right = {w: one}, {w: one}
-        _apply_at(left, w, 0, r1)
-        _apply_at(right, w, p2, r2)
-        left, right = NCPoly(left), NCPoly(right)
+    def add(s, l1, l2, p2):
+        r1, r2 = by_lhs[l1][0], by_lhs[l2][0]
+        left = _ncpoly(_reduct(sys, s, 0, l1), alphabet)
+        right = _ncpoly(_reduct(sys, s, p2, l2), alphabet)
         resolved = normalize(left, sys) == normalize(right, sys)
-        out.append(CriticalPair(w, r1.origin, r2.origin, left, right, resolved))
+        out.append((sys.order.code_key(s, alphabet), r1.origin, r2.origin,
+                    CriticalPair(alphabet.word(s), r1.origin, r2.origin, left,
+                                 right, resolved)))
 
-    for r1 in sys.rules:
-        l1 = r1.lhs
-        for r2 in sys.rules:
-            l2 = r2.lhs
-            # suffix of r1.lhs equals prefix of r2.lhs
+    for l1 in by_lhs:
+        for l2 in by_lhs:
+            # suffix of l1 equals prefix of l2
             for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k:] == l2[:k]:
-                    add(Word(l1 + l2[k:]), r1, r2, len(l1) - k)
-        # another lhs inside r1.lhs
-        for pos, r2 in sys.redexes(l1):
-            if r2 is not r1:
-                add(l1, r1, r2, pos)
-    out.sort(key=lambda cp: (sys.order.key(cp.overlap_word), cp.left_rule,
-                             cp.right_rule))
-    return out
+                if l1.endswith(l2[:k]):
+                    add(l1 + l2[k:], l1, l2, len(l1) - k)
+        # another lhs inside l1
+        for pos, l2 in sys.redexes(l1):
+            if l2 != l1:
+                add(l1, l1, l2, pos)
+    out.sort(key=lambda entry: entry[:3])
+    return [entry[3] for entry in out]
 
 
 @dataclass(frozen=True)

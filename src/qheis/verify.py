@@ -33,10 +33,10 @@ from .errors import (OracleDivergence, OracleOverflow, OrientationError,
 from .families import (Presentation, UnifiedParams, catalog, classical_limit,
                        extract_ore, subs_poly, unified, unified_relation_polys,
                        unit_ratio)
-from .ncpoly import NCPoly, Word, central_scale_eval, display_key
+from .ncpoly import Alphabet, NCPoly, _ncpoly, _over, central_scale_eval
 from .parser import parse_expr
 from .printer import format_expr
-from .rewrite import (RewriteSystem, TermOrder, _apply_at, check_confluence,
+from .rewrite import (RewriteSystem, TermOrder, _reduct, check_confluence,
                       normalize, orient, orient_relation)
 
 C = Coefficient
@@ -63,20 +63,16 @@ def random_coeff(rng):
     return rng.choice(_coeff_pool())
 
 
-def random_word(rng, gens, max_len):
-    return Word(tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len))))
-
-
 def random_poly(rng, gens, max_len=4, max_terms=3):
-    terms = {}
+    """Sum of random words over ``gens`` (a list that may repeat letters to
+    weight them) with random coefficients, keyed over their alphabet."""
+    alphabet = Alphabet(gens)
+    codes = [alphabet.code[g] for g in gens]
+    out = NCPoly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        w = random_word(rng, gens, max_len)
-        c = terms.get(w, C.zero()) + random_coeff(rng)
-        if c.is_zero:
-            terms.pop(w, None)
-        else:
-            terms[w] = c
-    return NCPoly(terms)
+        s = "".join([rng.choice(codes) for _ in range(rng.randint(0, max_len))])
+        out = out + _ncpoly({s: random_coeff(rng)}, alphabet)
+    return out
 
 
 _POINT_POOL = tuple(Fraction(a, b) for a, b in
@@ -150,9 +146,8 @@ def _failed(expected):
 
 def _numeric_agree(a, b, rng, points=5):
     """Spot-check two polynomials at random pole-free central points."""
-    variables = sorted(set().union(*(c.variables() for c in a.terms.values()),
-                                   *(c.variables() for c in b.terms.values()))
-                       ) if (a.terms or b.terms) else []
+    variables = sorted(set().union(*(c.variables() for c in a._terms.values()),
+                                   *(c.variables() for c in b._terms.values())))
     for _ in range(points):
         for _attempt in range(10):
             pt = random_point(rng, variables)
@@ -189,11 +184,11 @@ def verify_poly_identity(case_id, lhs, rhs, sys, expected="pass"):
 
 def _solve_scalar_combination(target, relations):
     """Scalars c_j with sum c_j * relations_j == target, or None."""
-    words = set(target.terms)
-    for r in relations:
-        words.update(r.terms)
-    words = sorted(words, key=display_key)
-    rows = [[r.terms.get(w, C.zero()) for r in relations] + [target.terms.get(w, C.zero())]
+    # the two presentations' alphabets differ: compare by Word
+    *cols, last = (p.terms for p in (*relations, target))
+    words = sorted(set(last).union(*cols),
+                   key=lambda w: (len(w), tuple(g.precedence for g in w)))
+    rows = [[col.get(w, C.zero()) for col in cols] + [last.get(w, C.zero())]
             for w in words]
     ncols = len(relations)
     pivot_rows = []
@@ -267,8 +262,8 @@ def ideal_membership(rel, presentation):
         return True, "normalizes to zero"
     frames = [NCPoly.one()]
     for g, ginv in presentation.inverse_pairs:
-        frames.append(NCPoly.from_generator(g))
-        frames.append(NCPoly.from_generator(ginv))
+        frames.append(presentation.poly(g.sym))
+        frames.append(presentation.poly(ginv.sym))
     for left in frames:
         for right in frames:
             if left is frames[0] and right is frames[0]:
@@ -365,17 +360,6 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _word_reducts(word, sys):
-    """Every single-step rewrite of a word: at every position, one per rule
-    whose lhs occurs there (``RewriteSystem.redexes``)."""
-    out = []
-    for pos, rule in sys.redexes(word):
-        terms = {word: Coefficient.one()}
-        _apply_at(terms, word, pos, rule)
-        out.append(NCPoly(terms))
-    return out
-
-
 def brute_force_reduce(poly, sys, cap=5000, cache=None):
     """All-paths reduction, independent of the normalization strategy.
 
@@ -387,41 +371,44 @@ def brute_force_reduce(poly, sys, cap=5000, cache=None):
     branches disagree and OracleOverflow past ``cap`` distinct words.
 
     Pass a dict as ``cache`` to share word results across calls against the
-    same system.
+    same system.  Its keys are codes over the system's alphabet: a polynomial
+    with other letters gets a cache of its own.
     """
-    cache = {} if cache is None else cache
+    alphabet, terms = _over(sys.alphabet, poly)
+    cache = {} if cache is None or alphabet is not sys.alphabet else cache
     in_progress = set()
 
-    def bf_word(word):
-        if word in cache:
-            return cache[word]
-        if word in in_progress:
-            raise OracleOverflow(f"cyclic reduction through {word!r}")
+    def bf_word(s):
+        if s in cache:
+            return cache[s]
+        if s in in_progress:
+            raise OracleOverflow(f"cyclic reduction through {alphabet.word(s)!r}")
         if len(cache) > cap:
             raise OracleOverflow(f"word cap {cap} exceeded")
-        in_progress.add(word)
-        reducts = _word_reducts(word, sys)
+        in_progress.add(s)
+        # every single-step rewrite: one per redex (``RewriteSystem.redexes``)
+        reducts = [_reduct(sys, s, pos, lhs) for pos, lhs in sys.redexes(s)]
         if not reducts:
-            result = NCPoly.from_word(word)
+            result = _ncpoly({s: C.one()}, alphabet)
         else:
-            branches = [bf_poly(r) for r in reducts]
+            branches = [bf_terms(r) for r in reducts]
             result = branches[0]
             for b in branches[1:]:
                 if b != result:
                     raise OracleDivergence(
-                        f"word {word!r} reduces to distinct normal forms",
-                        forms=(result, b))
-        in_progress.discard(word)
-        cache[word] = result
+                        f"word {alphabet.word(s)!r} reduces to distinct normal "
+                        f"forms", forms=(result, b))
+        in_progress.discard(s)
+        cache[s] = result
         return result
 
-    def bf_poly(p):
+    def bf_terms(terms):
         acc = NCPoly.zero()
-        for w, c in p.terms.items():
-            acc = acc + bf_word(w) * c
+        for s, c in terms.items():
+            acc = acc + bf_word(s) * c
         return acc
 
-    return bf_poly(poly)
+    return bf_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +622,8 @@ def _case_wess_ore_discrepancy(case):
 
 
 def _sym_form(poly):
-    return {tuple(g.sym for g in w): c for w, c in poly.terms.items()}
+    return {tuple(g.sym for g in poly.alphabet.word(s)): c
+            for s, c in poly._terms.items()}
 
 
 def _case_classical_limit(case):
@@ -645,16 +633,14 @@ def _case_classical_limit(case):
     cls = catalog("classical", indices=1)
     cls_sys = cls.system()
     rng = Random(_seed(case.case_id))
-    lx, lp = lim.gen("x_1"), lim.gen("p_1")
-    cx, cp = cls.gen("x_1"), cls.gen("p_1")
     for _ in range(100):
         a = NCPoly.zero()
         b = NCPoly.zero()
         for _ in range(rng.randint(1, 3)):
             coeff = random_coeff(rng)
-            syms = [rng.choice("xp") for _ in range(rng.randint(0, 5))]
-            a = a + NCPoly.from_word([lx if s == "x" else lp for s in syms], coeff)
-            b = b + NCPoly.from_word([cx if s == "x" else cp for s in syms], coeff)
+            syms = [rng.choice(("x_1", "p_1")) for _ in range(rng.randint(0, 5))]
+            a = a + lim.poly(*syms) * coeff
+            b = b + cls.poly(*syms) * coeff
         if _sym_form(normalize(a, lim_sys)) != _sym_form(normalize(b, cls_sys)):
             return case.report("fail", detail="normal forms differ",
                                witness=format_expr(a))

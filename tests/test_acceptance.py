@@ -15,6 +15,7 @@ from qheis import (brute_force_reduce, catalog, check_confluence, extract_ore,
 from qheis.coeffs import Coefficient, qnumber
 from qheis.ncpoly import NCPoly, commutator
 from qheis.verify import random_poly, verify_relation_set_equivalence
+from reference import is_irreducible
 
 C = Coefficient
 
@@ -133,9 +134,7 @@ def test_criterion_confluence():
     checked = 0
     for length in range(0, 7):
         for tup in itertools.product(gens, repeat=length):
-            from qheis.ncpoly import Word
-
-            if not sysm.is_irreducible(Word(tup)):
+            if not is_irreducible(sysm, tup):
                 continue
             names = [g.sym for g in tup]
             assert not ({"x", "p"} <= set(names)), names

@@ -229,6 +229,15 @@ class TestOre:
         assert code == 1
         assert "lists x more than once" in err
 
+    @pytest.mark.parametrize("tower", [",,", "x"])
+    def test_short_tower_is_usage_error(self, capsys, tower):
+        # a tower of one generator has no pairs: an empty table would pass
+        # vacuously
+        code, out, err = run_cli(capsys, "ore", "--algebra", "gaddis",
+                                 "--tower", tower)
+        assert code == 1 and out == ""
+        assert "a tower needs at least two generators" in err
+
 
 class TestFamilies:
     def test_listing(self, capsys):

@@ -3,9 +3,12 @@ evaluation."""
 
 import math
 import operator
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -505,6 +508,38 @@ class TestInterning:
         with pytest.raises(ExponentOverflow, match=names[-1]):
             C.opaque(names[-1], EXP_LIMIT - 1) * far
 
+
+    def test_unpack_negative_exponents_in_high_fields(self, rng):
+        # a negative field borrows from every field above it in the packed
+        # int; the extreme exponents sit next to zero fields and each other
+        names = [f"neg_{i:03}" for i in range(300)]
+        for name in names:
+            C.opaque(name)
+        extremes = (-EXP_LIMIT, -EXP_LIMIT + 1, -1, 1, EXP_LIMIT - 1)
+        for _ in range(300):
+            chosen = sorted(rng.sample(["s", "h", *names], rng.randint(1, 6)))
+            mono = tuple((v, rng.choice(extremes + (rng.randint(-50, 50) or -7,)))
+                         for v in chosen)
+            assert _unpack(_pack(mono)) == mono
+        assert _unpack(_pack(((names[-1], -EXP_LIMIT),))) == ((names[-1], -EXP_LIMIT),)
+
+    def test_decoding_late_names_is_not_quadratic(self):
+        # behind 300 earlier names, the field-by-field decoder read this
+        # view in more than 30 s; it takes about a second here
+        code = ("from qheis import Coefficient as C\n"
+                "for i in range(300):\n"
+                "    C.opaque(f'early_{i:03}')\n"
+                "names = [f'late_{i:03}' for i in range(300)]\n"
+                "x = C.one()\n"
+                "for name in names:\n"
+                "    x = x + C.opaque(name)\n"
+                "num = (x * x).num\n"
+                "assert len(num) == 1 + 300 + 300 * 301 // 2\n"
+                "assert num[(('late_299', 2),)] == 1\n"
+                "assert num[(('late_000', 1), ('late_299', 1))] == 2\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=20,
+                       env=dict(os.environ, PYTHONPATH=src))
 
     def test_threads_agree_on_a_new_name(self):
         # 8 threads meet each fresh name at once, with the switch interval

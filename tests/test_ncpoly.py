@@ -65,6 +65,58 @@ class TestFreeProducts:
         assert op(w(X), w(twin)) == op(w(X), w(X))
 
 
+class TestAlphabets:
+    """Polynomials over different alphabets mix and compare by value."""
+
+    def test_equality_by_value_across_alphabets(self, families):
+        a = NCPoly({(X, P): 1, (U,): 2})
+        b = NCPoly({(U,): 2, (X, P): 1})
+        assert a.alphabet is not b.alphabet
+        assert a.alphabet.letters != b.alphabet.letters
+        assert a == b and b == a and (a - b).is_zero
+        assert a != b + w(X) and a != NCPoly({(X, P): 1, (U,): 3})
+        g = families["gaddis"]
+        twin = NCPoly({(g.gen("y"), g.gen("x")): C.q_power(1), (): 1})
+        assert twin == g.parse("q*y*x + 1") and twin.alphabet is not g.alphabet
+
+    def test_terms_view_is_the_word_dict(self, families):
+        want = {Word((P, X)): C.q_power(1), Word(()): C.from_scalar(3),
+                Word((X, P, X)): -C.one()}
+        a = NCPoly(want)
+        assert a.terms == want and list(a.terms) == list(want)
+        a.terms.clear()  # a fresh dict each time
+        assert a.terms == want
+        g = families["gaddis"]
+        x, z, y = (g.gen(s) for s in "xzy")
+        parsed = g.parse("y*x - q*x*y - hbar*z")
+        assert list(parsed.terms.items()) == [
+            (Word((y, x)), C.one()), (Word((x, y)), -C.q_power(1)),
+            (Word((z,)), -C.hbar_power(1))]
+        assert parsed.words() == [Word((y, x)), Word((x, y)), Word((z,))]
+
+    def test_bare_words_normalize_like_parsed_twins(self, rng, families,
+                                                     coeff_pool):
+        from qheis import format_expr, normalize
+
+        for fam, pres in families.items():
+            sysm = pres.system()
+            # code order against precedence order, unlike the presentation
+            gens = sorted(pres.generators, key=lambda g: -g.precedence)
+            for _ in range(20):
+                words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 5)))
+                         for _ in range(3)]
+                coeffs = [rng.choice(coeff_pool) for _ in words]
+                bare = sum((NCPoly.from_word(wd, c) for wd, c in zip(words, coeffs)),
+                           NCPoly.zero())
+                twin = sum((pres.parse("*".join(g.sym for g in wd) or "1") * c
+                            for wd, c in zip(words, coeffs)), NCPoly.zero())
+                assert twin.alphabet is pres.alphabet
+                assert bare == twin, fam
+                got, want = normalize(bare, sysm), normalize(twin, sysm)
+                assert format_expr(got, "machine") == format_expr(want, "machine")
+                assert list(got.terms) == list(want.terms), fam
+
+
 class TestCommutator:
     def test_self_commutator_vanishes(self):
         assert commutator(w(X), w(X)).is_zero

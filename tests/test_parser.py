@@ -212,6 +212,14 @@ class TestFormat:
         out = format_expr(s.parse("i*(q^(3/2) - q^(-1/2))*u*hbar"), "latex")
         assert out == r"i \hbar (q^{3/2} - q^{-1/2}) \hat{u}"
 
+    def test_without_scope_the_letters_in_use_decide(self, families):
+        # wess's generator p shadows the central p, which prints as the
+        # square root t only where the polynomial itself uses that generator
+        w = families["wess"]
+        assert format_expr(w.parse("t*x")) == "p^(1/2)*x"
+        assert format_expr(w.parse("t*x + p")) == "t*x + p"
+        assert format_expr(w.parse("t*x"), scope=w) == "t*x"
+
     def test_machine_round_trip(self, families):
         g = families["gaddis"]
         a = g.normalize("y*y*x")
@@ -222,6 +230,9 @@ class TestFormat:
          '"num":[[5,"1","0"]],"den":[[[],"1","0"]]}]}', "terms[0].num"),
         ('{"format":"qheis-poly-v1","terms":[{"word":[],'
          '"num":[[[],"x","0"]],"den":[[[],"1","0"]]}]}', "terms[0].num"),
+        ('{"format":"qheis-poly-v1","terms":[{"word":[["x",null,0]],'
+         '"num":[[[],"1","0"]],"den":[[[],"1","0"]]},{"word":[["x",null,1]],'
+         '"num":[[[],"1","0"]],"den":[[[],"1","0"]]}]}', "terms"),
         ("not json", "document"),
         ("[]", "format"),
         ('{"format":"qheis-poly-v2","terms":[]}', "format"),

@@ -6,7 +6,6 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -20,38 +19,15 @@ from qheis.coeffs import Coefficient
 from qheis.errors import NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
-from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, _apply_at
+from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.verify import random_poly
+from reference import reference_reduce
 
 C = Coefficient
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "perfbench" / "expected"
 EXAMPLES = ROOT / "docs" / "examples"
-
-
-def reference_reduce(poly, system, trace):
-    """The full-scan strategy: every step rescans all terms for the largest
-    reducible word, ties going to the earliest word in dict order."""
-    terms = dict(poly.terms)
-    chain = deque(maxlen=5)
-    while True:
-        best = best_key = None
-        for w in terms:
-            k = system.order.key(w)
-            if best_key is not None and k <= best_key:
-                continue
-            m = system.first_redex(w)
-            if m is not None:
-                best, best_key, (pos, rule) = w, k, m
-        if best is None:
-            return NCPoly(terms)
-        if len(trace) == system.step_limit:
-            raise NonTermination(f"step limit {system.step_limit} exceeded",
-                                 chain=chain)
-        _apply_at(terms, best, pos, rule)
-        chain.append((rule.origin, pos, NCPoly(terms)))
-        trace.append(chain[-1])
 
 
 def _tied_system():
@@ -359,8 +335,8 @@ class TestStrategyEquivalence:
             assert len({Word((g, h)), Word((h, g))}) == 1
 
     def test_unpickled_generator_rehashes(self):
-        # pickled under another string-hash seed, the cached hash must not
-        # come along
+        # pickled under another string-hash seed, a generator must hash as
+        # one made in this process
         code = ("import pickle, sys; from qheis.ncpoly import Generator; "
                 "sys.stdout.write(pickle.dumps(Generator('x', 2, 5)).hex())")
         src = str(Path(qheis.__file__).resolve().parent.parent)

@@ -190,6 +190,28 @@ class TestSuite:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == REPORT_SHA256
 
+    def test_report_bytes_independent_of_code_order(self):
+        # polynomials over alphabets in reversed precedence order, with
+        # letters no presentation declares, normalized before the suite
+        code = ("import hashlib\n"
+                "from qheis import (NCPoly, catalog, family_ids, normalize,\n"
+                "                   reports_to_json, run_suite)\n"
+                "from qheis.ncpoly import Generator\n"
+                "foreign = [Generator('f', i, -1 - i) for i in range(3)]\n"
+                "for fam in family_ids():\n"
+                "    pres = catalog(fam)\n"
+                "    gens = sorted(pres.generators, key=lambda g: -g.precedence)\n"
+                "    a = NCPoly({tuple(gens): 1, (foreign[0], gens[0]): 2,\n"
+                "                tuple(foreign): 3})\n"
+                "    normalize(a * a, pres.system())\n"
+                "text = reports_to_json(run_suite('all', k=10))\n"
+                "print(hashlib.sha256(text.encode()).hexdigest())\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == REPORT_SHA256
+
     def test_render_table_lists_every_case(self, reports):
         table = render_table(reports)
         for r in reports:
