@@ -214,8 +214,15 @@ def main(argv=None):
     except (UnknownFamily, ParamError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OrientationError, NonTermination, NotOreShaped, OracleOverflow,
-            OracleDivergence, ExponentOverflow) as exc:
+    except NonTermination as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        # the last steps before the limit, in the format of --trace
+        for origin, pos, snapshot in exc.chain[-5:]:
+            print(f"# {origin} @ {pos}: {format_expr(snapshot)}",
+                  file=sys.stderr)
+        return ENGINE_ERROR
+    except (OrientationError, NotOreShaped, OracleOverflow, OracleDivergence,
+            ExponentOverflow) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return ENGINE_ERROR
     except QheisError as exc:

@@ -34,12 +34,15 @@ numerator/denominator pair of such dicts, whose denominator is the unit
 unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
 plain integers only.  The public form of a monomial stays the tuple of its
 (variable, nonzero exponent) pairs, sorted by variable, with ``()`` for 1:
-the constructor and ``monomial`` validate and encode it in one pass, and
+the constructor and ``monomial`` validate and encode it in one pass.  The
+printer and the machine format read ``_num``/``_den`` directly: they decode
+each key with ``_unpack`` and sort by variable name, and format the triples
+with ``_t_str``/``_ratio_str``, so no output depends on the interning order.
 ``Coefficient.num``/``.den`` decode to ``{tuple monomial: GaussRational}``
-views, which the printer and the machine format read, so no output depends
-on the interning order.  ``GaussRational`` arithmetic wraps the triple
-helpers, and ``evaluate`` returns a ``GaussRational``.  Results that are
-canonical by construction skip re-canonicalization.
+views for outside callers.  ``GaussRational`` arithmetic wraps the triple
+helpers, its text is ``_t_str`` of its triple, and ``evaluate`` returns a
+``GaussRational``.  Results that are canonical by construction skip
+re-canonicalization.
 """
 
 from __future__ import annotations
@@ -108,6 +111,28 @@ def _t_inv(x):
 
 def _t_pow(x, k):
     return _power(_t_inv(x) if k < 0 else x, abs(k), _T_ONE, _t_mul)
+
+
+def _ratio_str(n, d):
+    """``str(Fraction(n, d))`` for d > 0, with no Fraction built."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _t_str(x):
+    """Text of a triple: its real part when it is real, else ``i``,
+    ``-i``, ``im*i`` or ``(re +/- |im|*i)``, each part a reduced ratio."""
+    a, b, d = x
+    if not b:
+        return _ratio_str(a, d)
+    if not a:
+        if abs(b) == d:
+            return "i" if b > 0 else "-i"
+        return f"{_ratio_str(b, d)}*i"
+    imag = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+    return f"({_ratio_str(a, d)} {'+' if b > 0 else '-'} {imag})"
 
 
 def _power(base, k, one, mul):
@@ -214,19 +239,7 @@ class GaussRational:
         return _wrap(_t_pow(self._abd, k))
 
     def __str__(self):
-        if not self._abd[1]:
-            return str(self.re)
-        re, im = self.re, self.im
-        if not re:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        imag = "i" if mag == 1 else f"{mag}*i"
-        return f"({re} {sign} {imag})"
+        return _t_str(self._abd)
 
     __repr__ = __str__
 
@@ -647,7 +660,8 @@ class Coefficient:
 
     The public constructor copies its arguments and canonicalizes;
     operations whose result is canonical by construction (negation, sums
-    and products of operands with unit denominators) skip that step.  The
+    and products of operands with unit denominators) skip that step, and
+    a product with the ``one()`` object returns the other factor.  The
     constructor coerces int and Fraction values and drops zero values from
     both dicts, so an all-zero denominator raises DivisionByZero; a key that
     is not a monomial raises ParamError.  Equality falls back to cross
@@ -775,6 +789,11 @@ class Coefficient:
         if not isinstance(other, (Coefficient, *_SCALARS)):
             return NotImplemented
         other = Coefficient.from_scalar(other)
+        # the generators' unit coefficient: the product is the other factor
+        if other is _C_ONE:
+            return self
+        if self is _C_ONE:
+            return other
         if len(self._den) == 1 and len(other._den) == 1:
             return _coeff(_p_mul(self._num, other._num), {0: _T_ONE})
         return _coeff(*_canonical(_p_mul(self._num, other._num),

@@ -179,11 +179,7 @@ class NCPoly:
         alphabet, terms = _over(self.alphabet, other)
         out = dict(self._terms)
         for s, c in terms.items():
-            c = out.get(s, Coefficient.zero()) + c
-            if c.is_zero:
-                out.pop(s, None)
-            else:
-                out[s] = c
+            _accumulate(out, s, c)
         return _ncpoly(out, alphabet)
 
     __radd__ = __add__
@@ -208,12 +204,7 @@ class NCPoly:
         out = {}
         for s1, c1 in self._terms.items():
             for s2, c2 in terms.items():
-                s = s1 + s2
-                c = out.get(s, Coefficient.zero()) + c1 * c2
-                if c.is_zero:
-                    out.pop(s, None)
-                else:
-                    out[s] = c
+                _accumulate(out, s1 + s2, c1 * c2)
         return _ncpoly(out, alphabet)
 
     def __rmul__(self, other):
@@ -246,6 +237,19 @@ class NCPoly:
 
 
 _set = object.__setattr__
+
+
+def _accumulate(out, s, c):
+    """Add the nonzero ``c`` to ``out[s]``; a word whose sum cancels drops."""
+    x = out.get(s)
+    if x is None:
+        out[s] = c
+        return
+    x = x + c
+    if x.is_zero:
+        del out[s]
+    else:
+        out[s] = x
 
 
 def _ncpoly(terms, alphabet):

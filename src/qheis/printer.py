@@ -2,7 +2,11 @@
 
 Three styles: ``plain`` (ASCII, re-parseable), ``latex`` (hatted generators,
 \\hbar), and ``machine`` (loss-free JSON).  Terms print in display order:
-longer words first, then by the precedence sequence.
+longer words first, then by the precedence sequence.  Coefficients are read
+from their packed numerator and denominator dicts: monomial keys decode with
+``_unpack`` and sort by variable name, never by interning order, and each
+``(a, b, d)`` triple prints through ``coeffs._t_str``/``_ratio_str``, the
+formatter ``GaussRational.__str__`` uses too.
 """
 
 from __future__ import annotations
@@ -11,27 +15,31 @@ import json
 from fractions import Fraction
 from itertools import groupby
 
-from .coeffs import Coefficient, G_ONE, GaussRational, _mono
+from .coeffs import (Coefficient, GaussRational, _T_ONE, _mono, _ratio_str,
+                     _t_neg, _t_str, _unpack)
 from .errors import QheisError, SchemaError
 from .ncpoly import Generator, NCPoly, Word, _display_items
 
 
-def _mono_sorted(poly):
-    """Items of a ``{tuple monomial: GaussRational}`` view, leading first
-    under lex order on the variable names."""
-    varlist = sorted({v for m in poly for v, _ in m})
+def _sorted_terms(poly):
+    """``(tuple monomial, triple)`` items of a packed polynomial, leading
+    first under lex order on the variable names, whatever the interning
+    order."""
+    items = [(_unpack(m), t) for m, t in poly.items()]
+    if len(items) > 1:
+        varlist = sorted({v for m, _ in items for v, _ in m})
 
-    def exponents(mc):
-        exps = dict(mc[0])
-        return [exps.get(v, 0) for v in varlist]
+        def exponents(item):
+            exps = dict(item[0])
+            return [exps.get(v, 0) for v in varlist]
 
-    return sorted(poly.items(), key=exponents, reverse=True)
+        items.sort(key=exponents, reverse=True)
+    return items
 
 
-def _gauss_is_negative(g):
-    if g.re:
-        return g.re < 0
-    return g.im < 0
+def _negative(t):
+    a, b, _ = t
+    return a < 0 if a else b < 0
 
 
 def _exp_plain(base, steps, half_based):
@@ -57,19 +65,19 @@ def _var_plain(var, exp, raw=frozenset()):
 
 def _var_latex(var, exp):
     if var == "s":
-        base, e = "q", Fraction(exp, 2)
+        base, e = "q", _ratio_str(exp, 2)
     elif var == "t":
-        base, e = "p", Fraction(exp, 2)
+        base, e = "p", _ratio_str(exp, 2)
     elif var == "h":
-        base, e = r"\hbar", Fraction(exp)
+        base, e = r"\hbar", str(exp)
     else:
         if "_" in var:
             head, _, tail = var.partition("_")
             base = f"{head}_{{{tail}}}"
         else:
             base = var
-        e = Fraction(exp)
-    if e == 1:
+        e = str(exp)
+    if e == "1":
         return base
     return f"{base}^{{{e}}}"
 
@@ -77,18 +85,19 @@ def _var_latex(var, exp):
 _VAR_ORDER = {"h": 0, "s": 1, "t": 2}
 
 
-def _scalar_mono(g, mono, latex=False, raw=frozenset()):
-    """Factor list for scalar*monomial; the caller has made g's sign
-    positive."""
+def _scalar_mono(t, mono, latex=False, raw=frozenset()):
+    """Factor list for scalar*monomial, the scalar a triple; the caller has
+    made its sign positive."""
+    a, b, d = t
     parts = []
-    if g.re and g.im:
-        parts.append(f"({g})")
-    elif g.im:
-        if g.im != 1:
-            parts.append(str(g.im))
+    if a and b:
+        parts.append(f"({_t_str(t)})")
+    elif b:
+        if b != d:
+            parts.append(_ratio_str(b, d))
         parts.append("i")
-    elif g.re != 1:
-        parts.append(str(g.re))
+    elif a != d:
+        parts.append(_ratio_str(a, d))
     for v, e in sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3), ve[0])):
         parts.append(_var_latex(v, e) if latex else _var_plain(v, e, raw))
     if not parts:
@@ -100,12 +109,13 @@ def _join(parts, latex=False):
     return " ".join(parts) if latex else "*".join(parts)
 
 
-def _poly_sum_body(poly, latex=False, raw=frozenset()):
-    """Sum rendering with embedded signs, no common-factor extraction."""
+def _poly_sum_body(items, latex=False, raw=frozenset()):
+    """Sum rendering of ``_sorted_terms`` items with embedded signs, no
+    common-factor extraction."""
     out = []
-    for m, g in _mono_sorted(poly):
-        neg = _gauss_is_negative(g)
-        body = _join(_scalar_mono(-g if neg else g, m, latex, raw), latex)
+    for m, t in items:
+        neg = _negative(t)
+        body = _join(_scalar_mono(_t_neg(t) if neg else t, m, latex, raw), latex)
         if not out:
             out.append(("-" if neg else "") + body)
         else:
@@ -114,30 +124,33 @@ def _poly_sum_body(poly, latex=False, raw=frozenset()):
 
 
 def _num_body(num, latex=False, raw=frozenset()):
-    """(negative, factor list) for a numerator polynomial."""
-    items = _mono_sorted(num)
+    """(negative, factor list) for a packed numerator polynomial."""
+    items = _sorted_terms(num)
     if len(items) == 1:
-        m, g = items[0]
-        neg = _gauss_is_negative(g)
-        return neg, _scalar_mono(-g if neg else g, m, latex, raw)
-    all_imag = all(not g.re for _, g in items)
-    vals = [(m, GaussRational(g.im) if all_imag else g) for m, g in items]
-    lead_neg = _gauss_is_negative(vals[0][1])
+        m, t = items[0]
+        neg = _negative(t)
+        return neg, _scalar_mono(_t_neg(t) if neg else t, m, latex, raw)
+    all_imag = not any(a for _, (a, _, _) in items)
+    if all_imag:
+        items = [(m, (b, 0, d)) for m, (_, b, d) in items]
+    lead_neg = _negative(items[0][1])
     if lead_neg:
-        vals = [(m, -g) for m, g in vals]
-    mins = dict(vals[0][0])
-    for m, _ in vals[1:]:
+        items = [(m, _t_neg(t)) for m, t in items]
+    mins = dict(items[0][0])
+    for m, _ in items[1:]:
         cur = dict(m)
         mins = {v: min(e, cur.get(v, 0)) for v, e in mins.items() if v in cur}
     content = _mono((v, e) for v, e in mins.items() if e > 0)
-    inv = tuple((v, -e) for v, e in content)
-    rest = {_mono(m + inv): g for m, g in vals} if inv else dict(vals)
+    if content:
+        # a common monomial factor keeps the lex order of the terms
+        inv = tuple((v, -e) for v, e in content)
+        items = [(_mono(m + inv), t) for m, t in items]
     parts = []
     if all_imag:
         parts.append("i")
     if content:
-        parts.extend(_scalar_mono(G_ONE, content, latex, raw))
-    parts.append(f"({_poly_sum_body(rest, latex, raw)})")
+        parts.extend(_scalar_mono(_T_ONE, content, latex, raw))
+    parts.append(f"({_poly_sum_body(items, latex, raw)})")
     return lead_neg, parts
 
 
@@ -145,10 +158,10 @@ def _coeff_parts(c, latex=False, raw=frozenset()):
     """(negative, factor list) for a coefficient."""
     if c.is_zero:
         return False, ["0"]
-    neg, parts = _num_body(c.num, latex, raw)
+    neg, parts = _num_body(c._num, latex, raw)
     # a canonical one-term denominator is the unit
     if len(c._den) > 1:
-        den_body = _poly_sum_body(c.den, latex, raw)
+        den_body = _poly_sum_body(_sorted_terms(c._den), latex, raw)
         if latex:
             joined = _join(parts, latex)
             return neg, [f"\\frac{{{joined}}}{{{den_body}}}"]
@@ -237,7 +250,8 @@ def format_expr(poly, style="plain", scope=None):
 # -- machine format ---------------------------------------------------------
 
 def _poly_json(p):
-    return [[list(m), str(g.re), str(g.im)] for m, g in _mono_sorted(p)]
+    return [[list(m), _ratio_str(a, d), _ratio_str(b, d)]
+            for m, (a, b, d) in _sorted_terms(p)]
 
 
 def _format_machine(poly):
@@ -245,8 +259,8 @@ def _format_machine(poly):
     for s, c in _display_items(poly):
         terms.append({
             "word": [[g.name, g.index, g.precedence] for g in poly.alphabet.word(s)],
-            "num": _poly_json(c.num),
-            "den": _poly_json(c.den),
+            "num": _poly_json(c._num),
+            "den": _poly_json(c._den),
         })
     return json.dumps({"format": "qheis-poly-v1", "terms": terms},
                       separators=(",", ":"))

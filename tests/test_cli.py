@@ -83,6 +83,23 @@ class TestNormalize:
         assert code == 3
         assert "engine error" in err
 
+    def test_non_termination_prints_the_last_steps(self, capsys, tmp_path):
+        # y*h*x -> y*x*h^2 -> y*h*x -> ... never ends under invlex
+        path = tmp_path / "f.qpres"
+        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
+                        "generator: x\ngenerator: h\ngenerator: y\n"
+                        "relation: r1 : h*x - x*h*h\n"
+                        "relation: r2 : y*x*h*h - y*h*x\n")
+        code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
+                                 "--expr", "y*h*x")
+        assert (code, out) == (3, "")
+        assert err == ("engine error: step limit 10000 exceeded\n"
+                       "# r2 @ 0: y*h*x\n"
+                       "# r1 @ 1: y*x*h^2\n"
+                       "# r2 @ 0: y*h*x\n"
+                       "# r1 @ 1: y*x*h^2\n"
+                       "# r2 @ 0: y*h*x\n")
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "normalize", "--algebra", "schmudgen",
                              "--expr", "p*x*p*x")

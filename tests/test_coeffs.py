@@ -200,6 +200,19 @@ class TestCoefficientFastPaths:
         with pytest.raises(AttributeError):
             c.num = {}
 
+    def test_unit_factor(self):
+        c = coeff("(q - 1/2 + i*hbar)*(q + p^-1)^-1")
+        assert len(c._den) > 1
+        # the one object gives the other operand back
+        assert C.one() * c is c and c * C.one() is c
+        one = C.from_scalar(1)
+        assert one is not C.one()
+        for got in (c * 1, 1 * c, one * c, c * one, C.one() * c):
+            assert got == c
+            assert (got._num, got._den) == (c._num, c._den)
+        assert C.one() * C.one() == 1
+        assert C.one() * C.zero() == 0 == C.zero() * C.one()
+
 
 # -- triple-valued Laurent kernel against a GaussRational-valued reference --
 

@@ -41,6 +41,16 @@ class TestFreeProducts:
         want = w(X, X) - w(X, P) + w(P, X) - w(P, P)
         assert got == want
 
+    def test_cancelling_words_drop(self):
+        # (x + 1)(x - 1) = x^2 - 1: the two x terms cancel
+        got = (w(X) + 1) * (w(X) - 1)
+        assert got == w(X, X) - 1
+        assert set(got._terms) == {"\0\0", ""}
+        assert got.coefficient((X,)) == 0
+        assert (w(X) + (-w(X))).is_zero
+        assert w(X) + (-w(X)) == NCPoly.zero()
+        assert not (w(X, P) * 2 + w(X, P) * -2)._terms
+
     def test_empty_word_is_identity(self):
         a = w(X, P) * 3 + w(U)
         assert NCPoly.one() * a == a

@@ -1,0 +1,171 @@
+"""Golden bytes of the printer.
+
+Every normal form stored under ``perfbench/expected`` (read only) and a set
+of edge-case coefficients are formatted in the plain, latex and machine
+styles, with and without the presentation as ``scope``; one sha256 over all
+of that text is pinned.  The same digest must come out of a process that
+interns the opaque central variables in the reverse order.
+"""
+
+import functools
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import qheis
+from qheis import catalog, format_expr, load_presentation_file
+from qheis.coeffs import Coefficient, GaussRational
+from qheis.printer import format_coefficient, parse_machine
+
+C = Coefficient
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "perfbench" / "expected"
+EXAMPLES = ROOT / "docs" / "examples"
+MACHINE_PREFIX = '{"format":"qheis-poly-v1"'
+OPAQUE_NAMES = ("A", "D_21", "D_jk", "zz")
+
+GOLDEN_SHA256 = "1e60266a73abdacd131131f888be0ea52648810e68484e3d9c06358a7bdfa090"
+
+
+@functools.cache
+def _presentation(key):
+    """``family``, ``family:variant`` or an example ``.qpres`` file."""
+    if key.endswith(".qpres"):
+        return load_presentation_file(str(EXAMPLES / key))
+    family, _, variant = key.partition(":")
+    return catalog(family, variant=variant) if variant else catalog(family)
+
+
+def _is_presentation_key(key):
+    return key.endswith(".qpres") or key.partition(":")[0] in qheis.family_ids()
+
+
+def _stored_forms(node, pres=None):
+    """(presentation key or None, machine text) of every stored normal form,
+    in document order; a ``pres`` field or a presentation-named key gives
+    the presentation of what it holds."""
+    if isinstance(node, str):
+        if node.startswith(MACHINE_PREFIX):
+            yield pres, node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _stored_forms(item, pres)
+    elif isinstance(node, dict):
+        pres = node.get("pres", pres)
+        for key, value in node.items():
+            yield from _stored_forms(value, key if _is_presentation_key(key)
+                                     else pres)
+
+
+def _edge_coefficients():
+    q, p, h = C.q_power(1), C.p_power(1), C.hbar_power(1)
+    half = Fraction(1, 2)
+    d_jk, d_21, a, zz = (C.opaque(n) for n in ("D_jk", "D_21", "A", "zz"))
+    return [
+        # real and imaginary parts that reduce separately: (2 + i)/2
+        C.from_gauss(1, half),
+        C.from_gauss(Fraction(3, 4), Fraction(-5, 6)) * q,
+        C.from_gauss(Fraction(-1, 3), half) * C.q_power(half),
+        # fractional pure imaginary, negative leading terms
+        C.from_gauss(0, Fraction(-3, 4)) * C.q_power(Fraction(3, 2)),
+        C.from_gauss(0, Fraction(2, 5)) * h,
+        -C.from_gauss(2) * q + 1,
+        C.from_gauss(Fraction(-7, 3)) * p**-1 - h * C.from_gauss(0, 1),
+        # all-imaginary numerators with monomial content
+        C.imag() * q * (C.q_power(half) + Fraction(2, 3)) * h,
+        C.from_gauss(0, -2) * h**2 * (q**3 - p) * d_jk,
+        # multi-term denominators
+        (q - 1).inverse(),
+        (C.from_gauss(2, 1) * q + h) / (q**2 + p**-1 + 1),
+        C.imag() * h * q / (C.q_power(half) - C.q_power(-half)),
+        -(q + C.from_gauss(0, 3)) / ((q - 1) * (p + h)),
+        # opaque symbols
+        d_jk,
+        d_21**-2 * a + zz * q,
+        (d_jk + a * C.from_gauss(0, half)) / (d_21 - 1),
+        # the base roots s and t, which a shadowing alphabet prints raw
+        C.monomial({"s": 3, "t": -1}) * C.from_gauss(Fraction(5, 2)),
+        C.monomial({"s": 1}) - C.monomial({"t": 2, "h": -1}),
+        (C.monomial({"t": 1}) + 1) / (C.monomial({"s": 1}) + 1),
+    ]
+
+
+def _edge_polys():
+    """(presentation, polynomial) pairs: each edge coefficient on a short
+    word in an alphabet that shadows q or p (wess: p; qhbar: p) and in one
+    that does not (gaddis)."""
+    out = []
+    for key, word in (("wess", ("x", "p")), ("qhbar", ("p", "x")),
+                      ("gaddis", ("x", "z", "y"))):
+        pres = _presentation(key)
+        w = pres.poly(*word)
+        first = pres.poly(word[0])
+        for c in _edge_coefficients():
+            out.append((pres, w * c))
+            out.append((pres, first * c - w + c))
+    return out
+
+
+def golden_lines():
+    lines = []
+    for name in ("corpus", "growth", "layers", "session", "words"):
+        with open(EXPECTED / f"{name}.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for key, text in _stored_forms(doc):
+            poly = parse_machine(text)
+            scopes = (None,) if key is None else (None, _presentation(key))
+            for scope in scopes:
+                for style in ("plain", "latex", "machine"):
+                    lines.append(format_expr(poly, style, scope=scope))
+    for pres, poly in _edge_polys():
+        for scope in (None, pres):
+            for style in ("plain", "latex", "machine"):
+                lines.append(format_expr(poly, style, scope=scope))
+    for c in _edge_coefficients():
+        lines.append(format_coefficient(c))
+        lines.append(format_coefficient(c, latex=True))
+        lines.append(repr(c))
+    for re, im in ((0, 0), (3, 0), (Fraction(-5, 7), 0), (0, 1), (0, -1),
+                   (0, Fraction(3, 2)), (1, 1), (Fraction(1, 2), -1),
+                   (-2, Fraction(-4, 3)), (Fraction(3, 6), Fraction(1, 3))):
+        g = GaussRational(re, im)
+        lines.append(f"{g}|{g!r}")
+    return lines
+
+
+def golden_digest():
+    text = "\n".join(golden_lines())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPrinterGolden:
+    def test_covers_every_stored_normal_form(self):
+        counts = {}
+        for name in ("corpus", "growth", "layers", "session", "words"):
+            with open(EXPECTED / f"{name}.json", encoding="utf-8") as fh:
+                forms = list(_stored_forms(json.load(fh)))
+            assert forms and all(key is not None for key, _ in forms)
+            counts[name] = len(forms)
+        assert sum(counts.values()) == 649
+
+    def test_golden_bytes_pinned(self):
+        assert golden_digest() == GOLDEN_SHA256
+
+    def test_golden_bytes_independent_of_interning_order(self):
+        # the opaque names are interned in reverse order before anything
+        # else, so they take the low packed fields in the opposite order
+        code = ("import runpy, sys\n"
+                "from qheis import Coefficient\n"
+                f"for name in {tuple(reversed(OPAQUE_NAMES))!r}:\n"
+                "    Coefficient.opaque(name)\n"
+                "mod = runpy.run_path(sys.argv[1])\n"
+                "print(mod['golden_digest']())\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code, __file__],
+                             capture_output=True, text=True, check=True,
+                             timeout=300, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == GOLDEN_SHA256
