@@ -24,7 +24,7 @@ from .presfile import (load_presentation, load_presentation_file,
                        save_presentation, save_presentation_file)
 from .printer import format_coefficient, format_expr, parse_machine
 from .rewrite import (ConfluenceReport, CriticalPair, RewriteRule,
-                      RewriteSystem, TermOrder, check_confluence,
+                      RewriteSystem, TermOrder, check_confluence, complete,
                       critical_pairs, normalize, orient, reduce_trace)
 from .verify import (SpecializationRow, VerificationCase, VerificationReport,
                      brute_force_reduce, build_cases, ideal_membership,

@@ -36,7 +36,7 @@ class OrientationError(QheisError, ValueError):
 
 
 class NonTermination(QheisError, RuntimeError):
-    """Step limit exceeded during normalization."""
+    """Normalization's step limit or completion's bound exceeded."""
 
     def __init__(self, message, chain=()):
         super().__init__(message)

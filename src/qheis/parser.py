@@ -37,23 +37,22 @@ MAX_NESTING = 100
 MAX_POWER = 10_000
 MAX_TERMS = 100_000
 
+# whitespace and any other single character are tokens too, dropped and
+# refused by ``_tokenize``
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^()\[\],/])")
+                    r"|(?P<op>[-+*^()\[\],/])|(?P<space>\s+)|(?P<bad>.)",
+                    re.DOTALL)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "space":
             continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), pos))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} at {pos}", pos)
+        tokens.append((kind, m.group(), pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -201,7 +200,7 @@ class _Parser:
             self.depth -= 1
             return value, "group"
         if tok[0] == "int":
-            return NCPoly.from_scalar(Coefficient.from_gauss(self.number())), "scalar"
+            return NCPoly.from_scalar(Coefficient.from_scalar(self.number())), "scalar"
         if tok[0] == "ident":
             self.take()
             return self.resolve(tok[1], tok[2])

@@ -25,6 +25,8 @@ Local confluence is checked by resolving every overlap and inclusion
 ambiguity of the rule set (the diamond lemma; none is longer than
 2*(longest lhs) - 1, so all are checked).  With termination this certifies
 unique normal forms and that the irreducible words form a linear basis.
+``complete`` adds the unresolved ambiguities as rules until none is left, so
+an ideal's members are exactly what normalizes to zero.
 """
 
 from __future__ import annotations
@@ -369,3 +371,66 @@ def check_confluence(sys):
     pairs = critical_pairs(sys)
     unresolved = tuple(p for p in pairs if not p.resolved)
     return ConfluenceReport(not unresolved, unresolved, len(pairs))
+
+
+# Relations derived from ambiguities before ``complete`` gives up: completion
+# need not end (x*y*x = y*x*y has no finite system under deglex).
+COMPLETION_LIMIT = 64
+
+
+def _occurs(small, big):
+    n = len(small)
+    return any(big[i:i + n] == small for i in range(len(big) - n + 1))
+
+
+def complete(relations, order):
+    """Confluent, reduced RewriteSystem of the ideal of ``relations``
+    (``(label, poly)`` pairs) by Knuth-Bendix completion (Bergman 1978).
+
+    The first relation per leading word seeds a rule, the rest are queued.
+    A queued relation's nonzero normal form becomes a rule, and the rules
+    whose left side contains it are queued again.  Each unresolved ambiguity
+    is queued as ``left_result - right_result`` until none is left; past
+    COMPLETION_LIMIT of them NonTermination is raised.  A normal form that
+    does not orient raises OrientationError.
+    """
+    rules = {}  # lhs -> rule
+    queue = deque()
+    sys = None
+
+    def add(rule):
+        nonlocal sys
+        for lhs in [lhs for lhs in rules if _occurs(rule.lhs, lhs)]:
+            old = rules.pop(lhs)
+            queue.append((old.origin, NCPoly.from_word(lhs) - old.rhs))
+        rules[rule.lhs] = rule
+        sys = None
+
+    for label, poly in relations:
+        try:
+            rule = orient_relation(label, poly, order)
+        except OrientationError:
+            rule = None
+        if rule is None or any(_occurs(lhs, rule.lhs) for lhs in rules):
+            queue.append((label, poly))
+        else:
+            add(rule)
+    derived = 0
+    while True:
+        while queue:
+            label, poly = queue.popleft()
+            sys = sys or RewriteSystem(rules.values(), order)
+            rest = normalize(poly, sys)
+            if not rest.is_zero:
+                add(orient_relation(label, rest, order))
+        sys = sys or RewriteSystem(rules.values(), order)
+        unresolved = check_confluence(sys).unresolved
+        if not unresolved:
+            return RewriteSystem([RewriteRule(r.lhs, normalize(r.rhs, sys), r.origin)
+                                  for r in sys.rules], order)
+        derived += len(unresolved)
+        if derived > COMPLETION_LIMIT:
+            raise NonTermination(f"completion derived more than {COMPLETION_LIMIT} "
+                                 f"relations ({len(rules)} rules)")
+        queue.extend((f"{cp.left_rule}/{cp.right_rule}",
+                      cp.left_result - cp.right_result) for cp in unresolved)

@@ -372,11 +372,20 @@ def _ref_canonical(num, den):
     s = _ref_shift(num)
     rem = _ref_scale(num, s, G_ONE)
     lead = _ref_lead(den)
+    # a quotient term whose product with den's lex-smallest term falls below
+    # rem's ends the division, as in _p_divide_exact
+    names = sorted({v for m in (*rem, *den) for v, _ in m})
+
+    def lex(m):
+        return [dict(m).get(v, 0) for v in names]
+
+    floor = min(map(lex, rem))
+    trail = min(den, key=lex)
     quot = {}
     while rem:
         lr = _ref_lead(rem)
         m = _mono(lr + _ref_inv(lead))
-        if any(e < 0 for _, e in m):
+        if any(e < 0 for _, e in m) or lex(_mono(m + trail)) < floor:
             return num, den
         quot[m] = rem[lr]
         rem = _ref_add(rem, _ref_scale(den, m, -rem[lr]))
@@ -409,6 +418,10 @@ class TestPackedKernel:
     # s^(L-1) times s + 1: one product reaches the limit
     @example(((("s", EXP_LIMIT - 1),)), MONO_UNIT, {MONO_UNIT: G_ONE},
              {(("s", 1),): G_ONE, MONO_UNIT: G_ONE}, (("s", 1),), G_ONE)
+    # h*s^(L-1) over s^(L-1) + h*s^(L-2): the one quotient term s ends the
+    # division at the trailing-term test, before s^L is formed
+    @example(((("s", EXP_LIMIT - 1),)), MONO_UNIT, {(("h", 1),): G_ONE},
+             {MONO_UNIT: G_ONE, (("h", 1), ("s", -1)): G_ONE}, MONO_UNIT, G_ONE)
     def test_matches_tuple_reference(self, o1, o2, p, q, mono, g):
         from qheis.coeffs import _canonical, _p_add, _p_mul, _p_scale
 

@@ -53,6 +53,19 @@ class TestParse:
             parse_expr("q^(1/3*", None)
         assert exc.value.position is not None
 
+    def test_unexpected_character_after_whitespace(self, families):
+        text = "x + \t \n\n  $ y"
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert str(exc.value) == "unexpected character '$' at 10"
+        assert exc.value.position == 10 == text.index("$")
+
+    def test_non_ascii_character(self, families):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("x*\u00e9", families["gaddis"])
+        assert str(exc.value) == "unexpected character '\u00e9' at 2"
+        assert exc.value.position == 2
+
     def test_unknown_symbol_suggestion(self, families):
         with pytest.raises(ParseError) as exc:
             parse_expr("Lambd*x", families["wess"])
@@ -150,6 +163,8 @@ class TestParse:
 
     def test_rational_scalar(self):
         assert parse_expr("3/4", None).coefficient(()) == C.from_gauss("3/4")
+        assert parse_expr("6/4", None).coefficient(()) == C.from_gauss("3/2")
+        assert parse_expr("0/7", None).is_zero
 
 
 # Expressions built from the grammar's tokens.  Integers stay small (plus

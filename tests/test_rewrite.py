@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from qheis.coeffs import Coefficient
 from qheis.errors import NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
-from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
+from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, complete
 from qheis.verify import random_poly
 from reference import reference_reduce
 
@@ -511,6 +512,68 @@ class TestConfluence:
         pres = catalog("gaddis", variant="printed")
         report = check_confluence(pres.system())
         assert not report.confluent
+
+
+def _completed(pres):
+    return complete(pres.all_relation_polys(), TermOrder(pres.order_kind))
+
+
+def _braid():
+    x, y = Generator("x", None, 0), Generator("y", None, 1)
+    w = NCPoly.from_word
+    return Presentation("braid", [x, y], [("braid", w((x, y, x)) - w((y, x, y)))])
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("fam", qheis.family_ids())
+    def test_catalog_relations_normalize_to_zero(self, fam, families):
+        pres = families[fam]
+        sysm = _completed(pres)
+        assert check_confluence(sysm).confluent
+        for label, rel in pres.all_relation_polys():
+            assert normalize(rel, sysm).is_zero, label
+
+    def test_schmudgen_variants_complete_to_the_same_rules(self):
+        definition = catalog("schmudgen", variant="definition")
+        # p_x and x_p share the leading word p*x
+        with pytest.raises(OrientationError):
+            definition.system()
+        systems = [_completed(definition), _completed(catalog("schmudgen"))]
+        rules = [{r.lhs: r.rhs for r in sysm.rules} for sysm in systems]
+        assert len(rules[0]) == 8 and rules[0] == rules[1]
+        for sysm in systems:
+            report = check_confluence(sysm)
+            assert report.confluent and report.checked == 12
+
+    def test_printed_gaddis_variant_derives_z_squared(self, families):
+        sysm = _completed(catalog("gaddis", variant="printed"))
+        z = families["gaddis"].gen("z")
+        rules = {r.lhs: r.rhs for r in sysm.rules}
+        assert len(rules) == 4 and rules[Word((z, z))].is_zero
+        report = check_confluence(sysm)
+        assert report.confluent and report.checked == 4
+
+    def test_system_is_reduced(self):
+        sysm = _completed(catalog("schmudgen", variant="definition"))
+        for rule in sysm.rules:
+            assert normalize(rule.rhs, sysm) == rule.rhs
+            # no other left side inside this one
+            lhs = sysm.alphabet.encode(rule.lhs)
+            assert list(sysm.redexes(lhs)) == [(0, lhs)]
+
+    def test_infinite_completion_is_bounded(self):
+        start = time.perf_counter()
+        with pytest.raises(NonTermination, match="completion derived more than"):
+            _completed(_braid())
+        assert time.perf_counter() - start < 1
+
+    def test_one_letter_consequence_does_not_orient(self):
+        # x*y = 1 and y*x = 2 give x = x*y*x = 2*x
+        x, y = Generator("x", None, 0), Generator("y", None, 1)
+        w = NCPoly.from_word
+        rels = [("xy", w((x, y)) - 1), ("yx", w((y, x)) - 2)]
+        with pytest.raises(OrientationError, match="shorter than two letters"):
+            complete(rels, TermOrder("deglex"))
 
 
 class TestTermOrder:

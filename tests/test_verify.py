@@ -17,7 +17,7 @@ from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
-from qheis.verify import (ideal_membership, render_table,
+from qheis.verify import (VerificationCase, ideal_membership, render_table,
                           reports_to_json, verify_relation_set_equivalence)
 
 C = Coefficient
@@ -89,17 +89,18 @@ class TestPowerIdentities:
 
 class TestEquivalence:
     def test_membership_by_conjugation(self, families):
-        # the inverse-commutation relation is certified through u * rel * u
+        # the inverse-commutation relation follows from the definition only
+        # through the inverse pair u, u_inv
         s_def = catalog("schmudgen", variant="definition")
         rel = dict(catalog("schmudgen").relations)["u_inv_p"]
-        ok, method = ideal_membership(rel, s_def)
-        assert ok and "conjugate" in method
+        ok, nf = ideal_membership(rel, s_def)
+        assert ok and nf.is_zero
 
     def test_membership_by_scalar_combination(self, families):
         s_def = catalog("schmudgen", variant="definition")
         rel = dict(catalog("schmudgen").relations)["p_x"]
-        ok, method = ideal_membership(rel, s_def)
-        assert ok and "combination" in method
+        ok, nf = ideal_membership(rel, s_def)
+        assert ok and nf.is_zero
 
     def test_non_member_rejected(self, families):
         g = families["gaddis"]
@@ -112,6 +113,23 @@ class TestEquivalence:
             "t-schm", catalog("schmudgen", variant="definition"),
             catalog("schmudgen"))
         assert report.status == "pass"
+
+    def test_non_member_leaves_its_normal_form(self, families):
+        g = families["gaddis"]
+        ok, nf = ideal_membership(g.parse("y*x - x*y"), g)
+        assert not ok and nf == g.parse("(q - 1)*x*y + hbar*z")
+
+    def test_unbounded_completion_is_an_error(self):
+        x, y = Generator("x", None, 0), Generator("y", None, 1)
+        braid = qheis.Presentation(
+            "braid", [x, y],
+            [("braid", NCPoly.from_word((x, y, x)) - NCPoly.from_word((y, x, y)))])
+        case = VerificationCase(
+            "t-braid", "relation_set_equivalence", ("braid",), "pass",
+            lambda c: verify_relation_set_equivalence(c.case_id, braid, braid))
+        report = case.run()
+        assert report.status == "error"
+        assert report.detail.startswith("NonTermination: completion")
 
     def test_inequivalent_sets_fail(self, families):
         w = families["wess"]
