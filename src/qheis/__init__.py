@@ -7,7 +7,7 @@ confluence checking, Ore-tower extraction and a verification corpus for the
 cataloged deformations.
 """
 
-from .coeffs import Coefficient, GaussRational, qnumber
+from .coeffs import Coefficient, qnumber
 from .errors import (AlphabetError, DivisionByZero, ExponentOverflow,
                      NonTermination, NotOreShaped, OracleDivergence,
                      OracleOverflow, OrientationError, ParamError, ParseError,

@@ -26,10 +26,15 @@ USAGE_ERROR, PARSE_ERROR, ENGINE_ERROR, VERIFY_ERROR = 1, 2, 3, 4
 
 
 def _load_algebra(spec):
+    """Catalog family or presentation file; a file the OS cannot read is a
+    usage error."""
     if spec in FAMILIES:
         return catalog(spec)
-    if os.path.exists(spec):
-        return load_presentation_file(spec)
+    if os.path.isfile(spec):
+        try:
+            return load_presentation_file(spec)
+        except OSError as exc:
+            raise ParamError(f"cannot read {spec}: {exc.strerror or exc}") from exc
     raise UnknownFamily(f"{spec!r} is neither a family id nor a presentation file")
 
 
@@ -67,8 +72,12 @@ def _cmd_verify(args):
     reports = verify_mod.run_suite(args.suite, k=args.k)
     print(verify_mod.render_table(reports))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(verify_mod.reports_to_json(reports))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(verify_mod.reports_to_json(reports))
+        except OSError as exc:
+            raise ParamError(f"cannot write {args.report}: "
+                             f"{exc.strerror or exc}") from exc
         print(f"wrote {args.report}", file=sys.stderr)
     return 0 if verify_mod.suite_ok(reports) else VERIFY_ERROR
 
@@ -178,7 +187,8 @@ def build_parser():
                      help="all, a family id, or a case id")
     ver.add_argument("--report", help="write the machine-readable report here")
     ver.add_argument("--k", type=int, default=10,
-                     help="maximum power-identity exponent")
+                     help="maximum power-identity exponent, "
+                          f"1 to {verify_mod.MAX_K}")
     ver.set_defaults(func=_cmd_verify)
 
     conf = sub.add_parser("confluence", help="local confluence report")

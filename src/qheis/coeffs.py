@@ -34,15 +34,15 @@ numerator/denominator pair of such dicts, whose denominator is the unit
 unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
 plain integers only.  The public form of a monomial stays the tuple of its
 (variable, nonzero exponent) pairs, sorted by variable, with ``()`` for 1:
-the constructor and ``monomial`` validate and encode it in one pass.  The
-printer and the machine format read ``_num``/``_den`` directly: they decode
-each key with ``_unpack`` and sort by variable name, and format the triples
-with ``_t_str``/``_ratio_str``, so no output depends on the interning order.
-``Coefficient.num``/``.den`` decode to ``{tuple monomial: GaussRational}``
-views for outside callers.  ``GaussRational`` arithmetic wraps the triple
-helpers, its text is ``_t_str`` of its triple, and ``evaluate`` returns a
-``GaussRational``.  Results that are canonical by construction skip
-re-canonicalization.
+the constructor and ``monomial`` validate and encode it in one pass.
+
+``Coefficient`` is the one exact scalar type: a Gaussian rational is a
+constant coefficient, whose numerator is at most the one triple at key 0.
+``evaluate`` returns one, and ``Coefficient.num``/``.den`` decode to
+``{tuple monomial: constant Coefficient}`` views for outside callers.  This
+module formats no text: the printer reads ``_num``/``_den`` directly and
+decodes each key with ``_unpack``.  Results that are canonical by
+construction skip re-canonicalization.
 """
 
 from __future__ import annotations
@@ -113,28 +113,6 @@ def _t_pow(x, k):
     return _power(_t_inv(x) if k < 0 else x, abs(k), _T_ONE, _t_mul)
 
 
-def _ratio_str(n, d):
-    """``str(Fraction(n, d))`` for d > 0, with no Fraction built."""
-    g = gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
-def _t_str(x):
-    """Text of a triple: its real part when it is real, else ``i``,
-    ``-i``, ``im*i`` or ``(re +/- |im|*i)``, each part a reduced ratio."""
-    a, b, d = x
-    if not b:
-        return _ratio_str(a, d)
-    if not a:
-        if abs(b) == d:
-            return "i" if b > 0 else "-i"
-        return f"{_ratio_str(b, d)}*i"
-    imag = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
-    return f"({_ratio_str(a, d)} {'+' if b > 0 else '-'} {imag})"
-
-
 def _power(base, k, one, mul):
     """``base**k`` for an integer k >= 0 by square-and-multiply, with
     ``mul`` the product: ``k.bit_length() - 1`` squarings and one product
@@ -149,125 +127,21 @@ def _power(base, k, one, mul):
     return out
 
 
-class GaussRational:
-    """Exact complex rational (a + b*i)/d: the public wrapper of one reduced
-    triple ``(a, b, d)``.
-
-    The triple is unique for each value, so equality is a tuple compare.
-    ``re`` and ``im`` are read-only ``Fraction`` views for printing and
-    parsing; arithmetic runs on the triple helpers.
-    """
-
-    __slots__ = ("_abd",)
-
-    def __init__(self, re=0, im=0):
-        re, im = Fraction(re), Fraction(im)
-        d = lcm(re.denominator, im.denominator)
-        self._abd = (re.numerator * (d // re.denominator),
-                     im.numerator * (d // im.denominator), d)
-
-    @property
-    def re(self):
-        a, _, d = self._abd
-        return Fraction(a, d)
-
-    @property
-    def im(self):
-        _, b, d = self._abd
-        return Fraction(b, d)
-
-    def __bool__(self):
-        a, b, _ = self._abd
-        return bool(a) or bool(b)
-
-    # Binary operators return NotImplemented for an operand they cannot
-    # coerce, so that Python tries its reflected method (a Coefficient's).
-
-    def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._abd == _as_triple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        # a real value hashes like the equal int or Fraction
-        a, b, d = self._abd
-        if b:
-            return hash(self._abd)
-        return hash(a) if d == 1 else hash(Fraction(a, d))
-
-    def __add__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_add(self._abd, _as_triple(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _wrap(_t_neg(self._abd))
-
-    def __sub__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_add(self._abd, _t_neg(_as_triple(other))))
-
-    def __rsub__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_add(_as_triple(other), _t_neg(self._abd)))
-
-    def __mul__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_mul(self._abd, _as_triple(other)))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return _wrap(_t_inv(self._abd))
-
-    def __truediv__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_mul(self._abd, _t_inv(_as_triple(other))))
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _SCALARS):
-            return NotImplemented
-        return _wrap(_t_mul(_as_triple(other), _t_inv(self._abd)))
-
-    def __pow__(self, k):
-        return _wrap(_t_pow(self._abd, k))
-
-    def __str__(self):
-        return _t_str(self._abd)
-
-    __repr__ = __str__
-
-
-_SCALARS = (int, Fraction, GaussRational)
+_SCALARS = (int, Fraction)
 _new = object.__new__
 
 
-def _wrap(t):
-    """GaussRational of a reduced triple."""
-    out = _new(GaussRational)
-    out._abd = t
-    return out
-
-
 def _as_triple(x):
-    if isinstance(x, GaussRational):
-        return x._abd
+    """Triple of an int, a Fraction or a constant Coefficient."""
     if isinstance(x, int):
         return int(x), 0, 1
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
-    raise TypeError(f"cannot coerce {x!r} to GaussRational")
-
-
-G_ZERO = _wrap(_T_ZERO)
-G_ONE = _wrap(_T_ONE)
-G_I = _wrap((0, 1, 1))
+    if isinstance(x, Coefficient):
+        if len(x._den) == 1 and x._num.keys() <= {0}:
+            return x._num.get(0, _T_ZERO)
+        raise ParamError(f"{x!r} is not a constant coefficient")
+    raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +267,14 @@ def _mono(pairs):
 
 def _checked_poly(poly):
     """Packed, triple-valued copy of a ``monomial -> number`` dict, zeros
-    dropped; ParamError unless every key is a canonical tuple monomial."""
+    dropped by their triple; ParamError unless every key is a canonical
+    tuple monomial and every value a number."""
     out = {}
     for m, c in poly.items():
         key = _pack(m)
-        if c:
-            out[key] = _as_triple(c)
+        t = _as_triple(c)
+        if t[0] or t[1]:
+            out[key] = t
     return out
 
 
@@ -497,20 +373,6 @@ def _p_vars(a):
     return _field_names(_p_used(a, _masks(max(max(a), -min(a)))[0]))
 
 
-def _lex_key(shifts, off):
-    """Sort key for lex order on variable names: ``shifts`` are the bit
-    offsets of the variables that occur, sorted by name, and ``off`` covers
-    the fields of the monomials keyed.  The biased fields of ``m + off``
-    order like the exponents."""
-    return lambda m: [((m + off) >> sh) & _FIELD for sh in shifts]
-
-
-def _p_lead(a, shifts, off):
-    """Leading (monomial, coeff) under ``_lex_key(shifts, off)``."""
-    lead = max(a, key=_lex_key(shifts, off))
-    return lead, a[lead]
-
-
 def _p_shift_mono(a, off):
     """Monomial m with a*m a genuine polynomial (min exponent 0 per
     variable); ``off`` covers the fields of ``a``.  A field's bit W-2 in
@@ -530,35 +392,35 @@ def _p_shift_mono(a, off):
     return out
 
 
-def _p_divide_exact(a, b, shifts, off):
+def _p_divide_exact(a, b, off):
     """Exact Laurent division a/b, or None when b does not divide a.
 
     ``b`` must be a polynomial (no negative exponents), as ``_canonical``
-    leaves every multi-term denominator; only ``a`` is shifted.  ``shifts``
-    and ``off`` are those of ``_p_lead`` for the fields of a and b.
+    leaves every multi-term denominator; only ``a`` is shifted.  ``off``
+    covers the fields of a and b.
 
-    Quotient terms come in decreasing lex order, and the last term of an
-    exact quotient is trail(a)/trail(b), trail being the lex-smallest term:
-    a quotient term m below it, i.e. with m*trail(b) below trail(a), ends a
-    failing division at once instead of after one step per degree.
+    The packed keys compare as ints, which is a lex order (highest field
+    first) compatible with products, so the division runs in that order.
+    Quotient terms come in decreasing order, and the last term of an exact
+    quotient is trail(a)/trail(b), trail being the smallest term: a quotient
+    term m with m*trail(b) below trail(a) ends a failing division at once
+    instead of after one step per degree.
     """
     if not a:
         return {}
     sa = _p_shift_mono(a, off)
     rem = _p_scale(a, sa, _T_ONE)
-    lead_b, lc_b = _p_lead(b, shifts, off)
-    inv_lc_b = _t_inv(lc_b)
-    lex = _lex_key(shifts, off)
-    floor = lex(min(rem, key=lex))
-    trail_b = min(b, key=lex)
+    lead_b = max(b)
+    inv_lc_b = _t_inv(b[lead_b])
+    floor = min(rem) - min(b)
     quot = {}
     while rem:
-        lead_r, lc_r = _p_lead(rem, shifts, off)
+        lead_r = max(rem)
         m = lead_r - lead_b
         # rem and b are polynomials, so every field of m is in range
-        if (m + off) & off != off or lex(m + trail_b) < floor:
+        if (m + off) & off != off or m < floor:
             return None
-        c = _t_mul(lc_r, inv_lc_b)
+        c = _t_mul(rem[lead_r], inv_lc_b)
         quot[m] = c
         rem = _p_add(rem, _p_scale(b, m, _t_neg(c)))
     # undo the Laurent shift: a/b = (a*sa/b) / sa
@@ -602,7 +464,9 @@ def _canonical(num, den):
     A unit denominator is already canonical.  Any other single-term
     denominator is folded into the numerator; a multi-term one is shifted
     to nonnegative exponents, made monic and divided out when it divides
-    the numerator exactly.
+    the numerator exactly.  The monic choice reads the leading term in
+    lex order on the variable names, so that no output depends on the
+    interning order.
     """
     if not den:
         raise DivisionByZero("zero denominator")
@@ -618,14 +482,15 @@ def _canonical(num, den):
     if shift:
         num = _p_scale(num, shift, _T_ONE)
         den = _p_scale(den, shift, _T_ONE)
-    shifts = [_SHIFT[v] for v in
-              sorted(_field_names(_p_used(num, off) | _p_used(den, off)))]
-    _, lc = _p_lead(den, shifts, off)
+    # the biased fields of m + off order like the exponents
+    shifts = [_SHIFT[v] for v in sorted(_field_names(_p_used(den, off)))]
+    lc = den[max(den, key=lambda m: [((m + off) >> sh) & _FIELD
+                                     for sh in shifts])]
     if lc != _T_ONE:
         inv = _t_inv(lc)
         num = _p_scale(num, 0, inv)
         den = _p_scale(den, 0, inv)
-    q = _p_divide_exact(num, den, shifts, off)
+    q = _p_divide_exact(num, den, off)
     if q is not None:
         return q, {0: _T_ONE}
     return num, den
@@ -639,8 +504,13 @@ def _coeff(num, den):
     return out
 
 
-def _gauss_view(poly):
-    return {_unpack(m): _wrap(c) for m, c in poly.items()}
+def _const(t):
+    """Constant Coefficient of a reduced triple."""
+    return _coeff({0: t} if t[0] or t[1] else {}, {0: _T_ONE})
+
+
+def _view(poly):
+    return {_unpack(m): _const(c) for m, c in poly.items()}
 
 
 class Coefficient:
@@ -654,17 +524,19 @@ class Coefficient:
     unit ``{0: (1, 0, 1)}`` or has several terms;
     in the second case it is shifted to nonnegative exponents, monic and
     does not divide the numerator exactly, so common factors like
-    (q^2-1)/(q-1) collapse.  ``num`` and ``den`` are read-only views: each
-    access builds a fresh ``{monomial: GaussRational}`` dict, the form the
-    public constructor takes.
+    (q^2-1)/(q-1) collapse.  A Gaussian rational is a constant coefficient.
+    ``num`` and ``den`` are read-only views: each access builds a fresh
+    ``{monomial: constant Coefficient}`` dict, the form the public
+    constructor takes.
 
     The public constructor copies its arguments and canonicalizes;
     operations whose result is canonical by construction (negation, sums
     and products of operands with unit denominators) skip that step, and
     a product with the ``one()`` object returns the other factor.  The
-    constructor coerces int and Fraction values and drops zero values from
-    both dicts, so an all-zero denominator raises DivisionByZero; a key that
-    is not a monomial raises ParamError.  Equality falls back to cross
+    constructor takes int, Fraction and constant Coefficient values and
+    drops zero values from both dicts, so an all-zero denominator raises
+    DivisionByZero; a key that is not a monomial, or a value that is not
+    constant, raises ParamError.  Equality falls back to cross
     multiplication, so representation gaps never affect comparisons.
     """
 
@@ -677,11 +549,11 @@ class Coefficient:
 
     @property
     def num(self):
-        return _gauss_view(self._num)
+        return _view(self._num)
 
     @property
     def den(self):
-        return _gauss_view(self._den)
+        return _view(self._den)
 
     # -- constructors -------------------------------------------------
 
@@ -701,15 +573,19 @@ class Coefficient:
     def from_scalar(x):
         if isinstance(x, Coefficient):
             return x
-        t = _as_triple(x)
-        return _coeff({0: t} if t[0] or t[1] else {}, {0: _T_ONE})
+        return _const(_as_triple(x))
 
     @staticmethod
     def from_gauss(re, im=0):
-        return Coefficient.from_scalar(GaussRational(re, im))
+        """The Gaussian rational re + im*i, each part a rational number or
+        its text."""
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _const((re.numerator * (d // re.denominator),
+                       im.numerator * (d // im.denominator), d))
 
     @staticmethod
-    def monomial(exps, scalar=G_ONE):
+    def monomial(exps, scalar=1):
         key = 0
         for v, e in exps.items():
             if e:
@@ -835,11 +711,13 @@ class Coefficient:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point):
-        """Exact value at a full assignment of central variables."""
+        """Exact value, a constant Coefficient, at a full assignment of
+        central variables; a value is an int, a Fraction or a constant
+        Coefficient."""
         d = _p_eval(self._den, point)
         if not (d[0] or d[1]):
             raise PoleAtPoint("denominator vanishes at the evaluation point")
-        return _wrap(_t_mul(_p_eval(self._num, point), _t_inv(d)))
+        return _const(_t_mul(_p_eval(self._num, point), _t_inv(d)))
 
     def substitute(self, assign):
         """Partial substitution of central variables; other variables stay."""
@@ -856,7 +734,7 @@ class Coefficient:
 
 _C_ZERO = Coefficient()
 _C_ONE = Coefficient.from_scalar(1)
-_C_I = Coefficient.from_scalar(G_I)
+_C_I = _const((0, 1, 1))
 
 
 def qnumber(k):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffs import Coefficient, GaussRational
+from .coeffs import Coefficient
 from .errors import AlphabetError, UnboundGenerator
 
 
@@ -221,7 +221,7 @@ class NCPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Coefficient, GaussRational)):
+        if isinstance(other, (int, Coefficient)):
             other = NCPoly.from_scalar(other)
         elif not isinstance(other, NCPoly):
             return NotImplemented
@@ -304,8 +304,8 @@ def substitute(poly, mapping):
 def central_scale_eval(poly, point):
     """Evaluate every coefficient at a central point, keeping the words.
 
-    Returns a mapping Word -> GaussRational in display order; zero values
-    are kept so the caller can see exactly which words vanished.
+    Returns a mapping Word -> constant Coefficient in display order; zero
+    values are kept so the caller can see exactly which words vanished.
     """
     word = poly.alphabet.word
     return {word(s): c.evaluate(point) for s, c in _display_items(poly)}

@@ -169,8 +169,15 @@ def load_presentation(text):
 
 
 def load_presentation_file(path):
+    """Presentation of a ``.qpres`` file; text that is not UTF-8 raises
+    SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_presentation(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path} is not UTF-8 text: {exc}",
+                              path="document") from exc
+    return load_presentation(text)
 
 
 def save_presentation_file(pres, path):

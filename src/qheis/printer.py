@@ -5,20 +5,33 @@ Three styles: ``plain`` (ASCII, re-parseable), ``latex`` (hatted generators,
 longer words first, then by the precedence sequence.  Coefficients are read
 from their packed numerator and denominator dicts: monomial keys decode with
 ``_unpack`` and sort by variable name, never by interning order, and each
-``(a, b, d)`` triple prints through ``coeffs._t_str``/``_ratio_str``, the
-formatter ``GaussRational.__str__`` uses too.
+``(a, b, d)`` triple prints from its integers, each part a reduced ratio.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
-from .coeffs import (Coefficient, GaussRational, _T_ONE, _mono, _ratio_str,
-                     _t_neg, _t_str, _unpack)
+from .coeffs import Coefficient, _T_ONE, _mono, _t_neg, _unpack
 from .errors import QheisError, SchemaError
 from .ncpoly import Generator, NCPoly, Word, _display_items
+
+
+def _ratio_str(n, d):
+    """``str(Fraction(n, d))`` for d > 0, with no Fraction built."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _t_str(t):
+    """``(re +/- |im|*i)`` for a triple with real and imaginary parts."""
+    a, b, d = t
+    imag = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+    return f"({_ratio_str(a, d)} {'+' if b > 0 else '-'} {imag})"
 
 
 def _sorted_terms(poly):
@@ -91,7 +104,7 @@ def _scalar_mono(t, mono, latex=False, raw=frozenset()):
     a, b, d = t
     parts = []
     if a and b:
-        parts.append(f"({_t_str(t)})")
+        parts.append(_t_str(t))
     elif b:
         if b != d:
             parts.append(_ratio_str(b, d))
@@ -267,8 +280,7 @@ def _format_machine(poly):
 
 
 def _machine_poly(entries):
-    return {_mono(m): GaussRational(Fraction(re), Fraction(im))
-            for m, re, im in entries}
+    return {_mono(m): Coefficient.from_gauss(re, im) for m, re, im in entries}
 
 
 def parse_machine(text):

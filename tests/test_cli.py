@@ -3,14 +3,19 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import qheis
 from qheis.cli import main
+from qheis.verify import MAX_K
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -19,14 +24,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, timeout=60):
+def run_cli_process(*argv, timeout=60, stdin=""):
     """The CLI in a fresh interpreter, so an escaping exception shows as a
     traceback on stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qheis.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "qheis.cli", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, input=stdin)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -201,6 +206,55 @@ class TestVerify:
         assert "Traceback" not in err
         assert "cases behaved as expected" not in out
 
+    def test_rejects_k_above_limit(self, capsys):
+        code, out, err = run_cli_process("verify", "--k", str(MAX_K + 1))
+        assert code == 1
+        assert f"at most {MAX_K}" in err
+        assert "Traceback" not in err
+        assert "cases behaved as expected" not in out
+        code, _, _ = run_cli(capsys, "verify", "--suite", "wess-ore-x-p",
+                             "--k", str(MAX_K))
+        assert code == 0
+
+
+class TestBadFiles:
+    """A file the CLI cannot use ends in a documented exit code with a
+    message, never in a traceback."""
+
+    def test_directory_as_algebra(self, tmp_path):
+        code, _, err = run_cli_process("normalize", "--algebra", str(tmp_path),
+                                       "--expr", "x")
+        assert code == 1
+        assert "usage error" in err and "Traceback" not in err
+
+    def test_presentation_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.qpres"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli_process("normalize", "--algebra", str(path),
+                                       "--expr", "x")
+        assert code == 2
+        assert "not UTF-8" in err and "Traceback" not in err
+
+    def test_unwritable_report(self, tmp_path):
+        report = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli_process("verify", "--suite", "wess-ore-x-p",
+                                         "--report", str(report))
+        assert code == 1
+        assert "usage error" in err and "No such file" in err
+        assert "Traceback" not in err
+        assert "wess-ore-x-p" in out
+
+    def test_repl_survives_a_bad_algebra(self, tmp_path):
+        bad = tmp_path / "bad.qpres"
+        bad.write_bytes(b"\xff\xfe")
+        script = (f"algebra {tmp_path}\nalgebra {bad}\nalgebra gaddis\n"
+                  "normalize y*x*x\nquit\n")
+        code, out, err = run_cli_process("repl", stdin=script)
+        assert code == 0
+        assert "Traceback" not in err
+        assert err.count("error:") == 2
+        assert "q^2*x^2*y + hbar*(q + p^-1)*x*z" in out
+
 
 class TestConfluence:
     def test_classical(self, capsys):
@@ -275,3 +329,28 @@ class TestRepl:
         assert "q^2*x^2*y + hbar*(q + p^-1)*x*z" in out
         # [y, x] = (q - 1) x y + hbar z after normalization
         assert "(q - 1)*x*y + hbar*z" in out
+
+
+class TestReadme:
+    def test_command_line_block(self, capsys, monkeypatch, tmp_path):
+        """Each line of the README's "Command line" block exits 0, and a
+        ``#`` line under a command is that command's output."""
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        commands = []
+        for line in block.splitlines():
+            if line.startswith("#"):
+                commands[-1][1].append(line.lstrip("#").strip())
+            elif line.strip():
+                argv = shlex.split(line)
+                assert argv[0] == "qheis"
+                commands.append((argv[1:], []))
+        assert len(commands) == 8
+        monkeypatch.chdir(tmp_path)
+        for argv, shown in commands:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert out.splitlines()[:len(shown)] == shown, argv
+        assert sum(bool(shown) for _, shown in commands) == 1
