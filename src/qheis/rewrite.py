@@ -16,6 +16,13 @@ key the one inserted into the term dict first wins.  A heap holds the
 reducible words, each keyed and matched once when it enters the polynomial,
 so a step costs O(|rhs| log terms) and not a rescan of every term.
 
+``normalize`` is linear, NF(a + c*b) = NF(a) + c*NF(b), also when the
+system is not confluent.  Each word has one fixed one-step reduct, by the
+first rule at its leftmost redex, so the word-level reductions have no
+ambiguity, and a terminating reduction system without ambiguities reduces
+every element to one normal form, linearly in it (Bergman 1978, the diamond
+lemma).
+
 Words are code strings over the system's alphabet, its presentation's (see
 ``ncpoly``).  A regex of the left sides, shortest first, finds the leftmost
 redex and there the shortest left side; order keys compare the alphabet's

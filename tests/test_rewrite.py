@@ -203,10 +203,18 @@ class TestNormalize:
                                      sysm)), fam
 
     def test_linear(self, rng, families, coeff_pool):
-        for fam, pres in families.items():
+        # also without confluence: each word has one fixed reduct, and the
+        # equivalence cross-check of the verifier relies on this
+        presentations = dict(families)
+        presentations["gaddis:printed"] = catalog("gaddis", variant="printed")
+        for path in sorted(EXAMPLES.glob("*.qpres")):
+            presentations[path.name] = qheis.load_presentation_file(str(path))
+        assert len(presentations) == len(families) + 3
+        assert not check_confluence(presentations["gaddis:printed"].system()).confluent
+        for fam, pres in presentations.items():
             sysm = pres.system()
             gens = list(pres.generators)
-            for _ in range(10):
+            for _ in range(20):
                 a = random_poly(rng, gens, max_len=4)
                 b = random_poly(rng, gens, max_len=4)
                 al, be = rng.choice(coeff_pool), rng.choice(coeff_pool)

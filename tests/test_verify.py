@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -17,8 +18,9 @@ from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
-from qheis.verify import (VerificationCase, ideal_membership, render_table,
-                          reports_to_json, verify_relation_set_equivalence)
+from qheis.verify import (VerificationCase, ideal_membership, random_poly,
+                          render_table, reports_to_json,
+                          verify_relation_set_equivalence)
 
 C = Coefficient
 REPORT_SHA256 = ("f8dc08f852b20dda577e0aef4d68de35"
@@ -139,6 +141,47 @@ class TestEquivalence:
             inverse_pairs=w.inverse_pairs)
         report = verify_relation_set_equivalence("t-bad", w, trimmed)
         assert report.status == "fail"
+
+    def test_no_orientable_side_compares_nothing(self):
+        d = catalog("schmudgen", variant="definition")
+        report = verify_relation_set_equivalence("t", d, d)
+        assert report.status == "pass"
+        assert report.detail == ("both inclusions certified; no random "
+                                 "cross-check, as neither side orients")
+
+    @pytest.mark.parametrize("case_id, sides, detail, witness", [
+        ("t-pp", "rr", "ideal shift by z_x moved a normal form",
+         "hbar^-1*z^5 + q^-1*y*x*z*y"),
+        ("t-pc", "rc", "ideal shift by z_x moved a normal form", "3"),
+        ("t-cp", "cr", "normal forms differ on a random polynomial",
+         "hbar*z^4*x + p*x^2 + p^-1"),
+    ])
+    def test_sample_loop_failures_pinned(self, case_id, sides, detail, witness):
+        # printed gaddis is not confluent, so its own normal forms move
+        # under ideal shifts; "zz" holds z*z, a member of its ideal that the
+        # printed relations do not reduce to zero.  The witnesses also pin
+        # the random stream of the samples.
+        pr = catalog("gaddis", variant="printed")
+        pc = qheis.Presentation(
+            "gaddis-zz", pr.generators,
+            list(pr.relations) + [("zz", pr.poly("z", "z"))])
+        p1, p2 = ({"r": pr, "c": pc}[s] for s in sides)
+        report = verify_relation_set_equivalence(case_id, p1, p2)
+        assert (report.status, report.detail, report.witness) == \
+            ("fail", detail, witness)
+
+
+class TestRandomPoly:
+    def test_alphabet_changes_no_draw(self, families):
+        for fam, pres in families.items():
+            # reversed, with a repeat: codes differ between the alphabets
+            gens = list(pres.generators)[::-1] + [pres.generators[0]]
+            r1, r2 = Random(5), Random(5)
+            for _ in range(50):
+                a = random_poly(r1, gens, max_len=5)
+                b = random_poly(r2, gens, max_len=5, alphabet=pres.alphabet)
+                assert a == b and list(a.terms) == list(b.terms), fam
+                assert r1.getstate() == r2.getstate(), fam
 
 
 @pytest.fixture(scope="module")
