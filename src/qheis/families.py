@@ -54,7 +54,8 @@ class Presentation:
     """A named algebra: generators with precedence, inverse pairs, relations
     (each polynomial meaning ``poly = 0``), parameters and free metadata.
     The relations, ``parse``, ``poly`` and the rewrite system share one
-    ``alphabet`` of the generators."""
+    ``alphabet`` of the generators; ``generator_codes`` maps each
+    generator's name to its code there."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -99,10 +100,9 @@ class Presentation:
                         f"{self.name}: inverse pair uses undeclared generator {x.sym}"
                     )
         self.generator_map = gmap
-
-    @property
-    def opaque_names(self):
-        return {k for k, v in self.parameters.items() if v == "opaque"}
+        self.generator_codes = {sym: alphabet.code[g] for sym, g in gmap.items()}
+        self.opaque_names = frozenset(k for k, v in self.parameters.items()
+                                      if v == "opaque")
 
     def gen(self, sym):
         try:
@@ -176,10 +176,11 @@ class _Scope:
 
     def __init__(self, generators, opaques=()):
         self.name = "<schema>"
-        self.generator_map = {g.sym: g for g in generators}
-        self.opaque_names = set(opaques)
+        self.generator_map = gmap = {g.sym: g for g in generators}
+        self.opaque_names = frozenset(opaques)
         # a symbol declared twice is the Presentation's error to report
-        self.alphabet = Alphabet(self.generator_map.values())
+        self.alphabet = alphabet = Alphabet(gmap.values())
+        self.generator_codes = {sym: alphabet.code[g] for sym, g in gmap.items()}
 
 
 def expand_schema(template, ranges, generators, label="rel", predicate=None):

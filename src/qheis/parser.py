@@ -9,11 +9,20 @@ Grammar (infix ``*`` is required between factors):
     exponent :=  ['-'] INT | '(' ['-'] INT ['/' INT] ')'
     NUMBER   :=  INT ['/' INT]
 
-Identifiers resolve against the presentation first (generators shadow the
-central symbols), then declared opaque symbols, then the built-in centrals
-``i``, ``hbar``, ``q`` and ``p``.  Half-integer exponents are allowed on q
-and p only; generator powers must be nonnegative integers.  ``[a,b]`` is
-commutator sugar.
+Identifiers resolve against the presentation first (its
+``generator_codes``; generators shadow the central symbols), then declared
+opaque symbols, then the built-in centrals ``i``, ``hbar``, ``q`` and ``p``
+and the roots ``s`` = q^(1/2) and ``t`` = p^(1/2).  Half-integer exponents
+are allowed on q and p only; generator powers must be nonnegative integers.
+``[a,b]`` is commutator sugar.
+
+A term is read as one coefficient and one code string: a generator, or a
+generator to an integer power k, appends its code (k times), and a factor
+of one word multiplies its coefficient in.  From the first factor of several
+words or none (a group, a commutator, a zero) on, the term is an NCPoly
+product.  The limits below hold for every product either way, with the
+same messages and positions.
+
 Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 ``MAX_POWER`` in magnitude and no product (power and commutator steps
 included, scalar powers too) pairs more than ``MAX_TERMS`` numerator or
@@ -31,7 +40,7 @@ from fractions import Fraction
 
 from .coeffs import Coefficient, _power
 from .errors import ParseError
-from .ncpoly import NCPoly, _ncpoly, _over
+from .ncpoly import _EMPTY, NCPoly, _ncpoly, _over
 
 MAX_NESTING = 100
 MAX_POWER = 10_000
@@ -43,58 +52,72 @@ _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*^()\[\],/])|(?P<space>\s+)|(?P<bad>.)",
                     re.DOTALL)
 
+_ONE = Coefficient.one()
+# the built-in central symbols, as (one-word term, exponent tag)
+_CENTRAL = {name: ((c, "", _EMPTY), tag) for name, c, tag in (
+    ("i", Coefficient.imag(), "scalar"),
+    ("hbar", Coefficient.hbar_power(1), "scalar"),
+    ("q", Coefficient.q_power(1), "q"),
+    ("p", Coefficient.p_power(1), "p"),
+    ("s", Coefficient.monomial({"s": 1}), "scalar"),
+    ("t", Coefficient.monomial({"t": 1}), "scalar"))}
+# the variable that holds half-integer powers of q and of p
+_ROOT = {"q": "s", "p": "t"}
+
 
 def _tokenize(text):
+    """``(kind, text, position)`` triples, then an ``end`` token.  An
+    operator's kind is its own character."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind, pos = m.lastgroup, m.start()
+        kind = m.lastgroup
         if kind == "space":
             continue
+        pos = m.start()
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r} at {pos}", pos)
-        tokens.append((kind, m.group(), pos))
+        tok = m.group()
+        tokens.append((tok if kind == "op" else kind, tok, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text, scope):
-        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
-        self.gens = getattr(scope, "generator_map", {}) if scope is not None else {}
-        self.opaques = set(getattr(scope, "opaque_names", ())) if scope is not None else set()
-        self.alphabet = getattr(scope, "alphabet", None)
+        if scope is None:
+            self.codes, self.opaques, self.alphabet = {}, frozenset(), _EMPTY
+        else:
+            self.codes = scope.generator_codes
+            self.opaques = scope.opaque_names
+            self.alphabet = scope.alphabet
 
-    def peek(self):
-        return self.tokens[self.k]
+    def accept(self, kind):
+        """Take the next token if it is of ``kind``; whether it was."""
+        if self.tokens[self.k][0] == kind:
+            self.k += 1
+            return True
+        return False
 
-    def take(self, kind=None, value=None):
+    def take(self, kind=None):
         tok = self.tokens[self.k]
-        if (kind is not None and tok[0] != kind) or \
-                (value is not None and tok[1] != value):
-            want = repr(value) if value is not None else kind
+        if kind is not None and tok[0] != kind:
+            want = repr(kind) if len(kind) == 1 else kind
             found = repr(tok[1]) if tok[1] else "end of input"
             raise ParseError(f"expected {want}, found {found} at {tok[2]}", tok[2])
         self.k += 1
         return tok
 
-    def at_op(self, *ops):
-        tok = self.peek()
-        return tok[0] == "op" and tok[1] in ops
-
     # -- grammar -----------------------------------------------------------
 
     def expr(self):
-        negate = False
-        if self.at_op("-"):
-            self.take()
-            negate = True
+        negate = self.accept("-")
         value = self.term()
         if negate:
             value = -value
-        while self.at_op("+", "-"):
+        while self.tokens[self.k][0] in ("+", "-"):
             _, op, pos = self.take()
             rhs = self.term()
             _refuse_sum(value, rhs, pos)
@@ -102,46 +125,53 @@ class _Parser:
         return value
 
     def term(self):
+        """The product of the factors: one-word factors give one word, and
+        from the first factor of several words (or none) on it is an NCPoly
+        product."""
+        tokens = self.tokens
         value = self.factor()
-        while self.at_op("*"):
-            pos = self.take()[2]
-            value = _product(value, self.factor(), pos)
-        return value
+        while tokens[self.k][0] == "*":
+            pos = tokens[self.k][2]
+            self.k += 1
+            rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                value = _times(value, rhs, pos)
+            else:
+                value = _product(_poly(value), _poly(rhs), pos)
+        return _poly(value)
 
     def factor(self):
+        """A one-word term, or the factor's NCPoly if it has several words
+        or none."""
         base, tag = self.atom()
-        if not self.at_op("^"):
-            return base
-        tok = self.take()
-        exp = self.exponent()
-        if abs(exp) > MAX_POWER:
-            raise ParseError(f"exponent {exp} at {tok[2]} exceeds the limit "
-                             f"{MAX_POWER}", tok[2])
-        return self._power(base, tag, exp, tok[2])
+        if self.tokens[self.k][0] == "^":
+            pos = self.take()[2]
+            exp = self.exponent()
+            if abs(exp) > MAX_POWER:
+                raise ParseError(f"exponent {exp} at {pos} exceeds the limit "
+                                 f"{MAX_POWER}", pos)
+            base = self._power(base, tag, exp, pos)
+        if type(base) is NCPoly and len(base._terms) == 1:
+            (code, coeff), = base._terms.items()
+            return coeff, code, base.alphabet
+        return base
 
     def exponent(self):
-        if self.at_op("("):
-            self.take()
-            sign = 1
-            if self.at_op("-"):
-                self.take()
-                sign = -1
-            value = self.number()
-            self.take("op", ")")
-            return sign * value
-        sign = 1
-        if self.at_op("-"):
-            self.take()
-            sign = -1
-        return Fraction(sign * self.integer())
+        """An int, or a Fraction when it is a parenthesized ratio."""
+        paren = self.accept("(")
+        negate = self.accept("-")
+        value = self.number() if paren else self.integer()
+        if paren:
+            self.take(")")
+        return -value if negate else value
 
     def number(self):
-        """NUMBER as a Fraction; a zero denominator is a ParseError."""
+        """NUMBER as an int, or a Fraction when it has a denominator; a zero
+        denominator is a ParseError."""
         num = self.integer()
-        if not self.at_op("/"):
-            return Fraction(num)
-        self.take()
-        pos = self.peek()[2]
+        if not self.accept("/"):
+            return num
+        pos = self.tokens[self.k][2]
         den = self.integer()
         if den == 0:
             raise ParseError(f"division by zero at {pos}", pos)
@@ -156,42 +186,51 @@ class _Parser:
                              f"{tok[2]} is too long", tok[2]) from None
 
     def _power(self, base, tag, exp, pos):
-        if tag in ("q", "p"):
-            if (2 * exp).denominator != 1:
+        if tag in _ROOT:
+            steps = 2 * exp
+            if steps.denominator != 1:
                 raise ParseError(
                     f"exponent {exp} on {tag} must be an integer or half-integer "
                     f"(at {pos})", pos)
-            make = Coefficient.q_power if tag == "q" else Coefficient.p_power
-            return NCPoly.from_scalar(make(exp))
+            return Coefficient.monomial({_ROOT[tag]: int(steps)}), "", _EMPTY
         if exp.denominator != 1:
             raise ParseError(f"fractional exponent {exp} allowed on q and p only "
                              f"(at {pos})", pos)
         k = int(exp)
-        is_scalar = all(len(s) == 0 for s in base._terms)
-        if is_scalar and (tag != "generator"):
-            coeff = base.coefficient(())
+        if tag == "generator" or (tag == "group" and any(base._terms)):
             if k < 0:
-                if coeff.is_zero:
-                    raise ParseError(f"negative power of zero at {pos}", pos)
-                coeff, k = coeff.inverse(), -k
-
-            def bounded(a, b):
-                _refuse_pairing(_sizes((a,)), _sizes((b,)), pos)
-                return a * b
-            return NCPoly.from_scalar(_power(coeff, k, Coefficient.one(), bounded))
+                raise ParseError(
+                    f"negative power of a generator expression at {pos}", pos)
+            if tag == "generator":
+                coeff, code, alphabet = base
+                return (coeff, code * k, alphabet) if k else (_ONE, "", _EMPTY)
+            # the steps of NCPoly.__pow__, each bounded by MAX_TERMS
+            out = NCPoly.one()
+            for _ in range(k):
+                out = _product(out, base, pos)
+            return out
+        coeff = base[0] if type(base) is tuple else base.coefficient(())
         if k < 0:
-            raise ParseError(
-                f"negative power of a generator expression at {pos}", pos)
-        # the steps of NCPoly.__pow__, each bounded by MAX_TERMS
-        out = NCPoly.one()
-        for _ in range(k):
-            out = _product(out, base, pos)
-        return out
+            if coeff.is_zero:
+                raise ParseError(f"negative power of zero at {pos}", pos)
+            coeff, k = coeff.inverse(), -k
+
+        def bounded(a, b):
+            _refuse_pairing(_sizes((a,)), _sizes((b,)), pos)
+            return a * b
+        return _scalar(_power(coeff, k, _ONE, bounded))
 
     def atom(self):
-        """Returns (NCPoly value, tag); the tag drives exponent rules."""
-        tok = self.peek()
-        if self.at_op("(", "["):
+        """``(value, tag)``: a one-word term or an NCPoly, and the tag that
+        drives the exponent rules."""
+        tok = self.tokens[self.k]
+        kind = tok[0]
+        if kind == "ident":
+            self.k += 1
+            return self.resolve(tok[1], tok[2])
+        if kind == "int":
+            return _scalar(Coefficient.from_scalar(self.number())), "scalar"
+        if kind == "(" or kind == "[":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"brackets nested deeper than {MAX_NESTING} "
                                  f"at {tok[2]}", tok[2])
@@ -199,50 +238,66 @@ class _Parser:
             value = self.group()
             self.depth -= 1
             return value, "group"
-        if tok[0] == "int":
-            return NCPoly.from_scalar(Coefficient.from_scalar(self.number())), "scalar"
-        if tok[0] == "ident":
-            self.take()
-            return self.resolve(tok[1], tok[2])
         raise ParseError(f"expected an expression, found {tok[1]!r} at {tok[2]}",
                          tok[2])
 
     def group(self):
         tok = self.take()
-        if tok[1] == "(":
+        if tok[0] == "(":
             value = self.expr()
-            self.take("op", ")")
+            self.take(")")
             return value
         a = self.expr()
-        self.take("op", ",")
+        self.take(",")
         b = self.expr()
-        self.take("op", "]")
+        self.take("]")
         ab, ba = _product(a, b, tok[2]), _product(b, a, tok[2])
         _refuse_sum(ab, ba, tok[2])
         return ab - ba
 
     def resolve(self, name, pos):
-        if name in self.gens:
-            return _ncpoly({self.alphabet.code[self.gens[name]]: Coefficient.one()},
-                           self.alphabet), "generator"
+        code = self.codes.get(name)
+        if code is not None:
+            return (_ONE, code, self.alphabet), "generator"
         if name in self.opaques:
-            return NCPoly.from_scalar(Coefficient.opaque(name)), "opaque"
-        if name == "i":
-            return NCPoly.from_scalar(Coefficient.imag()), "scalar"
-        if name == "hbar":
-            return NCPoly.from_scalar(Coefficient.hbar_power(1)), "hbar"
-        if name == "q":
-            return NCPoly.from_scalar(Coefficient.q_power(1)), "q"
-        if name == "p":
-            return NCPoly.from_scalar(Coefficient.p_power(1)), "p"
-        if name == "s":
-            return NCPoly.from_scalar(Coefficient.monomial({"s": 1})), "scalar"
-        if name == "t":
-            return NCPoly.from_scalar(Coefficient.monomial({"t": 1})), "scalar"
-        known = sorted(set(self.gens) | self.opaques | {"i", "hbar", "q", "p"})
+            return (Coefficient.opaque(name), "", _EMPTY), "scalar"
+        central = _CENTRAL.get(name)
+        if central is not None:
+            return central
+        known = sorted(set(self.codes) | self.opaques | {"i", "hbar", "q", "p"})
         hint = difflib.get_close_matches(name, known, n=1)
         suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ParseError(f"unknown symbol {name!r} at {pos}{suggestion}", pos)
+
+
+def _scalar(c):
+    """The one-word term of the scalar ``c``; zero, which has no word, as
+    its NCPoly."""
+    return NCPoly.zero() if c.is_zero else (c, "", _EMPTY)
+
+
+def _poly(value):
+    """The NCPoly of a one-word term ``(coefficient, code, alphabet)``; an
+    NCPoly as it is."""
+    if type(value) is tuple:
+        coeff, code, alphabet = value
+        return _ncpoly({code: coeff}, alphabet)
+    return value
+
+
+def _times(a, b, pos):
+    """The product of two one-word terms, refused as ``_product`` refuses
+    it.  Their alphabet is the presentation's once a generator took part."""
+    ca, sa, aa = a
+    cb, sb, ab = b
+    if cb is _ONE:  # a generator's: one term over one, and ca * cb is ca
+        if len(ca._num) > MAX_TERMS or len(ca._den) > MAX_TERMS:
+            _refuse_pairing((len(ca._num), len(ca._den)), (1, 1), pos)
+    else:
+        _refuse_pairing((len(ca._num), len(ca._den)),
+                        (len(cb._num), len(cb._den)), pos)
+        ca = ca * cb
+    return ca, sa + sb, aa if ab is _EMPTY else ab
 
 
 def _product(a, b, pos):
@@ -288,9 +343,9 @@ def _refuse_sum(a, b, pos):
 def parse_expr(text, scope=None):
     """Parse an expression into an NCPoly over the scope's alphabet.
 
-    ``scope`` is a Presentation (or anything with ``generator_map``,
-    ``opaque_names`` and the ``alphabet`` of those generators); None parses
-    pure coefficient expressions.
+    ``scope`` is a Presentation (or anything with the ``generator_codes``
+    of its generators' names, ``opaque_names`` and the ``alphabet`` of those
+    codes); None parses pure coefficient expressions.
     """
     parser = _Parser(text, scope)
     value = parser.expr()

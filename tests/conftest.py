@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 import qheis
 from qheis.coeffs import Coefficient
 
 C = Coefficient
+
+# ``pytest --hypothesis-profile=ci``: each property test draws the same
+# examples on every run, so a failure in CI reproduces locally
+settings.register_profile("ci", derandomize=True)
 
 COEFF_POOL_TEXT = (
     "1", "2", "-3", "1/2", "i", "-i", "q", "q^-1", "q^(1/2)", "q^(-3/2)",

@@ -1,5 +1,6 @@
 """Expression grammar, printers, presentation documents."""
 
+import gc
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from qheis.errors import ParseError, QheisError, SchemaError
 from qheis.ncpoly import NCPoly
 from qheis.parser import MAX_NESTING, MAX_POWER, MAX_TERMS
 from qheis.printer import parse_machine
+
+from reference import evaluate, expression_text
 
 C = Coefficient
 
@@ -198,6 +201,124 @@ class TestParseFuzz:
             parse_expr(text, families["gaddis"])
         except QheisError:
             pass
+
+
+# Expression trees (see tests/reference.py) that parse without error: no
+# negative power of zero or of a word, half-integers on q and p only.
+# gaddis has a central p, wess shadows it with a generator, classical has
+# indexed names and qhbar_quantization an opaque symbol.
+_DIFF_PRESENTATIONS = {fam: catalog(fam) for fam in
+                       ("gaddis", "wess", "classical", "qhbar_quantization")}
+_WORD_EXPS = [None, None, "0", "1", "3", "(2)", "(4/2)"]
+_SCALAR_EXPS = [None, None, "2", "-1", "(-2)", "(3/1)"]
+_HALF_EXPS = [None, "2", "-1", "(1/2)", "(-3/2)", "(4/2)"]
+_GROUP_EXPS = [None, None, None, "0", "2"]
+
+
+def _factors(atoms, exps):
+    return st.tuples(atoms, st.sampled_from(exps))
+
+
+def _choose(atoms, exps, rule):
+    """Factors of ``atoms``, each with an exponent from the list
+    ``exps[rule(text)]`` for the atom's text."""
+    return st.tuples(atoms, *map(st.sampled_from, exps)).map(
+        lambda d: (d[0], d[1 + rule(d[0][1])]))
+
+
+def _expressions(pres):
+    gens = sorted(pres.generator_map)
+    symbols = [n for n in ("i", "hbar", "q", "p", "s", "t") if n not in gens]
+    symbols += sorted(pres.opaque_names)
+    gen = _factors(st.sampled_from(gens).map(lambda g: ("gen", g)), _WORD_EXPS)
+    leaf = st.one_of(
+        gen, gen,
+        _choose(st.sampled_from(symbols).map(lambda n: ("sym", n)),
+                (_SCALAR_EXPS, _HALF_EXPS), lambda n: n in ("q", "p")),
+        _choose(st.sampled_from(["0", "1", "2", "3/4", "12"]).map(lambda t: ("num", t)),
+                (_SCALAR_EXPS, _GROUP_EXPS), lambda t: t == "0"))
+
+    def expressions(factors):
+        term = st.lists(factors, min_size=1, max_size=4)
+        return st.tuples(st.booleans(), st.lists(
+            st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=3))
+
+    def nested(inner):
+        groups = st.one_of(inner.map(lambda e: ("paren", e)),
+                           st.tuples(st.just("comm"), inner, inner))
+        return expressions(st.one_of(leaf, _factors(groups, _GROUP_EXPS)))
+
+    return st.recursive(expressions(leaf), nested, max_leaves=4)
+
+
+_DIFF_CASES = st.one_of(*(st.tuples(st.just(fam), _expressions(pres))
+                          for fam, pres in sorted(_DIFF_PRESENTATIONS.items())))
+
+
+class TestParseDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(_DIFF_CASES)
+    def test_parse_equals_reference(self, case):
+        fam, tree = case
+        pres = _DIFF_PRESENTATIONS[fam]
+        text = expression_text(tree)
+        got, want = parse_expr(text, pres), evaluate(tree, pres)
+        assert got == want, text
+        assert got.alphabet.letters == want.alphabet.letters, text
+
+    def test_tables_do_not_outlive_their_presentation(self):
+        # each presentation owns its name->code table; one keyed by a dead
+        # alphabet's id would hand out codes of another family's alphabet
+        fams = ("gaddis", "wess", "classical", "qhbar_quantization", "schmudgen")
+        for n in range(300):
+            pres = catalog(fams[n % len(fams)])
+            syms = [g.sym for g in pres.generators]
+            text = "*".join(reversed(syms)) + f" + 2*{syms[0]}^2"
+            poly = parse_expr(text, pres)
+            assert poly.letters() == list(reversed(pres.generators))
+            assert parse_expr(format_expr(poly, "plain"), pres) == poly
+            del pres, poly
+            if n % 30 == 0:
+                gc.collect()
+
+
+class TestParseErrorsInTerms:
+    @pytest.mark.parametrize("text, message, position", [
+        ("x*y*", "expected an expression, found '' at 4", 4),
+        ("x*y*^2", "expected an expression, found '^' at 4", 4),
+        ("x*y*w", "unknown symbol 'w' at 4", 4),
+        ("x*y*xx", "unknown symbol 'xx' at 4; did you mean 'x'?", 4),
+        ("x*y^-1", "negative power of a generator expression at 3", 3),
+        ("x*y^(1/2)", "fractional exponent 1/2 allowed on q and p only (at 3)", 3),
+        ("x*y^", "expected int, found end of input at 4", 4),
+        ("x*y^(2", "expected ')', found end of input at 6", 6),
+        ("x*(y", "expected ')', found end of input at 4", 4),
+        ("x*y)", "expected end, found ')' at 3", 3),
+        ("[x*y x]", "expected ',', found 'x' at 5", 5),
+        ("[x*y, x", "expected ']', found end of input at 7", 7),
+    ])
+    def test_message_and_position(self, families, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert str(exc.value) == message
+        assert exc.value.position == position
+
+    # a 100128-term coefficient (two 224 x 224 products that share 224
+    # terms), and 243 words times 601 terms, each times a generator run
+    @pytest.mark.parametrize("text, position, sizes", [
+        ("((q+1)^223*(hbar+1)^223 + (t+1)^223*(hbar+1)^223)*x*y", 49,
+         "100128 and 1"),
+        ("x*y*((q+1)^223*(hbar+1)^223 + (t+1)^223*(hbar+1)^223)", 3,
+         "1 and 100128"),
+        ("((1+q)^300*(x+y+z)^5 + (1+t)^300*(x+y+z)^5)*x*y", 43, "146043 and 1"),
+        ("x*y*((1+q)^300*(x+y+z)^5 + (1+t)^300*(x+y+z)^5)", 3, "1 and 146043"),
+    ])
+    def test_term_limit_in_a_generator_run(self, families, text, position, sizes):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert str(exc.value) == (f"product at {position} of {sizes} numerator "
+                                  f"terms exceeds the limit of {MAX_TERMS} terms")
+        assert exc.value.position == position
 
 
 class TestFormat:
