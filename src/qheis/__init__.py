@@ -14,9 +14,8 @@ from .errors import (AlphabetError, DivisionByZero, ExponentOverflow,
                      PoleAtPoint, QheisError, SchemaError, UnboundGenerator,
                      UnboundVariable, UnknownFamily)
 from .families import (FAMILIES, OreData, Presentation, UnifiedParams,
-                       catalog, classical_limit, expand_schema, extract_ore,
-                       family_ids, presentation_from_ore, unified,
-                       unified_relation_polys)
+                       catalog, classical_limit, extract_ore, family_ids,
+                       presentation_from_ore, unified, unified_relation_polys)
 from .ncpoly import (Generator, NCPoly, Word, central_scale_eval, commutator,
                      substitute)
 from .parser import parse_expr

@@ -21,14 +21,14 @@ relations and the rewrite systems are not confluent without them.
 
 from __future__ import annotations
 
-import re as _re
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coeffs import Coefficient
-from .errors import (AlphabetError, NotOreShaped, ParamError, UnknownFamily)
+from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
+                     UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
-from .rewrite import normalize, orient
+from .parser import parse_expr
+from .rewrite import TermOrder, normalize, orient
 
 C = Coefficient
 I = C.imag()
@@ -43,6 +43,14 @@ def _p(exp=1):
     return C.p_power(exp)
 
 
+# names the parser and the printer give central scalars: ``i`` and ``hbar``
+# always print so, and central q and p print as ``s^2`` and ``t^2`` where a
+# generator shadows them.  An opaque name must avoid all of them and the
+# kernel's variables ``s``, ``t`` and ``h`` (q^(1/2), p^(1/2) and hbar).
+_RESERVED_GENERATORS = frozenset({"i", "hbar", "s", "t"})
+_RESERVED_OPAQUES = frozenset({"i", "hbar", "q", "p", "s", "t", "h"})
+
+
 def _words(*gens):
     """``_w(*word)``: a word over one alphabet of ``gens``, shared by a
     builder's relations."""
@@ -55,7 +63,8 @@ class Presentation:
     (each polynomial meaning ``poly = 0``), parameters and free metadata.
     The relations, ``parse``, ``poly`` and the rewrite system share one
     ``alphabet`` of the generators; ``generator_codes`` maps each
-    generator's name to its code there."""
+    generator's name to its code there.  Without relations it is the scope
+    in which a builder or a document parses them."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -70,13 +79,23 @@ class Presentation:
         self._validate()
 
     def _validate(self):
+        TermOrder(self.order_kind)  # raises ParamError for an unknown kind
         gmap = {}
         for g in self.generators:
             if g.sym in gmap:
                 raise ParamError(f"{self.name}: generator {g.sym} declared twice")
+            if g.sym in _RESERVED_GENERATORS:
+                raise ParamError(f"{self.name}: generator name {g.sym} is "
+                                 f"reserved for a central symbol")
             gmap[g.sym] = g
         if len({g.precedence for g in self.generators}) != len(self.generators):
             raise ParamError(f"{self.name}: generator precedences are not distinct")
+        opaques = [k for k, v in self.parameters.items() if v == "opaque"]
+        for k in opaques:
+            if k in gmap or k in _RESERVED_OPAQUES:
+                taken = "a generator" if k in gmap else "a central symbol"
+                raise ParamError(f"{self.name}: opaque name {k} is taken by {taken}")
+        self.opaque_names = frozenset(opaques)
         self.alphabet = alphabet = Alphabet(self.generators)
         labels = set()
         relations = []
@@ -101,8 +120,6 @@ class Presentation:
                     )
         self.generator_map = gmap
         self.generator_codes = {sym: alphabet.code[g] for sym, g in gmap.items()}
-        self.opaque_names = frozenset(k for k, v in self.parameters.items()
-                                      if v == "opaque")
 
     def gen(self, sym):
         try:
@@ -119,8 +136,6 @@ class Presentation:
                        self.alphabet)
 
     def parse(self, text):
-        from .parser import parse_expr
-
         return parse_expr(text, self)
 
     def system(self):
@@ -164,57 +179,6 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Indexed relation schemas
-# ---------------------------------------------------------------------------
-
-_DELTA = _re.compile(r"delta\((\d+),\s*(\d+)\)")
-
-
-class _Scope:
-    """Minimal parsing scope for schema expansion, before a Presentation
-    exists."""
-
-    def __init__(self, generators, opaques=()):
-        self.name = "<schema>"
-        self.generator_map = gmap = {g.sym: g for g in generators}
-        self.opaque_names = frozenset(opaques)
-        # a symbol declared twice is the Presentation's error to report
-        self.alphabet = alphabet = Alphabet(gmap.values())
-        self.generator_codes = {sym: alphabet.code[g] for sym, g in gmap.items()}
-
-
-def expand_schema(template, ranges, generators, label="rel", predicate=None):
-    """Instantiate an indexed relation template over integer ranges.
-
-    ``template`` is an expression string with ``{i}`` index placeholders and
-    optional Kronecker ``delta(i,j)`` factors, which evaluate to 1 or 0. One
-    relation (label, poly) is produced per index tuple accepted by
-    ``predicate``.
-    """
-    from .parser import parse_expr
-
-    names = sorted(ranges)
-    scope = _Scope(generators)
-    out = []
-    import itertools
-
-    for values in itertools.product(*(ranges[n] for n in names)):
-        binding = dict(zip(names, values))
-        if predicate is not None and not predicate(**binding):
-            continue
-        try:
-            text = template.format(**binding)
-            lab = label.format(**binding)
-        except (KeyError, IndexError) as exc:
-            raise ParamError(f"template index {exc} is not bound by the ranges") from exc
-        text = _DELTA.sub(lambda m: "1" if m.group(1) == m.group(2) else "0", text)
-        poly = parse_expr(text, scope)
-        if not poly.is_zero:
-            out.append((lab, poly))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Catalog builders
 # ---------------------------------------------------------------------------
 
@@ -224,18 +188,18 @@ def _classical(indices=3):
         raise ParamError("classical: indices must be >= 1")
     xs = [Generator("x", i, i - 1) for i in range(1, n + 1)]
     ps = [Generator("p", i, n + i - 1) for i in range(1, n + 1)]
-    gens = xs + ps
-    rng = {"n": range(1, n + 1), "m": range(1, n + 1)}
-    rels = expand_schema(
-        "x_{n}*p_{m} - p_{m}*x_{n} - delta({n},{m})*i*hbar",
-        rng, gens, label="xp_{n}_{m}")
-    rels += expand_schema(
-        "x_{n}*x_{m} - x_{m}*x_{n}", rng, gens, label="xx_{n}_{m}",
-        predicate=lambda n, m: n < m)
-    rels += expand_schema(
-        "p_{n}*p_{m} - p_{m}*p_{n}", rng, gens, label="pp_{n}_{m}",
-        predicate=lambda n, m: n < m)
-    return Presentation("classical", gens, rels,
+    _w = _words(*xs, *ps)
+    rels = []
+    for p in ps:
+        for x in xs:
+            rel = _w(x, p) - _w(p, x)
+            if x.index == p.index:
+                rel -= I * HBAR
+            rels.append((f"xp_{x.index}_{p.index}", rel))
+    for gens in (xs, ps):
+        rels += [(f"{a.name}{a.name}_{a.index}_{b.index}", _w(a, b) - _w(b, a))
+                 for b in gens for a in gens if a.index < b.index]
+    return Presentation("classical", xs + ps, rels,
                         parameters={"indices": n},
                         metadata={"description": "canonical quantization"})
 
@@ -343,12 +307,9 @@ def _gaddis(p=None, q=None, variant="consistent"):
 
 
 def _poly_in_h(value, h, what):
-    from .errors import ParseError
-    from .parser import parse_expr
-
     if isinstance(value, str):
         try:
-            value = parse_expr(value, _Scope([h]))
+            value = parse_expr(value, Presentation(what, [h], ()))
         except ParseError as exc:
             raise ParamError(f"{what} must be a polynomial in h: {exc}") from exc
     value = NCPoly.from_scalar(value)
@@ -461,13 +422,11 @@ def unified_relation_polys(n, m, l, psi, pi, phi, x, y, p):
 
 def unified(params):
     """Construct the unified q-hbar Heisenberg presentation."""
-    from .parser import parse_expr
-
     xs = [Generator("x", a, i) for i, a in enumerate(params.alpha_range)]
     ys = [Generator("y", lam, len(xs) + i) for i, lam in enumerate(params.lambda_range)]
     ps = [Generator("p", b, len(xs) + len(ys) + i) for i, b in enumerate(params.beta_range)]
     gens = xs + ys + ps
-    scope = _Scope(gens)
+    scope = Presentation("unified", gens, ())
     _w = _words(*gens)
 
     def as_poly(v):
@@ -477,24 +436,15 @@ def unified(params):
 
     psi, pi, phi = as_poly(params.psi), as_poly(params.pi), as_poly(params.phi)
     rels = []
-    for gx in xs:
-        for gp in ps:
-            r1, _, _ = unified_relation_polys(params.n, params.m, params.l,
-                                              psi, pi, phi,
-                                              _w(gx), NCPoly.zero(), _w(gp))
-            rels.append((f"xp_{gx.index}_{gp.index}", r1))
-    for gx in xs:
-        for gy in ys:
-            _, r2, _ = unified_relation_polys(params.n, params.m, params.l,
-                                              psi, pi, phi,
-                                              _w(gx), _w(gy), NCPoly.zero())
-            rels.append((f"xy_{gx.index}_{gy.index}", r2))
-    for gy in ys:
-        for gp in ps:
-            _, _, r3 = unified_relation_polys(params.n, params.m, params.l,
-                                              psi, pi, phi,
-                                              NCPoly.zero(), _w(gy), _w(gp))
-            rels.append((f"yp_{gy.index}_{gp.index}", r3))
+    # unified_relation_polys gives the x-p, x-y and y-p relations, in order
+    for k, (left, right) in enumerate(((xs, ps), (xs, ys), (ys, ps))):
+        for a in left:
+            for b in right:
+                sides = {a.name: _w(a), b.name: _w(b)}
+                rel = unified_relation_polys(
+                    params.n, params.m, params.l, psi, pi, phi,
+                    *(sides.get(s, NCPoly.zero()) for s in "xyp"))[k]
+                rels.append((f"{a.name}{b.name}_{a.index}_{b.index}", rel))
     return Presentation(
         "unified", gens, rels,
         parameters={"n": params.n, "m": params.m, "l": params.l,

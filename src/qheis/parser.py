@@ -343,9 +343,7 @@ def _refuse_sum(a, b, pos):
 def parse_expr(text, scope=None):
     """Parse an expression into an NCPoly over the scope's alphabet.
 
-    ``scope`` is a Presentation (or anything with the ``generator_codes``
-    of its generators' names, ``opaque_names`` and the ``alphabet`` of those
-    codes); None parses pure coefficient expressions.
+    ``scope`` is a Presentation, or None for pure coefficient expressions.
     """
     parser = _Parser(text, scope)
     value = parser.expr()

@@ -27,9 +27,11 @@ from __future__ import annotations
 import re
 
 from .coeffs import Coefficient
-from .errors import ParseError, SchemaError
+from .errors import ParseError, QheisError, SchemaError
+from .families import Presentation
 from .ncpoly import Generator, NCPoly
-from .families import Presentation, _Scope
+from .parser import parse_expr
+from .printer import format_coefficient, format_expr
 
 _HEADER = "qheis-presentation 1"
 _GEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*?)(?:_(\d+))?$")
@@ -45,8 +47,6 @@ def _split_sym(sym):
 
 def save_presentation(pres):
     """Serialize a Presentation to document text."""
-    from .printer import format_coefficient, format_expr
-
     lines = [_HEADER, f"name: {pres.name}", f"order: {pres.order_kind}"]
     for g in sorted(pres.generators, key=lambda g: g.precedence):
         lines.append(f"generator: {g.sym}")
@@ -71,8 +71,6 @@ def save_presentation(pres):
 
 def load_presentation(text):
     """Parse document text back into a Presentation."""
-    from .parser import parse_expr
-
     lines = [ln.rstrip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or lines[0].strip() != _HEADER:
@@ -128,24 +126,24 @@ def load_presentation(text):
                               path=f"line[{lineno}]")
     if name is None:
         raise SchemaError("document has no name line", path="name")
-    scope = _Scope(gens, [k for k, v in params.items() if v == "opaque"])
+    try:
+        # params holds the opaque names only, until the param lines are read
+        scope = Presentation(name, gens, (), parameters=params)
+    except QheisError as exc:
+        raise SchemaError(str(exc), path="presentation") from exc
     gmap = scope.generator_map
     for pname, pval, lineno in raw_params:
         try:
             poly = parse_expr(pval, scope)
         except ParseError as exc:
             raise SchemaError(f"param {pname}: {exc}", path=f"param[{pname}]") from exc
-        if all(len(s) == 0 for s in poly._terms):
-            coeff = poly.coefficient(())
-            num = coeff.num
-            if len(num) <= 1 and coeff.den == Coefficient.one().den:
-                # bare integers stay integers so signatures round-trip
-                if pval.lstrip("-").isdigit():
-                    params[pname] = int(pval)
-                    continue
-            params[pname] = coeff
-        else:
+        if any(poly._terms):  # a word with letters
             params[pname] = poly
+        elif pval.lstrip("-").isdigit():
+            # bare integers stay integers so signatures round-trip
+            params[pname] = int(pval)
+        else:
+            params[pname] = poly.coefficient(())
     pairs = []
     for a, b in inverses:
         if a not in gmap or b not in gmap:

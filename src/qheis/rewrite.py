@@ -6,9 +6,10 @@ term orders are provided:
 
 * ``deglex``  - word length first, then the precedence sequence from the
   left.  Every catalog family with length-nonincreasing relations uses it.
-* ``invlex``  - number of out-of-order adjacent-precedence pairs first, then
-  length, then the precedence sequence.  Needed when a relation trades one
-  inversion for extra low letters, as in h*x -> x*f(h) with deg f >= 2.
+* ``invlex``  - number of inversions first (pairs of letters, adjacent or
+  not, whose precedences are out of order), then length, then the
+  precedence sequence.  Needed when a relation trades one inversion for
+  extra low letters, as in h*x -> x*f(h) with deg f >= 2.
 
 Normalization applies, deterministically, the first matching rule at the
 leftmost position of the largest reducible word; among words of equal order
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .coeffs import Coefficient
-from .errors import NonTermination, OrientationError
+from .errors import NonTermination, OrientationError, ParamError
 from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
@@ -59,7 +60,7 @@ class TermOrder:
 
     def __post_init__(self):
         if self.kind not in ("deglex", "invlex"):
-            raise ValueError(f"unknown term order {self.kind!r}")
+            raise ParamError(f"unknown term order {self.kind!r}")
 
     def key(self, word):
         """Sort key of a Word."""

@@ -235,6 +235,17 @@ class TestBadFiles:
         assert code == 2
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_reserved_generator_name(self, tmp_path):
+        # saved, central hbar would load back as this generator
+        path = tmp_path / "hbar.qpres"
+        path.write_text("qheis-presentation 1\nname: r\ngenerator: x\n"
+                        "generator: hbar\nrelation: c : hbar*x - x*hbar - hbar\n")
+        code, _, err = run_cli_process("normalize", "--algebra", str(path),
+                                       "--expr", "x")
+        assert code == 2
+        assert "generator name hbar is reserved" in err
+        assert "Traceback" not in err
+
     def test_unwritable_report(self, tmp_path):
         report = tmp_path / "missing" / "r.json"
         code, out, err = run_cli_process("verify", "--suite", "wess-ore-x-p",

@@ -1,15 +1,21 @@
-"""Catalog contents, schema expansion, Ore extraction, the unified family."""
+"""Catalog contents, Ore extraction, the unified family."""
+
+import hashlib
+import itertools
+from pathlib import Path
 
 import pytest
 
 import qheis
 from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
-                   classical_limit, expand_schema, extract_ore, normalize,
-                   presentation_from_ore, unified)
+                   classical_limit, extract_ore, load_presentation_file,
+                   normalize, orient, presentation_from_ore,
+                   save_presentation, unified)
 from qheis.coeffs import Coefficient
 from qheis.errors import (NotOreShaped, ParamError, PoleAtPoint,
-                          UnknownFamily)
+                          QheisError, UnknownFamily)
 from qheis.ncpoly import Generator
+from qheis.rewrite import TermOrder
 from qheis.verify import random_poly
 
 C = Coefficient
@@ -61,33 +67,104 @@ class TestCatalog:
         assert "Lambda_inv" in families["wess"].metadata["adjoint"]
 
 
-class TestExpandSchema:
-    GENS = (Generator("x", 1, 0), Generator("x", 2, 1),
-            Generator("p", 1, 2), Generator("p", 2, 3))
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
-    def test_diagonal_delta(self):
-        rels = expand_schema("x_{n}*p_{m} - p_{m}*x_{n} - delta({n},{m})*i*hbar",
-                             {"n": [1], "m": [1]}, self.GENS, label="r_{n}{m}")
-        assert len(rels) == 1
-        label, poly = rels[0]
-        assert label == "r_11"
-        assert poly.coefficient(()) == -C.imag() * C.hbar_power(1)
+# sha256 of ``catalog_pin_lines()``; any change to a built presentation (a
+# relation label, its position, a term, the order of its terms, an alphabet
+# code, a parameter or an oriented rule) changes it
+CATALOG_SHA256 = "b460074ed1e2e62e58e7cee1d4417de083c34d18cdb3c0344ea7d59fa76fb4de"
 
-    def test_off_diagonal_delta(self):
-        rels = expand_schema("x_{n}*p_{m} - p_{m}*x_{n} - delta({n},{m})*i*hbar",
-                             {"n": [1], "m": [2]}, self.GENS)
-        (_, poly), = rels
-        assert poly.coefficient(()).is_zero
 
-    def test_unordered_pairs(self):
-        rels = expand_schema("x_{n}*x_{m} - x_{m}*x_{n}",
-                             {"n": [1, 2], "m": [1, 2]}, self.GENS,
-                             predicate=lambda n, m: n < m)
-        assert len(rels) == 1
+def _pinned_presentations():
+    """Every catalog family and variant, classical with 1-3 indices and
+    unified over n, m, l in {-1, 0, 1} with one and two indices; the
+    classical limit of each of those, or its error; the example files."""
+    built = [catalog("classical", indices=k) for k in (1, 2, 3)]
+    built += [catalog(fam) for fam in qheis.family_ids() if fam != "classical"]
+    built += [catalog("schmudgen", variant="definition"),
+              catalog("gaddis", variant="printed")]
+    for n, m, l in itertools.product((-1, 0, 1), repeat=3):
+        for rng in ((1,), (1, 2)):
+            built.append(unified(UnifiedParams(
+                n, m, l, psi="hbar^2*q^(3/2)*y_1", pi=1, phi="i*x_1 - p",
+                alpha_range=rng, lambda_range=rng, beta_range=rng)))
+    out = list(built)
+    for pres in built:
+        try:
+            out.append(classical_limit(pres))
+        except QheisError as exc:
+            out.append(f"{pres.name}@q=1: {type(exc).__name__}: {exc}")
+    out += [load_presentation_file(str(path))
+            for path in sorted(EXAMPLES.glob("*.qpres"))]
+    return out
 
-    def test_unbound_index(self):
-        with pytest.raises(ParamError):
-            expand_schema("x_{n}*p_{k}", {"n": [1]}, self.GENS)
+
+def catalog_pin_lines():
+    """The saved text, each relation's terms and codes in insertion order,
+    and the oriented rules (or the error) of every pinned presentation."""
+    lines = []
+    for pres in _pinned_presentations():
+        if isinstance(pres, str):
+            lines.append(pres)
+            continue
+        lines.append(save_presentation(pres))
+        lines.append(repr([g.sym for g in pres.alphabet.letters]))
+        for label, poly in pres.relations:
+            lines.append(label)
+            lines.append(repr(list(poly._terms)))
+            lines += [f"{w!r} {c!r}" for w, c in poly.terms.items()]
+        try:
+            lines += [repr(rule) for rule in orient(pres).rules]
+        except QheisError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return lines
+
+
+class TestCatalogPin:
+    def test_presentations_pinned(self):
+        text = "\n".join(catalog_pin_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256
+
+
+class TestPresentationChecks:
+    X, Y = Generator("x", None, 0), Generator("y", None, 1)
+
+    @pytest.mark.parametrize("names, opaques, message", [
+        # central hbar prints as hbar, i*x as i*x and central q as s^2
+        (("hbar", "x"), (), "generator name hbar is reserved"),
+        (("i", "x"), (), "generator name i is reserved"),
+        (("q", "s"), (), "generator name s is reserved"),
+        (("t", "p"), (), "generator name t is reserved"),
+        # the kernel's hbar is h; a generator would shadow the opaque x
+        (("x",), ("h",), "opaque name h is taken by a central symbol"),
+        (("x",), ("x",), "opaque name x is taken by a generator"),
+        (("x",), ("D", "q"), "opaque name q is taken by a central symbol"),
+    ], ids=["generator-hbar", "generator-i", "generator-s", "generator-t",
+            "opaque-h", "opaque-generator", "opaque-q"])
+    def test_reserved_names(self, names, opaques, message):
+        gens = [Generator(n, None, k) for k, n in enumerate(names)]
+        with pytest.raises(ParamError, match=message):
+            Presentation("r", gens, (), parameters=dict.fromkeys(opaques, "opaque"))
+
+    def test_reserved_opaque_through_catalog(self):
+        with pytest.raises(ParamError, match="opaque name hbar"):
+            catalog("qhbar_quantization", opaque="hbar")
+
+    def test_indexed_and_longer_names_are_free(self):
+        gens = [Generator("i", 1, 0), Generator("hbar", 2, 1),
+                Generator("s", 1, 2), Generator("sx", None, 3)]
+        pres = Presentation("free", gens, (),
+                            parameters={"D": "opaque", "hb": "opaque"})
+        assert pres.parse("i_1*hbar_2 - i*hbar*D*hb*s_1*sx").letters() == [
+            gens[0], gens[1], gens[2], gens[3]]
+
+    def test_unknown_order_kind(self):
+        # a QheisError, which the CLI and VerificationCase.run report
+        for build in (lambda: TermOrder("invlx"),
+                      lambda: Presentation("typo", [self.X, self.Y], (),
+                                           order_kind="invlx")):
+            with pytest.raises(ParamError, match="unknown term order 'invlx'"):
+                build()
 
 
 class TestOre:

@@ -418,6 +418,37 @@ class TestPresentationDocs:
         rel = dict(pres.relations)["r"]
         assert rel.coefficient(()) == -C.imag() * C.hbar_power(1) * C.opaque("D")
 
+    @pytest.mark.parametrize("lines, message", [
+        ("generator: x\ngenerator: hbar\n", "generator name hbar is reserved"),
+        ("generator: i\ngenerator: x\n", "generator name i is reserved"),
+        ("generator: q\ngenerator: s\n", "generator name s is reserved"),
+        ("generator: x\nopaque: h\n", "opaque name h is taken"),
+        ("generator: x\nopaque: x\n", "opaque name x is taken by a generator"),
+    ], ids=["generator-hbar", "generator-i", "generator-s", "opaque-h",
+            "opaque-generator"])
+    def test_reserved_names(self, lines, message):
+        doc = f"qheis-presentation 1\nname: r\n{lines}relation: c : x*x\n"
+        with pytest.raises(SchemaError, match=message) as exc:
+            load_presentation(doc)
+        assert exc.value.path == "presentation"
+
+    def test_generator_errors_come_before_relation_errors(self):
+        doc = ("qheis-presentation 1\nname: r\ngenerator: x\ngenerator: x\n"
+               "relation: c : x*(y\n")
+        with pytest.raises(SchemaError, match="declared twice") as exc:
+            load_presentation(doc)
+        assert exc.value.path == "presentation"
+
+    @pytest.mark.parametrize("value, expected", [
+        ("-3", -3), ("007", 7), ("0", 0),
+        ("1/2", parse_expr("1/2").coefficient(())),
+        ("2*q^0", C.from_scalar(2)), ("q", C.q_power(1)),
+    ])
+    def test_integer_params_stay_integers(self, value, expected):
+        doc = f"qheis-presentation 1\nname: r\ngenerator: x\nparam: k = {value}\n"
+        got = load_presentation(doc).parameters["k"]
+        assert got == expected and type(got) is type(expected)
+
     def test_missing_header(self):
         with pytest.raises(SchemaError):
             load_presentation("name: x\n")
