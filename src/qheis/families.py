@@ -21,13 +21,12 @@ relations and the rewrite systems are not confluent without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .coeffs import Coefficient
 from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
                      UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
-from .parser import parse_expr
+from .parser import _IDENT, parse_expr
 from .rewrite import TermOrder, normalize, orient
 
 C = Coefficient
@@ -36,11 +35,14 @@ HBAR = C.hbar_power(1)
 
 
 def _q(exp=1):
-    return C.q_power(exp)
+    """q**exp: an int power directly on s = q^(1/2), a half-integer (given
+    as text) through ``q_power``."""
+    return C.monomial({"s": 2 * exp}) if isinstance(exp, int) else C.q_power(exp)
 
 
 def _p(exp=1):
-    return C.p_power(exp)
+    """p**exp for an int exp, on t = p^(1/2)."""
+    return C.monomial({"t": 2 * exp})
 
 
 # names the parser and the printer give central scalars: ``i`` and ``hbar``
@@ -92,6 +94,10 @@ class Presentation:
             raise ParamError(f"{self.name}: generator precedences are not distinct")
         opaques = [k for k, v in self.parameters.items() if v == "opaque"]
         for k in opaques:
+            if not _IDENT.fullmatch(k):
+                raise ParamError(f"{self.name}: opaque name {k!r} is not one "
+                                 f"symbol (a letter, then letters, digits "
+                                 f"or _)")
             if k in gmap or k in _RESERVED_OPAQUES:
                 taken = "a generator" if k in gmap else "a central symbol"
                 raise ParamError(f"{self.name}: opaque name {k} is taken by {taken}")
@@ -375,8 +381,7 @@ def _qhbar_quantization(opaque="D_jk"):
                                   "structure_function": opaque})
 
 
-@dataclass
-class UnifiedParams:
+class UnifiedParams(Record):
     """Parameters of the unified q-hbar Heisenberg algebra.
 
     ``psi``, ``pi`` and ``phi`` are the dynamical functions: arbitrary
@@ -385,22 +390,29 @@ class UnifiedParams:
     reachable only through the explicit classical-limit pathway.
     """
 
-    n: int
-    m: int
-    l: int
-    psi: object = 1
-    pi: object = 0
-    phi: object = 0
-    alpha_range: tuple = (1,)
-    lambda_range: tuple = (1,)
-    beta_range: tuple = (1,)
+    __slots__ = ("n", "m", "l", "psi", "pi", "phi", "alpha_range",
+                 "lambda_range", "beta_range")
 
-    def __post_init__(self):
-        for name in ("n", "m", "l"):
-            v = getattr(self, name)
+    def __init__(self, n, m, l, psi=1, pi=0, phi=0, alpha_range=(1,),
+                 lambda_range=(1,), beta_range=(1,)):
+        for name, v in (("n", n), ("m", m), ("l", l)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParamError(f"unified: parameter {name} must be an integer, "
                                  f"got {v!r}")
+        self._set(n, m, l, psi, pi, phi, alpha_range, lambda_range, beta_range)
+
+
+def _x_p_relation(n, psi, x, p):
+    return x * p - _q(n) * (p * x) - (I * _q(n - 1) * C.hbar_power(n)) * psi
+
+
+def _x_y_relation(m, pi, x, y):
+    qm1 = _q(1) - C.one()
+    return _q(m) * (x * y) - y * x + (I * qm1 ** (m - 1) * C.hbar_power(m - 1)) * pi
+
+
+def _y_p_relation(l, phi, y, p):
+    return _q(l) * (y * p) - _q(l + 1) * (p * y) - (I * C.hbar_power(l)) * phi
 
 
 def unified_relation_polys(n, m, l, psi, pi, phi, x, y, p):
@@ -410,14 +422,9 @@ def unified_relation_polys(n, m, l, psi, pi, phi, x, y, p):
     targets another algebra); psi/pi/phi are polynomials over the same
     alphabet.
     """
-    psi = NCPoly.from_scalar(psi)
-    pi = NCPoly.from_scalar(pi)
-    phi = NCPoly.from_scalar(phi)
-    qm1 = _q(1) - C.one()
-    rel1 = x * p - _q(n) * (p * x) - (I * _q(n - 1) * C.hbar_power(n)) * psi
-    rel2 = _q(m) * (x * y) - y * x + (I * qm1 ** (m - 1) * C.hbar_power(m - 1)) * pi
-    rel3 = _q(l) * (y * p) - _q(l + 1) * (p * y) - (I * C.hbar_power(l)) * phi
-    return rel1, rel2, rel3
+    psi, pi, phi = map(NCPoly.from_scalar, (psi, pi, phi))
+    return (_x_p_relation(n, psi, x, p), _x_y_relation(m, pi, x, y),
+            _y_p_relation(l, phi, y, p))
 
 
 def unified(params):
@@ -436,15 +443,14 @@ def unified(params):
 
     psi, pi, phi = as_poly(params.psi), as_poly(params.pi), as_poly(params.phi)
     rels = []
-    # unified_relation_polys gives the x-p, x-y and y-p relations, in order
-    for k, (left, right) in enumerate(((xs, ps), (xs, ys), (ys, ps))):
+    kinds = ((xs, ps, _x_p_relation, params.n, psi),
+             (xs, ys, _x_y_relation, params.m, pi),
+             (ys, ps, _y_p_relation, params.l, phi))
+    for left, right, relation, exp, fn in kinds:
         for a in left:
             for b in right:
-                sides = {a.name: _w(a), b.name: _w(b)}
-                rel = unified_relation_polys(
-                    params.n, params.m, params.l, psi, pi, phi,
-                    *(sides.get(s, NCPoly.zero()) for s in "xyp"))[k]
-                rels.append((f"{a.name}{b.name}_{a.index}_{b.index}", rel))
+                rels.append((f"{a.name}{b.name}_{a.index}_{b.index}",
+                             relation(exp, fn, _w(a), _w(b))))
     return Presentation(
         "unified", gens, rels,
         parameters={"n": params.n, "m": params.m, "l": params.l,
@@ -502,8 +508,7 @@ def classical_limit(presentation):
 # Ore extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OreData:
+class OreData(Record, frozen=True):
     """Sigma and delta maps of an iterated Ore tower.
 
     Keys are (mover, over) symbol pairs: mover*over = sigma*mover + delta
@@ -513,9 +518,10 @@ class OreData:
     some towers that way.
     """
 
-    tower: tuple
-    sigma: dict
-    delta: dict
+    __slots__ = ("tower", "sigma", "delta")
+
+    def __init__(self, tower, sigma, delta):
+        self._set(tower, sigma, delta)
 
     def entry(self, mover, over):
         key = (mover, over)

@@ -34,7 +34,6 @@ kernel's range raise its ExponentOverflow.
 
 from __future__ import annotations
 
-import difflib
 import re
 from fractions import Fraction
 
@@ -46,9 +45,11 @@ MAX_NESTING = 100
 MAX_POWER = 10_000
 MAX_TERMS = 100_000
 
+# a symbol name: one token
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # whitespace and any other single character are tokens too, dropped and
 # refused by ``_tokenize``
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<ident>{_IDENT.pattern})"
                     r"|(?P<op>[-+*^()\[\],/])|(?P<space>\s+)|(?P<bad>.)",
                     re.DOTALL)
 
@@ -265,6 +266,7 @@ class _Parser:
         if central is not None:
             return central
         known = sorted(set(self.codes) | self.opaques | {"i", "hbar", "q", "p"})
+        import difflib  # only here: its import would slow every start-up
         hint = difflib.get_close_matches(name, known, n=1)
         suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ParseError(f"unknown symbol {name!r} at {pos}{suggestion}", pos)

@@ -42,9 +42,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from ._record import Record
 from .coeffs import Coefficient
 from .errors import NonTermination, OrientationError, ParamError
 from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
@@ -52,15 +52,15 @@ from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
 DEFAULT_STEP_LIMIT = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class TermOrder:
+class TermOrder(Record, frozen=True):
     """Well-ordering of words used to orient rules and steer normalization."""
 
-    kind: str = "deglex"
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in ("deglex", "invlex"):
-            raise ParamError(f"unknown term order {self.kind!r}")
+    def __init__(self, kind="deglex"):
+        if kind not in ("deglex", "invlex"):
+            raise ParamError(f"unknown term order {kind!r}")
+        self._set(kind)
 
     def key(self, word):
         """Sort key of a Word."""
@@ -83,11 +83,11 @@ class TermOrder:
         return f"TermOrder({self.kind!r})"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Word
-    rhs: NCPoly
-    origin: str
+class RewriteRule(Record, frozen=True):
+    __slots__ = ("lhs", "rhs", "origin")
+
+    def __init__(self, lhs, rhs, origin):
+        self._set(lhs, rhs, origin)
 
     def __repr__(self):
         return f"{self.lhs!r} -> {self.rhs!r}  [{self.origin}]"
@@ -315,14 +315,14 @@ def reduce_trace(poly, sys):
     return trace
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    overlap_word: Word
-    left_rule: str
-    right_rule: str
-    left_result: NCPoly
-    right_result: NCPoly
-    resolved: bool
+class CriticalPair(Record, frozen=True):
+    __slots__ = ("overlap_word", "left_rule", "right_rule", "left_result",
+                 "right_result", "resolved")
+
+    def __init__(self, overlap_word, left_rule, right_rule, left_result,
+                 right_result, resolved):
+        self._set(overlap_word, left_rule, right_rule, left_result,
+                  right_result, resolved)
 
     def __repr__(self):
         status = "resolved" if self.resolved else "UNRESOLVED"
@@ -363,11 +363,11 @@ def critical_pairs(sys):
     return [entry[3] for entry in out]
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    confluent: bool
-    unresolved: tuple
-    checked: int
+class ConfluenceReport(Record, frozen=True):
+    __slots__ = ("confluent", "unresolved", "checked")
+
+    def __init__(self, confluent, unresolved, checked):
+        self._set(confluent, unresolved, checked)
 
     def __repr__(self):
         verdict = "confluent" if self.confluent else "NOT confluent"

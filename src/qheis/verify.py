@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
 from random import Random
 
+from ._record import Record
 from .coeffs import Coefficient, qnumber
 from .errors import (OracleDivergence, OracleOverflow, OrientationError,
                      ParamError, QheisError)
@@ -96,16 +96,15 @@ def random_point(rng, variables):
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
-    case_id: str
-    claim: str
-    status: str              # pass | fail | error | discrepancy | annotated
-    expected: str
-    detail: str = ""
-    unit: str | None = None
-    witness: str | None = None
-    annotations: tuple = ()
+class VerificationReport(Record, frozen=True):
+    __slots__ = ("case_id", "claim",
+                 "status",  # pass | fail | error | discrepancy | annotated
+                 "expected", "detail", "unit", "witness", "annotations")
+
+    def __init__(self, case_id, claim, status, expected, detail="", unit=None,
+                 witness=None, annotations=()):
+        self._set(case_id, claim, status, expected, detail, unit, witness,
+                  annotations)
 
     @property
     def ok(self):
@@ -125,13 +124,12 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class VerificationCase:
-    case_id: str
-    claim: str
-    families: tuple
-    expected: str
-    runner: object           # called with this case, returns its report
+class VerificationCase(Record, frozen=True):
+    __slots__ = ("case_id", "claim", "families", "expected",
+                 "runner")  # called with this case, returns its report
+
+    def __init__(self, case_id, claim, families, expected, runner):
+        self._set(case_id, claim, families, expected, runner)
 
     def report(self, status, **fields):
         return VerificationReport(self.case_id, self.claim, status,
@@ -378,26 +376,29 @@ def brute_force_reduce(poly, sys, cap=5000, cache=None):
 # Specializations of the unified algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecializationRow:
+class SpecializationRow(Record, frozen=True):
     """One parameter row: instantiate the unified relations inside a target
     family and check each against the target's relations."""
 
-    row_id: str
-    target: str
-    rename: dict                      # unified role -> target generator sym
-    n: int
-    m: int
-    l: int
-    psi: str = "0"
-    pi: str = "0"
-    phi: str = "0"
-    relations: tuple = ("nH1", "nH2", "nH3")
-    at_q1: bool = False
-    target_params: dict = field(default_factory=dict)
-    attempts: tuple = ()              # (label, overrides) tried after as-printed
-    expected: str = "pass"
-    note: str = ""
+    __slots__ = ("row_id", "target",
+                 "rename",  # unified role -> target generator sym
+                 "n", "m", "l", "psi", "pi", "phi", "relations", "at_q1",
+                 "target_params",
+                 "attempts",  # (label, overrides) tried after as-printed
+                 "expected", "note")
+
+    def __init__(self, row_id, target, rename, n, m, l, psi="0", pi="0",
+                 phi="0", relations=("nH1", "nH2", "nH3"), at_q1=False,
+                 target_params=None, attempts=(), expected="pass", note=""):
+        self._set(row_id, target, rename, n, m, l, psi, pi, phi, relations,
+                  at_q1, {} if target_params is None else target_params,
+                  attempts, expected, note)
+
+    def replace(self, **changes):
+        """This row with ``changes`` applied to its fields; an unknown field
+        raises TypeError."""
+        fields = dict(zip(self.__slots__, self._values(self)))
+        return SpecializationRow(**{**fields, **changes})
 
 
 def _check_row_values(row, target, sysm):
@@ -448,7 +449,7 @@ def verify_specialization(row):
     attempts = (("as printed", {}),) + tuple(row.attempts)
     all_lines = []
     for idx, (label, overrides) in enumerate(attempts):
-        ok, lines, unit = _check_row_values(replace(row, **overrides), target,
+        ok, lines, unit = _check_row_values(row.replace(**overrides), target,
                                             target_sys)
         all_lines.append(f"[{label}] " + "; ".join(lines))
         if ok:

@@ -246,6 +246,16 @@ class TestBadFiles:
         assert "generator name hbar is reserved" in err
         assert "Traceback" not in err
 
+    def test_opaque_name_not_one_symbol(self, tmp_path):
+        # no expression could reach the symbol 'D E'
+        path = tmp_path / "opaque.qpres"
+        path.write_text("qheis-presentation 1\nname: r\ngenerator: x\n"
+                        "generator: y\nopaque: D E\nrelation: c : y*x - x*y\n")
+        code, out, err = run_cli_process("confluence", "--algebra", str(path))
+        assert code == 2 and out == ""
+        assert "opaque name 'D E' is not one symbol" in err
+        assert "Traceback" not in err
+
     def test_unwritable_report(self, tmp_path):
         report = tmp_path / "missing" / "r.json"
         code, out, err = run_cli_process("verify", "--suite", "wess-ore-x-p",

@@ -139,8 +139,14 @@ class TestPresentationChecks:
         (("x",), ("h",), "opaque name h is taken by a central symbol"),
         (("x",), ("x",), "opaque name x is taken by a generator"),
         (("x",), ("D", "q"), "opaque name q is taken by a central symbol"),
+        # the parser reads one identifier token per symbol
+        (("x",), ("D E",), "opaque name 'D E' is not one symbol"),
+        (("x",), ("",), "opaque name '' is not one symbol"),
+        (("x",), ("2D",), "opaque name '2D' is not one symbol"),
+        (("x",), ("D-1",), "opaque name 'D-1' is not one symbol"),
     ], ids=["generator-hbar", "generator-i", "generator-s", "generator-t",
-            "opaque-h", "opaque-generator", "opaque-q"])
+            "opaque-h", "opaque-generator", "opaque-q", "opaque-two-tokens",
+            "opaque-empty", "opaque-digit-first", "opaque-operator"])
     def test_reserved_names(self, names, opaques, message):
         gens = [Generator(n, None, k) for k, n in enumerate(names)]
         with pytest.raises(ParamError, match=message):

@@ -424,8 +424,10 @@ class TestPresentationDocs:
         ("generator: q\ngenerator: s\n", "generator name s is reserved"),
         ("generator: x\nopaque: h\n", "opaque name h is taken"),
         ("generator: x\nopaque: x\n", "opaque name x is taken by a generator"),
+        ("generator: x\nopaque: D E\n", "opaque name 'D E' is not one symbol"),
+        ("generator: x\nopaque:\n", "opaque name '' is not one symbol"),
     ], ids=["generator-hbar", "generator-i", "generator-s", "opaque-h",
-            "opaque-generator"])
+            "opaque-generator", "opaque-two-tokens", "opaque-empty"])
     def test_reserved_names(self, lines, message):
         doc = f"qheis-presentation 1\nname: r\n{lines}relation: c : x*x\n"
         with pytest.raises(SchemaError, match=message) as exc:
