@@ -731,6 +731,23 @@ class Coefficient:
 
         return format_coefficient(self)
 
+    def __reduce__(self):
+        # a packed key depends on the order in which this process interned
+        # its variables, so the pickle holds tuple monomials instead
+        return _unpickle, (_unpacked(self._num), _unpacked(self._den))
+
+
+def _unpacked(poly):
+    return tuple([(_unpack(m), t) for m, t in poly.items()])
+
+
+def _unpickle(num, den):
+    """Coefficient of the (tuple monomial, triple) pairs of ``__reduce__``.
+    The canonical form does not depend on the interning order (see
+    ``_canonical``), so the pairs of a canonical value pack to one."""
+    return _coeff({_pack(m): t for m, t in num},
+                  {_pack(m): t for m, t in den})
+
 
 _C_ZERO = Coefficient()
 _C_ONE = Coefficient.from_scalar(1)

@@ -27,7 +27,7 @@ from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
                      UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
 from .parser import _IDENT, parse_expr
-from .rewrite import TermOrder, normalize, orient
+from .rewrite import TermOrder, complete, normalize, orient
 
 C = Coefficient
 I = C.imag()
@@ -66,7 +66,13 @@ class Presentation:
     The relations, ``parse``, ``poly`` and the rewrite system share one
     ``alphabet`` of the generators; ``generator_codes`` maps each
     generator's name to its code there.  Without relations it is the scope
-    in which a builder or a document parses them."""
+    in which a builder or a document parses them.
+
+    ``system()`` orients the relations and ``completed()`` runs Knuth-Bendix
+    completion on them (``rewrite.complete``, with the inverse pairs'
+    cancellation relations); each keeps its first result, so a presentation
+    is oriented and completed at most once.  A call that raises stores
+    nothing, and the next call tries again."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -78,6 +84,7 @@ class Presentation:
         self.metadata = dict(metadata or {})
         self.order_kind = order_kind
         self._system = None
+        self._completed = None
         self._validate()
 
     def _validate(self):
@@ -148,6 +155,17 @@ class Presentation:
         if self._system is None:
             self._system = orient(self)
         return self._system
+
+    def completed(self):
+        """The confluent rewrite system of the presentation's ideal, by
+        ``rewrite.complete`` over ``all_relation_polys()``: zero normal form
+        certifies membership.  Raises NonTermination when completion exceeds
+        its bound and OrientationError when a derived relation does not
+        orient."""
+        if self._completed is None:
+            self._completed = complete(self.all_relation_polys(),
+                                       TermOrder(self.order_kind))
+        return self._completed
 
     def normalize(self, x):
         if isinstance(x, str):

@@ -88,6 +88,9 @@ class Alphabet:
         """Word of a code string."""
         return Word(map(self.letters.__getitem__, map(ord, s)))
 
+    def __reduce__(self):
+        return Alphabet, (self.letters,)
+
 
 _EMPTY = Alphabet(())
 
@@ -127,6 +130,10 @@ class NCPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("NCPoly is immutable")
+
+    def __reduce__(self):
+        # the default slot-state restore would go through __setattr__
+        return _ncpoly, (self._terms, self.alphabet)
 
     # -- constructors ----------------------------------------------------
 

@@ -142,6 +142,11 @@ class RewriteSystem:
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
 
+    def __reduce__(self):
+        # rebuilt from its rules: the default slot-state restore would go
+        # through __setattr__
+        return RewriteSystem, (self.rules, self.order, self.step_limit)
+
     def redexes(self, s):
         """Every ``(pos, lhs)`` with a left side ``lhs`` at ``pos`` of the code
         string ``s``: leftmost first, and at a position shortest first."""

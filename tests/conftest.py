@@ -36,3 +36,14 @@ def rng():
 @pytest.fixture(scope="session")
 def families():
     return {fam: qheis.catalog(fam) for fam in qheis.family_ids()}
+
+
+@pytest.fixture
+def complete_calls(monkeypatch):
+    """The arguments of each ``rewrite.complete`` call that
+    ``Presentation.completed`` makes during the test."""
+    calls = []
+    real = qheis.families.complete
+    monkeypatch.setattr(qheis.families, "complete",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls

@@ -606,6 +606,33 @@ class TestInterning:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=20,
                        env=dict(os.environ, PYTHONPATH=src))
 
+    def test_pickle_crosses_interning_orders(self):
+        # packed keys differ between processes that interned their names in
+        # another order: B pickled after A once loaded as D where C and D
+        # came first, and failed to print where neither did
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+
+        def run(code):
+            return subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src)).stdout
+        value = ("C.opaque('B', 2) * C.monomial({'s': 1, 'h': -1})"
+                 " / (C.opaque('B') + C.q_power(1))")
+        dumped = run("import pickle, sys\n"
+                     "from qheis import Coefficient as C\n"
+                     "C.opaque('A')\n"
+                     f"sys.stdout.write(pickle.dumps({value}).hex())\n")
+        for first in ("", "CD"):
+            out = run("import pickle\n"
+                      "from qheis import Coefficient as C\n"
+                      f"for name in {first!r}:\n"
+                      "    C.opaque(name)\n"
+                      f"x = pickle.loads(bytes.fromhex({dumped!r}))\n"
+                      f"print(x, x == {value}, x.variables())\n")
+            assert out == ("hbar^-1*q^(1/2)*B^2*(B + q)^-1 True "
+                           "['B', 'h', 's']\n"), first
+
     def test_threads_agree_on_a_new_name(self):
         # 8 threads meet each fresh name at once, with the switch interval
         # shortened so that they interleave inside the interning

@@ -11,12 +11,16 @@ from pathlib import Path
 import pytest
 
 import qheis
-from qheis import (ConfluenceReport, CriticalPair, Generator, NCPoly, OreData,
-                   ParamError, RewriteRule, SpecializationRow, TermOrder,
-                   UnifiedParams, VerificationCase, VerificationReport)
+from qheis import (Coefficient, ConfluenceReport, CriticalPair, Generator,
+                   NCPoly, OreData, ParamError, RewriteRule, SpecializationRow,
+                   TermOrder, UnifiedParams, VerificationCase,
+                   VerificationReport)
 from qheis.ncpoly import Word
 
 X, P = Generator("x", None, 0), Generator("p", None, 1)
+# a polynomial with a coefficient of several variables, so that its pickle
+# carries monomials
+XP = NCPoly.from_word((X, P), 2) * Coefficient.monomial({"s": -1, "h": 2})
 
 
 def _runner(case):
@@ -30,13 +34,13 @@ RECORDS = [
      {"precedence": 1}),
     (TermOrder, (), {"kind": "deglex"}, "TermOrder('deglex')",
      {"kind": "invlex"}),
-    (RewriteRule, (Word((P, X)), "x*p", "p_x"),
-     {"lhs": Word((P, X)), "rhs": "x*p", "origin": "p_x"},
-     "p*x -> 'x*p'  [p_x]", {"origin": "p_x2"}),
-    (CriticalPair, (Word((P, P, X)), "a", "b", 1, 0, False),
+    (RewriteRule, (Word((P, X)), XP, "p_x"),
+     {"lhs": Word((P, X)), "rhs": XP, "origin": "p_x"},
+     "p*x -> 2*hbar^2*q^(-1/2)*x*p  [p_x]", {"origin": "p_x2"}),
+    (CriticalPair, (Word((P, P, X)), "a", "b", XP, NCPoly.zero(), False),
      {"overlap_word": Word((P, P, X)), "left_rule": "a", "right_rule": "b",
-      "left_result": 1, "right_result": 0, "resolved": False},
-     "CriticalPair(p*p*x; a / b; UNRESOLVED)", {"right_result": 1}),
+      "left_result": XP, "right_result": NCPoly.zero(), "resolved": False},
+     "CriticalPair(p*p*x; a / b; UNRESOLVED)", {"right_result": NCPoly.one()}),
     (ConfluenceReport, (True, (), 3),
      {"confluent": True, "unresolved": (), "checked": 3},
      "confluent (3 ambiguities, 0 unresolved)", {"checked": 4}),
@@ -105,7 +109,7 @@ class TestRecordSemantics:
         assert obj == cls(**kwargs)
         try:
             want = hash(tuple(kwargs.values()))
-        except TypeError:  # a dict field: unhashable like the tuple
+        except TypeError:  # a dict or NCPoly field: unhashable like the tuple
             with pytest.raises(TypeError):
                 hash(obj)
         else:

@@ -1,5 +1,6 @@
 """Rewrite engine: orientation, normalization, traces, critical pairs."""
 
+import copy
 import functools
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import qheis
 from qheis import (NCPoly, Presentation, catalog, check_confluence,
-                   critical_pairs, format_expr, normalize, reduce_trace)
+                   critical_pairs, format_expr, normalize, reduce_trace,
+                   save_presentation)
 from qheis.coeffs import Coefficient
 from qheis.errors import NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
@@ -582,6 +584,49 @@ class TestCompletion:
         rels = [("xy", w((x, y)) - 1), ("yx", w((y, x)) - 2)]
         with pytest.raises(OrientationError, match="shorter than two letters"):
             complete(rels, TermOrder("deglex"))
+
+    def test_completed_keeps_its_result(self, complete_calls):
+        pres = catalog("schmudgen", variant="definition")
+        sysm = pres.completed()
+        assert pres.completed() is sysm and len(complete_calls) == 1
+        assert {r.lhs: r.rhs for r in sysm.rules} == \
+            {r.lhs: r.rhs for r in _completed(pres).rules}
+
+    def test_failed_completion_is_not_stored(self, complete_calls):
+        braid = _braid()
+        for n in (1, 2):
+            with pytest.raises(NonTermination, match="completion derived"):
+                braid.completed()
+            assert len(complete_calls) == n and braid._completed is None
+
+
+class TestCopies:
+    """Polynomials, rewrite systems and presentations pickle and copy by
+    value; a copy of a system is rebuilt from its rules."""
+
+    def test_presentation_deepcopy_after_system(self):
+        pres = catalog("wess")
+        sysm, done = pres.system(), pres.completed()
+        copied = copy.deepcopy(pres)
+        assert copied == pres
+        assert save_presentation(copied) == save_presentation(pres)
+        assert copied.system() is not sysm and copied.completed() is not done
+        for mine, theirs in ((sysm, copied.system()),
+                             (done, copied.completed())):
+            assert mine.rules == theirs.rules and mine.order == theirs.order
+        a = pres.parse("x*p*Lambda*x - 2*p*Lambda_inv*x*p")
+        assert normalize(a, copied.system()) == normalize(a, sysm)
+
+    def test_system_pickle_round_trip(self):
+        pres = catalog("gha")
+        sysm = RewriteSystem(pres.system().rules, TermOrder("invlex"), 77)
+        back = pickle.loads(pickle.dumps(sysm))
+        assert (back.rules, back.order, back.step_limit) == \
+            (sysm.rules, sysm.order, 77)
+        a = pres.parse("y*y*x*h")
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert normalize(a, back) == normalize(a, sysm)
+        assert copy.copy(sysm).rules == sysm.rules
 
 
 class TestTermOrder:

@@ -12,8 +12,9 @@ from random import Random
 import pytest
 
 import qheis
-from qheis import (brute_force_reduce, catalog, normalize, run_suite,
-                   suite_ok, verify_power_identities)
+from qheis import (SpecializationRow, brute_force_reduce, catalog,
+                   normalize, run_suite, suite_ok, verify_power_identities,
+                   verify_specialization)
 from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
@@ -109,6 +110,13 @@ class TestEquivalence:
         bogus = g.parse("y*x - x*y")
         ok, _ = ideal_membership(bogus, g)
         assert not ok
+
+    def test_membership_completes_once(self, complete_calls):
+        s_def = catalog("schmudgen", variant="definition")
+        rel = catalog("schmudgen").parse("p*x*u - x*p")
+        first, second = (ideal_membership(rel, s_def) for _ in range(2))
+        assert len(complete_calls) == 1
+        assert first == second and not first[0]
 
     def test_schmudgen_variants_equivalent(self):
         report = verify_relation_set_equivalence(
@@ -273,6 +281,83 @@ class TestSuite:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == REPORT_SHA256
 
+    def test_suite_builds_each_presentation_once(self):
+        # counts the catalog builds, orientations and completions of two
+        # runs in a fresh process, and snapshots each presentation the
+        # verifiers share when it is first built or oriented
+        code = ("import hashlib, json, sys\n"
+                "from collections import Counter\n"
+                "import qheis.families as fam\n"
+                "from qheis import (OrientationError, catalog, reports_to_json,\n"
+                "                   run_suite, save_presentation)\n"
+                "seen = {}\n"
+                "def see(pres):\n"
+                "    seen.setdefault(id(pres), (pres, save_presentation(pres)))\n"
+                "def counted(name, builder):\n"
+                "    def build(**params):\n"
+                "        pres = builder(**params)\n"
+                "        builds[name + repr(sorted(params.items()))] += 1\n"
+                "        see(pres)\n"
+                "        return pres\n"
+                "    return build\n"
+                "for name, (builder, *rest) in list(fam.FAMILIES.items()):\n"
+                "    fam.FAMILIES[name] = (counted(name, builder), *rest)\n"
+                "orient, complete = fam.orient, fam.complete\n"
+                "def counted_orient(pres):\n"
+                "    see(pres)\n"
+                "    try:\n"
+                "        sysm = orient(pres)\n"
+                "    except OrientationError:\n"
+                "        orients.append([id(pres), 'raised'])\n"
+                "        raise\n"
+                "    orients.append([id(pres), 'oriented'])\n"
+                "    return sysm\n"
+                "def counted_complete(*args):\n"
+                "    completes.append(1)\n"
+                "    return complete(*args)\n"
+                "for mod in [m for n, m in sys.modules.items()\n"
+                "            if n.split('.')[0] == 'qheis']:\n"
+                "    for name, fn in (('orient', counted_orient),\n"
+                "                     ('complete', counted_complete)):\n"
+                "        if hasattr(mod, name):\n"
+                "            setattr(mod, name, fn)\n"
+                "runs = []\n"
+                "for _ in range(2):\n"
+                "    builds, orients, completes = Counter(), [], []\n"
+                "    text = reports_to_json(run_suite('all', k=10))\n"
+                "    runs.append({'builds': builds, 'orients': orients,\n"
+                "                 'completes': len(completes),\n"
+                "                 'sha': hashlib.sha256(text.encode()).hexdigest()})\n"
+                "changed = [p.name for p, text in seen.values()\n"
+                "           if save_presentation(p) != text]\n"
+                "builds = Counter()  # the calls below belong to no run\n"
+                "fresh = catalog('wess') is not catalog('wess')\n"
+                "print(json.dumps({'runs': runs, 'changed': changed,\n"
+                "                  'fresh': fresh}))\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=src))
+        got = json.loads(out.stdout)
+        first, second = got["runs"]
+        assert first["builds"] and set(first["builds"].values()) == {1}
+        oriented = [pid for pid, outcome in first["orients"]
+                    if outcome == "oriented"]
+        assert len(oriented) == len(set(oriented))
+        assert first["completes"] > 0
+        assert second["builds"] == {} and second["completes"] == 0
+        # only a presentation that does not orient is tried again
+        assert all(outcome == "raised" for _, outcome in second["orients"])
+        assert first["sha"] == second["sha"] == REPORT_SHA256
+        assert got["changed"] == [] and got["fresh"]
+
+    def test_row_with_unhashable_target_params(self):
+        # a Coefficient parameter cannot key the shared catalog: the row
+        # gets a presentation of its own
+        row = SpecializationRow("t", "gaddis", {"x": "x", "y": "y", "p": "z"},
+                                1, 1, 1, target_params={"p": C.q_power(1)})
+        assert verify_specialization(row).status == "discrepancy"
+
     def test_render_table_lists_every_case(self, reports):
         table = render_table(reports)
         for r in reports:
@@ -355,3 +440,18 @@ class TestCaseDeclaration:
                              "x", "p", "q^-1*p", "i*q^(-1/2)*hbar*Lambda",
                              "discrepancy")
         assert r.status == "pass" and not r.ok
+
+    def test_failed_classical_limit(self, monkeypatch):
+        # against a commuting x_1, p_1 the first sample with a word whose
+        # normal forms differ fails; its witness is the whole sample
+        lim, cls = qheis.verify._classical_limit_pair()
+        commuting = qheis.Presentation(
+            "commuting", cls.generators,
+            [("xp", cls.parse("x_1*p_1 - p_1*x_1"))])
+        monkeypatch.setattr(qheis.verify, "_classical_limit_pair",
+                            lambda: (lim, commuting))
+        case, = [c for c in qheis.verify.build_cases()
+                 if c.case_id == "classical-limit-normal-forms"]
+        r = case.run()
+        assert (r.status, r.detail, r.witness) == \
+            ("fail", "normal forms differ", "3*x_1*p_1*x_1")
