@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import (DivisionByZero, ExponentOverflow, ParamError, PoleAtPoint,
@@ -409,20 +410,51 @@ def _p_divide_exact(a, b, off):
     if not a:
         return {}
     sa = _p_shift_mono(a, off)
-    rem = _p_scale(a, sa, _T_ONE)
+    rem = _p_scale(a, sa, _T_ONE)  # a dict of its own, updated in place
     lead_b = max(b)
-    inv_lc_b = _t_inv(b[lead_b])
     floor = min(rem) - min(b)
+    # max-heap of the keys of rem; a key whose term cancels stays in it
+    # until it comes up, and is skipped then
+    heap = [-m for m in rem]
+    heapify(heap)
     quot = {}
-    while rem:
-        lead_r = max(rem)
+    while heap:
+        lead_r = -heappop(heap)
+        c = rem.pop(lead_r, None)
+        if c is None:
+            continue
         m = lead_r - lead_b
         # rem and b are polynomials, so every field of m is in range
         if (m + off) & off != off or m < floor:
             return None
-        c = _t_mul(rem[lead_r], inv_lc_b)
+        if not quot:
+            # set up on the first quotient term: most calls end before it
+            inv_lc_b = _t_inv(b[lead_b])
+            # each key k below is a key of b plus a quotient key, which is
+            # at most the first lead of rem
+            coff, guard = _masks(max(lead_r, lead_b))
+        c = _t_mul(c, inv_lc_b)
         quot[m] = c
-        rem = _p_add(rem, _p_scale(b, m, _t_neg(c)))
+        # rem -= c*m*b: its lead term cancels, and every other key is
+        # smaller, so none has come up yet
+        neg = _t_neg(c)
+        for mb, y in b.items():
+            if mb == lead_b:
+                continue
+            k = mb + m
+            if (k + coff) & guard:
+                _overflow(k)
+            p = _t_mul(y, neg)
+            x = rem.get(k)
+            if x is None:
+                rem[k] = p
+                heappush(heap, -k)
+                continue
+            x = _t_add(x, p)
+            if x[0] or x[1]:
+                rem[k] = x
+            else:
+                del rem[k]
     # undo the Laurent shift: a/b = (a*sa/b) / sa
     return _p_scale(quot, -sa, _T_ONE)
 

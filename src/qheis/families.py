@@ -71,8 +71,9 @@ class Presentation:
     ``system()`` orients the relations and ``completed()`` runs Knuth-Bendix
     completion on them (``rewrite.complete``, with the inverse pairs'
     cancellation relations); each keeps its first result, so a presentation
-    is oriented and completed at most once.  A call that raises stores
-    nothing, and the next call tries again."""
+    is oriented and completed at most once.  ``extract_ore`` likewise keeps
+    the Ore data of each tower it reads off the presentation.  A call that
+    raises stores nothing, and the next call tries again."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -85,6 +86,7 @@ class Presentation:
         self.order_kind = order_kind
         self._system = None
         self._completed = None
+        self._ore = {}  # tower symbols -> OreData, kept by extract_ore
         self._validate()
 
     def _validate(self):
@@ -568,10 +570,26 @@ def extract_ore(presentation, tower_order):
     a*b must split as sigma*a + delta with sigma, delta in the earlier
     subalgebra; every recorded entry is re-verified by normalizing
     a*b - sigma*a - delta to zero.
+
+    The presentation keeps the data of each tower, by its symbols, so a
+    tower is extracted once per presentation; a tower that raises keeps
+    nothing.  Each call returns a new ``OreData`` with dicts of its own,
+    whose polynomials are immutable, so no caller changes what the next
+    one reads.
     """
     sysm = presentation.system()
     tower = tuple(presentation.gen(g if isinstance(g, str) else g.sym)
                   for g in tower_order)
+    key = tuple(g.sym for g in tower)
+    ore = presentation._ore.get(key)
+    if ore is None:
+        ore = presentation._ore[key] = _extract_ore(presentation, sysm, tower)
+    return OreData(ore.tower, dict(ore.sigma), dict(ore.delta))
+
+
+def _extract_ore(presentation, sysm, tower):
+    """The ``OreData`` of ``tower``, a tuple of the presentation's
+    generators, read off its rewrite system ``sysm`` (``extract_ore``)."""
     repeated = sorted({g.sym for g in tower if tower.count(g) > 1})
     if repeated:
         raise ParamError(f"{presentation.name}: tower lists "

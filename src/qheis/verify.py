@@ -21,12 +21,15 @@ Every verifier is deterministic (fixed seeds); two runs produce identical
 reports byte for byte.
 
 A process shares the presentations the corpus uses, and with them their
-rewrite systems and completions: each hashable ``catalog`` call is built
-once (``_catalog``), as is each fixed pair of presentations, and a
-presentation keeps its ``system()`` and ``completed()``.  No verifier
-mutates a presentation.  Reports, random samples and verdicts are
-recomputed on every call, and the public ``catalog`` still returns a new
-presentation each time.
+rewrite systems, completions and Ore data: each hashable ``catalog`` call
+is built once (``_catalog``), as is each fixed pair of presentations, and a
+presentation keeps its ``system()``, its ``completed()`` and the Ore data
+of each tower ``extract_ore`` reads off it.  No verifier mutates a
+presentation.  Reports, random samples and verdicts are recomputed on
+every call, and the public ``catalog`` still returns a new presentation
+each time.  Within one call, the equivalence cross-check decides NF(a) and
+each ideal shift per drawn word, as ``normalize`` is linear, and sums a
+sample only where one of its words fails.
 """
 
 from __future__ import annotations
@@ -90,6 +93,23 @@ def random_coeff(rng):
     return rng.choice(_coeff_pool())
 
 
+def _draw(rng, codes, max_len, max_terms=3):
+    """The terms of one random polynomial as (code string, coefficient)
+    pairs in draw order, not summed: words over ``codes`` (which may repeat
+    a letter to weight it) with coefficients from the pool."""
+    return [("".join([rng.choice(codes) for _ in range(rng.randint(0, max_len))]),
+             random_coeff(rng))
+            for _ in range(rng.randint(1, max_terms))]
+
+
+def _summed(drawn, alphabet):
+    """The polynomial of drawn terms, keyed over ``alphabet``."""
+    terms = {}
+    for s, c in drawn:
+        _accumulate(terms, s, c)
+    return _ncpoly(terms, alphabet)
+
+
 def random_poly(rng, gens, max_len=4, max_terms=3, alphabet=None):
     """Sum of random words over ``gens`` (a list that may repeat letters to
     weight them) with random coefficients, keyed over ``alphabet`` (by
@@ -99,11 +119,7 @@ def random_poly(rng, gens, max_len=4, max_terms=3, alphabet=None):
     if alphabet is None:
         alphabet = Alphabet(gens)
     codes = [alphabet.code[g] for g in gens]
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        s = "".join([rng.choice(codes) for _ in range(rng.randint(0, max_len))])
-        _accumulate(terms, s, random_coeff(rng))
-    return _ncpoly(terms, alphabet)
+    return _summed(_draw(rng, codes, max_len, max_terms), alphabet)
 
 
 _POINT_POOL = tuple(Fraction(a, b) for a, b in
@@ -221,25 +237,26 @@ def ideal_membership(rel, presentation):
     return nf.is_zero, nf
 
 
-def _shift_vanishes(left, i, rel, right, sysm, zeros):
-    """Whether ``left*rel*right`` normalizes to zero under ``sysm``.
+def _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
+    """Whether ``L*rel*R`` normalizes to zero under ``sysm``, for ``left``
+    and ``right`` the drawn terms (``_draw``) of L and R over ``alphabet``.
 
-    ``normalize`` is linear, so this normal form is the sum over the words
-    l of ``left`` and r of ``right`` of c_l*c_r*NF(l*rel*r).  ``zeros``
-    records, per ``(l, i, r)`` with ``i`` the index of ``rel``, whether
-    NF(l*rel*r) is zero; when every one is, so is the sum.  Otherwise the
-    product is normalized whole, as its terms may cancel.
+    ``normalize`` is linear, so this normal form is the sum over the drawn
+    words l of L and r of R of c_l*c_r*NF(l*rel*r).  ``zeros`` records, per
+    ``(l, i, r)`` with ``i`` the index of ``rel``, whether NF(l*rel*r) is
+    zero; when every one is, so is the sum.  Otherwise L and R are summed
+    and the product is normalized whole, as its terms may cancel.
     """
-    alphabet = left.alphabet
-    for l in left._terms:
-        for r in right._terms:
+    for l, _ in left:
+        for r, _ in right:
             zero = zeros.get((l, i, r))
             if zero is None:
-                piece = (_ncpoly({l: _ONE}, alphabet) * rel
-                         * _ncpoly({r: _ONE}, alphabet))
+                joined, terms = _over(alphabet, rel)
+                piece = _ncpoly({l + s + r: c for s, c in terms.items()}, joined)
                 zero = zeros[l, i, r] = normalize(piece, sysm).is_zero
             if not zero:
-                return normalize(left * rel * right, sysm).is_zero
+                shift = _summed(left, alphabet) * rel * _summed(right, alphabet)
+                return normalize(shift, sysm).is_zero
     return True
 
 
@@ -251,17 +268,21 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     of the other side must normalize to zero in it.  That decides the case;
     random polynomials then cross-check it against each side's own,
     uncompleted system.  When both sides orient, their normal forms of a
-    sample must agree verbatim.  And
-    under each orientable side, shifting the sample a by c*L*rel*R, with
-    rel a relation of the other side, L and R random polynomials of degree
-    at most one and c a random nonzero scalar, must not change its normal
-    form.  ``normalize`` is linear (see ``rewrite``), so that holds exactly
-    when NF(L*rel*R) is zero, and so when NF(l*rel*r) is zero for every
-    pair of words l of L and r of R: those few per-word results are
-    computed once per call, and NF(a) is needed only where both sides
-    orient.  When neither side orients, nothing is compared and the detail
-    says so.  A completion that exceeds its bound raises NonTermination, so
-    the case reports ``error``.
+    sample must agree verbatim.  And under each orientable side, shifting
+    the sample a by c*L*rel*R, with rel a relation of the other side, L and
+    R random polynomials of degree at most one and c a random nonzero
+    scalar, must not change its normal form.
+
+    ``normalize`` is linear (see ``rewrite``), so both checks are decided
+    word by word on the drawn terms (``_draw``), each word once per call:
+    NF(a) agrees on both sides when NF(w) does for every drawn word w of a,
+    and the shift leaves NF(a) alone exactly when NF(L*rel*R) is zero, so
+    when NF(l*rel*r) is zero for every pair of drawn words l of L and r of
+    R.  Only a sample or a shift with a word that fails is summed and
+    decided whole, as its terms may cancel; a itself is built only as the
+    witness of a failure.  When neither side orients, nothing is compared
+    and the detail says so.  A completion that exceeds its bound raises
+    NonTermination, so the case reports ``error``.
     """
     report = partial(VerificationReport, case_id, "relation_set_equivalence",
                      expected=expected)
@@ -282,31 +303,43 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     if systems == [None, None]:
         return report("pass", detail="both inclusions certified; no random "
                                      "cross-check, as neither side orients")
-    gens, alphabet = list(p1.generators), p1.alphabet
+    alphabet = p1.alphabet
+    codes = [alphabet.code[g] for g in p1.generators]
     # per orientable side: the relations that shift a sample under its
     # system, and whether NF(l*rel*r) is zero, by (l, relation index, r)
     sides = [(sysm, rels, {}) for sysm, rels in
              zip(systems, (p2.all_relation_polys(), p1.all_relation_polys()))
              if sysm is not None]
+    both = None not in systems
+    agree = {}  # word w -> whether NF(w) agrees on both sides
+
+    def agrees(s):
+        same = agree.get(s)
+        if same is None:
+            w = _ncpoly({s: _ONE}, alphabet)
+            same = agree[s] = normalize(w, systems[0]) == normalize(w, systems[1])
+        return same
+
     for k in range(samples):
-        a = random_poly(rng, gens, max_len=depth, alphabet=alphabet)
-        if None not in systems and \
-                normalize(a, systems[0]) != normalize(a, systems[1]):
-            return report("fail",
-                          detail="normal forms differ on a random polynomial",
-                          witness=format_expr(a))
+        drawn = _draw(rng, codes, depth)
+        if both and not all(agrees(s) for s, _ in drawn):
+            a = _summed(drawn, alphabet)
+            if normalize(a, systems[0]) != normalize(a, systems[1]):
+                return report("fail",
+                              detail="normal forms differ on a random polynomial",
+                              witness=format_expr(a))
         for sysm, rels, zeros in sides:
             i = k % len(rels)
             label, rel = rels[i]
-            left = random_poly(rng, gens, 1, alphabet=alphabet)
-            right = random_poly(rng, gens, 1, alphabet=alphabet)
+            left = _draw(rng, codes, 1)
+            right = _draw(rng, codes, 1)
             # c is drawn only to keep the later samples: as c is nonzero,
             # NF(a + c*s) == NF(a) exactly when NF(s) is zero
             random_coeff(rng)
-            if not _shift_vanishes(left, i, rel, right, sysm, zeros):
+            if not _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
                 return report("fail",
                               detail=f"ideal shift by {label} moved a normal form",
-                              witness=format_expr(a))
+                              witness=format_expr(_summed(drawn, alphabet)))
     return report("pass", detail=f"both inclusions certified; {samples} random "
                                  f"polynomials agree")
 

@@ -47,3 +47,15 @@ def complete_calls(monkeypatch):
     monkeypatch.setattr(qheis.families, "complete",
                         lambda *args: calls.append(args) or real(*args))
     return calls
+
+
+@pytest.fixture
+def extract_calls(monkeypatch):
+    """The tower of each Ore extraction that ``extract_ore`` runs during
+    the test, rather than reads from a presentation."""
+    calls = []
+    real = qheis.families._extract_ore
+    monkeypatch.setattr(qheis.families, "_extract_ore",
+                        lambda pres, sysm, tower: calls.append(tower)
+                        or real(pres, sysm, tower))
+    return calls

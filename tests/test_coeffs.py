@@ -691,6 +691,15 @@ class TestArithmetic:
             assert lhs == rhs == want.evaluate(pt)
             pts += 1
 
+    def test_exact_quotient_with_many_terms(self):
+        # 10201 quotient terms, each of them a step of the division
+        n = 101
+        got = coeff(f"(q^{n} - 1)*(q - 1)^-1*(hbar^{n} - 1)*(hbar - 1)^-1")
+        want = {_mono([("s", 2 * a), ("h", b)])
+                for a in range(n) for b in range(n)}
+        assert set(got.num) == want and set(got.den) == {MONO_UNIT}
+        assert all(c == 1 for c in got.num.values())
+
     def test_inverse_of_zero_coefficient(self):
         with pytest.raises(DivisionByZero):
             C.zero().inverse()

@@ -1,7 +1,9 @@
 """Catalog contents, Ore extraction, the unified family."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -173,6 +175,14 @@ class TestPresentationChecks:
                 build()
 
 
+def _bad_tower():
+    """q-commuting letters with the mover trapped in the middle."""
+    a = Generator("a", None, 0)
+    b = Generator("b", None, 1)
+    return Presentation("bad-tower", [a, b], [
+        ("r", NCPoly.from_word((b, a)) - NCPoly.from_word((a, b, b)))])
+
+
 class TestOre:
     def test_wess_tower(self, families):
         w = families["wess"]
@@ -203,13 +213,47 @@ class TestOre:
             extract_ore(families["wess"], ("x", "x"))
 
     def test_not_ore_shaped(self):
-        # q-commuting letters with the mover trapped in the middle
-        a = Generator("a", None, 0)
-        b = Generator("b", None, 1)
-        pres = Presentation("bad-tower", [a, b], [
-            ("r", NCPoly.from_word((b, a)) - NCPoly.from_word((a, b, b)))])
         with pytest.raises(NotOreShaped):
-            extract_ore(pres, ("a", "b"))
+            extract_ore(_bad_tower(), ("a", "b"))
+
+    def test_ore_extracted_once_per_presentation(self, extract_calls):
+        w = catalog("wess")
+        first = extract_ore(w, ("Lambda", "p", "x"))
+        want = first.entry("x", "p")
+        # a caller that changes its copy changes nothing the next one reads
+        first.sigma[("x", "p")] = NCPoly.zero()
+        first.delta.clear()
+        again = extract_ore(w, (w.gen("Lambda"), "p", w.gen("x")))
+        assert again.entry("x", "p") == want
+        assert again.sigma is not first.sigma
+        assert len(extract_calls) == 1
+        # another tower of the same presentation, and a new presentation,
+        # are extracted anew
+        extract_ore(w, ("Lambda", "x"))
+        fresh = extract_ore(catalog("wess"), ("Lambda", "p", "x"))
+        assert fresh == again and len(extract_calls) == 3
+
+    @pytest.mark.parametrize("make, tower, error", [
+        (lambda: catalog("wess"), ("x", "x"), ParamError),
+        (_bad_tower, ("a", "b"), NotOreShaped),
+    ])
+    def test_raising_tower_keeps_nothing(self, extract_calls, make, tower,
+                                         error):
+        pres = make()
+        for n in (1, 2):
+            with pytest.raises(error):
+                extract_ore(pres, tower)
+            assert len(extract_calls) == n and pres._ore == {}
+
+    def test_copies_after_extraction(self, extract_calls):
+        w = catalog("wess")
+        ore = extract_ore(w, ("Lambda", "p", "x"))
+        for copied in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert copied == w
+            assert save_presentation(copied) == save_presentation(w)
+            # the copy keeps the data: it reads it without extracting
+            assert extract_ore(copied, ("Lambda", "p", "x")) == ore
+        assert len(extract_calls) == 1
 
     def test_round_trip(self, rng, families):
         for fam, tower in (("wess", ("Lambda", "p", "x")),

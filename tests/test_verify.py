@@ -163,17 +163,29 @@ class TestEquivalence:
         ("t-pc", "rc", "ideal shift by z_x moved a normal form", "3"),
         ("t-cp", "cr", "normal forms differ on a random polynomial",
          "hbar*z^4*x + p*x^2 + p^-1"),
+        ("x", "rk", "normal forms differ on a random polynomial",
+         "i*hbar*y^2*x^2*z + x^3 + 2*q^(1/2)*z"),
+        ("y", "kr", "normal forms differ on a random polynomial",
+         "z*y*x + z + hbar"),
+        ("z", "rr", "ideal shift by z_x moved a normal form", "q^-1"),
     ])
     def test_sample_loop_failures_pinned(self, case_id, sides, detail, witness):
         # printed gaddis is not confluent, so its own normal forms move
         # under ideal shifts; "zz" holds z*z, a member of its ideal that the
-        # printed relations do not reduce to zero.  The witnesses also pin
-        # the random stream of the samples.
+        # printed relations do not reduce to zero, and "k" is the
+        # presentation of its completed rules, which generates the same
+        # ideal, so against it only the sample loop can fail.  The
+        # witnesses also pin the random stream of the samples and the
+        # shift factors.
         pr = catalog("gaddis", variant="printed")
         pc = qheis.Presentation(
             "gaddis-zz", pr.generators,
             list(pr.relations) + [("zz", pr.poly("z", "z"))])
-        p1, p2 = ({"r": pr, "c": pc}[s] for s in sides)
+        pk = qheis.Presentation(
+            "gaddis-completed", pr.generators,
+            [(r.origin, NCPoly.from_word(r.lhs) - r.rhs)
+             for r in pr.completed().rules])
+        p1, p2 = ({"r": pr, "c": pc, "k": pk}[s] for s in sides)
         report = verify_relation_set_equivalence(case_id, p1, p2)
         assert (report.status, report.detail, report.witness) == \
             ("fail", detail, witness)
@@ -282,9 +294,10 @@ class TestSuite:
         assert out.stdout.strip() == REPORT_SHA256
 
     def test_suite_builds_each_presentation_once(self):
-        # counts the catalog builds, orientations and completions of two
-        # runs in a fresh process, and snapshots each presentation the
-        # verifiers share when it is first built or oriented
+        # counts the catalog builds, orientations, completions and Ore
+        # extractions of two runs in a fresh process, and snapshots each
+        # presentation the verifiers share when it is first built or
+        # oriented
         code = ("import hashlib, json, sys\n"
                 "from collections import Counter\n"
                 "import qheis.families as fam\n"
@@ -315,6 +328,11 @@ class TestSuite:
                 "def counted_complete(*args):\n"
                 "    completes.append(1)\n"
                 "    return complete(*args)\n"
+                "extract = fam._extract_ore\n"
+                "def counted_extract(*args):\n"
+                "    extracts.append(1)\n"
+                "    return extract(*args)\n"
+                "fam._extract_ore = counted_extract\n"
                 "for mod in [m for n, m in sys.modules.items()\n"
                 "            if n.split('.')[0] == 'qheis']:\n"
                 "    for name, fn in (('orient', counted_orient),\n"
@@ -323,10 +341,11 @@ class TestSuite:
                 "            setattr(mod, name, fn)\n"
                 "runs = []\n"
                 "for _ in range(2):\n"
-                "    builds, orients, completes = Counter(), [], []\n"
+                "    builds, orients, completes, extracts = Counter(), [], [], []\n"
                 "    text = reports_to_json(run_suite('all', k=10))\n"
                 "    runs.append({'builds': builds, 'orients': orients,\n"
                 "                 'completes': len(completes),\n"
+                "                 'extracts': len(extracts),\n"
                 "                 'sha': hashlib.sha256(text.encode()).hexdigest()})\n"
                 "changed = [p.name for p, text in seen.values()\n"
                 "           if save_presentation(p) != text]\n"
@@ -345,7 +364,10 @@ class TestSuite:
                     if outcome == "oriented"]
         assert len(oriented) == len(set(oriented))
         assert first["completes"] > 0
+        # ten Ore cases read three towers, each off one shared presentation
+        assert first["extracts"] == 3
         assert second["builds"] == {} and second["completes"] == 0
+        assert second["extracts"] == 0
         # only a presentation that does not orient is tried again
         assert all(outcome == "raised" for _, outcome in second["orients"])
         assert first["sha"] == second["sha"] == REPORT_SHA256
