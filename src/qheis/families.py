@@ -27,7 +27,7 @@ from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
                      UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
 from .parser import _IDENT, parse_expr
-from .rewrite import TermOrder, complete, normalize, orient
+from .rewrite import TermOrder, check_confluence, complete, normalize, orient
 
 C = Coefficient
 I = C.imag()
@@ -68,11 +68,13 @@ class Presentation:
     generator's name to its code there.  Without relations it is the scope
     in which a builder or a document parses them.
 
-    ``system()`` orients the relations and ``completed()`` runs Knuth-Bendix
+    ``system()`` orients the relations, ``confluent()`` checks that system
+    with ``check_confluence`` and ``completed()`` runs Knuth-Bendix
     completion on them (``rewrite.complete``, with the inverse pairs'
     cancellation relations); each keeps its first result, so a presentation
-    is oriented and completed at most once.  ``extract_ore`` likewise keeps
-    the Ore data of each tower it reads off the presentation.  A call that
+    is oriented, checked and completed at most once.  ``extract_ore``
+    likewise keeps the Ore data of each tower it reads off the
+    presentation.  A call that
     raises stores nothing, and the next call tries again."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
@@ -85,6 +87,7 @@ class Presentation:
         self.metadata = dict(metadata or {})
         self.order_kind = order_kind
         self._system = None
+        self._confluent = None
         self._completed = None
         self._ore = {}  # tower symbols -> OreData, kept by extract_ore
         self._validate()
@@ -157,6 +160,13 @@ class Presentation:
         if self._system is None:
             self._system = orient(self)
         return self._system
+
+    def confluent(self):
+        """Whether ``system()`` is confluent, by ``check_confluence``;
+        raises OrientationError when the relations do not orient."""
+        if self._confluent is None:
+            self._confluent = check_confluence(self.system()).confluent
+        return self._confluent
 
     def completed(self):
         """The confluent rewrite system of the presentation's ideal, by

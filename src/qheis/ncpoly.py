@@ -62,11 +62,13 @@ class Alphabet:
     """Letters in code order, each once; ``code`` maps a letter to its code.
     ``asc`` and ``desc`` map a code to its letter's precedence rank counted
     from the lowest and the highest, so ``s.translate(asc)`` compares as the
-    precedences of ``s`` do; tied precedences share a rank."""
+    precedences of ``s`` do; tied precedences share a rank.  ``texts``
+    holds the printer's per-letter texts, made on the first print."""
 
-    __slots__ = ("letters", "code", "asc", "desc")
+    __slots__ = ("letters", "code", "asc", "desc", "texts")
 
     def __init__(self, letters):
+        self.texts = None
         self.letters = letters = tuple(dict.fromkeys(letters))
         self.code = {g: chr(i) for i, g in enumerate(letters)}
         first = {}

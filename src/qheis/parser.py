@@ -16,12 +16,21 @@ and the roots ``s`` = q^(1/2) and ``t`` = p^(1/2).  Half-integer exponents
 are allowed on q and p only; generator powers must be nonnegative integers.
 ``[a,b]`` is commutator sugar.
 
+One pattern cuts the text into tokens end to end, whitespace and stray
+characters included, so a token's position is the length of the text
+before it; its kind comes from a table of first characters (``_KIND``, and
+``_kind`` beyond ASCII).  Whitespace is dropped and any other stray
+character is refused at its position.
+
 A term is read as one coefficient and one code string: a generator, or a
 generator to an integer power k, appends its code (k times), and a factor
-of one word multiplies its coefficient in.  From the first factor of several
-words or none (a group, a commutator, a zero) on, the term is an NCPoly
-product.  The limits below hold for every product either way, with the
-same messages and positions.
+of one word multiplies its coefficient in.  A generator with no exponent,
+the common case, is read by ``term`` itself: its code joins the word with
+no factor built.  A group of one term is such a one-word term too.  From the
+first factor of several words or none (a group, a commutator, a zero) on,
+the term is an NCPoly product.  The limits below hold for every product
+either way, with the same messages and positions.  An exponent is read as
+an int pair n/d in lowest terms.
 
 Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 ``MAX_POWER`` in magnitude and no product (power and commutator steps
@@ -36,6 +45,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .coeffs import Coefficient, _power
 from .errors import ParseError
@@ -45,12 +55,13 @@ MAX_NESTING = 100
 MAX_POWER = 10_000
 MAX_TERMS = 100_000
 
+_OPERATORS = "-+*^()[],/"
 # a symbol name: one token
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# whitespace and any other single character are tokens too, dropped and
-# refused by ``_tokenize``
-_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<ident>{_IDENT.pattern})"
-                    r"|(?P<op>[-+*^()\[\],/])|(?P<space>\s+)|(?P<bad>.)",
+# an integer, a symbol name, an operator, a run of whitespace or any other
+# single character: the tokens cover the text end to end, so each one's
+# position is the summed length of those before it
+_TOKEN = re.compile(rf"\d+|{_IDENT.pattern}|[{re.escape(_OPERATORS)}]|\s+|.",
                     re.DOTALL)
 
 _ONE = Coefficient.one()
@@ -66,19 +77,35 @@ _CENTRAL = {name: ((c, "", _EMPTY), tag) for name, c, tag in (
 _ROOT = {"q": "s", "p": "t"}
 
 
+def _kind(ch):
+    """The kind of a token that starts with ``ch``, as ``_TOKEN`` reads it:
+    ``\\d`` and ``\\s`` match every Unicode digit and space, a name starts
+    with an ASCII letter, and an operator's kind is itself."""
+    if ch.isdecimal():
+        return "int"
+    if ch.isspace():
+        return "space"
+    if ch in _OPERATORS:
+        return ch
+    return "ident" if ch.isascii() and ch.isalpha() else "bad"
+
+
+# ``_kind`` of each ASCII character, looked up first
+_KIND = {ch: _kind(ch) for ch in map(chr, range(128))}
+
+
 def _tokenize(text):
     """``(kind, text, position)`` triples, then an ``end`` token.  An
     operator's kind is its own character."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        pos = m.start()
+    pos = 0
+    for tok in _TOKEN.findall(text):
+        kind = _KIND.get(tok[0]) or _kind(tok[0])
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r} at {pos}", pos)
-        tok = m.group()
-        tokens.append((tok if kind == "op" else kind, tok, pos))
+            raise ParseError(f"unexpected character {tok!r} at {pos}", pos)
+        if kind != "space":
+            tokens.append((kind, tok, pos))
+        pos += len(tok)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -114,32 +141,54 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def expr(self):
+        return _poly(self.value())
+
+    def value(self):
+        """The expression as a one-word term when it is one term, and as an
+        NCPoly otherwise."""
         negate = self.accept("-")
         value = self.term()
         if negate:
-            value = -value
+            value = _negated(value)
+        if self.tokens[self.k][0] not in ("+", "-"):
+            return value
+        value = _poly(value)
         while self.tokens[self.k][0] in ("+", "-"):
             _, op, pos = self.take()
-            rhs = self.term()
+            rhs = _poly(self.term())
             _refuse_sum(value, rhs, pos)
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
-        """The product of the factors: one-word factors give one word, and
-        from the first factor of several words (or none) on it is an NCPoly
-        product."""
-        tokens = self.tokens
-        value = self.factor()
+        """The product of the factors: one-word factors give a one-word
+        term, and from the first factor of several words (or none) on it is
+        an NCPoly product.  A generator with no exponent is read here: its
+        code joins the one-word term, with no factor built."""
+        tokens, codes = self.tokens, self.codes
+        kind, name, _ = tokens[self.k]
+        if kind == "ident" and name in codes and tokens[self.k + 1][0] != "^":
+            self.k += 1
+            value = _ONE, codes[name], self.alphabet
+        else:
+            value = self.factor()
         while tokens[self.k][0] == "*":
             pos = tokens[self.k][2]
             self.k += 1
+            kind, name, _ = tokens[self.k]
+            if (kind == "ident" and type(value) is tuple and name in codes
+                    and tokens[self.k + 1][0] != "^"):
+                self.k += 1
+                coeff, code, _ = value
+                _refuse_run(coeff, pos)
+                value = coeff, code + codes[name], self.alphabet
+                continue
             rhs = self.factor()
             if type(value) is tuple and type(rhs) is tuple:
                 value = _times(value, rhs, pos)
             else:
                 value = _product(_poly(value), _poly(rhs), pos)
-        return _poly(value)
+        return value
 
     def factor(self):
         """A one-word term, or the factor's NCPoly if it has several words
@@ -147,24 +196,33 @@ class _Parser:
         base, tag = self.atom()
         if self.tokens[self.k][0] == "^":
             pos = self.take()[2]
-            exp = self.exponent()
-            if abs(exp) > MAX_POWER:
-                raise ParseError(f"exponent {exp} at {pos} exceeds the limit "
-                                 f"{MAX_POWER}", pos)
-            base = self._power(base, tag, exp, pos)
+            n, d = self.exponent()
+            if abs(n) > MAX_POWER * d:
+                raise ParseError(f"exponent {_ratio_text(n, d)} at {pos} exceeds "
+                                 f"the limit {MAX_POWER}", pos)
+            base = self._power(base, tag, n, d, pos)
         if type(base) is NCPoly and len(base._terms) == 1:
             (code, coeff), = base._terms.items()
             return coeff, code, base.alphabet
         return base
 
     def exponent(self):
-        """An int, or a Fraction when it is a parenthesized ratio."""
+        """``(n, d)``: the exponent n/d in lowest terms with d > 0, and d is
+        1 unless it is a parenthesized ratio; a zero denominator is a
+        ParseError."""
         paren = self.accept("(")
         negate = self.accept("-")
-        value = self.number() if paren else self.integer()
+        n, d = self.integer(), 1
         if paren:
+            if self.accept("/"):
+                pos = self.tokens[self.k][2]
+                d = self.integer()
+                if d == 0:
+                    raise ParseError(f"division by zero at {pos}", pos)
+                g = gcd(n, d)
+                n, d = n // g, d // g
             self.take(")")
-        return -value if negate else value
+        return -n if negate else n, d
 
     def number(self):
         """NUMBER as an int, or a Fraction when it has a denominator; a zero
@@ -186,18 +244,20 @@ class _Parser:
             raise ParseError(f"integer literal of {len(tok[1])} digits at "
                              f"{tok[2]} is too long", tok[2]) from None
 
-    def _power(self, base, tag, exp, pos):
+    def _power(self, base, tag, n, d, pos):
+        """``base`` to the power n/d, by the exponent rules of ``tag``."""
         if tag in _ROOT:
-            steps = 2 * exp
-            if steps.denominator != 1:
+            if 2 * n % d:
                 raise ParseError(
-                    f"exponent {exp} on {tag} must be an integer or half-integer "
-                    f"(at {pos})", pos)
-            return Coefficient.monomial({_ROOT[tag]: int(steps)}), "", _EMPTY
-        if exp.denominator != 1:
-            raise ParseError(f"fractional exponent {exp} allowed on q and p only "
-                             f"(at {pos})", pos)
-        k = int(exp)
+                    f"exponent {_ratio_text(n, d)} on {tag} must be an integer "
+                    f"or half-integer (at {pos})", pos)
+            return Coefficient.monomial({_ROOT[tag]: 2 * n // d}), "", _EMPTY
+        if d != 1:
+            raise ParseError(f"fractional exponent {_ratio_text(n, d)} allowed on "
+                             f"q and p only (at {pos})", pos)
+        k = n
+        if tag == "group":
+            base = _poly(base)
         if tag == "generator" or (tag == "group" and any(base._terms)):
             if k < 0:
                 raise ParseError(
@@ -245,7 +305,7 @@ class _Parser:
     def group(self):
         tok = self.take()
         if tok[0] == "(":
-            value = self.expr()
+            value = self.value()
             self.take(")")
             return value
         a = self.expr()
@@ -278,6 +338,14 @@ def _scalar(c):
     return NCPoly.zero() if c.is_zero else (c, "", _EMPTY)
 
 
+def _negated(value):
+    """``-value`` for a one-word term or an NCPoly."""
+    if type(value) is tuple:
+        coeff, code, alphabet = value
+        return -coeff, code, alphabet
+    return -value
+
+
 def _poly(value):
     """The NCPoly of a one-word term ``(coefficient, code, alphabet)``; an
     NCPoly as it is."""
@@ -287,14 +355,26 @@ def _poly(value):
     return value
 
 
+def _ratio_text(n, d):
+    """The exponent n/d as ``str(Fraction(n, d))`` reads it, n/d in lowest
+    terms."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _refuse_run(c, pos):
+    """``_refuse_pairing`` of ``c`` times a generator's coefficient, one
+    term over one: refused only when ``c`` itself is too large."""
+    if len(c._num) > MAX_TERMS or len(c._den) > MAX_TERMS:
+        _refuse_pairing((len(c._num), len(c._den)), (1, 1), pos)
+
+
 def _times(a, b, pos):
     """The product of two one-word terms, refused as ``_product`` refuses
     it.  Their alphabet is the presentation's once a generator took part."""
     ca, sa, aa = a
     cb, sb, ab = b
     if cb is _ONE:  # a generator's: one term over one, and ca * cb is ca
-        if len(ca._num) > MAX_TERMS or len(ca._den) > MAX_TERMS:
-            _refuse_pairing((len(ca._num), len(ca._den)), (1, 1), pos)
+        _refuse_run(ca, pos)
     else:
         _refuse_pairing((len(ca._num), len(ca._den)),
                         (len(cb._num), len(cb._den)), pos)

@@ -6,11 +6,22 @@ longer words first, then by the precedence sequence.  Coefficients are read
 from their packed numerator and denominator dicts: monomial keys decode with
 ``_unpack`` and sort by variable name, never by interning order, and each
 ``(a, b, d)`` triple prints from its integers, each part a reduced ratio.
+
+Most coefficients are one numerator term over the unit denominator.  These
+print with no sort: the scalar from its triple, and the monomial from the
+memo ``_mono_text``, keyed by packed monomial, style and the base variables
+printed raw.  The memo holds at most ``MONO_MEMO_SIZE`` monomials; a packed
+key names the same monomial for the life of the process.  Each alphabet
+keeps its letters' plain, LaTeX and machine texts (``Alphabet.texts``) from
+its first print, and a word prints as runs of those texts.  A scope's raw
+base variables are kept beside them, so they are worked out once per
+presentation.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import groupby
 from math import gcd
 
@@ -98,24 +109,44 @@ def _var_latex(var, exp):
 _VAR_ORDER = {"h": 0, "s": 1, "t": 2}
 
 
+def _scalar_parts(t):
+    """Factor list of a positive scalar triple, empty for 1."""
+    a, b, d = t
+    if a and b:
+        return [_t_str(t)]
+    if b:
+        return ["i"] if b == d else [_ratio_str(b, d), "i"]
+    return [] if a == d else [_ratio_str(a, d)]
+
+
+def _var_parts(mono, latex=False, raw=frozenset()):
+    """Factor list of a tuple monomial: hbar, then q, then p, then the
+    other variables by name."""
+    return [_var_latex(v, e) if latex else _var_plain(v, e, raw)
+            for v, e in sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3),
+                                                     ve[0]))]
+
+
+# distinct monomials whose texts ``_mono_text`` keeps; a session prints a
+# few dozen, and the bound keeps a long run's memory flat
+MONO_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=MONO_MEMO_SIZE)
+def _mono_text(m, style, raw):
+    """The text of the packed monomial ``m`` in ``style``: its factor list
+    (``_var_parts``) for ``plain`` and ``latex``, and its (variable,
+    exponent) pairs for ``machine``."""
+    mono = _unpack(m)
+    if style == "machine":
+        return mono
+    return tuple(_var_parts(mono, style == "latex", raw))
+
+
 def _scalar_mono(t, mono, latex=False, raw=frozenset()):
     """Factor list for scalar*monomial, the scalar a triple; the caller has
     made its sign positive."""
-    a, b, d = t
-    parts = []
-    if a and b:
-        parts.append(_t_str(t))
-    elif b:
-        if b != d:
-            parts.append(_ratio_str(b, d))
-        parts.append("i")
-    elif a != d:
-        parts.append(_ratio_str(a, d))
-    for v, e in sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3), ve[0])):
-        parts.append(_var_latex(v, e) if latex else _var_plain(v, e, raw))
-    if not parts:
-        parts.append("1")
-    return parts
+    return _scalar_parts(t) + _var_parts(mono, latex, raw) or ["1"]
 
 
 def _join(parts, latex=False):
@@ -169,6 +200,15 @@ def _num_body(num, latex=False, raw=frozenset()):
 
 def _coeff_parts(c, latex=False, raw=frozenset()):
     """(negative, factor list) for a coefficient."""
+    num = c._num
+    if len(num) == 1 and len(c._den) == 1:
+        # one term over the unit denominator: no sort and no unpacking
+        (m, t), = num.items()
+        neg = _negative(t)
+        parts = _scalar_parts(_t_neg(t) if neg else t)
+        if m:
+            parts += _mono_text(m, "latex" if latex else "plain", raw)
+        return neg, parts or ["1"]
     if c.is_zero:
         return False, ["0"]
     neg, parts = _num_body(c._num, latex, raw)
@@ -189,14 +229,6 @@ def format_coefficient(c, latex=False):
     return ("-" if neg else "") + _join(parts, latex)
 
 
-def _run_lengths(s, letters):
-    return [(letters[ord(ch)], len(list(run))) for ch, run in groupby(s)]
-
-
-def _word_plain(s, letters):
-    return [g.sym if k == 1 else f"{g.sym}^{k}" for g, k in _run_lengths(s, letters)]
-
-
 _LATEX_SPECIAL = {
     "Lambda": r"\hat{\Lambda}",
     "Lambda_inv": r"\hat{\Lambda}^{-1}",
@@ -212,11 +244,38 @@ def _gen_latex(g):
     return base
 
 
-def _word_latex(s, letters):
+def _texts(alphabet):
+    """``(plain, latex, raw, machine)`` of an alphabet, made on its first
+    print and kept on it as ``texts``: each letter's plain and LaTeX text in
+    code order, the base variables (s, t) that print verbatim because a
+    letter is named q or p, and each letter's machine-format entry."""
+    texts = alphabet.texts
+    if texts is None:
+        letters = alphabet.letters
+        texts = alphabet.texts = (
+            tuple([g.sym for g in letters]),
+            tuple([_gen_latex(g) for g in letters]),
+            _raw({g.name for g in letters}),
+            tuple([(g.name, g.index, g.precedence) for g in letters]))
+    return texts
+
+
+def _raw(names):
+    return frozenset(base for name, base in (("q", "s"), ("p", "t"))
+                     if name in names)
+
+
+def _word_parts(s, letters, latex):
+    """Factor list of the code string ``s``: a run of k equal letters is
+    the letter's text to the k-th power."""
     out = []
-    for g, k in _run_lengths(s, letters):
-        base = _gen_latex(g)
-        out.append(base if k == 1 else f"{base}^{{{k}}}")
+    for ch, run in groupby(s):
+        text = letters[ord(ch)]
+        k = len(list(run))
+        if k == 1:
+            out.append(text)
+        else:
+            out.append(f"{text}^{{{k}}}" if latex else f"{text}^{k}")
     return out
 
 
@@ -237,22 +296,19 @@ def format_expr(poly, style="plain", scope=None):
     if poly.is_zero:
         return "0"
     if scope is not None:
-        gen_names = {g.name for g in getattr(scope, "generator_map", {}).values()}
+        raw = _texts(scope.alphabet)[2]
     else:
-        gen_names = {g.name for g in poly.letters()}
-    raw = frozenset(base for name, base in (("q", "s"), ("p", "t"))
-                    if name in gen_names)
-    letters = poly.alphabet.letters
+        raw = _raw({g.name for g in poly.letters()})
+    letters = _texts(poly.alphabet)[latex]
     out = []
     for s, c in _display_items(poly):
         neg, cparts = _coeff_parts(c, latex, raw)
-        wparts = (_word_latex if latex else _word_plain)(s, letters)
-        if wparts and cparts == ["1"]:
-            body = _join(wparts, latex)
-        elif wparts:
-            body = _join(cparts + wparts, latex)
-        else:
+        if not s:
             body = _join(cparts, latex)
+        elif cparts == ["1"]:
+            body = _join(_word_parts(s, letters, latex), latex)
+        else:
+            body = _join(cparts + _word_parts(s, letters, latex), latex)
         if not out:
             out.append(("-" if neg else "") + body)
         else:
@@ -263,15 +319,20 @@ def format_expr(poly, style="plain", scope=None):
 # -- machine format ---------------------------------------------------------
 
 def _poly_json(p):
-    return [[list(m), _ratio_str(a, d), _ratio_str(b, d)]
+    if len(p) == 1:
+        (m, (a, b, d)), = p.items()
+        return [[_mono_text(m, "machine", None), _ratio_str(a, d),
+                 _ratio_str(b, d)]]
+    return [[m, _ratio_str(a, d), _ratio_str(b, d)]
             for m, (a, b, d) in _sorted_terms(p)]
 
 
 def _format_machine(poly):
+    letters = _texts(poly.alphabet)[3]
     terms = []
     for s, c in _display_items(poly):
         terms.append({
-            "word": [[g.name, g.index, g.precedence] for g in poly.alphabet.word(s)],
+            "word": [letters[ord(ch)] for ch in s],
             "num": _poly_json(c._num),
             "den": _poly_json(c._den),
         })

@@ -23,11 +23,11 @@ reports byte for byte.
 A process shares the presentations the corpus uses, and with them their
 rewrite systems, completions and Ore data: each hashable ``catalog`` call
 is built once (``_catalog``), as is each fixed pair of presentations, and a
-presentation keeps its ``system()``, its ``completed()`` and the Ore data
-of each tower ``extract_ore`` reads off it.  No verifier mutates a
-presentation.  Reports, random samples and verdicts are recomputed on
-every call, and the public ``catalog`` still returns a new presentation
-each time.  Within one call, the equivalence cross-check decides NF(a) and
+presentation keeps its ``system()``, whether that is ``confluent()``, its
+``completed()`` and the Ore data of each tower ``extract_ore`` reads off
+it.  No verifier mutates a presentation.  Reports, random samples and
+verdicts are recomputed on every call, and the public ``catalog`` still
+returns a new presentation each time.  Within one call, the equivalence cross-check decides NF(a) and
 each ideal shift per drawn word, as ``normalize`` is linear, and sums a
 sample only where one of its words fails.
 """
@@ -89,17 +89,38 @@ def _catalog(name, **params):
     return _cached_catalog(name, **params)
 
 
+def _below(bits, n):
+    """A random int in [0, n) for n > 0, drawn as ``Random._randbelow``
+    draws it, with ``bits`` the generator's ``getrandbits``: the same value
+    and the same state after it.  So ``rng.choice(seq)`` is
+    ``seq[_below(rng.getrandbits, len(seq))]`` and ``rng.randint(a, b)`` is
+    ``a + _below(rng.getrandbits, b - a + 1)``, each without the method
+    calls in between."""
+    if n <= 0:
+        raise IndexError("cannot choose from an empty sequence")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_coeff(rng):
-    return rng.choice(_coeff_pool())
+    pool = _coeff_pool()
+    return pool[_below(rng.getrandbits, len(pool))]
 
 
 def _draw(rng, codes, max_len, max_terms=3):
     """The terms of one random polynomial as (code string, coefficient)
     pairs in draw order, not summed: words over ``codes`` (which may repeat
-    a letter to weight it) with coefficients from the pool."""
-    return [("".join([rng.choice(codes) for _ in range(rng.randint(0, max_len))]),
-             random_coeff(rng))
-            for _ in range(rng.randint(1, max_terms))]
+    a letter to weight it) with coefficients from the pool.  The draws are
+    those of ``rng.randint``, ``rng.choice`` and ``random_coeff``."""
+    bits, pool = rng.getrandbits, _coeff_pool()
+    n, m = len(codes), len(pool)
+    return [("".join([codes[_below(bits, n)]
+                      for _ in range(_below(bits, max_len + 1))]),
+             pool[_below(bits, m)])
+            for _ in range(1 + _below(bits, max_terms))]
 
 
 def _summed(drawn, alphabet):
@@ -127,7 +148,8 @@ _POINT_POOL = tuple(Fraction(a, b) for a, b in
 
 
 def random_point(rng, variables):
-    return {v: rng.choice(_POINT_POOL) for v in variables}
+    bits, n = rng.getrandbits, len(_POINT_POOL)
+    return {v: _POINT_POOL[_below(bits, n)] for v in variables}
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +288,62 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
 
     Each side is completed (``Presentation.completed``), and every relation
     of the other side must normalize to zero in it.  That decides the case;
-    random polynomials then cross-check it against each side's own,
-    uncompleted system.  When both sides orient, their normal forms of a
-    sample must agree verbatim.  And under each orientable side, shifting
-    the sample a by c*L*rel*R, with rel a relation of the other side, L and
-    R random polynomials of degree at most one and c a random nonzero
-    scalar, must not change its normal form.
+    random polynomials then cross-check it (``_cross_check``) under each
+    side whose own, uncompleted system ``check_confluence`` certifies
+    (``Presentation.confluent``).  A side that orients but is not confluent
+    is left out, as its normal forms differ on equal elements and a member
+    of the ideal need not normalize to zero in it; the detail names it.
+    When no side orients, or none is confluent, nothing is compared and the
+    detail says so.  A completion that exceeds its bound raises
+    NonTermination, so the case reports ``error``.
+    """
+    report = partial(VerificationReport, case_id, "relation_set_equivalence",
+                     expected=expected)
+    for src, dst in ((p1, p2), (p2, p1)):
+        completed = dst.completed()
+        for label, rel in src.all_relation_polys():
+            if not normalize(rel, completed).is_zero:
+                return report("fail", detail=f"relation {label} of {src.name} "
+                                             f"not certified in {dst.name}",
+                              witness=format_expr(rel))
+    systems, uncertified = [], []
+    for p in (p1, p2):
+        try:
+            confluent = p.confluent()
+        except OrientationError:
+            systems.append(None)
+            continue
+        systems.append(p.system() if confluent else None)
+        if not confluent:
+            uncertified.append(p.name)
+    if systems == [None, None]:
+        why = "is confluent" if uncertified else "orients"
+        return report("pass", detail=f"both inclusions certified; no random "
+                                     f"cross-check, as neither side {why}")
+    failure = _cross_check(Random(_seed(case_id)), p1, p2, systems, depth,
+                           samples)
+    if failure is not None:
+        detail, witness = failure
+        return report("fail", detail=detail, witness=witness)
+    detail = f"both inclusions certified; {samples} random polynomials agree"
+    if uncertified:
+        checked = (p1 if systems[0] is not None else p2).name
+        detail += (f"; cross-checked under {checked} only, as "
+                   f"{uncertified[0]} is not confluent")
+    return report("pass", detail=detail)
+
+
+def _cross_check(rng, p1, p2, systems, depth=5, samples=100):
+    """The random cross-check of ``verify_relation_set_equivalence`` under
+    ``systems``, each side's system or None to leave it out: None when it
+    passes, and ``(detail, witness)`` of the first failure otherwise.
+
+    Under confluent systems of one ideal it cannot fail.  When both sides
+    take part, their normal forms of a random sample a must agree
+    verbatim.  And under each side that takes part, shifting a by
+    c*L*rel*R, with rel a relation of the other side, L and R random
+    polynomials of degree at most one and c a random nonzero scalar, must
+    not change its normal form.
 
     ``normalize`` is linear (see ``rewrite``), so both checks are decided
     word by word on the drawn terms (``_draw``), each word once per call:
@@ -280,32 +352,11 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     when NF(l*rel*r) is zero for every pair of drawn words l of L and r of
     R.  Only a sample or a shift with a word that fails is summed and
     decided whole, as its terms may cancel; a itself is built only as the
-    witness of a failure.  When neither side orients, nothing is compared
-    and the detail says so.  A completion that exceeds its bound raises
-    NonTermination, so the case reports ``error``.
+    witness of a failure.
     """
-    report = partial(VerificationReport, case_id, "relation_set_equivalence",
-                     expected=expected)
-    rng = Random(_seed(case_id))
-    for src, dst in ((p1, p2), (p2, p1)):
-        completed = dst.completed()
-        for label, rel in src.all_relation_polys():
-            if not normalize(rel, completed).is_zero:
-                return report("fail", detail=f"relation {label} of {src.name} "
-                                             f"not certified in {dst.name}",
-                              witness=format_expr(rel))
-    systems = []
-    for p in (p1, p2):
-        try:
-            systems.append(p.system())
-        except OrientationError:
-            systems.append(None)
-    if systems == [None, None]:
-        return report("pass", detail="both inclusions certified; no random "
-                                     "cross-check, as neither side orients")
     alphabet = p1.alphabet
     codes = [alphabet.code[g] for g in p1.generators]
-    # per orientable side: the relations that shift a sample under its
+    # per side that takes part: the relations that shift a sample under its
     # system, and whether NF(l*rel*r) is zero, by (l, relation index, r)
     sides = [(sysm, rels, {}) for sysm, rels in
              zip(systems, (p2.all_relation_polys(), p1.all_relation_polys()))
@@ -325,9 +376,8 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
         if both and not all(agrees(s) for s, _ in drawn):
             a = _summed(drawn, alphabet)
             if normalize(a, systems[0]) != normalize(a, systems[1]):
-                return report("fail",
-                              detail="normal forms differ on a random polynomial",
-                              witness=format_expr(a))
+                return ("normal forms differ on a random polynomial",
+                        format_expr(a))
         for sysm, rels, zeros in sides:
             i = k % len(rels)
             label, rel = rels[i]
@@ -337,11 +387,9 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
             # NF(a + c*s) == NF(a) exactly when NF(s) is zero
             random_coeff(rng)
             if not _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
-                return report("fail",
-                              detail=f"ideal shift by {label} moved a normal form",
-                              witness=format_expr(_summed(drawn, alphabet)))
-    return report("pass", detail=f"both inclusions certified; {samples} random "
-                                 f"polynomials agree")
+                return (f"ideal shift by {label} moved a normal form",
+                        format_expr(_summed(drawn, alphabet)))
+    return None
 
 
 def _power_expansions(pres, k):
@@ -666,13 +714,14 @@ def _case_classical_limit(case):
     lim, cls = _classical_limit_pair()
     lim_sys, cls_sys = lim.system(), cls.system()
     rng = Random(_seed(case.case_id))
+    bits = rng.getrandbits
     agree = {}  # symbol tuple -> whether its two normal forms agree
     for _ in range(100):
         drawn = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(1 + _below(bits, 3)):
             coeff = random_coeff(rng)
-            syms = tuple([rng.choice(("x_1", "p_1"))
-                          for _ in range(rng.randint(0, 5))])
+            syms = tuple([("x_1", "p_1")[_below(bits, 2)]
+                          for _ in range(_below(bits, 6))])
             drawn.append((coeff, syms))
             if syms not in agree:
                 nf_lim = normalize(lim.poly(*syms), lim_sys)

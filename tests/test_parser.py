@@ -13,7 +13,7 @@ from qheis import (catalog, format_expr, load_presentation, parse_expr,
 from qheis.coeffs import Coefficient
 from qheis.errors import ParseError, QheisError, SchemaError
 from qheis.ncpoly import NCPoly
-from qheis.parser import MAX_NESTING, MAX_POWER, MAX_TERMS
+from qheis.parser import MAX_NESTING, MAX_POWER, MAX_TERMS, _tokenize
 from qheis.printer import parse_machine
 
 from reference import evaluate, expression_text
@@ -312,6 +312,9 @@ class TestParseErrorsInTerms:
          "1 and 100128"),
         ("((1+q)^300*(x+y+z)^5 + (1+t)^300*(x+y+z)^5)*x*y", 43, "146043 and 1"),
         ("x*y*((1+q)^300*(x+y+z)^5 + (1+t)^300*(x+y+z)^5)", 3, "1 and 146043"),
+        # the same refusal where the run is read without a factor
+        ("((q+1)^223*(hbar+1)^223 + (t+1)^223*(hbar+1)^223) *\tx * y*z", 50,
+         "100128 and 1"),
     ])
     def test_term_limit_in_a_generator_run(self, families, text, position, sizes):
         with pytest.raises(ParseError) as exc:
@@ -319,6 +322,81 @@ class TestParseErrorsInTerms:
         assert str(exc.value) == (f"product at {position} of {sizes} numerator "
                                   f"terms exceeds the limit of {MAX_TERMS} terms")
         assert exc.value.position == position
+
+
+class TestGeneratorRuns:
+    """Tokens, generator runs and exponents, read without building a
+    factor per generator or a Fraction per exponent."""
+
+    def test_token_positions_around_a_run(self):
+        assert _tokenize("x * y ^ 2") == [
+            ("ident", "x", 0), ("*", "*", 2), ("ident", "y", 4),
+            ("^", "^", 6), ("int", "2", 8), ("end", "", 9)]
+        assert _tokenize("x*\ty\n") == [
+            ("ident", "x", 0), ("*", "*", 1), ("ident", "y", 3),
+            ("end", "", 5)]
+
+    @pytest.mark.parametrize("spaced, compact", [
+        ("x * y ^ 2", "x*y^2"),
+        ("x*\ty", "x*y"),
+        ("x\n*\n y *z", "x*y*z"),
+        ("2 * x*\t\ty * (q^(1/2)) * z\t", "2*x*y*(q^(1/2))*z"),
+        ("\u00a0x *\u2003y", "x*y"),
+    ])
+    def test_whitespace_inside_runs(self, families, spaced, compact):
+        g = families["gaddis"]
+        assert parse_expr(spaced, g) == parse_expr(compact, g)
+        tokens = _tokenize(spaced)
+        assert ([tok[:2] for tok in tokens]
+                == [tok[:2] for tok in _tokenize(compact)])
+        assert all(spaced[pos:pos + len(text)] == text
+                   for _, text, pos in tokens)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x*y*z$", "unexpected character '$' at 5"),
+        ("x * y\t@ z", "unexpected character '@' at 6"),
+        ("x*y\n*z \u20ac", "unexpected character '\u20ac' at 7"),
+        ("x * y * w", "unknown symbol 'w' at 8"),
+        ("x *\ty *", "expected an expression, found '' at 7"),
+        ("x*\ty ^ -1", "negative power of a generator expression at 5"),
+        ("x * y z", "expected end, found 'z' at 6"),
+    ])
+    def test_errors_after_a_run_keep_their_position(self, families, text,
+                                                    message):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert str(exc.value) == message
+        assert exc.value.position == int(message.rpartition(" at ")[2])
+
+    @pytest.mark.parametrize("text, same", [
+        ("q^(-6/4)*x", "q^(-3/2)*x"),
+        ("x^(4/2)", "x^2"),
+        ("q^(0/5)", "1"),
+        ("p^(2/4)*y", "t*y"),
+        ("(x + y)^(6/3)", "(x + y)*(x + y)"),
+        ("q^(-40000/4)", "q^-10000"),
+    ])
+    def test_ratio_exponents(self, families, text, same):
+        g = families["gaddis"]
+        assert parse_expr(text, g) == parse_expr(same, g)
+
+    @pytest.mark.parametrize("text, message", [
+        ("q^(1/3)", "exponent 1/3 on q must be an integer or half-integer "
+                    "(at 1)"),
+        ("p^(-5/6)", "exponent -5/6 on p must be an integer or half-integer "
+                     "(at 1)"),
+        ("x^(1/2)", "fractional exponent 1/2 allowed on q and p only (at 1)"),
+        ("hbar^(2/4)", "fractional exponent 1/2 allowed on q and p only "
+                       "(at 4)"),
+        ("x^(-4/2)", "negative power of a generator expression at 1"),
+        ("q^(1/0)", "division by zero at 5"),
+        ("q^(20001/2)", "exponent 20001/2 at 1 exceeds the limit 10000"),
+        ("q^(-40004/4)", "exponent -10001 at 1 exceeds the limit 10000"),
+    ])
+    def test_ratio_exponent_errors(self, families, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, families["gaddis"])
+        assert str(exc.value) == message
 
 
 class TestFormat:

@@ -19,7 +19,8 @@ from pathlib import Path
 import qheis
 from qheis import catalog, format_expr, load_presentation_file
 from qheis.coeffs import Coefficient
-from qheis.printer import format_coefficient, parse_machine
+from qheis.printer import (MONO_MEMO_SIZE, _mono_text, format_coefficient,
+                           parse_machine)
 
 C = Coefficient
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,6 +133,43 @@ def golden_lines():
     return lines
 
 
+# one-term coefficients, parsed with no scope, so that p is the central p
+ONE_TERM_TEXTS = ("1", "-1", "p", "p^(1/2)", "-p^-3", "2*q^(-1/2)*hbar*p^3",
+                  "-i*t^3", "3/4*q*p^-1", "hbar^-2", "-i", "(2 + i)*q",
+                  "-5/7*i*s*t")
+
+
+def _one_term_polys():
+    """(label, polynomial, scope): each one-term coefficient on a word of
+    wess and of qhbar, whose generator p shadows the central p, of gaddis,
+    whose alphabet does not, on a wess word with no scope (the letters in
+    use decide) and alone."""
+    w, qh, g = (_presentation(key) for key in ("wess", "qhbar", "gaddis"))
+    out = []
+    for text in ONE_TERM_TEXTS:
+        c = qheis.parse_expr(text).coefficient(())
+        out += [(f"wess|{text}", w.poly("p") * c, w),
+                (f"qhbar|{text}", qh.poly("x", "x") * c, qh),
+                (f"gaddis|{text}", g.poly("y", "x") * c, g),
+                (f"wess-letters|{text}", w.poly("x", "p", "p") * c, None),
+                (f"none|{text}", qheis.NCPoly.from_scalar(c), None)]
+    return out
+
+
+def one_term_outputs(interleaved):
+    """``{label|style: text}`` for ``_one_term_polys``.  Interleaved, the
+    scopes and styles alternate from one call to the next; otherwise each
+    style prints every polynomial before the next style starts."""
+    cases = _one_term_polys()
+    styles = ("plain", "latex", "machine")
+    if interleaved:
+        order = [(case, style) for case in cases for style in styles]
+    else:
+        order = [(case, style) for style in styles for case in cases]
+    return {f"{label}|{style}": format_expr(poly, style, scope=scope)
+            for (label, poly, scope), style in order}
+
+
 def golden_digest():
     text = "\n".join(golden_lines())
     return hashlib.sha256(text.encode()).hexdigest()
@@ -164,3 +202,34 @@ class TestPrinterGolden:
                              capture_output=True, text=True, check=True,
                              timeout=300, env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == GOLDEN_SHA256
+
+
+class TestPrinterMemo:
+    """One-term coefficients print from a bounded memo of monomial texts,
+    keyed by style and by the base variables a scope prints raw."""
+
+    def test_one_term_coefficients_match_a_fresh_process(self):
+        here = one_term_outputs(interleaved=True)
+        assert here["wess|p|plain"] == "t^2*p"
+        assert here["gaddis|p|plain"] == "p*y*x"
+        assert here["wess-letters|p^(1/2)|plain"] == "t*x*p^2"
+        assert here["none|p^(1/2)|plain"] == "p^(1/2)"
+        assert here["qhbar|-5/7*i*s*t|latex"] == r"-5/7 i q^{1/2} p^{1/2} \hat{x}^{2}"
+        code = ("import json, runpy, sys\n"
+                "mod = runpy.run_path(sys.argv[1])\n"
+                "print(json.dumps(mod['one_term_outputs'](False)))\n")
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code, __file__],
+                             capture_output=True, text=True, check=True,
+                             timeout=300, env=dict(os.environ, PYTHONPATH=src))
+        assert json.loads(out.stdout) == here
+
+    def test_memo_stays_bounded(self):
+        assert _mono_text.cache_info().maxsize == MONO_MEMO_SIZE
+        for k in range(2, MONO_MEMO_SIZE + 100):
+            c = C.hbar_power(k) * C.q_power(-k)
+            poly = qheis.NCPoly.from_scalar(c)
+            assert format_expr(poly) == f"hbar^{k}*q^-{k}"
+            assert format_expr(poly, "latex") == f"\\hbar^{{{k}}} q^{{-{k}}}"
+            assert parse_machine(format_expr(poly, "machine")) == poly
+        assert _mono_text.cache_info().currsize <= MONO_MEMO_SIZE

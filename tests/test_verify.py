@@ -19,7 +19,10 @@ from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
-from qheis.verify import (VerificationCase, ideal_membership, random_poly,
+from qheis.families import unified_relation_polys
+from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _below,
+                          _coeff_pool, _cross_check, _draw, _seed,
+                          ideal_membership, random_poly,
                           render_table, reports_to_json,
                           verify_relation_set_equivalence)
 
@@ -170,13 +173,14 @@ class TestEquivalence:
         ("z", "rr", "ideal shift by z_x moved a normal form", "q^-1"),
     ])
     def test_sample_loop_failures_pinned(self, case_id, sides, detail, witness):
-        # printed gaddis is not confluent, so its own normal forms move
-        # under ideal shifts; "zz" holds z*z, a member of its ideal that the
-        # printed relations do not reduce to zero, and "k" is the
-        # presentation of its completed rules, which generates the same
-        # ideal, so against it only the sample loop can fail.  The
-        # witnesses also pin the random stream of the samples and the
-        # shift factors.
+        # each pair generates one ideal: "zz" adds z*z, a member of printed
+        # gaddis's ideal, and "k" is the presentation of its completed
+        # rules.  Printed gaddis is not confluent, so under its own system
+        # normal forms differ and ideal shifts move them: the cross-check,
+        # run under both sides' own systems, fails as pinned.  The verifier
+        # runs it under confluent sides only and passes each pair.  The
+        # witnesses also pin the random stream of the samples and the shift
+        # factors.
         pr = catalog("gaddis", variant="printed")
         pc = qheis.Presentation(
             "gaddis-zz", pr.generators,
@@ -186,7 +190,60 @@ class TestEquivalence:
             [(r.origin, NCPoly.from_word(r.lhs) - r.rhs)
              for r in pr.completed().rules])
         p1, p2 = ({"r": pr, "c": pc, "k": pk}[s] for s in sides)
+        assert _cross_check(Random(_seed(case_id)), p1, p2,
+                            [p1.system(), p2.system()]) == (detail, witness)
         report = verify_relation_set_equivalence(case_id, p1, p2)
+        under = {"c": "gaddis-zz", "k": "gaddis-completed"}.get(
+            sides.replace("r", ""))
+        want = ("both inclusions certified; no random cross-check, as "
+                "neither side is confluent" if under is None else
+                f"both inclusions certified; 100 random polynomials agree; "
+                f"cross-checked under {under} only, as gaddis_printed is not "
+                f"confluent")
+        assert (report.status, report.detail, report.witness) == \
+            ("pass", want, None)
+
+    def test_unified_wess_row_is_equivalent_to_wess(self, families):
+        # the wess-from-unified row as a presentation: its own system is not
+        # confluent (the Lambda_inv commutation rules are consequences, not
+        # relations), but both sides complete to one system, so the
+        # cross-check runs under wess alone
+        w = families["wess"]
+        row = next(r for r in EXAMPLE_ROWS if r.row_id == "wess-from-unified")
+        x, y, p = (w.poly(row.rename[role]) for role in ("x", "y", "p"))
+        rels = unified_relation_polys(
+            row.n, row.m, row.l,
+            *(qheis.parse_expr(v, w) for v in (row.psi, row.pi, row.phi)),
+            x, y, p)
+        u = qheis.Presentation(row.row_id, w.generators,
+                               list(zip(("nH1", "nH2", "nH3"), rels)),
+                               inverse_pairs=w.inverse_pairs)
+        assert not u.confluent() and w.confluent()
+        report = verify_relation_set_equivalence(row.row_id, u, w)
+        assert (report.status, report.detail) == (
+            "pass", "both inclusions certified; 100 random polynomials agree; "
+                    "cross-checked under wess only, as wess-from-unified is "
+                    "not confluent")
+
+    @pytest.mark.parametrize("case_id, detail, witness", [
+        ("t-wrong", "ideal shift by x_p moved a normal form",
+         "q^(1/2)*p^2*Lambda^2*p + t^2*p^2*Lambda*Lambda_inv + 2*Lambda"),
+        ("t-bad", "normal forms differ on a random polynomial",
+         "t^2*Lambda*x*p^2*Lambda + q*Lambda_inv"),
+    ])
+    def test_cross_check_catches_a_wrong_completion(self, families, case_id,
+                                                    detail, witness):
+        # wess without x_p is confluent and generates a smaller ideal; with
+        # wess's completed system standing in for its own, both inclusions
+        # certify, and only the cross-check can fail the pair
+        w = families["wess"]
+        trimmed = qheis.Presentation(
+            "wess-missing", w.generators,
+            [(lab, rel) for lab, rel in w.relations if lab != "x_p"],
+            inverse_pairs=w.inverse_pairs)
+        trimmed.completed = w.completed
+        assert w.confluent() and trimmed.confluent()
+        report = verify_relation_set_equivalence(case_id, w, trimmed)
         assert (report.status, report.detail, report.witness) == \
             ("fail", detail, witness)
 
@@ -202,6 +259,36 @@ class TestRandomPoly:
                 b = random_poly(r2, gens, max_len=5, alphabet=pres.alphabet)
                 assert a == b and list(a.terms) == list(b.terms), fam
                 assert r1.getstate() == r2.getstate(), fam
+
+    def test_below_draws_as_choice_and_randint(self):
+        # the same values and the same generator state as the methods of
+        # random.Random, on whatever Python runs the tests; sizes around
+        # powers of two reject the most draws
+        sizes = (1, 2, 3, 4, 5, 7, 8, 9, 14, 16, 17, 100)
+        for seed in range(200):
+            ours, ref = Random(seed), Random(seed)
+            for n in sizes:
+                seq = tuple(range(10, 10 + n))
+                assert seq[_below(ours.getrandbits, n)] == ref.choice(seq)
+                assert 1 + _below(ours.getrandbits, n) == ref.randint(1, n)
+            assert ours.getstate() == ref.getstate()
+
+    def test_draw_matches_the_random_methods(self):
+        pool = _coeff_pool()
+        codes = list("\x00\x01\x02\x00")
+        for seed in range(200):
+            ours, ref = Random(seed), Random(seed)
+            for max_len in (0, 1, 5):
+                want = [("".join([ref.choice(codes)
+                                  for _ in range(ref.randint(0, max_len))]),
+                         ref.choice(pool))
+                        for _ in range(ref.randint(1, 3))]
+                assert _draw(ours, codes, max_len) == want
+            assert ours.getstate() == ref.getstate()
+
+    def test_below_refuses_an_empty_range(self):
+        with pytest.raises(IndexError):
+            _below(Random(0).getrandbits, 0)
 
 
 @pytest.fixture(scope="module")
