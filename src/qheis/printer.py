@@ -7,10 +7,10 @@ from their packed numerator and denominator dicts: monomial keys decode with
 ``_unpack`` and sort by variable name, never by interning order, and each
 ``(a, b, d)`` triple prints from its integers, each part a reduced ratio.
 
-Most coefficients are one numerator term over the unit denominator.  These
-print with no sort: the scalar from its triple, and the monomial from the
-memo ``_mono_text``, keyed by packed monomial, style and the base variables
-printed raw.  The memo holds at most ``MONO_MEMO_SIZE`` monomials; a packed
+Most coefficients are one numerator term over the unit denominator.  A
+numerator of one term prints with no sort: the scalar from its triple, and
+the monomial from the memo ``_mono_text``, keyed by packed monomial, style
+and the base variables printed raw.  The memo holds at most ``MONO_MEMO_SIZE`` monomials; a packed
 key names the same monomial for the life of the process.  Each alphabet
 keeps its letters' plain, LaTeX and machine texts (``Alphabet.texts``) from
 its first print, and a word prints as runs of those texts.  A scope's raw
@@ -169,11 +169,15 @@ def _poly_sum_body(items, latex=False, raw=frozenset()):
 
 def _num_body(num, latex=False, raw=frozenset()):
     """(negative, factor list) for a packed numerator polynomial."""
-    items = _sorted_terms(num)
-    if len(items) == 1:
-        m, t = items[0]
+    if len(num) == 1:
+        # one term: no sort, and its monomial's text from the memo
+        (m, t), = num.items()
         neg = _negative(t)
-        return neg, _scalar_mono(_t_neg(t) if neg else t, m, latex, raw)
+        parts = _scalar_parts(_t_neg(t) if neg else t)
+        if m:
+            parts += _mono_text(m, "latex" if latex else "plain", raw)
+        return neg, parts or ["1"]
+    items = _sorted_terms(num)
     all_imag = not any(a for _, (a, _, _) in items)
     if all_imag:
         items = [(m, (b, 0, d)) for m, (_, b, d) in items]
@@ -200,15 +204,6 @@ def _num_body(num, latex=False, raw=frozenset()):
 
 def _coeff_parts(c, latex=False, raw=frozenset()):
     """(negative, factor list) for a coefficient."""
-    num = c._num
-    if len(num) == 1 and len(c._den) == 1:
-        # one term over the unit denominator: no sort and no unpacking
-        (m, t), = num.items()
-        neg = _negative(t)
-        parts = _scalar_parts(_t_neg(t) if neg else t)
-        if m:
-            parts += _mono_text(m, "latex" if latex else "plain", raw)
-        return neg, parts or ["1"]
     if c.is_zero:
         return False, ["0"]
     neg, parts = _num_body(c._num, latex, raw)
