@@ -26,11 +26,11 @@ A term is read as one coefficient and one code string: a generator, or a
 generator to an integer power k, appends its code (k times), and a factor
 of one word multiplies its coefficient in.  A generator with no exponent,
 the common case, is read by ``term`` itself: its code joins the word with
-no factor built.  A group of one term is such a one-word term too.  From the
-first factor of several words or none (a group, a commutator, a zero) on,
-the term is an NCPoly product.  The limits below hold for every product
-either way, with the same messages and positions.  An exponent is read as
-an int pair n/d in lowest terms.
+no factor built.  A group that holds one such term is read as that term.
+From the first factor of several words or none (a group, a commutator, a
+zero) on, the term is an NCPoly product.  The limits below hold for every
+product either way, with the same messages and positions.  An exponent is
+read as an int pair n/d in lowest terms.
 
 Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 ``MAX_POWER`` in magnitude and no product (power and commutator steps
