@@ -9,8 +9,10 @@ diagnostics), and the classical limit.  Values reported in the literature
 that are inconsistent with the defining relations are first-class
 ``discrepancy`` cases: the suite documents them rather than hiding them.
 
-Relation sets are equivalent when each normalizes to zero in the other's
-system completed by ``rewrite.complete``.
+Every membership claim (identities, equivalence inclusions, power
+identities, specialized relations) is decided by ``ideal_membership``: zero
+normal form in the presentation's system completed by ``rewrite.complete``.
+Only the random cross-checks normalize under each side's own ``system()``.
 
 A case is declared once, as one row of a table (``_POLY_IDENTITIES``,
 ``_ORE_CASES``, ``EXAMPLE_ROWS``, ``TABLE_ROWS``) or one ``add`` line in
@@ -27,9 +29,9 @@ presentation keeps its ``system()``, whether that is ``confluent()``, its
 ``completed()`` and the Ore data of each tower ``extract_ore`` reads off
 it.  No verifier mutates a presentation.  Reports, random samples and
 verdicts are recomputed on every call, and the public ``catalog`` still
-returns a new presentation each time.  Within one call, the equivalence cross-check decides NF(a) and
-each ideal shift per drawn word, as ``normalize`` is linear, and sums a
-sample only where one of its words fails.
+returns a new presentation each time.  Within one call, the equivalence
+cross-check decides NF(a) and each ideal shift per drawn word, as
+``normalize`` is linear, and sums a sample only where one of its words fails.
 """
 
 from __future__ import annotations
@@ -230,24 +232,6 @@ def _numeric_agree(a, b, rng, points=5):
     return True
 
 
-def verify_poly_identity(case_id, lhs, rhs, sys, expected="pass"):
-    """Pass iff lhs - rhs normalizes to zero; passes are re-checked at five
-    random pole-free central points."""
-    report = partial(VerificationReport, case_id, "poly_identity",
-                     expected=expected)
-    rng = Random(_seed(case_id))
-    nf = normalize(lhs - rhs, sys)
-    if not nf.is_zero:
-        return report(_failed(expected),
-                      detail="difference does not normalize to zero",
-                      witness=format_expr(nf))
-    nl, nr = normalize(lhs, sys), normalize(rhs, sys)
-    if not _numeric_agree(nl, nr, rng):
-        return report("error",
-                      detail="symbolic pass but numeric spot-check mismatch")
-    return report("pass", detail="normal forms agree; 5 numeric points agree")
-
-
 def ideal_membership(rel, presentation):
     """Whether ``rel`` lies in the presentation's two-sided ideal: (ok, nf),
     nf the normal form of ``rel`` in ``presentation.completed()`` and ok
@@ -257,6 +241,24 @@ def ideal_membership(rel, presentation):
     """
     nf = normalize(rel, presentation.completed())
     return nf.is_zero, nf
+
+
+def verify_poly_identity(case_id, lhs, rhs, presentation, expected="pass"):
+    """Pass iff lhs - rhs lies in the ideal (``ideal_membership``); a pass is
+    re-checked at five random pole-free points on the two normal forms."""
+    report = partial(VerificationReport, case_id, "poly_identity",
+                     expected=expected)
+    rng = Random(_seed(case_id))
+    ok, nf = ideal_membership(lhs - rhs, presentation)
+    if not ok:
+        return report(_failed(expected),
+                      detail="difference does not normalize to zero",
+                      witness=format_expr(nf))
+    nl, nr = (ideal_membership(f, presentation)[1] for f in (lhs, rhs))
+    if not _numeric_agree(nl, nr, rng):
+        return report("error",
+                      detail="symbolic pass but numeric spot-check mismatch")
+    return report("pass", detail="normal forms agree; 5 numeric points agree")
 
 
 def _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
@@ -286,8 +288,8 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
                                     expected="pass"):
     """Pass iff the two presentations generate the same two-sided ideal.
 
-    Each side is completed (``Presentation.completed``), and every relation
-    of the other side must normalize to zero in it.  That decides the case;
+    Every relation of each side must lie in the other's ideal
+    (``ideal_membership``, in its completed system).  That decides the case;
     random polynomials then cross-check it (``_cross_check``) under each
     side whose own, uncompleted system ``check_confluence`` certifies
     (``Presentation.confluent``).  A side that orients but is not confluent
@@ -300,9 +302,8 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     report = partial(VerificationReport, case_id, "relation_set_equivalence",
                      expected=expected)
     for src, dst in ((p1, p2), (p2, p1)):
-        completed = dst.completed()
         for label, rel in src.all_relation_polys():
-            if not normalize(rel, completed).is_zero:
+            if not ideal_membership(rel, dst)[0]:
                 return report("fail", detail=f"relation {label} of {src.name} "
                                              f"not certified in {dst.name}",
                               witness=format_expr(rel))
@@ -402,18 +403,19 @@ def _power_expansions(pres, k):
 
 def verify_power_identities(case_id="gaddis-power-identities", K=10,
                             presentation=None, expected="pass"):
-    """y*x^k and y^k*x expansions with quantum-integer coefficients,
-    1 <= k <= K."""
+    """Pass iff y*x^k and y^k*x minus their quantum-integer expansions lie in
+    the ideal (``ideal_membership``), 1 <= k <= K; a witness is that NF."""
+    if K < 1:
+        raise ParamError(f"power-identity exponent K must be at least 1, got {K}")
     pres = presentation or _catalog("gaddis")
-    sysm = pres.system()
     for k in range(1, K + 1):
-        for text, lhs, rhs in _power_expansions(pres, k):
-            got = normalize(lhs, sysm)
-            if got != rhs:
+        for text, lhs, claimed in _power_expansions(pres, k):
+            ok, nf = ideal_membership(lhs - claimed, pres)
+            if not ok:
                 return VerificationReport(
                     case_id, "power_identity", _failed(expected), expected,
                     detail=f"{text} expansion mismatch",
-                    witness=format_expr(got - rhs))
+                    witness=format_expr(nf))
     return VerificationReport(case_id, "power_identity", "pass", expected,
                               detail=f"both identities exact for k = 1..{K}")
 
@@ -502,11 +504,21 @@ class SpecializationRow(Record, frozen=True):
         return SpecializationRow(**{**fields, **changes})
 
 
-def _check_row_values(row, target, sysm):
+def _check_row_values(row, target):
     """Check the listed relations for one set of parameter values.
 
-    Returns (ok, lines, unit_of_first_relation).
+    Returns (ok, lines, unit_of_first_relation); a row with no relations,
+    one other than nH1-nH3, or no x or p role raises ParamError.
     """
+    if not row.relations:
+        raise ParamError(f"row {row.row_id} lists no relations")
+    for name in row.relations:
+        if name not in ("nH1", "nH2", "nH3"):
+            raise ParamError(f"row {row.row_id}: unknown relation {name!r}, "
+                             f"not one of nH1, nH2, nH3")
+    for role in ("x", "p"):
+        if role not in row.rename:
+            raise ParamError(f"row {row.row_id} has no {role!r} role in rename")
     x = target.poly(row.rename["x"])
     p = target.poly(row.rename["p"])
     y = target.poly(row.rename["y"]) if "y" in row.rename else NCPoly.zero()
@@ -531,8 +543,8 @@ def _check_row_values(row, target, sysm):
                 unit_repr = unit_repr or unit
                 break
         else:
-            nf = normalize(rel, sysm)
-            if nf.is_zero:
+            member, nf = ideal_membership(rel, target)
+            if member:
                 lines.append(f"{name}: normalizes to zero in the target")
             else:
                 lines.append(f"{name}: FAILS, residue {format_expr(nf)}")
@@ -543,15 +555,13 @@ def _check_row_values(row, target, sysm):
 def verify_specialization(row):
     """Run a specialization row with its diagnostic attempts."""
     target = _catalog(row.target, **row.target_params)
-    target_sys = target.system()
     report = partial(VerificationReport, row.row_id, "specialization",
                      expected=row.expected)
     note = (row.note,) if row.note else ()
     attempts = (("as printed", {}),) + tuple(row.attempts)
     all_lines = []
     for idx, (label, overrides) in enumerate(attempts):
-        ok, lines, unit = _check_row_values(row.replace(**overrides), target,
-                                            target_sys)
+        ok, lines, unit = _check_row_values(row.replace(**overrides), target)
         all_lines.append(f"[{label}] " + "; ".join(lines))
         if ok:
             if idx == 0:
@@ -618,7 +628,7 @@ def _identity(row, case):
     _, family, lhs, rhs, _ = row
     pres = _catalog(family)
     return verify_poly_identity(case.case_id, pres.parse(lhs), pres.parse(rhs),
-                                pres.system(), case.expected)
+                                pres, case.expected)
 
 
 def _equivalence(make_pair, case):
@@ -652,12 +662,11 @@ def _gaddis_one_parameter_pair():
 
 def _case_gaddis_printed_zx(case):
     pres = _catalog("gaddis", variant="printed")
-    sysm = pres.system()
     _, lhs, want = _power_expansions(pres, 2)[0]
-    got = normalize(lhs, sysm)
-    report = check_confluence(sysm)
+    holds, residue = ideal_membership(lhs - want, pres)
+    report = check_confluence(pres.system())
     lines = []
-    if got == want:
+    if holds:
         lines.append("k=2 power identity unexpectedly holds")
         status = "fail"
     else:
@@ -672,7 +681,7 @@ def _case_gaddis_printed_zx(case):
         lines.append(f"unresolved overlap {cp.overlap_word!r} witnesses the "
                      f"inconsistency")
     return case.report(status, detail="; ".join(lines),
-                       witness=format_expr(got - want),
+                       witness=format_expr(residue),
                        annotations=("the consistent variant uses "
                                     "z*x = p^-1*x*z",))
 

@@ -92,6 +92,12 @@ class TestPowerIdentities:
         report = verify_power_identities(K=10)
         assert report.status == "pass"
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_no_exponent_is_refused(self, K):
+        # an empty range of k would pass without checking anything
+        with pytest.raises(ParamError, match="at least 1"):
+            verify_power_identities(K=K)
+
 
 class TestEquivalence:
     def test_membership_by_conjugation(self, families):
@@ -460,6 +466,21 @@ class TestSuite:
         assert first["sha"] == second["sha"] == REPORT_SHA256
         assert got["changed"] == [] and got["fresh"]
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"relations": ()}, "lists no relations"),
+        ({"relations": ("nH1", "nH4")}, "unknown relation 'nH4'"),
+        ({"rename": {"x": "x", "y": "Lambda"}}, "no 'p' role"),
+        ({"rename": {"y": "Lambda", "p": "p"}}, "no 'x' role"),
+    ])
+    def test_malformed_row_is_an_error(self, changes, message):
+        row = EXAMPLE_ROWS[0].replace(**changes)
+        with pytest.raises(ParamError, match=message):
+            verify_specialization(row)
+        case = VerificationCase(row.row_id, "specialization", (row.target,),
+                                "pass", lambda case: verify_specialization(row))
+        r = case.run()
+        assert r.status == "error" and message in r.detail
+
     def test_row_with_unhashable_target_params(self):
         # a Coefficient parameter cannot key the shared catalog: the row
         # gets a presentation of its own
@@ -516,7 +537,7 @@ class TestCaseDeclaration:
     def test_failed_identity(self, expected, status):
         cls = catalog("classical", indices=1)
         r = qheis.verify_poly_identity("t-id", cls.parse("x_1*p_1"),
-                                 cls.parse("p_1*x_1"), cls.system(), expected)
+                                 cls.parse("p_1*x_1"), cls, expected)
         assert r.status == status
         assert r.ok == (expected == "discrepancy")
         assert r.witness
@@ -539,11 +560,18 @@ class TestCaseDeclaration:
         assert r.status == status
         assert r.detail == "y*x^2 expansion mismatch"
 
+    def test_identity_decided_in_the_completed_system(self):
+        # the printed variant's own rules leave z^2 irreducible; completion
+        # derives z*z -> 0, so z*z lies in the ideal
+        g = catalog("gaddis", variant="printed")
+        assert normalize(g.parse("z*z"), g.system()) == g.parse("z^2")
+        r = qheis.verify_poly_identity("t-zz", g.parse("z*z"), g.parse("0"), g)
+        assert r.status == "pass"
+
     def test_unreproduced_discrepancy_is_pass_not_ok(self):
         cls = catalog("classical", indices=1)
         r = qheis.verify_poly_identity("t-id", cls.parse("x_1*p_1"),
-                                 cls.parse("x_1*p_1"), cls.system(),
-                                 "discrepancy")
+                                 cls.parse("x_1*p_1"), cls, "discrepancy")
         assert r.status == "pass" and not r.ok
         r = qheis.verify.verify_ore_entry("t-ore", catalog("wess"), ("Lambda", "p", "x"),
                              "x", "p", "q^-1*p", "i*q^(-1/2)*hbar*Lambda",
