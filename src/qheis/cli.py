@@ -42,6 +42,20 @@ def _print_poly(poly, style, scope=None):
     print(format_expr(poly, style, scope=scope))
 
 
+def _confluence_note(pres):
+    """One stderr line when the presentation's own rules, which normalize
+    and commutator reduce by, are not confluent, or when the critical pairs
+    do not reduce: the printed form may then not be canonical."""
+    try:
+        if pres.confluent():
+            return
+        why = "are not confluent"
+    except (NonTermination, ExponentOverflow) as exc:
+        why = f"have no confluence verdict ({exc})"
+    print(f"note: the rules of {pres.name} {why}; the printed form may not "
+          f"be canonical", file=sys.stderr)
+
+
 def _cmd_normalize(args):
     pres = _load_algebra(args.algebra)
     poly = pres.parse(args.expr)
@@ -55,6 +69,7 @@ def _cmd_normalize(args):
         result = steps[-1][2] if steps else poly
     else:
         result = normalize(poly, sysm)
+    _confluence_note(pres)
     _print_poly(result, args.format, scope=pres)
     return 0
 
@@ -63,8 +78,9 @@ def _cmd_commutator(args):
     pres = _load_algebra(args.algebra)
     a = pres.parse(args.a)
     b = pres.parse(args.b)
-    _print_poly(normalize(commutator(a, b), pres.system()), args.format,
-                scope=pres)
+    result = normalize(commutator(a, b), pres.system())
+    _confluence_note(pres)
+    _print_poly(result, args.format, scope=pres)
     return 0
 
 
@@ -141,7 +157,9 @@ def _cmd_repl(args):
                       file=sys.stderr)
                 continue
             if cmd == "normalize":
-                print(format_expr(pres.normalize(rest), scope=pres))
+                result = pres.normalize(rest)
+                _confluence_note(pres)
+                print(format_expr(result, scope=pres))
             elif cmd == "trace":
                 poly = pres.parse(rest)
                 steps = reduce_trace(poly, pres.system())
@@ -153,6 +171,7 @@ def _cmd_repl(args):
                 a, _, b = rest.partition(";")
                 result = normalize(commutator(pres.parse(a), pres.parse(b)),
                                    pres.system())
+                _confluence_note(pres)
                 print(format_expr(result, scope=pres))
             else:
                 print(f"unknown command {cmd!r}", file=sys.stderr)

@@ -40,9 +40,10 @@ the constructor and ``monomial`` validate and encode it in one pass.
 constant coefficient, whose numerator is at most the one triple at key 0.
 ``evaluate`` returns one, and ``Coefficient.num``/``.den`` decode to
 ``{tuple monomial: constant Coefficient}`` views for outside callers.  This
-module formats no text: the printer reads ``_num``/``_den`` directly and
-decodes each key with ``_unpack``.  Results that are canonical by
-construction skip re-canonicalization.
+module formats no text: the printer reads ``_num``/``_den`` directly,
+orders their keys by the fields ``_name_fields`` names, and decodes a key
+with ``_unpack`` once per monomial it keeps the text of.  Results that are
+canonical by construction skip re-canonicalization.
 """
 
 from __future__ import annotations
@@ -368,6 +369,15 @@ def _field_names(used):
     return names
 
 
+def _name_fields(a, off):
+    """``(variable, bit offset)`` of each field the keys of ``a`` use, in
+    variable-name order; ``off`` covers the fields of ``a``.  The biased
+    fields ``((m + off) >> sh) & _FIELD`` order like the exponents, so read
+    at these offsets they order keys lex on the names, whatever the
+    interning order."""
+    return [(v, _SHIFT[v]) for v in sorted(_field_names(_p_used(a, off)))]
+
+
 def _p_vars(a):
     if not a:
         return []
@@ -514,8 +524,7 @@ def _canonical(num, den):
     if shift:
         num = _p_scale(num, shift, _T_ONE)
         den = _p_scale(den, shift, _T_ONE)
-    # the biased fields of m + off order like the exponents
-    shifts = [_SHIFT[v] for v in sorted(_field_names(_p_used(den, off)))]
+    shifts = [sh for _, sh in _name_fields(den, off)]
     lc = den[max(den, key=lambda m: [((m + off) >> sh) & _FIELD
                                      for sh in shifts])]
     if lc != _T_ONE:

@@ -180,6 +180,11 @@ class Presentation:
         return self._completed
 
     def normalize(self, x):
+        """Normal form of ``x`` (a polynomial or its text) under
+        ``system()``, the presentation's own rules.  When they are not
+        confluent (``confluent()`` is False) the form may not be canonical:
+        equal elements of the algebra may get different forms.
+        ``verify.ideal_membership`` decides in the completed system."""
         if isinstance(x, str):
             x = self.parse(x)
         return normalize(x, self.system())

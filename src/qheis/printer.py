@@ -2,20 +2,22 @@
 
 Three styles: ``plain`` (ASCII, re-parseable), ``latex`` (hatted generators,
 \\hbar), and ``machine`` (loss-free JSON).  Terms print in display order:
-longer words first, then by the precedence sequence.  Coefficients are read
-from their packed numerator and denominator dicts: monomial keys decode with
-``_unpack`` and sort by variable name, never by interning order, and each
-``(a, b, d)`` triple prints from its integers, each part a reduced ratio.
+longer words first, then by the precedence sequence.
 
-Most coefficients are one numerator term over the unit denominator.  A
-numerator of one term prints with no sort: the scalar from its triple, and
-the monomial from the memo ``_mono_text``, keyed by packed monomial, style
-and the base variables printed raw.  The memo holds at most ``MONO_MEMO_SIZE`` monomials; a packed
-key names the same monomial for the life of the process.  Each alphabet
-keeps its letters' plain, LaTeX and machine texts (``Alphabet.texts``) from
-its first print, and a word prints as runs of those texts.  A scope's raw
-base variables are kept beside them, so they are worked out once per
-presentation.
+Every coefficient polynomial prints through one term path on its packed
+monomial keys (``coeffs``).  Several terms are ordered lex on the variable
+names, whatever the interning order, by the keys' exponent fields read
+from the int in name order (``_lex_rows``); a numerator's content is their
+field-wise minimum where positive, divided out by int subtraction.  A term
+prints as the reduced ratios of its ``(a, b, d)`` triple, then its
+monomial's text from ``_mono_text``, a memo of at most ``MONO_MEMO_SIZE``
+monomials keyed by packed key (one monomial for the life of the process),
+style and the base variables printed raw.  The machine style reads a longer
+polynomial's (variable, exponent) pairs straight from the fields, as its
+raw monomials can outnumber the memo.  Each alphabet keeps its letters'
+plain, LaTeX and machine texts (``Alphabet.texts``) from its first print,
+and a word prints as runs of those texts.  A scope's raw base variables are
+kept beside them, so they are worked out once per presentation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from functools import lru_cache
 from itertools import groupby
 from math import gcd
 
-from .coeffs import Coefficient, _T_ONE, _mono, _t_neg, _unpack
+from .coeffs import (EXP_LIMIT, Coefficient, _FIELD, _masks, _mono,
+                     _name_fields, _t_neg, _unpack)
 from .errors import QheisError, SchemaError
 from .ncpoly import Generator, NCPoly, Word, _display_items
 
@@ -45,20 +48,14 @@ def _t_str(t):
     return f"({_ratio_str(a, d)} {'+' if b > 0 else '-'} {imag})"
 
 
-def _sorted_terms(poly):
-    """``(tuple monomial, triple)`` items of a packed polynomial, leading
-    first under lex order on the variable names, whatever the interning
-    order."""
-    items = [(_unpack(m), t) for m, t in poly.items()]
-    if len(items) > 1:
-        varlist = sorted({v for m, _ in items for v, _ in m})
-
-        def exponents(item):
-            exps = dict(item[0])
-            return [exps.get(v, 0) for v in varlist]
-
-        items.sort(key=exponents, reverse=True)
-    return items
+def _lex_rows(poly):
+    """``_name_fields`` of a packed polynomial, and a row ``(fields, key,
+    triple)`` per term, leading first under lex order on the names: the
+    key's exponents plus ``EXP_LIMIT`` in name order, read from the int."""
+    off = _masks(max(max(poly), -min(poly)))[0]
+    names = _name_fields(poly, off)
+    return names, sorted([([((m + off) >> sh) & _FIELD for _, sh in names],
+                           m, t) for m, t in poly.items()], reverse=True)
 
 
 def _negative(t):
@@ -119,47 +116,33 @@ def _scalar_parts(t):
     return [] if a == d else [_ratio_str(a, d)]
 
 
-def _var_parts(mono, latex=False, raw=frozenset()):
-    """Factor list of a tuple monomial: hbar, then q, then p, then the
-    other variables by name."""
-    return [_var_latex(v, e) if latex else _var_plain(v, e, raw)
-            for v, e in sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3),
-                                                     ve[0]))]
-
-
-# distinct monomials whose texts ``_mono_text`` keeps; a session prints a
-# few dozen, and the bound keeps a long run's memory flat
+# distinct monomials whose texts ``_mono_text`` keeps; a plain pass over the
+# growth normal forms needs 360, and the bound keeps a long run's memory flat
 MONO_MEMO_SIZE = 512
 
 
 @lru_cache(maxsize=MONO_MEMO_SIZE)
 def _mono_text(m, style, raw):
-    """The text of the packed monomial ``m`` in ``style``: its factor list
-    (``_var_parts``) for ``plain`` and ``latex``, and its (variable,
-    exponent) pairs for ``machine``."""
+    """The text of the packed monomial ``m`` in ``style``: for ``plain``
+    and ``latex`` its factor list, hbar, then q, then p, then the other
+    variables by name; for ``machine`` its (variable, exponent) pairs."""
     mono = _unpack(m)
     if style == "machine":
         return mono
-    return tuple(_var_parts(mono, style == "latex", raw))
-
-
-def _scalar_mono(t, mono, latex=False, raw=frozenset()):
-    """Factor list for scalar*monomial, the scalar a triple; the caller has
-    made its sign positive."""
-    return _scalar_parts(t) + _var_parts(mono, latex, raw) or ["1"]
+    mono = sorted(mono, key=lambda ve: (_VAR_ORDER.get(ve[0], 3), ve[0]))
+    if style == "latex":
+        return tuple([_var_latex(v, e) for v, e in mono])
+    return tuple([_var_plain(v, e, raw) for v, e in mono])
 
 
 def _join(parts, latex=False):
     return " ".join(parts) if latex else "*".join(parts)
 
 
-def _poly_sum_body(items, latex=False, raw=frozenset()):
-    """Sum rendering of ``_sorted_terms`` items with embedded signs, no
-    common-factor extraction."""
+def _signed_sum(items):
+    """``a + b - c`` of (negative, text) items."""
     out = []
-    for m, t in items:
-        neg = _negative(t)
-        body = _join(_scalar_mono(_t_neg(t) if neg else t, m, latex, raw), latex)
+    for neg, body in items:
         if not out:
             out.append(("-" if neg else "") + body)
         else:
@@ -167,38 +150,51 @@ def _poly_sum_body(items, latex=False, raw=frozenset()):
     return " ".join(out)
 
 
-def _num_body(num, latex=False, raw=frozenset()):
-    """(negative, factor list) for a packed numerator polynomial."""
+def _term(m, t, style, raw):
+    """(negative, factor list) of the term ``t * m``: the scalar parts of
+    the triple made positive, then the text of the packed monomial."""
+    neg = _negative(t)
+    parts = _scalar_parts(_t_neg(t) if neg else t)
+    if m:
+        parts += _mono_text(m, style, raw)
+    return neg, parts or ["1"]
+
+
+def _sum_text(terms, style, raw):
+    """Sum of ``(packed monomial, triple)`` terms, each with its sign."""
+    latex = style == "latex"
+    out = []
+    for m, t in terms:
+        neg, parts = _term(m, t, style, raw)
+        out.append((neg, _join(parts, latex)))
+    return _signed_sum(out)
+
+
+def _num_body(num, style, raw):
+    """(negative, factor list) for a packed numerator: one term as it is,
+    several as a sum in parentheses after their common factors: ``i`` when
+    every term is imaginary, the leading term's sign and the content."""
     if len(num) == 1:
-        # one term: no sort, and its monomial's text from the memo
         (m, t), = num.items()
-        neg = _negative(t)
-        parts = _scalar_parts(_t_neg(t) if neg else t)
-        if m:
-            parts += _mono_text(m, "latex" if latex else "plain", raw)
-        return neg, parts or ["1"]
-    items = _sorted_terms(num)
-    all_imag = not any(a for _, (a, _, _) in items)
+        return _term(m, t, style, raw)
+    names, rows = _lex_rows(num)
+    # the content, each variable's least exponent where positive; dividing
+    # by it is one int subtraction and keeps the lex order of the terms
+    content = 0
+    for (_, sh), low in zip(names, map(min, zip(*[row[0] for row in rows]))):
+        if low > EXP_LIMIT:
+            content += (low - EXP_LIMIT) << sh
+    terms = [(m - content, t) for _, m, t in rows]
+    all_imag = not any(a for _, (a, _, _) in terms)
+    lead_neg = _negative(terms[0][1])
     if all_imag:
-        items = [(m, (b, 0, d)) for m, (_, b, d) in items]
-    lead_neg = _negative(items[0][1])
+        terms = [(m, (b, 0, d)) for m, (_, b, d) in terms]
     if lead_neg:
-        items = [(m, _t_neg(t)) for m, t in items]
-    mins = dict(items[0][0])
-    for m, _ in items[1:]:
-        cur = dict(m)
-        mins = {v: min(e, cur.get(v, 0)) for v, e in mins.items() if v in cur}
-    content = _mono((v, e) for v, e in mins.items() if e > 0)
+        terms = [(m, _t_neg(t)) for m, t in terms]
+    parts = ["i"] if all_imag else []
     if content:
-        # a common monomial factor keeps the lex order of the terms
-        inv = tuple((v, -e) for v, e in content)
-        items = [(_mono(m + inv), t) for m, t in items]
-    parts = []
-    if all_imag:
-        parts.append("i")
-    if content:
-        parts.extend(_scalar_mono(_T_ONE, content, latex, raw))
-    parts.append(f"({_poly_sum_body(items, latex, raw)})")
+        parts += _mono_text(content, style, raw)
+    parts.append(f"({_sum_text(terms, style, raw)})")
     return lead_neg, parts
 
 
@@ -206,10 +202,12 @@ def _coeff_parts(c, latex=False, raw=frozenset()):
     """(negative, factor list) for a coefficient."""
     if c.is_zero:
         return False, ["0"]
-    neg, parts = _num_body(c._num, latex, raw)
+    style = "latex" if latex else "plain"
+    neg, parts = _num_body(c._num, style, raw)
     # a canonical one-term denominator is the unit
     if len(c._den) > 1:
-        den_body = _poly_sum_body(_sorted_terms(c._den), latex, raw)
+        den_body = _sum_text(((m, t) for _, m, t in _lex_rows(c._den)[1]),
+                             style, raw)
         if latex:
             joined = _join(parts, latex)
             return neg, [f"\\frac{{{joined}}}{{{den_body}}}"]
@@ -304,11 +302,8 @@ def format_expr(poly, style="plain", scope=None):
             body = _join(_word_parts(s, letters, latex), latex)
         else:
             body = _join(cparts + _word_parts(s, letters, latex), latex)
-        if not out:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
+        out.append((neg, body))
+    return _signed_sum(out)
 
 
 # -- machine format ---------------------------------------------------------
@@ -318,8 +313,12 @@ def _poly_json(p):
         (m, (a, b, d)), = p.items()
         return [[_mono_text(m, "machine", None), _ratio_str(a, d),
                  _ratio_str(b, d)]]
-    return [[m, _ratio_str(a, d), _ratio_str(b, d)]
-            for m, (a, b, d) in _sorted_terms(p)]
+    # several terms: the (variable, exponent) pairs straight from the
+    # fields, as long numerators hold more monomials than the memo
+    names, rows = _lex_rows(p)
+    return [[[(v, f - EXP_LIMIT) for (v, _), f in zip(names, fields)
+              if f != EXP_LIMIT], _ratio_str(a, d), _ratio_str(b, d)]
+            for fields, _, (a, b, d) in rows]
 
 
 def _format_machine(poly):

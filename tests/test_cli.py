@@ -307,6 +307,61 @@ class TestConfluence:
         assert "unresolved a*b*b*a*b*b*a via r / r" in out
 
 
+class TestNonConfluentNote:
+    """normalize and commutator reduce by the presentation's own rules; when
+    those are not confluent, one stderr line says the printed form may not
+    be canonical, and stdout and the exit code are unchanged."""
+
+    NOTE = ("note: the rules of gaddis_printed are not confluent; the "
+            "printed form may not be canonical\n")
+
+    @pytest.fixture
+    def printed(self, tmp_path):
+        path = tmp_path / "printed.qpres"
+        qheis.save_presentation_file(
+            qheis.catalog("gaddis", variant="printed"), str(path))
+        return str(path)
+
+    def test_normalize(self, capsys, printed):
+        # completion derives z*z -> 0, which the printed rules miss
+        code, out, err = run_cli(capsys, "normalize", "--algebra", printed,
+                                 "--expr", "z*z")
+        assert (code, out, err) == (0, "z^2\n", self.NOTE)
+        code, out, _ = run_cli(capsys, "confluence", "--algebra", printed)
+        assert code == 4 and "NOT confluent" in out
+
+    def test_commutator_and_repl(self, capsys, monkeypatch, printed):
+        code, out, err = run_cli(capsys, "commutator", "--algebra", printed,
+                                 "--a", "z", "--b", "z")
+        assert (code, out, err) == (0, "0\n", self.NOTE)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            f"algebra {printed}\nnormalize z*z\ncommutator z ; z\nquit\n"))
+        assert main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["z^2", "0"]
+        assert captured.err.count(self.NOTE) == 2
+
+    def test_check_that_does_not_end(self, capsys, tmp_path):
+        # x is a normal form, but a critical pair of r1 and r2 reduces
+        # without end
+        path = tmp_path / "f.qpres"
+        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
+                        "generator: x\ngenerator: h\ngenerator: y\n"
+                        "relation: r1 : h*x - x*h*h\n"
+                        "relation: r2 : y*x*h*h - y*h*x\n")
+        code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
+                                 "--expr", "x")
+        assert (code, out) == (0, "x\n")
+        assert err == ("note: the rules of f have no confluence verdict (step "
+                       "limit 10000 exceeded); the printed form may not be "
+                       "canonical\n")
+
+    def test_confluent_rules_print_no_note(self, capsys):
+        code, out, err = run_cli(capsys, "normalize", "--algebra", "gaddis",
+                                 "--expr", "z*z")
+        assert (code, err) == (0, "")
+
+
 class TestOre:
     def test_wess_table(self, capsys):
         code, out, _ = run_cli(capsys, "ore", "--algebra", "wess",

@@ -4,7 +4,9 @@ Every normal form stored under ``perfbench/expected`` (read only) and a set
 of edge-case coefficients are formatted in the plain, latex and machine
 styles, with and without the presentation as ``scope``; one sha256 over all
 of that text is pinned.  The same digest must come out of a process that
-interns the opaque central variables in the reverse order.
+interns the opaque central variables in the reverse order.  A property test
+draws long coefficients and checks that their text reads back and lists
+the terms in lex order on the variable names.
 """
 
 import functools
@@ -16,9 +18,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import qheis
-from qheis import catalog, format_expr, load_presentation_file
+from qheis import catalog, format_expr, load_presentation_file, parse_expr
 from qheis.coeffs import Coefficient
+from qheis.presfile import load_presentation
 from qheis.printer import (MONO_MEMO_SIZE, _mono_text, format_coefficient,
                            parse_machine)
 
@@ -205,7 +211,7 @@ class TestPrinterGolden:
 
 
 class TestPrinterMemo:
-    """One-term coefficients print from a bounded memo of monomial texts,
+    """Each term's monomial prints from a bounded memo of monomial texts,
     keyed by style and by the base variables a scope prints raw."""
 
     def test_one_term_coefficients_match_a_fresh_process(self):
@@ -233,3 +239,125 @@ class TestPrinterMemo:
             assert format_expr(poly, "latex") == f"\\hbar^{{{k}}} q^{{-{k}}}"
             assert parse_machine(format_expr(poly, "machine")) == poly
         assert _mono_text.cache_info().currsize <= MONO_MEMO_SIZE
+        # the growth normal forms' long numerators hold more raw monomials
+        # than the memo, but fewer once the content is divided out: a second
+        # round of prints in one style finds every monomial in the memo
+        with open(EXPECTED / "growth.json", encoding="utf-8") as fh:
+            forms = [(_presentation(key), parse_machine(text))
+                     for key, text in _stored_forms(json.load(fh))]
+        for style in ("plain", "latex", "machine"):
+            for _ in range(2):
+                before = _mono_text.cache_info()
+                for pres, poly in forms:
+                    format_expr(poly, style, scope=pres)
+            after = _mono_text.cache_info()
+            assert after.misses == before.misses
+            assert after.currsize <= MONO_MEMO_SIZE
+
+
+def _opaque_presentation(name, generators):
+    lines = ["qheis-presentation 1", f"name: {name}"]
+    lines += [f"generator: {g}" for g in generators]
+    lines += [f"opaque: {o}" for o in OPAQUE_NAMES]
+    return load_presentation("\n".join(lines) + "\n")
+
+
+# generators q and p shadow both central roots, so s and t print raw
+SHADOWING = _opaque_presentation("shadowing", ("q", "p"))
+NOT_SHADOWING = _opaque_presentation("not_shadowing", ("x",))
+
+_VARS = ("s", "t", "h") + OPAQUE_NAMES
+_MONOS = st.dictionaries(st.sampled_from(_VARS),
+                         st.integers(-4, 4).filter(bool), max_size=4).map(
+    lambda d: tuple(sorted(d.items())))
+_RATIOS = st.fractions(-5, 5, max_denominator=6).filter(bool)
+# real, imaginary and complex (re, im) pairs
+_GAUSS = st.one_of(_RATIOS.map(lambda r: (r, 0)), _RATIOS.map(lambda r: (0, r)),
+                   st.tuples(_RATIOS, _RATIOS))
+
+
+def _poly(terms, imaginary):
+    return C({m: C.from_gauss(*((0, re or im) if imaginary else (re, im)))
+              for m, (re, im) in terms.items()})
+
+
+@st.composite
+def _coefficients(draw):
+    """2 to 40 numerator terms, some all imaginary, some with a monomial
+    factor common to every term, over an optional multi-term
+    denominator."""
+    num = _poly(draw(st.dictionaries(_MONOS, _GAUSS, min_size=2, max_size=40)),
+                draw(st.booleans()))
+    content = draw(_MONOS)
+    num *= C.monomial({v: abs(e) for v, e in content})
+    if draw(st.booleans()):
+        return num
+    den = _poly(draw(st.dictionaries(_MONOS, _GAUSS, min_size=2, max_size=4)),
+                False)
+    return num / den
+
+
+def _lex_sorted(monos):
+    """Tuple monomials leading first, lex on the variable names: their
+    exponent vectors over every name they use, in name order, descending."""
+    names = sorted({v for m in monos for v, _ in m})
+    return sorted(monos, reverse=True,
+                  key=lambda m: [dict(m).get(v, 0) for v in names])
+
+
+def _outside_parens(text, sep):
+    """Pieces of ``text`` split at each ``sep`` outside parentheses."""
+    out, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        if text[i] in "()":
+            depth += 1 if text[i] == "(" else -1
+        elif not depth and text.startswith(sep, i):
+            out.append(text[start:i])
+            start = i = i + len(sep)
+            continue
+        i += 1
+    return out + [text[start:]]
+
+
+def _plain_sum_monos(text):
+    """Monomials of the terms of a parenthesized plain sum, in print
+    order."""
+    terms = [t for piece in _outside_parens(text[1:-1], " + ")
+             for t in _outside_parens(piece, " - ")]
+    monos = []
+    for term in terms:
+        (mono,) = parse_expr(term.lstrip("-"), NOT_SHADOWING).coefficient(()).num
+        monos.append(mono)
+    return monos
+
+
+class TestPrinterTermPath:
+    """Long coefficients: their text reads back to their value, and their
+    terms print in lex order on the variable names."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_coefficients())
+    def test_reads_back_in_lex_order(self, c):
+        for pres, letter in ((SHADOWING, "q"), (NOT_SHADOWING, "x")):
+            poly = pres.poly(letter) * c
+            assert parse_expr(format_expr(poly, scope=pres), pres) == poly
+        machine = format_expr(poly, "machine")
+        assert parse_machine(machine) == poly
+        (term,) = json.loads(machine)["terms"]
+        for part in ("num", "den"):
+            monos = [tuple(map(tuple, m)) for m, _, _ in term[part]]
+            assert monos == _lex_sorted(monos)
+        # the plain factors end with the numerator's sum, after its common
+        # factors, then the inverse of the denominator's
+        text = format_expr(qheis.NCPoly.from_scalar(c), scope=NOT_SHADOWING)
+        factors = _outside_parens(text.removeprefix("-"), "*")
+        sums = []
+        if len(c.den) > 1:
+            assert factors[-1].endswith(")^-1")
+            sums.append(factors.pop().removesuffix("^-1"))
+        if len(c.num) > 1:
+            sums.append(factors.pop())
+        for text in sums:
+            assert text.startswith("(") and text.endswith(")")
+            monos = _plain_sum_monos(text)
+            assert monos == _lex_sorted(monos)
