@@ -16,8 +16,7 @@ from .errors import (AlphabetError, DivisionByZero, ExponentOverflow,
 from .families import (FAMILIES, OreData, Presentation, UnifiedParams,
                        catalog, classical_limit, extract_ore, family_ids,
                        presentation_from_ore, unified, unified_relation_polys)
-from .ncpoly import (Generator, NCPoly, Word, central_scale_eval, commutator,
-                     substitute)
+from .ncpoly import Generator, NCPoly, Word, commutator, substitute
 from .parser import parse_expr
 from .presfile import (load_presentation, load_presentation_file,
                        save_presentation, save_presentation_file)

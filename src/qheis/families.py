@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from ._record import Record
 from .coeffs import Coefficient
-from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
-                     UnknownFamily)
+from .errors import (AlphabetError, ExponentOverflow, NonTermination,
+                     NotOreShaped, ParamError, ParseError, UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
 from .parser import _IDENT, parse_expr
 from .rewrite import TermOrder, check_confluence, complete, normalize, orient
@@ -74,8 +74,8 @@ class Presentation:
     cancellation relations); each keeps its first result, so a presentation
     is oriented, checked and completed at most once.  ``extract_ore``
     likewise keeps the Ore data of each tower it reads off the
-    presentation.  A call that
-    raises stores nothing, and the next call tries again."""
+    presentation.  ``system()``, ``completed()`` and ``extract_ore`` store
+    nothing when they raise, and the next call tries again."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -163,9 +163,18 @@ class Presentation:
 
     def confluent(self):
         """Whether ``system()`` is confluent, by ``check_confluence``;
-        raises OrientationError when the relations do not orient."""
+        raises OrientationError when the relations do not orient.  A
+        NonTermination or ExponentOverflow of the check is kept, and later
+        calls raise it again without re-running the check."""
         if self._confluent is None:
-            self._confluent = check_confluence(self.system()).confluent
+            sysm = self.system()
+            try:
+                self._confluent = check_confluence(sysm).confluent
+            except (NonTermination, ExponentOverflow) as exc:
+                self._confluent = exc
+        if isinstance(self._confluent, Exception):
+            # a bare re-raise would keep every earlier call's traceback
+            raise self._confluent.with_traceback(None)
         return self._confluent
 
     def completed(self):

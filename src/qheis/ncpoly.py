@@ -318,13 +318,3 @@ def substitute(poly, mapping):
             img = img * images[sym]
         out = out + img * c
     return out
-
-
-def central_scale_eval(poly, point):
-    """Evaluate every coefficient at a central point, keeping the words.
-
-    Returns a mapping Word -> constant Coefficient in display order; zero
-    values are kept so the caller can see exactly which words vanished.
-    """
-    word = poly.alphabet.word
-    return {word(s): c.evaluate(point) for s, c in _display_items(poly)}

@@ -12,7 +12,9 @@ that are inconsistent with the defining relations are first-class
 Every membership claim (identities, equivalence inclusions, power
 identities, specialized relations) is decided by ``ideal_membership``: zero
 normal form in the presentation's system completed by ``rewrite.complete``.
-Only the random cross-checks normalize under each side's own ``system()``.
+The all-paths oracle re-checks each passing identity, and the classical
+limit compares rules.  Only the equivalence cross-check normalizes under
+each side's own ``system()``.
 
 A case is declared once, as one row of a table (``_POLY_IDENTITIES``,
 ``_ORE_CASES``, ``EXAMPLE_ROWS``, ``TABLE_ROWS``) or one ``add`` line in
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import json
 import zlib
-from fractions import Fraction
 from functools import cache, partial
 from random import Random
 
@@ -49,8 +50,7 @@ from .errors import (OracleDivergence, OracleOverflow, OrientationError,
 from .families import (Presentation, UnifiedParams, catalog, classical_limit,
                        extract_ore, subs_poly, unified, unified_relation_polys,
                        unit_ratio)
-from .ncpoly import (Alphabet, NCPoly, _accumulate, _ncpoly, _over,
-                     central_scale_eval)
+from .ncpoly import Alphabet, NCPoly, _accumulate, _ncpoly, _over
 from .parser import parse_expr
 from .printer import format_expr
 from .rewrite import _reduct, check_confluence, normalize
@@ -145,15 +145,6 @@ def random_poly(rng, gens, max_len=4, max_terms=3, alphabet=None):
     return _summed(_draw(rng, codes, max_len, max_terms), alphabet)
 
 
-_POINT_POOL = tuple(Fraction(a, b) for a, b in
-                    ((2, 1), (3, 1), (5, 2), (7, 3), (4, 3), (5, 1), (3, 2)))
-
-
-def random_point(rng, variables):
-    bits, n = rng.getrandbits, len(_POINT_POOL)
-    return {v: _POINT_POOL[_below(bits, n)] for v in variables}
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -213,25 +204,6 @@ def _failed(expected):
 # Core verifiers
 # ---------------------------------------------------------------------------
 
-def _numeric_agree(a, b, rng, points=5):
-    """Spot-check two polynomials at random pole-free central points."""
-    variables = sorted(set().union(*(c.variables() for c in a._terms.values()),
-                                   *(c.variables() for c in b._terms.values())))
-    for _ in range(points):
-        for _attempt in range(10):
-            pt = random_point(rng, variables)
-            try:
-                va = central_scale_eval(a, pt)
-                vb = central_scale_eval(b, pt)
-            except QheisError:
-                continue
-            keys = set(va) | set(vb)
-            if any(va.get(k, 0) != vb.get(k, 0) for k in keys):
-                return False
-            break
-    return True
-
-
 def ideal_membership(rel, presentation):
     """Whether ``rel`` lies in the presentation's two-sided ideal: (ok, nf),
     nf the normal form of ``rel`` in ``presentation.completed()`` and ok
@@ -244,21 +216,22 @@ def ideal_membership(rel, presentation):
 
 
 def verify_poly_identity(case_id, lhs, rhs, presentation, expected="pass"):
-    """Pass iff lhs - rhs lies in the ideal (``ideal_membership``); a pass is
-    re-checked at five random pole-free points on the two normal forms."""
+    """Pass iff lhs - rhs lies in the ideal (``ideal_membership``) and every
+    reduction path in the completed system (``brute_force_reduce``) agrees;
+    ``error`` when it does not, or raises OracleOverflow or OracleDivergence."""
     report = partial(VerificationReport, case_id, "poly_identity",
                      expected=expected)
-    rng = Random(_seed(case_id))
-    ok, nf = ideal_membership(lhs - rhs, presentation)
+    diff = lhs - rhs
+    ok, nf = ideal_membership(diff, presentation)
     if not ok:
         return report(_failed(expected),
                       detail="difference does not normalize to zero",
                       witness=format_expr(nf))
-    nl, nr = (ideal_membership(f, presentation)[1] for f in (lhs, rhs))
-    if not _numeric_agree(nl, nr, rng):
-        return report("error",
-                      detail="symbolic pass but numeric spot-check mismatch")
-    return report("pass", detail="normal forms agree; 5 numeric points agree")
+    if not brute_force_reduce(diff, presentation.completed()).is_zero:
+        return report("error", detail="difference normalizes to zero, but "
+                                      "the all-paths oracle disagrees")
+    return report("pass", detail="difference normalizes to zero; the "
+                                 "all-paths oracle agrees")
 
 
 def _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
@@ -304,9 +277,9 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
     for src, dst in ((p1, p2), (p2, p1)):
         for label, rel in src.all_relation_polys():
             if not ideal_membership(rel, dst)[0]:
-                return report("fail", detail=f"relation {label} of {src.name} "
-                                             f"not certified in {dst.name}",
-                              witness=format_expr(rel))
+                return report(_failed(expected), witness=format_expr(rel),
+                              detail=f"relation {label} of {src.name} "
+                                     f"not certified in {dst.name}")
     systems, uncertified = [], []
     for p in (p1, p2):
         try:
@@ -708,47 +681,36 @@ def _sym_form(poly):
 
 @cache
 def _classical_limit_pair():
-    """unified(n=m=l=1, psi=1) at q = 1, and the single-index canonical
-    algebra."""
+    """unified(n=m=l=1, psi=1) at q = 1, and the classical algebra of x_1, p_1."""
     uni = unified(UnifiedParams(1, 1, 1, psi="1", pi="0", phi="0"))
     return classical_limit(uni), _catalog("classical", indices=1)
 
 
+_CLASSICAL = frozenset(("x_1", "p_1"))
+
+
 def _case_classical_limit(case):
-    """NF_lim(a) and NF_cls(a) agree, by ``_sym_form``, on 100 random
-    polynomials a.  ``normalize`` is linear (see ``_shift_vanishes``), so
-    they agree on a whenever they agree on each of its drawn words; per
-    symbol tuple that is decided once, and a sample with a word that
-    differs is compared whole, as its terms may cancel."""
+    """Both systems are confluent, the limit's rules whose left side lies in
+    {x_1, p_1}* equal the classical ones by ``_sym_form``, and none of their
+    right sides leaves x_1, p_1.  Then a word over x_1, p_1 has the same
+    reduction paths in both, so by confluence one normal form (the diamond
+    lemma).  A failure's witness is the first failing left side by symbols."""
     lim, cls = _classical_limit_pair()
-    lim_sys, cls_sys = lim.system(), cls.system()
-    rng = Random(_seed(case.case_id))
-    bits = rng.getrandbits
-    agree = {}  # symbol tuple -> whether its two normal forms agree
-    for _ in range(100):
-        drawn = []
-        for _ in range(1 + _below(bits, 3)):
-            coeff = random_coeff(rng)
-            syms = tuple([("x_1", "p_1")[_below(bits, 2)]
-                          for _ in range(_below(bits, 6))])
-            drawn.append((coeff, syms))
-            if syms not in agree:
-                nf_lim = normalize(lim.poly(*syms), lim_sys)
-                nf_cls = normalize(cls.poly(*syms), cls_sys)
-                agree[syms] = _sym_form(nf_lim) == _sym_form(nf_cls)
-        if all(agree[syms] for _, syms in drawn):
-            continue
-        a = NCPoly.zero()
-        b = NCPoly.zero()
-        for coeff, syms in drawn:
-            a = a + lim.poly(*syms) * coeff
-            b = b + cls.poly(*syms) * coeff
-        if _sym_form(normalize(a, lim_sys)) != _sym_form(normalize(b, cls_sys)):
-            return case.report("fail", detail="normal forms differ",
-                               witness=format_expr(a))
-    return case.report("pass", detail="unified(n=m=l=1, psi=1) at q=1 matches "
-                                      "the single-index canonical algebra on "
-                                      "100 random polynomials")
+    for pres in (lim, cls):
+        if not pres.confluent():
+            return case.report("fail", detail=f"{pres.name} is not confluent")
+    got, want = ({tuple(g.sym for g in r.lhs): _sym_form(r.rhs)
+                  for r in pres.system().rules} for pres in (lim, cls))
+    for lhs in sorted(w for w in got.keys() | want.keys()
+                      if _CLASSICAL.issuperset(w)):
+        if got.get(lhs) != want.get(lhs):
+            return case.report("fail", detail="the rules on x_1, p_1 differ",
+                               witness="*".join(lhs))
+        if not all(_CLASSICAL.issuperset(w) for w in got[lhs]):
+            return case.report("fail", detail="a rule on x_1, p_1 leaves them",
+                               witness="*".join(lhs))
+    return case.report("pass", detail="unified(n=m=l=1, psi=1) at q=1 has the "
+                       "canonical rules on x_1, p_1, and both are confluent")
 
 
 # -- specialization rows ----------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_classical_limit():
     t0 = time.monotonic()
     reports = run_suite("classical-limit-normal-forms")
     assert len(reports) == 1 and reports[0].status == "pass", reports[0].detail
-    _announce("classical-limit(100 random normal forms)", t0)
+    _announce("classical-limit(rules on x_1, p_1 equal, both confluent)", t0)
 
 
 def test_criterion_ore_extraction():

@@ -341,7 +341,11 @@ class TestNonConfluentNote:
         assert captured.out.splitlines()[1:] == ["z^2", "0"]
         assert captured.err.count(self.NOTE) == 2
 
-    def test_check_that_does_not_end(self, capsys, tmp_path):
+    ENDLESS = ("note: the rules of f have no confluence verdict (step limit "
+               "10000 exceeded); the printed form may not be canonical\n")
+
+    @pytest.fixture
+    def endless(self, tmp_path):
         # x is a normal form, but a critical pair of r1 and r2 reduces
         # without end
         path = tmp_path / "f.qpres"
@@ -349,12 +353,28 @@ class TestNonConfluentNote:
                         "generator: x\ngenerator: h\ngenerator: y\n"
                         "relation: r1 : h*x - x*h*h\n"
                         "relation: r2 : y*x*h*h - y*h*x\n")
-        code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
+        return str(path)
+
+    def test_check_that_does_not_end(self, capsys, endless):
+        code, out, err = run_cli(capsys, "normalize", "--algebra", endless,
                                  "--expr", "x")
-        assert (code, out) == (0, "x\n")
-        assert err == ("note: the rules of f have no confluence verdict (step "
-                       "limit 10000 exceeded); the printed form may not be "
-                       "canonical\n")
+        assert (code, out, err) == (0, "x\n", self.ENDLESS)
+
+    def test_check_that_does_not_end_runs_once(self, capsys, monkeypatch,
+                                               endless):
+        # the check is deterministic: the presentation keeps the
+        # NonTermination of the first command and raises it again
+        calls = []
+        check = qheis.families.check_confluence
+        monkeypatch.setattr(qheis.families, "check_confluence",
+                            lambda sysm: calls.append(sysm) or check(sysm))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            f"algebra {endless}\nnormalize x\nnormalize x*y\nquit\n"))
+        assert main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["x", "x*y"]
+        assert captured.err.count(self.ENDLESS) == 2
+        assert len(calls) == 1
 
     def test_confluent_rules_print_no_note(self, capsys):
         code, out, err = run_cli(capsys, "normalize", "--algebra", "gaddis",

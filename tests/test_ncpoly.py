@@ -2,15 +2,13 @@
 substitution."""
 
 import operator
-from fractions import Fraction
 
 import pytest
 
 import qheis
 from qheis.coeffs import Coefficient
 from qheis.errors import AlphabetError, UnboundGenerator
-from qheis.ncpoly import (Generator, NCPoly, Word, central_scale_eval,
-                          commutator, substitute)
+from qheis.ncpoly import Generator, NCPoly, Word, commutator, substitute
 
 C = Coefficient
 
@@ -179,26 +177,6 @@ class TestSubstitute:
             b = _rand_poly(rng, gens, coeff_pool, max_len=3)
             assert (substitute(a * b, images)
                     == substitute(a, images) * substitute(b, images))
-
-
-class TestCentralScaleEval:
-    def test_simple(self):
-        lam = Generator("Lambda", None, 0)
-        a = NCPoly.from_word((lam,), C.imag() * C.hbar_power(1))
-        got = central_scale_eval(a, {"h": 1})
-        assert got == {Word((lam,)): C.imag()}
-
-    def test_vanishing_coefficient_kept(self):
-        a = NCPoly.from_word((X,), C.q_power(1) - 1)
-        got = central_scale_eval(a, {"s": 1})
-        assert got == {Word((X,)): 0}
-
-    def test_solved_cross_relation_value(self):
-        # i(q^(3/2) - q^(-1/2)) hbar at q = 4, hbar = 1 is i*(8 - 1/2)
-        a = NCPoly.from_word(
-            (U,), C.imag() * (C.q_power("3/2") - C.q_power("-1/2")) * C.hbar_power(1))
-        got = central_scale_eval(a, {"s": 2, "h": 1})
-        assert got == {Word((U,)): C.from_gauss(0, Fraction(15, 2))}
 
 
 def _rand_poly(rng, gens, pool, max_len=4, max_terms=3):

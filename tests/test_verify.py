@@ -16,7 +16,7 @@ from qheis import (SpecializationRow, brute_force_reduce, catalog,
                    normalize, run_suite, suite_ok, verify_power_identities,
                    verify_specialization)
 from qheis.coeffs import Coefficient, qnumber
-from qheis.errors import OracleDivergence, ParamError
+from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.families import unified_relation_polys
@@ -27,8 +27,8 @@ from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _below,
                           verify_relation_set_equivalence)
 
 C = Coefficient
-REPORT_SHA256 = ("f8dc08f852b20dda577e0aef4d68de35"
-                 "56edd5a16b2e119fb17b68bd19fff087")
+REPORT_SHA256 = ("eb765d3b229cf90c694e5129bc569227"
+                 "ce493599e400f10581534b360cabffb3")
 
 
 class TestBruteForce:
@@ -158,6 +158,18 @@ class TestEquivalence:
             inverse_pairs=w.inverse_pairs)
         report = verify_relation_set_equivalence("t-bad", w, trimmed)
         assert report.status == "fail"
+
+    def test_failed_inclusion_reproduces_a_discrepancy(self, families):
+        w = families["wess"]
+        trimmed = qheis.Presentation(
+            "wess-missing", w.generators,
+            [(lab, rel) for lab, rel in w.relations if lab != "x_p"],
+            inverse_pairs=w.inverse_pairs)
+        report = verify_relation_set_equivalence("t-bad", w, trimmed,
+                                                 expected="discrepancy")
+        assert (report.status, report.ok, report.detail) == (
+            "discrepancy", True,
+            "relation x_p of wess not certified in wess-missing")
 
     def test_no_orientable_side_compares_nothing(self):
         d = catalog("schmudgen", variant="definition")
@@ -578,17 +590,65 @@ class TestCaseDeclaration:
                              "discrepancy")
         assert r.status == "pass" and not r.ok
 
-    def test_failed_classical_limit(self, monkeypatch):
-        # against a commuting x_1, p_1 the first sample with a word whose
-        # normal forms differ fails; its witness is the whole sample
-        lim, cls = qheis.verify._classical_limit_pair()
-        commuting = qheis.Presentation(
-            "commuting", cls.generators,
-            [("xp", cls.parse("x_1*p_1 - p_1*x_1"))])
+    def test_oracle_disagreement_is_an_error(self, monkeypatch):
+        # with normalize forced to zero, a false identity passes the
+        # membership check; the all-paths oracle, which follows every
+        # rewrite of the completed rules itself, still finds i*hbar
+        monkeypatch.setattr(qheis.verify, "normalize",
+                            lambda poly, sysm: NCPoly.zero())
+        cls = catalog("classical", indices=1)
+        r = qheis.verify_poly_identity("t-id", cls.parse("x_1*p_1"),
+                                       cls.parse("p_1*x_1"), cls)
+        assert (r.status, r.detail) == (
+            "error", "difference normalizes to zero, but the all-paths "
+                     "oracle disagrees")
+
+    @pytest.mark.parametrize("exc", [OracleOverflow("word cap 5000 exceeded"),
+                                     OracleDivergence("two normal forms")])
+    def test_oracle_error_is_an_error_report(self, monkeypatch, exc):
+        def oracle(poly, sysm):
+            raise exc
+
+        monkeypatch.setattr(qheis.verify, "brute_force_reduce", oracle)
+        r, = run_suite("wess-relation-rearranged")
+        assert (r.status, r.detail) == ("error", f"{type(exc).__name__}: {exc}")
+
+    def _classical_limit(self, monkeypatch, lim=None, cls=None):
+        """The classical-limit case's report with either side replaced."""
+        pair = qheis.verify._classical_limit_pair()
+        lim, cls = lim or pair[0], cls or pair[1]
         monkeypatch.setattr(qheis.verify, "_classical_limit_pair",
-                            lambda: (lim, commuting))
+                            lambda: (lim, cls))
         case, = [c for c in qheis.verify.build_cases()
                  if c.case_id == "classical-limit-normal-forms"]
         r = case.run()
-        assert (r.status, r.detail, r.witness) == \
-            ("fail", "normal forms differ", "3*x_1*p_1*x_1")
+        return r.status, r.detail, r.witness
+
+    def test_failed_classical_limit(self, monkeypatch):
+        # against a commuting x_1, p_1 the rules for p_1*x_1 differ
+        cls = qheis.verify._classical_limit_pair()[1]
+        commuting = qheis.Presentation(
+            "commuting", cls.generators,
+            [("xp", cls.parse("x_1*p_1 - p_1*x_1"))])
+        assert self._classical_limit(monkeypatch, cls=commuting) == \
+            ("fail", "the rules on x_1, p_1 differ", "p_1*x_1")
+
+    def test_classical_limit_rule_that_leaves_x_p(self, monkeypatch):
+        # equal on both sides, but p_1*x_1 rewrites to a word with y_1
+        lim = qheis.verify._classical_limit_pair()[0]
+        leaky = qheis.Presentation(
+            "leaky", lim.generators,
+            [("xp", lim.parse("p_1*x_1 - x_1*p_1 - y_1"))])
+        assert self._classical_limit(monkeypatch, leaky, leaky) == \
+            ("fail", "a rule on x_1, p_1 leaves them", "p_1*x_1")
+
+    def test_classical_limit_side_not_confluent(self, monkeypatch):
+        # p_1*x_1*x_1 reduces to y_1*p_1 - 2*i*hbar*x_1 and to p_1*y_1
+        lim = qheis.verify._classical_limit_pair()[0]
+        bent = qheis.Presentation(
+            "bent", lim.generators,
+            [("xp", lim.parse("p_1*x_1 - x_1*p_1 + i*hbar")),
+             ("xx", lim.parse("x_1*x_1 - y_1"))])
+        assert not bent.confluent()
+        assert self._classical_limit(monkeypatch, lim=bent) == \
+            ("fail", "bent is not confluent", None)
