@@ -197,7 +197,7 @@ def orient_relation(label, poly, order):
                        _ncpoly({lead: _ONE}, alphabet) - poly * lc.inverse(), label)
 
 
-def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
+def orient(presentation):
     """Compile a presentation's relations into a RewriteSystem.
 
     Each relation becomes a rule by ``orient_relation``.  Declared inverse
@@ -224,7 +224,7 @@ def orient(presentation, step_limit=DEFAULT_STEP_LIMIT):
             lhs = Word((a, b))
             if lhs not in {r.lhs for r in rules}:
                 rules.append(RewriteRule(lhs, presentation.poly(), tag))
-    return RewriteSystem(rules, order, step_limit)
+    return RewriteSystem(rules, order)
 
 
 def _inversions(ranks):

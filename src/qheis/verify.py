@@ -13,35 +13,33 @@ Every membership claim (identities, equivalence inclusions, power
 identities, specialized relations) is decided by ``ideal_membership``: zero
 normal form in the presentation's system completed by ``rewrite.complete``.
 The all-paths oracle re-checks each passing identity, and the classical
-limit compares rules.  Only the equivalence cross-check normalizes under
-each side's own ``system()``.
+limit compares rules.  Only the equivalence cross-check (``_cross_check``)
+normalizes under each side's own ``system()``, over finite sets of words
+and one-letter shifts.
 
 A case is declared once, as one row of a table (``_POLY_IDENTITIES``,
 ``_ORE_CASES``, ``EXAMPLE_ROWS``, ``TABLE_ROWS``) or one ``add`` line in
 ``build_cases``.  The row's id, claim and expected status feed the report:
 the runner reads them from the case it is called with.
 
-Every verifier is deterministic (fixed seeds); two runs produce identical
-reports byte for byte.
+Every verifier is deterministic and none draws random numbers; two runs
+produce identical reports byte for byte.
 
 A process shares the presentations the corpus uses, and with them their
 rewrite systems, completions and Ore data: each hashable ``catalog`` call
 is built once (``_catalog``), as is each fixed pair of presentations, and a
 presentation keeps its ``system()``, whether that is ``confluent()``, its
 ``completed()`` and the Ore data of each tower ``extract_ore`` reads off
-it.  No verifier mutates a presentation.  Reports, random samples and
-verdicts are recomputed on every call, and the public ``catalog`` still
-returns a new presentation each time.  Within one call, the equivalence
-cross-check decides NF(a) and each ideal shift per drawn word, as
-``normalize`` is linear, and sums a sample only where one of its words fails.
+it.  No verifier mutates a presentation.  Reports and verdicts are
+recomputed on every call, and the public ``catalog`` still returns a new
+presentation each time.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from functools import cache, partial
-from random import Random
+from itertools import product
 
 from ._record import Record
 from .coeffs import Coefficient, qnumber
@@ -50,30 +48,13 @@ from .errors import (OracleDivergence, OracleOverflow, OrientationError,
 from .families import (Presentation, UnifiedParams, catalog, classical_limit,
                        extract_ore, subs_poly, unified, unified_relation_polys,
                        unit_ratio)
-from .ncpoly import Alphabet, NCPoly, _accumulate, _ncpoly, _over
+from .ncpoly import NCPoly, _ncpoly, _over
 from .parser import parse_expr
 from .printer import format_expr
 from .rewrite import _reduct, check_confluence, normalize
 
 C = Coefficient
 _ONE = C.one()
-
-
-# ---------------------------------------------------------------------------
-# Deterministic randomness
-# ---------------------------------------------------------------------------
-
-def _seed(case_id):
-    return zlib.crc32(case_id.encode())
-
-
-_COEFF_POOL = ("1", "2", "3", "i", "q", "q^-1", "q^(1/2)", "p", "p^-1",
-               "hbar", "i*hbar", "2*q^(1/2)", "hbar^-1", "i*q^(-1/2)")
-
-
-@cache
-def _coeff_pool():
-    return tuple(parse_expr(text).coefficient(()) for text in _COEFF_POOL)
 
 
 # the presentations of hashable catalog calls, built once per process and
@@ -89,60 +70,6 @@ def _catalog(name, **params):
     except TypeError:
         return catalog(name, **params)
     return _cached_catalog(name, **params)
-
-
-def _below(bits, n):
-    """A random int in [0, n) for n > 0, drawn as ``Random._randbelow``
-    draws it, with ``bits`` the generator's ``getrandbits``: the same value
-    and the same state after it.  So ``rng.choice(seq)`` is
-    ``seq[_below(rng.getrandbits, len(seq))]`` and ``rng.randint(a, b)`` is
-    ``a + _below(rng.getrandbits, b - a + 1)``, each without the method
-    calls in between."""
-    if n <= 0:
-        raise IndexError("cannot choose from an empty sequence")
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def random_coeff(rng):
-    pool = _coeff_pool()
-    return pool[_below(rng.getrandbits, len(pool))]
-
-
-def _draw(rng, codes, max_len, max_terms=3):
-    """The terms of one random polynomial as (code string, coefficient)
-    pairs in draw order, not summed: words over ``codes`` (which may repeat
-    a letter to weight it) with coefficients from the pool.  The draws are
-    those of ``rng.randint``, ``rng.choice`` and ``random_coeff``."""
-    bits, pool = rng.getrandbits, _coeff_pool()
-    n, m = len(codes), len(pool)
-    return [("".join([codes[_below(bits, n)]
-                      for _ in range(_below(bits, max_len + 1))]),
-             pool[_below(bits, m)])
-            for _ in range(1 + _below(bits, max_terms))]
-
-
-def _summed(drawn, alphabet):
-    """The polynomial of drawn terms, keyed over ``alphabet``."""
-    terms = {}
-    for s, c in drawn:
-        _accumulate(terms, s, c)
-    return _ncpoly(terms, alphabet)
-
-
-def random_poly(rng, gens, max_len=4, max_terms=3, alphabet=None):
-    """Sum of random words over ``gens`` (a list that may repeat letters to
-    weight them) with random coefficients, keyed over ``alphabet`` (by
-    default a new one of ``gens``).  The draws do not depend on the
-    alphabet, so the value and the generator's state after the call do not
-    either."""
-    if alphabet is None:
-        alphabet = Alphabet(gens)
-    codes = [alphabet.code[g] for g in gens]
-    return _summed(_draw(rng, codes, max_len, max_terms), alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -234,37 +161,13 @@ def verify_poly_identity(case_id, lhs, rhs, presentation, expected="pass"):
                                  "all-paths oracle agrees")
 
 
-def _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
-    """Whether ``L*rel*R`` normalizes to zero under ``sysm``, for ``left``
-    and ``right`` the drawn terms (``_draw``) of L and R over ``alphabet``.
-
-    ``normalize`` is linear, so this normal form is the sum over the drawn
-    words l of L and r of R of c_l*c_r*NF(l*rel*r).  ``zeros`` records, per
-    ``(l, i, r)`` with ``i`` the index of ``rel``, whether NF(l*rel*r) is
-    zero; when every one is, so is the sum.  Otherwise L and R are summed
-    and the product is normalized whole, as its terms may cancel.
-    """
-    for l, _ in left:
-        for r, _ in right:
-            zero = zeros.get((l, i, r))
-            if zero is None:
-                joined, terms = _over(alphabet, rel)
-                piece = _ncpoly({l + s + r: c for s, c in terms.items()}, joined)
-                zero = zeros[l, i, r] = normalize(piece, sysm).is_zero
-            if not zero:
-                shift = _summed(left, alphabet) * rel * _summed(right, alphabet)
-                return normalize(shift, sysm).is_zero
-    return True
-
-
-def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
-                                    expected="pass"):
+def verify_relation_set_equivalence(case_id, p1, p2, expected="pass"):
     """Pass iff the two presentations generate the same two-sided ideal.
 
     Every relation of each side must lie in the other's ideal
     (``ideal_membership``, in its completed system).  That decides the case;
-    random polynomials then cross-check it (``_cross_check``) under each
-    side whose own, uncompleted system ``check_confluence`` certifies
+    ``_cross_check`` then re-checks it under each side whose own,
+    uncompleted system ``check_confluence`` certifies
     (``Presentation.confluent``).  A side that orients but is not confluent
     is left out, as its normal forms differ on equal elements and a member
     of the ideal need not normalize to zero in it; the detail names it.
@@ -280,90 +183,82 @@ def verify_relation_set_equivalence(case_id, p1, p2, depth=5, samples=100,
                 return report(_failed(expected), witness=format_expr(rel),
                               detail=f"relation {label} of {src.name} "
                                      f"not certified in {dst.name}")
-    systems, uncertified = [], []
+    sides, uncertified = [], []
     for p in (p1, p2):
         try:
             confluent = p.confluent()
         except OrientationError:
-            systems.append(None)
-            continue
-        systems.append(p.system() if confluent else None)
-        if not confluent:
-            uncertified.append(p.name)
-    if systems == [None, None]:
+            confluent = False
+        else:
+            if not confluent:
+                uncertified.append(p.name)
+        sides.append(confluent)
+    if not any(sides):
         why = "is confluent" if uncertified else "orients"
-        return report("pass", detail=f"both inclusions certified; no random "
+        return report("pass", detail=f"both inclusions certified; no "
                                      f"cross-check, as neither side {why}")
-    failure = _cross_check(Random(_seed(case_id)), p1, p2, systems, depth,
-                           samples)
-    if failure is not None:
-        detail, witness = failure
+    ok, detail, witness = _cross_check(p1, p2, sides)
+    if not ok:
         return report("fail", detail=detail, witness=witness)
-    detail = f"both inclusions certified; {samples} random polynomials agree"
+    detail = f"both inclusions certified; {detail}"
     if uncertified:
-        checked = (p1 if systems[0] is not None else p2).name
-        detail += (f"; cross-checked under {checked} only, as "
+        under = (p1 if sides[0] else p2).name
+        detail += (f"; cross-checked under {under} only, as "
                    f"{uncertified[0]} is not confluent")
     return report("pass", detail=detail)
 
 
-def _cross_check(rng, p1, p2, systems, depth=5, samples=100):
-    """The random cross-check of ``verify_relation_set_equivalence`` under
-    ``systems``, each side's system or None to leave it out: None when it
-    passes, and ``(detail, witness)`` of the first failure otherwise.
+def _cross_check(p1, p2, sides):
+    """The cross-check of ``verify_relation_set_equivalence`` under each
+    side whose flag in ``sides`` (two bools, for p1 and p2) is set, by its
+    own rules (``Presentation.normalize``): ``(ok, detail, witness)``, the
+    detail naming what was checked when it passes and the first failure
+    when it does not.
 
-    Under confluent systems of one ideal it cannot fail.  When both sides
-    take part, their normal forms of a random sample a must agree
-    verbatim.  And under each side that takes part, shifting a by
-    c*L*rel*R, with rel a relation of the other side, L and R random
-    polynomials of degree at most one and c a random nonzero scalar, must
-    not change its normal form.
+    Under confluent systems of one ideal it cannot fail.  With L the longest
+    left side of the rules taking part (1 when there are none, as then every
+    word is a normal form):
 
-    ``normalize`` is linear (see ``rewrite``), so both checks are decided
-    word by word on the drawn terms (``_draw``), each word once per call:
-    NF(a) agrees on both sides when NF(w) does for every drawn word w of a,
-    and the shift leaves NF(a) alone exactly when NF(L*rel*R) is zero, so
-    when NF(l*rel*r) is zero for every pair of drawn words l of L and r of
-    R.  Only a sample or a shift with a word that fails is summed and
-    decided whole, as its terms may cancel; a itself is built only as the
-    witness of a failure.
+    1. When both sides take part, their normal forms agree on every word
+       over ``p1.generators`` of length at most 2L - 1, by length and then
+       generator order.  These words include every left side and, by the
+       diamond lemma (Bergman 1978), every ambiguity of either system.  The
+       witness is the first word that disagrees.
+    2. Under each side that takes part, l*rel*r normalizes to zero for every
+       relation rel of the other side's ``all_relation_polys()`` and every
+       l, r in {1} and the generators.  The witness is that shift.
     """
     alphabet = p1.alphabet
+    longest = max((len(rule.lhs) for p, part in zip((p1, p2), sides) if part
+                   for rule in p.system().rules), default=1)
+    bound = 2 * longest - 1
     codes = [alphabet.code[g] for g in p1.generators]
-    # per side that takes part: the relations that shift a sample under its
-    # system, and whether NF(l*rel*r) is zero, by (l, relation index, r)
-    sides = [(sysm, rels, {}) for sysm, rels in
-             zip(systems, (p2.all_relation_polys(), p1.all_relation_polys()))
-             if sysm is not None]
-    both = None not in systems
-    agree = {}  # word w -> whether NF(w) agrees on both sides
-
-    def agrees(s):
-        same = agree.get(s)
-        if same is None:
-            w = _ncpoly({s: _ONE}, alphabet)
-            same = agree[s] = normalize(w, systems[0]) == normalize(w, systems[1])
-        return same
-
-    for k in range(samples):
-        drawn = _draw(rng, codes, depth)
-        if both and not all(agrees(s) for s, _ in drawn):
-            a = _summed(drawn, alphabet)
-            if normalize(a, systems[0]) != normalize(a, systems[1]):
-                return ("normal forms differ on a random polynomial",
-                        format_expr(a))
-        for sysm, rels, zeros in sides:
-            i = k % len(rels)
-            label, rel = rels[i]
-            left = _draw(rng, codes, 1)
-            right = _draw(rng, codes, 1)
-            # c is drawn only to keep the later samples: as c is nonzero,
-            # NF(a + c*s) == NF(a) exactly when NF(s) is zero
-            random_coeff(rng)
-            if not _shift_vanishes(left, i, rel, right, sysm, zeros, alphabet):
-                return (f"ideal shift by {label} moved a normal form",
-                        format_expr(_summed(drawn, alphabet)))
-    return None
+    if all(sides):
+        for n in range(bound + 1):
+            for word in product(codes, repeat=n):
+                w = _ncpoly({"".join(word): _ONE}, alphabet)
+                if p1.normalize(w) != p2.normalize(w):
+                    return (False, f"normal forms differ on a word of "
+                                   f"length at most {bound}", format_expr(w))
+    ends = [p1.poly()] + [p1.poly(g.sym) for g in p1.generators]
+    for side, other, part in ((p1, p2, sides[0]), (p2, p1, sides[1])):
+        if not part:
+            continue
+        for label, rel in other.all_relation_polys():
+            for l in ends:
+                for r in ends:
+                    shift = l * rel * r
+                    if not side.normalize(shift).is_zero:
+                        return (False, f"a one-letter shift of relation "
+                                       f"{label} of {other.name} does not "
+                                       f"vanish under {side.name}",
+                                format_expr(shift))
+    under = "both sides" if all(sides) else (p1 if sides[0] else p2).name
+    detail = f"one-letter shifts of every relation vanish under {under}"
+    if all(sides):
+        detail = (f"normal forms agree on every word of length at most "
+                  f"{bound}, and {detail}")
+    return True, detail, None
 
 
 def _power_expansions(pres, k):
@@ -914,7 +809,8 @@ def run_suite(selection="all", k=10):
     """Run the corpus; returns reports in declaration order.
 
     ``selection`` is "all", a family id, a case id, or an iterable of case
-    ids.  ``k`` is the largest power-identity exponent, from 1 to MAX_K.
+    ids, each of which must name a case (ParamError names those that do
+    not).  ``k`` is the largest power-identity exponent, from 1 to MAX_K.
     """
     if k < 1:
         raise ParamError(f"power-identity exponent k must be at least 1, got {k}")
@@ -929,6 +825,9 @@ def run_suite(selection="all", k=10):
                   if c.case_id == selection or selection in c.families]
     else:
         wanted = set(selection)
+        unknown = wanted - {c.case_id for c in cases}
+        if unknown:
+            raise ParamError(f"unknown case ids: {', '.join(sorted(unknown))}")
         chosen = [c for c in cases if c.case_id in wanted]
     if not chosen:
         raise ParamError(f"selection {selection!r} matched no cases")

@@ -1,10 +1,12 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import settings
 
 import qheis
 from qheis.coeffs import Coefficient
+from qheis.ncpoly import NCPoly
 
 C = Coefficient
 
@@ -26,6 +28,32 @@ def coeff_pool():
 
 def make_rng(seed=20260810):
     return random.Random(seed)
+
+
+# the coefficients of ``random_poly``
+RANDOM_POLY_POOL_TEXT = (
+    "1", "2", "3", "i", "q", "q^-1", "q^(1/2)", "p", "p^-1", "hbar",
+    "i*hbar", "2*q^(1/2)", "hbar^-1", "i*q^(-1/2)",
+)
+
+
+@cache
+def _random_poly_pool():
+    return tuple(qheis.parse_expr(t).coefficient(())
+                 for t in RANDOM_POLY_POOL_TEXT)
+
+
+def random_poly(rng, gens, max_len=4, max_terms=3):
+    """Sum of 1 to ``max_terms`` random words of length 0 to ``max_len``
+    over ``gens`` (a list that may repeat letters to weight them), each
+    with a coefficient from ``RANDOM_POLY_POOL_TEXT``."""
+    pool = _random_poly_pool()
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        word = tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len)))
+        c = rng.choice(pool)
+        terms[word] = terms[word] + c if word in terms else c
+    return NCPoly(terms)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from qheis.errors import (NotOreShaped, ParamError, PoleAtPoint,
                           QheisError, UnknownFamily)
 from qheis.ncpoly import Generator
 from qheis.rewrite import TermOrder
-from qheis.verify import random_poly
+from conftest import random_poly
 
 C = Coefficient
 

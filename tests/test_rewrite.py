@@ -23,7 +23,7 @@ from qheis.errors import NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, complete
-from qheis.verify import random_poly
+from conftest import random_poly
 from reference import reference_reduce
 
 C = Coefficient

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from random import Random
 
 import pytest
 
@@ -20,15 +19,13 @@ from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.families import unified_relation_polys
-from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _below,
-                          _coeff_pool, _cross_check, _draw, _seed,
-                          ideal_membership, random_poly,
-                          render_table, reports_to_json,
+from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _cross_check,
+                          ideal_membership, render_table, reports_to_json,
                           verify_relation_set_equivalence)
 
 C = Coefficient
-REPORT_SHA256 = ("eb765d3b229cf90c694e5129bc569227"
-                 "ce493599e400f10581534b360cabffb3")
+REPORT_SHA256 = ("051079b1a6426323726b365fec8962e2"
+                 "2e709a30916b6aa495f626d87fd920a8")
 
 
 class TestBruteForce:
@@ -175,30 +172,24 @@ class TestEquivalence:
         d = catalog("schmudgen", variant="definition")
         report = verify_relation_set_equivalence("t", d, d)
         assert report.status == "pass"
-        assert report.detail == ("both inclusions certified; no random "
-                                 "cross-check, as neither side orients")
+        assert report.detail == ("both inclusions certified; no cross-check, "
+                                 "as neither side orients")
 
-    @pytest.mark.parametrize("case_id, sides, detail, witness", [
-        ("t-pp", "rr", "ideal shift by z_x moved a normal form",
-         "hbar^-1*z^5 + q^-1*y*x*z*y"),
-        ("t-pc", "rc", "ideal shift by z_x moved a normal form", "3"),
-        ("t-cp", "cr", "normal forms differ on a random polynomial",
-         "hbar*z^4*x + p*x^2 + p^-1"),
-        ("x", "rk", "normal forms differ on a random polynomial",
-         "i*hbar*y^2*x^2*z + x^3 + 2*q^(1/2)*z"),
-        ("y", "kr", "normal forms differ on a random polynomial",
-         "z*y*x + z + hbar"),
-        ("z", "rr", "ideal shift by z_x moved a normal form", "q^-1"),
-    ])
-    def test_sample_loop_failures_pinned(self, case_id, sides, detail, witness):
+    @pytest.mark.parametrize("sides, detail, witness", [
+        ("rr", "a one-letter shift of relation z_x of gaddis_printed does "
+               "not vanish under gaddis_printed", "y*z*x - q^-1*y*x*z"),
+        ("rc", "normal forms differ on a word of length at most 3", "z^2"),
+        ("cr", "normal forms differ on a word of length at most 3", "z^2"),
+        ("rk", "normal forms differ on a word of length at most 3", "z^2"),
+        ("kr", "normal forms differ on a word of length at most 3", "z^2"),
+    ], ids=("rr", "rc", "cr", "rk", "kr"))
+    def test_own_rules_of_printed_gaddis_pinned(self, sides, detail, witness):
         # each pair generates one ideal: "zz" adds z*z, a member of printed
         # gaddis's ideal, and "k" is the presentation of its completed
         # rules.  Printed gaddis is not confluent, so under its own system
         # normal forms differ and ideal shifts move them: the cross-check,
         # run under both sides' own systems, fails as pinned.  The verifier
-        # runs it under confluent sides only and passes each pair.  The
-        # witnesses also pin the random stream of the samples and the shift
-        # factors.
+        # runs it under confluent sides only and passes each pair.
         pr = catalog("gaddis", variant="printed")
         pc = qheis.Presentation(
             "gaddis-zz", pr.generators,
@@ -208,16 +199,15 @@ class TestEquivalence:
             [(r.origin, NCPoly.from_word(r.lhs) - r.rhs)
              for r in pr.completed().rules])
         p1, p2 = ({"r": pr, "c": pc, "k": pk}[s] for s in sides)
-        assert _cross_check(Random(_seed(case_id)), p1, p2,
-                            [p1.system(), p2.system()]) == (detail, witness)
-        report = verify_relation_set_equivalence(case_id, p1, p2)
+        assert _cross_check(p1, p2, (True, True)) == (False, detail, witness)
+        report = verify_relation_set_equivalence("t", p1, p2)
         under = {"c": "gaddis-zz", "k": "gaddis-completed"}.get(
             sides.replace("r", ""))
-        want = ("both inclusions certified; no random cross-check, as "
-                "neither side is confluent" if under is None else
-                f"both inclusions certified; 100 random polynomials agree; "
-                f"cross-checked under {under} only, as gaddis_printed is not "
-                f"confluent")
+        want = ("both inclusions certified; no cross-check, as neither side "
+                "is confluent" if under is None else
+                f"both inclusions certified; one-letter shifts of every "
+                f"relation vanish under {under}; cross-checked under {under} "
+                f"only, as gaddis_printed is not confluent")
         assert (report.status, report.detail, report.witness) == \
             ("pass", want, None)
 
@@ -239,18 +229,11 @@ class TestEquivalence:
         assert not u.confluent() and w.confluent()
         report = verify_relation_set_equivalence(row.row_id, u, w)
         assert (report.status, report.detail) == (
-            "pass", "both inclusions certified; 100 random polynomials agree; "
-                    "cross-checked under wess only, as wess-from-unified is "
-                    "not confluent")
+            "pass", "both inclusions certified; one-letter shifts of every "
+                    "relation vanish under wess; cross-checked under wess "
+                    "only, as wess-from-unified is not confluent")
 
-    @pytest.mark.parametrize("case_id, detail, witness", [
-        ("t-wrong", "ideal shift by x_p moved a normal form",
-         "q^(1/2)*p^2*Lambda^2*p + t^2*p^2*Lambda*Lambda_inv + 2*Lambda"),
-        ("t-bad", "normal forms differ on a random polynomial",
-         "t^2*Lambda*x*p^2*Lambda + q*Lambda_inv"),
-    ])
-    def test_cross_check_catches_a_wrong_completion(self, families, case_id,
-                                                    detail, witness):
+    def test_cross_check_catches_a_wrong_completion(self, families):
         # wess without x_p is confluent and generates a smaller ideal; with
         # wess's completed system standing in for its own, both inclusions
         # certify, and only the cross-check can fail the pair
@@ -261,52 +244,53 @@ class TestEquivalence:
             inverse_pairs=w.inverse_pairs)
         trimmed.completed = w.completed
         assert w.confluent() and trimmed.confluent()
-        report = verify_relation_set_equivalence(case_id, w, trimmed)
-        assert (report.status, report.detail, report.witness) == \
-            ("fail", detail, witness)
+        report = verify_relation_set_equivalence("t", w, trimmed)
+        assert (report.status, report.detail, report.witness) == (
+            "fail", "normal forms differ on a word of length at most 3",
+            "x*p")
 
+    def test_word_agreement_fails_alone(self, families):
+        # wess without lambda_x generates wess's ideal, but its own rules
+        # are not confluent: x*Lambda is a normal form there and not in
+        # wess.  Run under both sides, the word agreement fails first;
+        # the shifts under wess alone find nothing
+        w = families["wess"]
+        v = qheis.Presentation(
+            "wess-without-lambda_x", w.generators,
+            [(lab, rel) for lab, rel in w.relations if lab != "lambda_x"],
+            inverse_pairs=w.inverse_pairs)
+        assert _cross_check(w, v, (True, True)) == (
+            False, "normal forms differ on a word of length at most 3",
+            "x*Lambda")
+        assert _cross_check(w, v, (True, False)) == (
+            True, "one-letter shifts of every relation vanish under wess",
+            None)
 
-class TestRandomPoly:
-    def test_alphabet_changes_no_draw(self, families):
-        for fam, pres in families.items():
-            # reversed, with a repeat: codes differ between the alphabets
-            gens = list(pres.generators)[::-1] + [pres.generators[0]]
-            r1, r2 = Random(5), Random(5)
-            for _ in range(50):
-                a = random_poly(r1, gens, max_len=5)
-                b = random_poly(r2, gens, max_len=5, alphabet=pres.alphabet)
-                assert a == b and list(a.terms) == list(b.terms), fam
-                assert r1.getstate() == r2.getstate(), fam
+    def test_shifts_fail_under_one_side(self, families):
+        # under wess without x_p, the one side taking part, the shifted
+        # relation x_p of wess does not vanish; with no agreement to run,
+        # the shifts alone fail the pair
+        w = families["wess"]
+        trimmed = qheis.Presentation(
+            "wess-missing", w.generators,
+            [(lab, rel) for lab, rel in w.relations if lab != "x_p"],
+            inverse_pairs=w.inverse_pairs)
+        assert _cross_check(w, trimmed, (False, True)) == (
+            False, "a one-letter shift of relation x_p of wess does not "
+                   "vanish under wess-missing",
+            "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda")
 
-    def test_below_draws_as_choice_and_randint(self):
-        # the same values and the same generator state as the methods of
-        # random.Random, on whatever Python runs the tests; sizes around
-        # powers of two reject the most draws
-        sizes = (1, 2, 3, 4, 5, 7, 8, 9, 14, 16, 17, 100)
-        for seed in range(200):
-            ours, ref = Random(seed), Random(seed)
-            for n in sizes:
-                seq = tuple(range(10, 10 + n))
-                assert seq[_below(ours.getrandbits, n)] == ref.choice(seq)
-                assert 1 + _below(ours.getrandbits, n) == ref.randint(1, n)
-            assert ours.getstate() == ref.getstate()
-
-    def test_draw_matches_the_random_methods(self):
-        pool = _coeff_pool()
-        codes = list("\x00\x01\x02\x00")
-        for seed in range(200):
-            ours, ref = Random(seed), Random(seed)
-            for max_len in (0, 1, 5):
-                want = [("".join([ref.choice(codes)
-                                  for _ in range(ref.randint(0, max_len))]),
-                         ref.choice(pool))
-                        for _ in range(ref.randint(1, 3))]
-                assert _draw(ours, codes, max_len) == want
-            assert ours.getstate() == ref.getstate()
-
-    def test_below_refuses_an_empty_range(self):
-        with pytest.raises(IndexError):
-            _below(Random(0).getrandbits, 0)
+    def test_rule_less_pair_passes(self, families):
+        # without rules every word is a normal form: the agreement checks
+        # the letters, and there is no relation to shift
+        gens = families["wess"].generators[:2]
+        free1, free2 = (qheis.Presentation(name, gens, [])
+                        for name in ("free-1", "free-2"))
+        report = verify_relation_set_equivalence("t", free1, free2)
+        assert (report.status, report.detail) == (
+            "pass", "both inclusions certified; normal forms agree on every "
+                    "word of length at most 1, and one-letter shifts of "
+                    "every relation vanish under both sides")
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +334,13 @@ class TestSuite:
     def test_empty_selection_errors(self):
         with pytest.raises(ParamError):
             run_suite("no-such-family")
+
+    def test_unknown_case_ids_error(self):
+        # one known id among them must not run alone
+        with pytest.raises(ParamError,
+                           match="^unknown case ids: no-such-case, "
+                                 "wess-ore-x-pp$"):
+            run_suite(["wess-ore-x-p", "wess-ore-x-pp", "no-such-case"])
 
     def test_byte_determinism(self, reports):
         again = run_suite("all", k=10)
