@@ -175,21 +175,41 @@ class TestEquivalence:
         assert report.detail == ("both inclusions certified; no cross-check, "
                                  "as neither side orients")
 
+    @pytest.mark.parametrize("case_id, fresh", [("t-pp", False), ("z", True)],
+                             ids=("t-pp-rr-ideal shift by z_x moved a normal "
+                                  "form", "z-rr-ideal shift by z_x moved a "
+                                  "normal form"))
+    def test_sample_loop_failures_pinned(self, case_id, fresh):
+        # printed gaddis against itself, as one object ("t-pp") and as two
+        # built alike ("z").  Its own system is not confluent, so a shift of
+        # z_x does not vanish under it: the cross-check, run under both
+        # sides' own systems, fails as pinned.  The verifier runs it under
+        # confluent sides only, so it compares nothing and passes the pair.
+        p1 = catalog("gaddis", variant="printed")
+        p2 = catalog("gaddis", variant="printed") if fresh else p1
+        assert (p1 is p2) != fresh
+        assert _cross_check(p1, p2, (True, True)) == (
+            False, "a one-letter shift of relation z_x of gaddis_printed "
+                   "does not vanish under gaddis_printed",
+            "y*z*x - q^-1*y*x*z")
+        report = verify_relation_set_equivalence(case_id, p1, p2)
+        assert (report.status, report.detail, report.witness) == (
+            "pass", "both inclusions certified; no cross-check, as neither "
+                    "side is confluent", None)
+
     @pytest.mark.parametrize("sides, detail, witness", [
-        ("rr", "a one-letter shift of relation z_x of gaddis_printed does "
-               "not vanish under gaddis_printed", "y*z*x - q^-1*y*x*z"),
         ("rc", "normal forms differ on a word of length at most 3", "z^2"),
         ("cr", "normal forms differ on a word of length at most 3", "z^2"),
         ("rk", "normal forms differ on a word of length at most 3", "z^2"),
         ("kr", "normal forms differ on a word of length at most 3", "z^2"),
-    ], ids=("rr", "rc", "cr", "rk", "kr"))
+    ], ids=("rc", "cr", "rk", "kr"))
     def test_own_rules_of_printed_gaddis_pinned(self, sides, detail, witness):
         # each pair generates one ideal: "zz" adds z*z, a member of printed
         # gaddis's ideal, and "k" is the presentation of its completed
         # rules.  Printed gaddis is not confluent, so under its own system
-        # normal forms differ and ideal shifts move them: the cross-check,
-        # run under both sides' own systems, fails as pinned.  The verifier
-        # runs it under confluent sides only and passes each pair.
+        # normal forms differ: the cross-check, run under both sides' own
+        # systems, fails as pinned.  The verifier runs it under the
+        # confluent side only and passes each pair.
         pr = catalog("gaddis", variant="printed")
         pc = qheis.Presentation(
             "gaddis-zz", pr.generators,
@@ -201,11 +221,9 @@ class TestEquivalence:
         p1, p2 = ({"r": pr, "c": pc, "k": pk}[s] for s in sides)
         assert _cross_check(p1, p2, (True, True)) == (False, detail, witness)
         report = verify_relation_set_equivalence("t", p1, p2)
-        under = {"c": "gaddis-zz", "k": "gaddis-completed"}.get(
-            sides.replace("r", ""))
-        want = ("both inclusions certified; no cross-check, as neither side "
-                "is confluent" if under is None else
-                f"both inclusions certified; one-letter shifts of every "
+        under = {"c": "gaddis-zz", "k": "gaddis-completed"}[
+            sides.replace("r", "")]
+        want = (f"both inclusions certified; one-letter shifts of every "
                 f"relation vanish under {under}; cross-checked under {under} "
                 f"only, as gaddis_printed is not confluent")
         assert (report.status, report.detail, report.witness) == \
@@ -233,10 +251,22 @@ class TestEquivalence:
                     "relation vanish under wess; cross-checked under wess "
                     "only, as wess-from-unified is not confluent")
 
-    def test_cross_check_catches_a_wrong_completion(self, families):
+    @pytest.mark.parametrize("case_id, sides, detail, witness", [
+        ("t-wrong", (False, True), "a one-letter shift of relation x_p of "
+         "wess does not vanish under wess-missing",
+         "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda"),
+        ("t-bad", (True, True),
+         "normal forms differ on a word of length at most 3", "x*p"),
+    ], ids=("t-wrong-ideal shift by x_p moved a normal form",
+            "t-bad-normal forms differ on a word"))
+    def test_cross_check_catches_a_wrong_completion(self, families, case_id,
+                                                    sides, detail, witness):
         # wess without x_p is confluent and generates a smaller ideal; with
         # wess's completed system standing in for its own, both inclusions
-        # certify, and only the cross-check can fail the pair
+        # certify, and only the cross-check can fail the pair.  Under
+        # wess-missing alone the shifts catch it ("t-wrong"); under both
+        # sides the word agreement catches it first ("t-bad"), as the
+        # verifier runs it
         w = families["wess"]
         trimmed = qheis.Presentation(
             "wess-missing", w.generators,
@@ -244,7 +274,8 @@ class TestEquivalence:
             inverse_pairs=w.inverse_pairs)
         trimmed.completed = w.completed
         assert w.confluent() and trimmed.confluent()
-        report = verify_relation_set_equivalence("t", w, trimmed)
+        assert _cross_check(w, trimmed, sides) == (False, detail, witness)
+        report = verify_relation_set_equivalence(case_id, w, trimmed)
         assert (report.status, report.detail, report.witness) == (
             "fail", "normal forms differ on a word of length at most 3",
             "x*p")
