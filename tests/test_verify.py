@@ -181,10 +181,13 @@ class TestEquivalence:
                                   "normal form"))
     def test_sample_loop_failures_pinned(self, case_id, fresh):
         # printed gaddis against itself, as one object ("t-pp") and as two
-        # built alike ("z").  Its own system is not confluent, so a shift of
-        # z_x does not vanish under it: the cross-check, run under both
-        # sides' own systems, fails as pinned.  The verifier runs it under
-        # confluent sides only, so it compares nothing and passes the pair.
+        # built alike ("z"): each presentation keeps its own system(),
+        # confluent() and completed(), and the verdict must not depend on
+        # whether the two sides share them.  Its own system is not
+        # confluent, so a shift of z_x does not vanish under it: the
+        # cross-check, run under both sides' own systems, fails as pinned.
+        # The verifier runs it under confluent sides only, so it compares
+        # nothing and passes the pair.
         p1 = catalog("gaddis", variant="printed")
         p2 = catalog("gaddis", variant="printed") if fresh else p1
         assert (p1 is p2) != fresh
@@ -264,9 +267,9 @@ class TestEquivalence:
         # wess without x_p is confluent and generates a smaller ideal; with
         # wess's completed system standing in for its own, both inclusions
         # certify, and only the cross-check can fail the pair.  Under
-        # wess-missing alone the shifts catch it ("t-wrong"); under both
-        # sides the word agreement catches it first ("t-bad"), as the
-        # verifier runs it
+        # wess-missing alone, with no agreement to run, the shifts fail it
+        # on their own ("t-wrong"); under both sides the word agreement
+        # catches it first ("t-bad"), as the verifier runs it
         w = families["wess"]
         trimmed = qheis.Presentation(
             "wess-missing", w.generators,
@@ -297,20 +300,6 @@ class TestEquivalence:
             True, "one-letter shifts of every relation vanish under wess",
             None)
 
-    def test_shifts_fail_under_one_side(self, families):
-        # under wess without x_p, the one side taking part, the shifted
-        # relation x_p of wess does not vanish; with no agreement to run,
-        # the shifts alone fail the pair
-        w = families["wess"]
-        trimmed = qheis.Presentation(
-            "wess-missing", w.generators,
-            [(lab, rel) for lab, rel in w.relations if lab != "x_p"],
-            inverse_pairs=w.inverse_pairs)
-        assert _cross_check(w, trimmed, (False, True)) == (
-            False, "a one-letter shift of relation x_p of wess does not "
-                   "vanish under wess-missing",
-            "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda")
-
     def test_rule_less_pair_passes(self, families):
         # without rules every word is a normal form: the agreement checks
         # the letters, and there is no relation to shift
@@ -322,6 +311,26 @@ class TestEquivalence:
             "pass", "both inclusions certified; normal forms agree on every "
                     "word of length at most 1, and one-letter shifts of "
                     "every relation vanish under both sides")
+
+
+    def test_sides_ordered_differently_pass(self):
+        # one relation under deglex and invlex: both systems are confluent
+        # and generate one ideal, but orient it in opposite directions, so
+        # z*x is a normal form under deglex and not under invlex.  The word
+        # agreement is not run across two term orders; the shifts pass
+        gens = [Generator(s, None, i) for i, s in enumerate("xyz")]
+        scope = qheis.Presentation("scope", gens, [])
+        rel = scope.parse("z*x - x*y*z")
+        p1, p2 = (qheis.Presentation(order, gens, [("r", rel)],
+                                     order_kind=order)
+                  for order in ("deglex", "invlex"))
+        assert p1.confluent() and p2.confluent()
+        assert p1.normalize(scope.parse("z*x")) != \
+            p2.normalize(scope.parse("z*x"))
+        report = verify_relation_set_equivalence("t", p1, p2)
+        assert (report.status, report.detail) == (
+            "pass", "both inclusions certified; one-letter shifts of every "
+                    "relation vanish under both sides")
 
 
 @pytest.fixture(scope="module")
