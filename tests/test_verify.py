@@ -20,12 +20,13 @@ from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.families import unified_relation_polys
 from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _cross_check,
+                          _gaddis_one_parameter_pair, _wess_rearranged_pair,
                           ideal_membership, render_table, reports_to_json,
                           verify_relation_set_equivalence)
 
 C = Coefficient
-REPORT_SHA256 = ("051079b1a6426323726b365fec8962e2"
-                 "2e709a30916b6aa495f626d87fd920a8")
+REPORT_SHA256 = ("9a7e073d3aea4d14e3375e1f68aec989"
+                 "0e30732ea1c7dd9df1adcc670a033f35")
 
 
 class TestBruteForce:
@@ -175,44 +176,40 @@ class TestEquivalence:
         assert report.detail == ("both inclusions certified; no cross-check, "
                                  "as neither side orients")
 
-    @pytest.mark.parametrize("case_id, fresh", [("t-pp", False), ("z", True)],
-                             ids=("t-pp-rr-ideal shift by z_x moved a normal "
-                                  "form", "z-rr-ideal shift by z_x moved a "
-                                  "normal form"))
-    def test_sample_loop_failures_pinned(self, case_id, fresh):
-        # printed gaddis against itself, as one object ("t-pp") and as two
-        # built alike ("z"): each presentation keeps its own system(),
-        # confluent() and completed(), and the verdict must not depend on
-        # whether the two sides share them.  Its own system is not
-        # confluent, so a shift of z_x does not vanish under it: the
-        # cross-check, run under both sides' own systems, fails as pinned.
-        # The verifier runs it under confluent sides only, so it compares
-        # nothing and passes the pair.
+    def test_printed_gaddis_self_pair_is_not_cross_checked(self):
+        # printed gaddis against itself, as one object and as two built
+        # alike: each presentation keeps its own system(), confluent() and
+        # completed(), and the verdict must not depend on whether the two
+        # sides share them.  Run ungated, the cross-check passes, as each
+        # relation is the redex of its own rule; its own system is not
+        # confluent, so the verifier compares nothing and says so
         p1 = catalog("gaddis", variant="printed")
-        p2 = catalog("gaddis", variant="printed") if fresh else p1
-        assert (p1 is p2) != fresh
-        assert _cross_check(p1, p2, (True, True)) == (
-            False, "a one-letter shift of relation z_x of gaddis_printed "
-                   "does not vanish under gaddis_printed",
-            "y*z*x - q^-1*y*x*z")
-        report = verify_relation_set_equivalence(case_id, p1, p2)
-        assert (report.status, report.detail, report.witness) == (
-            "pass", "both inclusions certified; no cross-check, as neither "
-                    "side is confluent", None)
+        for p2 in (p1, catalog("gaddis", variant="printed")):
+            assert _cross_check(p1, p2, (True, True)) == (
+                True, "every relation of the other side normalizes to zero "
+                      "under both sides", None)
+            report = verify_relation_set_equivalence("t", p1, p2)
+            assert (report.status, report.detail, report.witness) == (
+                "pass", "both inclusions certified; no cross-check, as "
+                        "neither side is confluent", None)
 
-    @pytest.mark.parametrize("sides, detail, witness", [
-        ("rc", "normal forms differ on a word of length at most 3", "z^2"),
-        ("cr", "normal forms differ on a word of length at most 3", "z^2"),
-        ("rk", "normal forms differ on a word of length at most 3", "z^2"),
-        ("kr", "normal forms differ on a word of length at most 3", "z^2"),
+    @pytest.mark.parametrize("sides, detail", [
+        ("rc", "relation zz of gaddis-zz does not normalize to zero under "
+               "gaddis_printed"),
+        ("cr", "relation zz of gaddis-zz does not normalize to zero under "
+               "gaddis_printed"),
+        ("rk", "relation z_y/z_x of gaddis-completed does not normalize to "
+               "zero under gaddis_printed"),
+        ("kr", "relation z_y/z_x of gaddis-completed does not normalize to "
+               "zero under gaddis_printed"),
     ], ids=("rc", "cr", "rk", "kr"))
-    def test_own_rules_of_printed_gaddis_pinned(self, sides, detail, witness):
+    def test_own_rules_of_printed_gaddis_pinned(self, sides, detail):
         # each pair generates one ideal: "zz" adds z*z, a member of printed
         # gaddis's ideal, and "k" is the presentation of its completed
-        # rules.  Printed gaddis is not confluent, so under its own system
-        # normal forms differ: the cross-check, run under both sides' own
-        # systems, fails as pinned.  The verifier runs it under the
-        # confluent side only and passes each pair.
+        # rules.  Printed gaddis is not confluent, so a member need not
+        # vanish under its own system: the cross-check, run under both
+        # sides' own systems, fails as pinned.  The verifier runs it under
+        # the confluent side only and passes each pair.
         pr = catalog("gaddis", variant="printed")
         pc = qheis.Presentation(
             "gaddis-zz", pr.generators,
@@ -222,13 +219,13 @@ class TestEquivalence:
             [(r.origin, NCPoly.from_word(r.lhs) - r.rhs)
              for r in pr.completed().rules])
         p1, p2 = ({"r": pr, "c": pc, "k": pk}[s] for s in sides)
-        assert _cross_check(p1, p2, (True, True)) == (False, detail, witness)
+        assert _cross_check(p1, p2, (True, True)) == (False, detail, "z^2")
         report = verify_relation_set_equivalence("t", p1, p2)
         under = {"c": "gaddis-zz", "k": "gaddis-completed"}[
             sides.replace("r", "")]
-        want = (f"both inclusions certified; one-letter shifts of every "
-                f"relation vanish under {under}; cross-checked under {under} "
-                f"only, as gaddis_printed is not confluent")
+        want = (f"both inclusions certified; every relation of the other "
+                f"side normalizes to zero under {under}; cross-checked under "
+                f"{under} only, as gaddis_printed is not confluent")
         assert (report.status, report.detail, report.witness) == \
             ("pass", want, None)
 
@@ -250,26 +247,15 @@ class TestEquivalence:
         assert not u.confluent() and w.confluent()
         report = verify_relation_set_equivalence(row.row_id, u, w)
         assert (report.status, report.detail) == (
-            "pass", "both inclusions certified; one-letter shifts of every "
-                    "relation vanish under wess; cross-checked under wess "
-                    "only, as wess-from-unified is not confluent")
+            "pass", "both inclusions certified; every relation of the other "
+                    "side normalizes to zero under wess; cross-checked under "
+                    "wess only, as wess-from-unified is not confluent")
 
-    @pytest.mark.parametrize("case_id, sides, detail, witness", [
-        ("t-wrong", (False, True), "a one-letter shift of relation x_p of "
-         "wess does not vanish under wess-missing",
-         "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda"),
-        ("t-bad", (True, True),
-         "normal forms differ on a word of length at most 3", "x*p"),
-    ], ids=("t-wrong-ideal shift by x_p moved a normal form",
-            "t-bad-normal forms differ on a word"))
-    def test_cross_check_catches_a_wrong_completion(self, families, case_id,
-                                                    sides, detail, witness):
+    def test_cross_check_catches_a_wrong_completion(self, families):
         # wess without x_p is confluent and generates a smaller ideal; with
         # wess's completed system standing in for its own, both inclusions
-        # certify, and only the cross-check can fail the pair.  Under
-        # wess-missing alone, with no agreement to run, the shifts fail it
-        # on their own ("t-wrong"); under both sides the word agreement
-        # catches it first ("t-bad"), as the verifier runs it
+        # certify, and only the cross-check can fail the pair: x_p does not
+        # vanish under wess-missing's own rules
         w = families["wess"]
         trimmed = qheis.Presentation(
             "wess-missing", w.generators,
@@ -277,47 +263,61 @@ class TestEquivalence:
             inverse_pairs=w.inverse_pairs)
         trimmed.completed = w.completed
         assert w.confluent() and trimmed.confluent()
-        assert _cross_check(w, trimmed, sides) == (False, detail, witness)
-        report = verify_relation_set_equivalence(case_id, w, trimmed)
+        want = ("relation x_p of wess does not normalize to zero under "
+                "wess-missing",
+                "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda")
+        assert _cross_check(w, trimmed, (True, True)) == (False, *want)
+        report = verify_relation_set_equivalence("t-bad", w, trimmed)
         assert (report.status, report.detail, report.witness) == (
-            "fail", "normal forms differ on a word of length at most 3",
-            "x*p")
+            "fail", *want)
 
-    def test_word_agreement_fails_alone(self, families):
-        # wess without lambda_x generates wess's ideal, but its own rules
-        # are not confluent: x*Lambda is a normal form there and not in
-        # wess.  Run under both sides, the word agreement fails first;
-        # the shifts under wess alone find nothing
-        w = families["wess"]
-        v = qheis.Presentation(
-            "wess-without-lambda_x", w.generators,
-            [(lab, rel) for lab, rel in w.relations if lab != "lambda_x"],
-            inverse_pairs=w.inverse_pairs)
-        assert _cross_check(w, v, (True, True)) == (
-            False, "normal forms differ on a word of length at most 3",
-            "x*Lambda")
-        assert _cross_check(w, v, (True, False)) == (
-            True, "one-letter shifts of every relation vanish under wess",
-            None)
+    @pytest.mark.parametrize("make_pair", [
+        _wess_rearranged_pair, _gaddis_one_parameter_pair,
+    ], ids=("wess-rearranged", "gaddis-one-parameter"))
+    def test_confluent_coefficient_mutants_fail(self, make_pair):
+        # each confluent side of a corpus pair, with one term of one
+        # relation doubled, generates another ideal.  Of these mutants, the
+        # ones still confluent (three per side: every term of x_p, or of
+        # y_x) keep the unmutated side's completion, and each must fail its
+        # pair, with the cross-check failing it on its own
+        pair = make_pair()
+        mutants = []
+        for i, side in enumerate(pair):
+            if not side.confluent():
+                continue
+            for k, (label, rel) in enumerate(side.relations):
+                for word in rel.words():
+                    rels = list(side.relations)
+                    rels[k] = (label, rel + NCPoly.from_word(
+                        word, rel.coefficient(word)))
+                    m = qheis.Presentation(side.name, side.generators, rels,
+                                           inverse_pairs=side.inverse_pairs)
+                    if m.confluent():
+                        m.completed = side.completed
+                        mutants.append(pair[:i] + (m,) + pair[i + 1:])
+        assert len(mutants) == 6
+        for p1, p2 in mutants:
+            assert not _cross_check(p1, p2, (True, True))[0]
+            assert verify_relation_set_equivalence(
+                "t", p1, p2).status == "fail"
 
     def test_rule_less_pair_passes(self, families):
-        # without rules every word is a normal form: the agreement checks
-        # the letters, and there is no relation to shift
+        # without rules every word is a normal form, and there is no
+        # relation to check
         gens = families["wess"].generators[:2]
         free1, free2 = (qheis.Presentation(name, gens, [])
                         for name in ("free-1", "free-2"))
         report = verify_relation_set_equivalence("t", free1, free2)
         assert (report.status, report.detail) == (
-            "pass", "both inclusions certified; normal forms agree on every "
-                    "word of length at most 1, and one-letter shifts of "
-                    "every relation vanish under both sides")
-
+            "pass", "both inclusions certified; every relation of the other "
+                    "side normalizes to zero under both sides")
 
     def test_sides_ordered_differently_pass(self):
         # one relation under deglex and invlex: both systems are confluent
         # and generate one ideal, but orient it in opposite directions, so
-        # z*x is a normal form under deglex and not under invlex.  The word
-        # agreement is not run across two term orders; the shifts pass
+        # z*x is a normal form under deglex and not under invlex.  Their
+        # normal forms differ, and each side's relation still vanishes
+        # under the other's rules
         gens = [Generator(s, None, i) for i, s in enumerate("xyz")]
         scope = qheis.Presentation("scope", gens, [])
         rel = scope.parse("z*x - x*y*z")
@@ -329,8 +329,8 @@ class TestEquivalence:
             p2.normalize(scope.parse("z*x"))
         report = verify_relation_set_equivalence("t", p1, p2)
         assert (report.status, report.detail) == (
-            "pass", "both inclusions certified; one-letter shifts of every "
-                    "relation vanish under both sides")
+            "pass", "both inclusions certified; every relation of the other "
+                    "side normalizes to zero under both sides")
 
 
 @pytest.fixture(scope="module")
