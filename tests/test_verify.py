@@ -176,22 +176,28 @@ class TestEquivalence:
         assert report.detail == ("both inclusions certified; no cross-check, "
                                  "as neither side orients")
 
-    def test_printed_gaddis_self_pair_is_not_cross_checked(self):
-        # printed gaddis against itself, as one object and as two built
-        # alike: each presentation keeps its own system(), confluent() and
-        # completed(), and the verdict must not depend on whether the two
-        # sides share them.  Run ungated, the cross-check passes, as each
-        # relation is the redex of its own rule; its own system is not
-        # confluent, so the verifier compares nothing and says so
+    @pytest.mark.parametrize("case_id, fresh", [("t-pp", False), ("z", True)],
+                             ids=("t-pp-rr-ideal shift by z_x moved a normal "
+                                  "form", "z-rr-ideal shift by z_x moved a "
+                                  "normal form"))
+    def test_sample_loop_failures_pinned(self, case_id, fresh):
+        # printed gaddis against itself, as one object ("t-pp") and as two
+        # built alike ("z"): each presentation keeps its own system(),
+        # confluent() and completed(), and the verdict must not depend on
+        # whether the two sides share them.  Run ungated, the cross-check
+        # passes, as each relation is the redex of its own rule; its own
+        # system is not confluent, so the verifier compares nothing and
+        # says so
         p1 = catalog("gaddis", variant="printed")
-        for p2 in (p1, catalog("gaddis", variant="printed")):
-            assert _cross_check(p1, p2, (True, True)) == (
-                True, "every relation of the other side normalizes to zero "
-                      "under both sides", None)
-            report = verify_relation_set_equivalence("t", p1, p2)
-            assert (report.status, report.detail, report.witness) == (
-                "pass", "both inclusions certified; no cross-check, as "
-                        "neither side is confluent", None)
+        p2 = catalog("gaddis", variant="printed") if fresh else p1
+        assert (p1 is p2) != fresh
+        assert _cross_check(p1, p2, (True, True)) == (
+            True, "every relation of the other side normalizes to zero "
+                  "under both sides", None)
+        report = verify_relation_set_equivalence(case_id, p1, p2)
+        assert (report.status, report.detail, report.witness) == (
+            "pass", "both inclusions certified; no cross-check, as neither "
+                    "side is confluent", None)
 
     @pytest.mark.parametrize("sides, detail", [
         ("rc", "relation zz of gaddis-zz does not normalize to zero under "
@@ -251,11 +257,18 @@ class TestEquivalence:
                     "side normalizes to zero under wess; cross-checked under "
                     "wess only, as wess-from-unified is not confluent")
 
-    def test_cross_check_catches_a_wrong_completion(self, families):
+    @pytest.mark.parametrize("case_id, sides", [
+        ("t-wrong", (False, True)), ("t-bad", (True, True)),
+    ], ids=("t-wrong-ideal shift by x_p moved a normal form",
+            "t-bad-normal forms differ on a word"))
+    def test_cross_check_catches_a_wrong_completion(self, families, case_id,
+                                                    sides):
         # wess without x_p is confluent and generates a smaller ideal; with
         # wess's completed system standing in for its own, both inclusions
         # certify, and only the cross-check can fail the pair: x_p does not
-        # vanish under wess-missing's own rules
+        # vanish under wess-missing's own rules, whether the check runs
+        # under wess-missing alone ("t-wrong") or under both sides
+        # ("t-bad"), as the verifier runs it
         w = families["wess"]
         trimmed = qheis.Presentation(
             "wess-missing", w.generators,
@@ -266,8 +279,8 @@ class TestEquivalence:
         want = ("relation x_p of wess does not normalize to zero under "
                 "wess-missing",
                 "q^(1/2)*x*p - q^(-1/2)*p*x - i*hbar*Lambda")
-        assert _cross_check(w, trimmed, (True, True)) == (False, *want)
-        report = verify_relation_set_equivalence("t-bad", w, trimmed)
+        assert _cross_check(w, trimmed, sides) == (False, *want)
+        report = verify_relation_set_equivalence(case_id, w, trimmed)
         assert (report.status, report.detail, report.witness) == (
             "fail", *want)
 
