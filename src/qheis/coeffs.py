@@ -43,7 +43,10 @@ constant coefficient, whose numerator is at most the one triple at key 0.
 module formats no text: the printer reads ``_num``/``_den`` directly,
 orders their keys by the fields ``_name_fields`` names, and decodes a key
 with ``_unpack`` once per monomial it keeps the text of.  Results that are
-canonical by construction skip re-canonicalization.
+canonical by construction skip re-canonicalization.  ``_addmul`` adds a
+product into a numerator dict in place, for the rewrite loop, which builds
+a Coefficient only for its output; it is the one helper through which
+another module writes a packed dict.
 """
 
 from __future__ import annotations
@@ -793,6 +796,96 @@ def _unpickle(num, den):
 _C_ZERO = Coefficient()
 _C_ONE = Coefficient.from_scalar(1)
 _C_I = _const((0, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Sums of products, accumulated in place (the rewrite loop's coefficients).
+# An accumulated value is a Coefficient, which is never written, or a
+# numerator dict over the unit denominator that its accumulation owns.
+# ---------------------------------------------------------------------------
+
+def _unit_term(c):
+    """``(mono, triple, OFF, GUARD)`` of a Coefficient that is one term over
+    the unit denominator, the masks covering the fields of mono; else
+    None."""
+    if len(c._num) == 1 and len(c._den) == 1:
+        ((m, t),) = c._num.items()
+        return (m, t, *_masks(abs(m)))
+    return None
+
+
+def _coefficient(v):
+    """Coefficient of an accumulated value; a dict is copied, as the
+    accumulation may write it later."""
+    return _coeff(dict(v), {0: _T_ONE}) if type(v) is dict else v
+
+
+def _frozen(terms):
+    """Copy of a dict of accumulated values, each made a Coefficient."""
+    return {w: _coefficient(v) for w, v in terms.items()}
+
+
+def _addmul(acc, c, rc, term):
+    """Accumulated value of acc + c*rc, None for zero: ``acc`` (None for
+    zero) and ``c`` (nonzero) are accumulated values, ``rc`` is a nonzero
+    Coefficient and ``term`` its ``_unit_term``.  No Coefficient is written.
+
+    When ``rc`` is one term m*t and ``c`` and ``acc`` have unit
+    denominators, c*m*t is added into the dict ``acc`` in place, into a
+    copy of a Coefficient's numerator, or into a new dict; with acc zero,
+    a product by 1 is the other factor.  The keys of ``acc`` keep their
+    order, new ones follow in the order of ``c`` and a key whose term
+    cancels is dropped, as ``_p_add(acc, _p_scale(c, m, t))`` orders them.
+    Only a new key can be out of range, as a sum of two in-range keys never
+    collides with an in-range key (see ``_check``), and only in a field
+    where m is nonzero; the guard bits over the fields of m show it,
+    whatever the higher fields hold.  Anything else goes through
+    Coefficient arithmetic."""
+    src = None
+    if term is not None:
+        src = c if type(c) is dict else c._num if len(c._den) == 1 else None
+    if src is not None:
+        mono, t, off, guard = term
+        if acc is None:
+            if not mono and t == _T_ONE:
+                return c if c is not src else dict(c)
+            if c is _C_ONE:
+                return rc
+            if t == _T_ONE:
+                acc = {m + mono: x for m, x in src.items()}
+            else:
+                acc = {m + mono: _t_mul(x, t) for m, x in src.items()}
+            if mono:
+                for k in acc:
+                    if (k + off) & guard:
+                        _overflow(k)
+            return acc
+        if type(acc) is not dict and len(acc._den) == 1:
+            acc = dict(acc._num)
+        if type(acc) is dict:
+            get = acc.get
+            for m, x in src.items():
+                k = m + mono
+                if t != _T_ONE:
+                    x = _t_mul(x, t)
+                y = get(k)
+                if y is None:
+                    if (k + off) & guard:
+                        _overflow(k)
+                    acc[k] = x
+                    continue
+                a1, b1, d1 = y
+                a2, b2, d2 = x
+                y = (a1 + a2, b1 + b2, 1) if d1 == 1 == d2 else _t_add(y, x)
+                if y[0] or y[1]:
+                    acc[k] = y
+                else:
+                    del acc[k]
+            return acc or None
+    s = _coefficient(c) * rc
+    if acc is not None:
+        s = _coefficient(acc) + s
+    return s if s._num else None
 
 
 def qnumber(k):

@@ -15,7 +15,22 @@ Normalization applies, deterministically, the first matching rule at the
 leftmost position of the largest reducible word; among words of equal order
 key the one inserted into the term dict first wins.  A heap holds the
 reducible words, each keyed and matched once when it enters the polynomial,
-so a step costs O(|rhs| log terms) and not a rescan of every term.
+so a step costs O(|rhs| log terms) word operations and not a rescan of every
+term.  The coefficients are accumulated in place (``coeffs._addmul``): a
+step adds coeff*rc into the numerator dict of each right-side word, at a
+cost linear in the terms of coeff and with no new Coefficient.  The call
+owns these dicts: a word keeps the Coefficient it came with (input and
+rule coefficients are never written) until a step first writes it, which
+copies its numerator once.  Coefficients are built only for the output and
+the trace snapshots, one per written term.  A coefficient with a multi-term
+denominator, and a rule coefficient of several terms, go through
+Coefficient arithmetic in the same loop.  A step past the system's
+``step_limit`` raises NonTermination.  So does, in the systems ``complete``
+builds while it runs, a step that would enter a word longer than
+WORD_LENGTH_LIMIT (or the input's longest word): under invlex a rule such
+as h*x -> x*h^2 lengthens words, and completion would otherwise reduce
+ever longer ones.  ``normalize`` on any other system has no such limit, as
+a finite normal form may need long words (gha's h*x^10 is x^10*h^1024).
 
 ``normalize`` is linear, NF(a + c*b) = NF(a) + c*NF(b), also when the
 system is not confluent.  Each word has one fixed one-step reduct, by the
@@ -45,11 +60,16 @@ from collections import deque
 from heapq import heappop, heappush
 
 from ._record import Record
-from .coeffs import Coefficient
+from .coeffs import Coefficient, _addmul, _frozen, _unit_term
 from .errors import NonTermination, OrientationError, ParamError
 from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
+# The longest word a step inside ``complete`` may enter, unless the input
+# has a longer one.  Under deglex no step lengthens a word; under invlex a
+# step can, and a relation such as h*x -> x*h^2 then grows words without
+# bound.
+WORD_LENGTH_LIMIT = 1024
 
 
 class TermOrder(Record, frozen=True):
@@ -98,7 +118,7 @@ class RewriteSystem:
     the alphabets of their sides."""
 
     __slots__ = ("rules", "order", "step_limit", "alphabet", "_by_lhs",
-                 "_lengths", "_search")
+                 "_lengths", "_search", "_word_limit")
 
     def __init__(self, rules, order=None, step_limit=DEFAULT_STEP_LIMIT):
         order = order or TermOrder("deglex")
@@ -106,7 +126,7 @@ class RewriteSystem:
         alphabet = _EMPTY
         for p in (*(r.rhs for r in rules), NCPoly({r.lhs: 1 for r in rules})):
             alphabet, _ = _over(alphabet, p)
-        # lhs code -> (rule, rhs as (code, Coefficient) pairs, None for 1)
+        # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term))
         by_lhs = {}
         for r in rules:
             if len(r.lhs) < 2:
@@ -127,7 +147,7 @@ class RewriteSystem:
                         f"rule {r.origin}: right-side word {alphabet.word(s)!r} is "
                         f"not smaller than {r.lhs!r}"
                     )
-            by_lhs[lhs] = (r, tuple((s, None if c == 1 else c)
+            by_lhs[lhs] = (r, tuple((s, c, _unit_term(c))
                                     for s, c in rhs.items()))
         # "(?!)" never matches: the pattern of a system without rules
         pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
@@ -138,6 +158,8 @@ class RewriteSystem:
         object.__setattr__(self, "_by_lhs", by_lhs)
         object.__setattr__(self, "_lengths", tuple(sorted({len(s) for s in by_lhs})))
         object.__setattr__(self, "_search", re.compile(pattern).search)
+        # WORD_LENGTH_LIMIT in the systems of a running completion
+        object.__setattr__(self, "_word_limit", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -170,8 +192,7 @@ def _reduct(sys, s, pos, lhs):
     """Term dict of the one-step rewrite of the word ``s`` (coefficient 1)
     at the occurrence of the left side ``lhs`` at ``pos``."""
     prefix, suffix = s[:pos], s[pos + len(lhs):]
-    return {prefix + rw + suffix: _ONE if rc is None else rc
-            for rw, rc in sys._by_lhs[lhs][1]}
+    return {prefix + rw + suffix: rc for rw, rc, _ in sys._by_lhs[lhs][1]}
 
 
 def orient_relation(label, poly, order):
@@ -240,6 +261,7 @@ def _inversions(ranks):
 
 def _reduce(poly, sys, trace):
     alphabet, terms = _over(sys.alphabet, poly)
+    # each word's accumulated coefficient (see coeffs._addmul)
     terms = dict(terms)
     asc, desc = alphabet.asc, alphabet.desc
     search, by_lhs = sys._search, sys._by_lhs
@@ -269,6 +291,9 @@ def _reduce(poly, sys, trace):
         enter(w)
     steps = 0
     limit = sys.step_limit
+    # unbounded outside completion; raised to the input's longest word when
+    # a longer word comes up
+    longest = sys._word_limit or float("inf")
     # NCPoly snapshots of the last steps, for NonTermination.chain
     chain = deque(maxlen=5)
     while heap:
@@ -283,25 +308,34 @@ def _reduce(poly, sys, trace):
         # the step always cancels the rewritten word
         coeff = terms.pop(best)
         prefix, suffix = best[:pos], best[m.end():]
-        for rw, rc in rhs:
+        for rw, rc, term in rhs:
             nw = prefix + rw + suffix
-            c = coeff if rc is None else coeff * rc
             old = terms.get(nw)
+            if old is None and len(nw) > longest:
+                longest = max(longest, *map(len, poly._terms))
+                if len(nw) > longest:
+                    raise NonTermination(
+                        f"word length limit {longest} exceeded: a step made "
+                        f"a word of {len(nw)} letters", chain=chain)
+            c = _addmul(old, coeff, rc, term)
             if old is None:
                 terms[nw] = c
                 enter(nw)
-                continue
-            s = old + c
-            if s.is_zero:
+            elif c is None:
                 del terms[nw]
-            else:
-                terms[nw] = s
+            elif c is not old:
+                terms[nw] = c
         if trace is not None or steps > limit - chain.maxlen:
-            snap = (rule.origin, pos, _ncpoly(dict(terms), alphabet))
+            snap = (rule.origin, pos, _snapshot(terms, alphabet))
             chain.append(snap)
             if trace is not None:
                 trace.append(snap)
-    return _ncpoly(terms, alphabet)
+    return _snapshot(terms, alphabet)
+
+
+def _snapshot(terms, alphabet):
+    """NCPoly of the loop's term dict, whose coefficients it copies."""
+    return _ncpoly(_frozen(terms), alphabet)
 
 
 def normalize(poly, sys):
@@ -396,6 +430,14 @@ def _occurs(small, big):
     return any(big[i:i + n] == small for i in range(len(big) - n + 1))
 
 
+def _completion_system(rules, order):
+    """RewriteSystem of a running completion, whose reductions stop at
+    WORD_LENGTH_LIMIT."""
+    sys = RewriteSystem(rules, order)
+    object.__setattr__(sys, "_word_limit", WORD_LENGTH_LIMIT)
+    return sys
+
+
 def complete(relations, order):
     """Confluent, reduced RewriteSystem of the ideal of ``relations``
     (``(label, poly)`` pairs) by Knuth-Bendix completion (Bergman 1978).
@@ -404,8 +446,10 @@ def complete(relations, order):
     A queued relation's nonzero normal form becomes a rule, and the rules
     whose left side contains it are queued again.  Each unresolved ambiguity
     is queued as ``left_result - right_result`` until none is left; past
-    COMPLETION_LIMIT of them NonTermination is raised.  A normal form that
-    does not orient raises OrientationError.
+    COMPLETION_LIMIT of them NonTermination is raised, as it is when a
+    reduction would enter a word longer than WORD_LENGTH_LIMIT (or its
+    input's longest word).  A normal form that does not orient raises
+    OrientationError.
     """
     rules = {}  # lhs -> rule
     queue = deque()
@@ -432,11 +476,11 @@ def complete(relations, order):
     while True:
         while queue:
             label, poly = queue.popleft()
-            sys = sys or RewriteSystem(rules.values(), order)
+            sys = sys or _completion_system(rules.values(), order)
             rest = normalize(poly, sys)
             if not rest.is_zero:
                 add(orient_relation(label, rest, order))
-        sys = sys or RewriteSystem(rules.values(), order)
+        sys = sys or _completion_system(rules.values(), order)
         unresolved = check_confluence(sys).unresolved
         if not unresolved:
             return RewriteSystem([RewriteRule(r.lhs, normalize(r.rhs, sys), r.origin)

@@ -38,7 +38,7 @@ presentation each time.
 from __future__ import annotations
 
 import json
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from ._record import Record
 from .coeffs import Coefficient, qnumber
@@ -736,6 +736,13 @@ def build_cases(k=10):
     """The corpus in report order.  Each case is declared once, as a table
     row or an ``add`` line; its runner (``partial(runner, row)`` for a row)
     takes the id and expected status from the case it is called with."""
+    return list(_case_table(k))
+
+
+@lru_cache(maxsize=16)
+def _case_table(k):
+    """``build_cases(k)`` as a tuple, built once per ``k`` (the cases are
+    immutable)."""
     cases = []
 
     def add(case_id, claim, families, expected, runner):
@@ -766,7 +773,7 @@ def build_cases(k=10):
             partial(_specialization, row))
     add("classical-limit-normal-forms", "relation_set_equivalence",
         ("classical", "unified"), "pass", _case_classical_limit)
-    return cases
+    return tuple(cases)
 
 
 # The largest power-identity exponent run_suite accepts: the time of the
@@ -786,7 +793,7 @@ def run_suite(selection="all", k=10):
     if k > MAX_K:
         raise ParamError(f"power-identity exponent k must be at most {MAX_K}, "
                          f"got {k}")
-    cases = build_cases(k=k)
+    cases = _case_table(k)
     if selection in (None, "all"):
         chosen = cases
     elif isinstance(selection, str):

@@ -18,11 +18,12 @@ import qheis
 from qheis import (NCPoly, Presentation, catalog, check_confluence,
                    critical_pairs, format_expr, normalize, reduce_trace,
                    save_presentation)
-from qheis.coeffs import Coefficient
-from qheis.errors import NonTermination, OrientationError
+from qheis.coeffs import EXP_LIMIT, Coefficient
+from qheis.errors import ExponentOverflow, NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
-from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, complete
+from qheis.rewrite import (WORD_LENGTH_LIMIT, RewriteRule, RewriteSystem,
+                           TermOrder, complete)
 from conftest import random_poly
 from reference import reference_reduce
 
@@ -177,6 +178,48 @@ class TestNormalize:
         tight = RewriteSystem(sysm.rules, sysm.order, step_limit=2)
         with pytest.raises(NonTermination):
             normalize(g.parse("y*y*x*x*x"), tight)
+
+    @pytest.mark.parametrize("fam", ["gha", "q_gha"])
+    def test_word_growth_ends_in_the_word_length_limit(self, fam, families):
+        # without y_x, completion normalizes words that h*x -> x*h^2
+        # lengthens without bound; the step limit alone let this run for
+        # more than a minute
+        pres = families[fam]
+        trimmed = Presentation(f"{fam}-no-y_x", pres.generators,
+                               [(lab, rel) for lab, rel in pres.relations
+                                if lab != "y_x"],
+                               inverse_pairs=pres.inverse_pairs,
+                               order_kind=pres.order_kind)
+        with pytest.raises(NonTermination) as exc:
+            trimmed.completed()
+        assert str(exc.value) == (
+            f"word length limit {WORD_LENGTH_LIMIT} exceeded: a step made a "
+            f"word of {WORD_LENGTH_LIMIT + 1} letters")
+
+    def test_word_length_limit_admits_the_input_length(self):
+        # completion may normalize a relation with a word longer than the
+        # limit, and deglex steps never lengthen it
+        cls = catalog("classical", indices=1)
+        n = WORD_LENGTH_LIMIT + 10
+        rels = [*cls.all_relation_polys(),
+                ("long", cls.parse(f"x_1^{n - 3}*(p_1*x_1^2 - x_1^2*p_1 "
+                                   f"+ 2*i*hbar*x_1)"))]
+        assert (complete(rels, TermOrder("deglex")).rules
+                == complete(cls.all_relation_polys(), TermOrder("deglex")).rules)
+
+    @pytest.mark.parametrize("fam", ["gha", "q_gha"])
+    @pytest.mark.parametrize("text, expected", [
+        ("h*x^10", "x^10*h^1024"),
+        ("y^10*h", "h^1024*y^10"),
+    ])
+    def test_normal_forms_longer_than_the_word_length_limit(
+            self, fam, text, expected, families):
+        # the limit bounds completion only: these take 1023 steps and end
+        # in words of 1034 letters
+        pres = families[fam]
+        got = pres.normalize(text)
+        assert got == pres.parse(expected)
+        assert max(map(len, got.terms)) == WORD_LENGTH_LIMIT + 10
 
     def test_idempotent(self, rng, families):
         for fam, pres in families.items():
@@ -358,6 +401,103 @@ class TestStrategyEquivalence:
         g = pickle.loads(bytes.fromhex(out.stdout))
         assert g == Generator("x", 2, 5)
         assert hash(g) == hash(("x", 2, 5))
+
+
+def _abcd_system(b_a, rest=()):
+    """Letters a < b < c < d under deglex, the rule b*a -> ``b_a`` and the
+    ``rest`` rules, ``(left side as letter names, right side)`` pairs; a
+    right side is a function of the letters' one-word polynomials."""
+    gens = {n: Generator(n, None, i) for i, n in enumerate("abcd")}
+    w = {n: NCPoly.from_word((g,)) for n, g in gens.items()}
+    rules = [RewriteRule(Word(gens[n] for n in lhs), rhs(w),
+                         f"{lhs[0]}_{lhs[1:]}")
+             for lhs, rhs in [("ba", b_a), *rest]]
+    return tuple(gens.values()), w, RewriteSystem(rules, TermOrder("deglex"))
+
+
+def _values(poly):
+    """Each coefficient's numerator and denominator dicts, copied."""
+    return [(s, dict(c._num), dict(c._den)) for s, c in poly._terms.items()]
+
+
+class TestOwnedAccumulation:
+    """normalize adds each step's products into coefficient dicts of its
+    own, and holds to the full scan's values, term order and trace."""
+
+    def test_input_and_rule_coefficients_unchanged(self, families):
+        # x*y of the input is the target of y*x's step, and q*x*y cancels
+        # against it: an input or rule dict written in place would show
+        for fam, text in [("gaddis", "y*x - q*x*y + 2*x*y*y*x"),
+                          ("gaddis", "y*y*x*x + q^2*x*x*y*y + z*x*y"),
+                          ("qhbar", "p*p*x*x - i*hbar*p*x + q*x*p"),
+                          ("classical", "p_1*x_1*p_2 + x_1*p_1*p_2")]:
+            pres = families[fam]
+            sysm = pres.system()
+            a = pres.parse(text)
+            before = (_values(a), [_values(r.rhs) for r in sysm.rules],
+                      dict(Coefficient.one()._num))
+            _assert_same_as_reference(a, sysm)
+            assert (_values(a), [_values(r.rhs) for r in sysm.rules],
+                    dict(Coefficient.one()._num)) == before, text
+
+    def test_unit_right_side_words_get_dicts_of_their_own(self):
+        # d*c -> b*a adds into b*a's coefficient, which the call then owns;
+        # b*a -> a*b + c makes a*b and c from it, and a*a -> c then adds q
+        # into c's alone
+        (a, b, c, d), w, sysm = _abcd_system(
+            lambda w: w["a"] * w["b"] + w["c"],
+            [("aa", lambda w: w["c"]), ("dc", lambda w: w["b"] * w["a"])])
+        q = C.q_power(1)
+        for poly, want in [
+                (NCPoly({(b, a): 1, (a, a): q}),
+                 w["a"] * w["b"] + (1 + q) * w["c"]),
+                (NCPoly({(d, c): 1, (b, a): 1, (a, a): q}),
+                 2 * w["a"] * w["b"] + (2 + q) * w["c"])]:
+            _assert_same_as_reference(poly, sysm)
+            assert normalize(poly, sysm) == want
+
+    def test_multi_term_coefficients(self):
+        # several-term denominators in the input and in a rule, and a rule
+        # coefficient of several terms, meet one-term dicts in every mix
+        q, h = C.q_power(1), C.hbar_power(1)
+        inv = (q - 1).inverse()
+        rules = {
+            "one-term": lambda w: q * w["a"] * w["b"] + h * w["c"],
+            "several-term": lambda w: (q + 1) * w["a"] * w["b"] + w["c"],
+            "fraction": lambda w: inv * w["a"] * w["b"] + q * w["c"],
+        }
+        for name, b_a in rules.items():
+            (a, b, c, d), _, sysm = _abcd_system(
+                b_a, [("dc", lambda w: h * w["b"] * w["a"])])
+            for terms in [{(b, a): inv},
+                          {(b, a): 1, (a, b): inv},
+                          {(b, a): inv, (a, b): 1, (c,): -h},
+                          {(d, c): inv * q, (b, a): (q + 1) * h, (c,): q},
+                          {(b, a): inv, (a, b): -inv * q, (c,): 1 - h},
+                          {(b, a, b, a): 1 + q, (a, b, a, b): inv}]:
+                assert _assert_same_as_reference(NCPoly(terms), sysm), (
+                    name, terms)
+
+    @pytest.mark.parametrize("var, f, other", [
+        ("s", 2, ()),
+        ("s", -2, (("Z_ovf", -5),)),
+        ("h", 1, (("Z_ovf", EXP_LIMIT - 1), ("s", -EXP_LIMIT))),
+        ("D_ovf", 3, (("h", -EXP_LIMIT),)),
+    ])
+    def test_step_exponent_overflow(self, var, f, other):
+        # b*a -> var^f*a*b on var^e*b*a, whose monomial has ``other``
+        # variables too, in lower and higher fields: the product leaves
+        # [-2^28, 2^28) on a new word (a*b) and, in the second input, on a
+        # word the input already holds; one exponent short, it is in range
+        (a, b, c, d), _, sysm = _abcd_system(
+            lambda w: C({((var, f),): 1}) * w["a"] * w["b"])
+        edge = EXP_LIMIT - 1 if f > 0 else -EXP_LIMIT
+        out, last = (C({tuple(sorted([(var, e), *other])): 1})
+                     for e in (edge - f + (1 if f > 0 else -1), edge - f))
+        for terms in [{(b, a): out}, {(b, a): out, (a, b): C.hbar_power(1)}]:
+            with pytest.raises(ExponentOverflow):
+                normalize(NCPoly(terms), sysm)
+        _assert_same_as_reference(NCPoly({(b, a): last, (a, b): 1}), sysm)
 
 
 class TestTrace:
