@@ -11,14 +11,12 @@ import argparse
 import os
 import sys
 
-from .errors import (ExponentOverflow, NonTermination, NotOreShaped,
-                     OracleDivergence, OracleOverflow, OrientationError,
-                     ParamError, ParseError, QheisError, SchemaError,
-                     UnknownFamily)
+from .errors import (ExponentOverflow, NonTermination, ParamError,
+                     ParseError, QheisError, SchemaError, UnknownFamily)
 from .families import FAMILIES, catalog, extract_ore, family_ids
 from .presfile import load_presentation_file
 from .printer import format_expr
-from .rewrite import check_confluence, normalize, reduce_trace
+from .rewrite import _reduce, check_confluence
 from .ncpoly import commutator
 from . import verify as verify_mod
 
@@ -38,8 +36,9 @@ def _load_algebra(spec):
     raise UnknownFamily(f"{spec!r} is neither a family id nor a presentation file")
 
 
-def _print_poly(poly, style, scope=None):
-    print(format_expr(poly, style, scope=scope))
+def _print_step(origin, pos, poly, scope=None):
+    print(f"# {origin} @ {pos}: {format_expr(poly, scope=scope)}",
+          file=sys.stderr)
 
 
 def _confluence_note(pres):
@@ -56,32 +55,28 @@ def _confluence_note(pres):
           f"be canonical", file=sys.stderr)
 
 
+def _reduce_and_print(pres, poly, style="plain", trace=False):
+    """Reduce ``poly`` by the presentation's own rules and print it: with
+    ``trace``, each step on stderr as it is made, then the note of
+    ``_confluence_note``, then the result on stdout.  The one path of
+    normalize, trace and commutator in both front ends."""
+    step = (lambda snap: _print_step(*snap, scope=pres)) if trace else None
+    result = _reduce(poly, pres.system(), step)
+    _confluence_note(pres)
+    print(format_expr(result, style, scope=pres))
+    return 0
+
+
 def _cmd_normalize(args):
     pres = _load_algebra(args.algebra)
-    poly = pres.parse(args.expr)
-    sysm = pres.system()
-    if args.trace:
-        steps = reduce_trace(poly, sysm)
-        for origin, pos, snapshot in steps:
-            print(f"# {origin} @ {pos}: "
-                  f"{format_expr(snapshot, 'plain', scope=pres)}",
-                  file=sys.stderr)
-        result = steps[-1][2] if steps else poly
-    else:
-        result = normalize(poly, sysm)
-    _confluence_note(pres)
-    _print_poly(result, args.format, scope=pres)
-    return 0
+    return _reduce_and_print(pres, pres.parse(args.expr), args.format,
+                             args.trace)
 
 
 def _cmd_commutator(args):
     pres = _load_algebra(args.algebra)
-    a = pres.parse(args.a)
-    b = pres.parse(args.b)
-    result = normalize(commutator(a, b), pres.system())
-    _confluence_note(pres)
-    _print_poly(result, args.format, scope=pres)
-    return 0
+    a, b = pres.parse(args.a), pres.parse(args.b)
+    return _reduce_and_print(pres, commutator(a, b), args.format)
 
 
 def _cmd_verify(args):
@@ -105,8 +100,8 @@ def _cmd_confluence(args):
     print(f"{pres.name}: {verdict} ({report.checked} ambiguities checked)")
     for cp in report.unresolved:
         print(f"unresolved {cp.overlap_word!r} via {cp.left_rule} / {cp.right_rule}")
-        print(f"  left:  {format_expr(cp.left_result)}")
-        print(f"  right: {format_expr(cp.right_result)}")
+        print(f"  left:  {format_expr(cp.left_result, scope=pres)}")
+        print(f"  right: {format_expr(cp.right_result, scope=pres)}")
     return 0 if report.confluent else VERIFY_ERROR
 
 
@@ -117,8 +112,8 @@ def _cmd_ore(args):
     print(f"{pres.name}: tower {' < '.join(g.sym for g in ore.tower)}")
     for (mover, over), sig in sorted(ore.sigma.items()):
         delt = ore.delta[(mover, over)]
-        print(f"sigma_{mover}({over}) = {format_expr(sig)}    "
-              f"delta_{mover}({over}) = {format_expr(delt)}")
+        print(f"sigma_{mover}({over}) = {format_expr(sig, scope=pres)}    "
+              f"delta_{mover}({over}) = {format_expr(delt, scope=pres)}")
     return 0
 
 
@@ -156,27 +151,30 @@ def _cmd_repl(args):
                 print("no algebra selected; use: algebra <id|file>",
                       file=sys.stderr)
                 continue
-            if cmd == "normalize":
-                result = pres.normalize(rest)
-                _confluence_note(pres)
-                print(format_expr(result, scope=pres))
-            elif cmd == "trace":
-                poly = pres.parse(rest)
-                steps = reduce_trace(poly, pres.system())
-                for origin, pos, snap in steps:
-                    print(f"{origin} @ {pos}: {format_expr(snap, scope=pres)}")
-                if not steps:
-                    print(format_expr(poly, scope=pres))
+            if cmd in ("normalize", "trace"):
+                _reduce_and_print(pres, pres.parse(rest), trace=cmd == "trace")
             elif cmd == "commutator":
                 a, _, b = rest.partition(";")
-                result = normalize(commutator(pres.parse(a), pres.parse(b)),
-                                   pres.system())
-                _confluence_note(pres)
-                print(format_expr(result, scope=pres))
+                _reduce_and_print(pres, commutator(pres.parse(a), pres.parse(b)))
             else:
                 print(f"unknown command {cmd!r}", file=sys.stderr)
         except QheisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _report(exc)
+
+
+def _report(exc):
+    """Print a QheisError on stderr as its category and message, and a
+    NonTermination's last steps in the format of --trace; its exit code."""
+    if isinstance(exc, (ParseError, SchemaError)):
+        code, category = PARSE_ERROR, "parse error"
+    elif isinstance(exc, (UnknownFamily, ParamError)):
+        code, category = USAGE_ERROR, "usage error"
+    else:
+        code, category = ENGINE_ERROR, "engine error"
+    print(f"{category}: {exc}", file=sys.stderr)
+    for step in getattr(exc, "chain", ())[-5:]:
+        _print_step(*step)
+    return code
 
 
 def build_parser():
@@ -237,26 +235,8 @@ def main(argv=None):
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except (UnknownFamily, ParamError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except NonTermination as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        # the last steps before the limit, in the format of --trace
-        for origin, pos, snapshot in exc.chain[-5:]:
-            print(f"# {origin} @ {pos}: {format_expr(snapshot)}",
-                  file=sys.stderr)
-        return ENGINE_ERROR
-    except (OrientationError, NotOreShaped, OracleOverflow, OracleDivergence,
-            ExponentOverflow) as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return ENGINE_ERROR
     except QheisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ENGINE_ERROR
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ the trace snapshots, one per written term.  A coefficient with a multi-term
 denominator, and a rule coefficient of several terms, go through
 Coefficient arithmetic in the same loop.  A step past the system's
 ``step_limit`` raises NonTermination.  So does, in the systems ``complete``
-builds while it runs, a step that would enter a word longer than
+builds while it runs, a step that enters a word longer than
 WORD_LENGTH_LIMIT (or the input's longest word): under invlex a rule such
 as h*x -> x*h^2 lengthens words, and completion would otherwise reduce
 ever longer ones.  ``normalize`` on any other system has no such limit, as
@@ -260,6 +260,8 @@ def _inversions(ranks):
 
 
 def _reduce(poly, sys, trace):
+    """Normal form of ``poly``; ``trace``, unless None, is called with each
+    step's (rule id, position, polynomial after the step)."""
     alphabet, terms = _over(sys.alphabet, poly)
     # each word's accumulated coefficient (see coeffs._addmul)
     terms = dict(terms)
@@ -294,8 +296,11 @@ def _reduce(poly, sys, trace):
     # unbounded outside completion; raised to the input's longest word when
     # a longer word comes up
     longest = sys._word_limit or float("inf")
-    # NCPoly snapshots of the last steps, for NonTermination.chain
+    # NCPoly snapshots of the last steps, for NonTermination.chain: from
+    # step ``last`` on, and of a step that made a word over the limit
     chain = deque(maxlen=5)
+    last = limit - chain.maxlen
+    over = 0
     while heap:
         _, n, best, m = heappop(heap)
         if live[best] != n or best not in terms:
@@ -313,10 +318,9 @@ def _reduce(poly, sys, trace):
             old = terms.get(nw)
             if old is None and len(nw) > longest:
                 longest = max(longest, *map(len, poly._terms))
-                if len(nw) > longest:
-                    raise NonTermination(
-                        f"word length limit {longest} exceeded: a step made "
-                        f"a word of {len(nw)} letters", chain=chain)
+                if len(nw) > longest and not over:
+                    # the step ends, so that its snapshot holds the word
+                    over, last = len(nw), 0
             c = _addmul(old, coeff, rc, term)
             if old is None:
                 terms[nw] = c
@@ -325,11 +329,15 @@ def _reduce(poly, sys, trace):
                 del terms[nw]
             elif c is not old:
                 terms[nw] = c
-        if trace is not None or steps > limit - chain.maxlen:
+        if trace is not None or steps > last:
             snap = (rule.origin, pos, _snapshot(terms, alphabet))
             chain.append(snap)
             if trace is not None:
-                trace.append(snap)
+                trace(snap)
+            if over:
+                raise NonTermination(
+                    f"word length limit {longest} exceeded: a step made a "
+                    f"word of {over} letters", chain=chain)
     return _snapshot(terms, alphabet)
 
 
@@ -350,7 +358,7 @@ def reduce_trace(poly, sys):
     Replaying the trace ends at ``normalize(poly, sys)``.
     """
     trace = []
-    _reduce(poly, sys, trace)
+    _reduce(poly, sys, trace.append)
     return trace
 
 

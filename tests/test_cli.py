@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import qheis
+from qheis import cli
 from qheis.cli import main
+from qheis.errors import AlphabetError, DivisionByZero
 from qheis.verify import MAX_K
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -104,6 +106,17 @@ class TestNormalize:
                        "# r2 @ 0: y*h*x\n"
                        "# r1 @ 1: y*x*h^2\n"
                        "# r2 @ 0: y*h*x\n")
+
+    @pytest.mark.parametrize("error", [DivisionByZero("inverse of zero"),
+                                       AlphabetError("clashing alphabets")])
+    def test_stray_engine_error(self, capsys, monkeypatch, error):
+        # every QheisError that reaches main is reported by its category
+        def fail(*_):
+            raise error
+        monkeypatch.setattr(cli, "_reduce", fail)
+        code, out, err = run_cli(capsys, "normalize", "--algebra", "gaddis",
+                                 "--expr", "y*x*x")
+        assert (code, out, err) == (3, "", f"engine error: {error}\n")
 
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "normalize", "--algebra", "schmudgen",
@@ -306,6 +319,23 @@ class TestConfluence:
         assert out.startswith("abba: NOT confluent (1 ambiguities checked)\n")
         assert "unresolved a*b*b*a*b*b*a via r / r" in out
 
+    def test_generator_q_prints_the_central_q_as_s_squared(self, capsys,
+                                                            tmp_path):
+        # the words of the pair hold no q, but q is a generator of the file
+        path = tmp_path / "qxy.qpres"
+        path.write_text("qheis-presentation 1\nname: qxy\ngenerator: q\n"
+                        "generator: x\ngenerator: y\n"
+                        "relation: r1 : x*y - s^2\nrelation: r2 : y*x - 1\n")
+        code, out, _ = run_cli(capsys, "confluence", "--algebra", str(path))
+        assert code == 4
+        assert out == ("qxy: NOT confluent (2 ambiguities checked)\n"
+                       "unresolved x*y*x via r1 / r2\n"
+                       "  left:  s^2*x\n"
+                       "  right: x\n"
+                       "unresolved y*x*y via r2 / r1\n"
+                       "  left:  y\n"
+                       "  right: s^2*y\n")
+
 
 class TestNonConfluentNote:
     """normalize and commutator reduce by the presentation's own rules; when
@@ -390,6 +420,23 @@ class TestOre:
         assert "sigma_x(Lambda) = q*Lambda" in out
         assert "delta_x(p) = i*hbar*q^(-1/2)*Lambda" in out
 
+    def test_generator_q_prints_the_central_q_as_s_squared(self, capsys,
+                                                            tmp_path):
+        # the table prints as normalize does: the central q of a file with
+        # a generator q is s^2, which parses back as itself
+        path = tmp_path / "qx.qpres"
+        path.write_text("qheis-presentation 1\nname: qx\ngenerator: q\n"
+                        "generator: x\nrelation: r : x*q - q*x - s^2\n")
+        code, out, _ = run_cli(capsys, "ore", "--algebra", str(path),
+                               "--tower", "q,x")
+        assert code == 0
+        assert out == ("qx: tower q < x\n"
+                       "sigma_q(x) = x    delta_q(x) = -s^2\n"
+                       "sigma_x(q) = q    delta_x(q) = s^2\n")
+        code, out, _ = run_cli(capsys, "normalize", "--algebra", str(path),
+                               "--expr", "x*q")
+        assert (code, out) == (0, "q*x + s^2\n")
+
     def test_repeated_tower_entry_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "ore", "--algebra", "wess",
                                "--tower", "x,x")
@@ -425,6 +472,48 @@ class TestRepl:
         assert "q^2*x^2*y + hbar*(q + p^-1)*x*z" in out
         # [y, x] = (q - 1) x y + hbar z after normalization
         assert "(q - 1)*x*y + hbar*z" in out
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_trace_prints_as_normalize_trace(self, capsys, monkeypatch,
+                                             tmp_path, printed):
+        # the steps on stderr, then the note of the printed variant's rules,
+        # then the result on stdout
+        algebra = name = "gaddis"
+        if printed:
+            algebra, name = str(tmp_path / "p.qpres"), "gaddis_printed"
+            qheis.save_presentation_file(
+                qheis.catalog("gaddis", variant="printed"), algebra)
+        code, out, err = run_cli(capsys, "normalize", "--algebra", algebra,
+                                 "--expr", "y*x*x", "--trace")
+        assert code == 0 and err.startswith("# y_x @ 0: q*x*y*x + ")
+        assert ("\nnote: " in err) == printed
+        monkeypatch.setattr(sys, "stdin", io.StringIO("trace y*x*x\nquit\n"))
+        assert main(["repl", "--algebra", algebra]) == 0
+        captured = capsys.readouterr()
+        _banner, session = captured.err.split("\n", 1)
+        assert session == f"[{name}] {err}[{name}] "
+        assert captured.out == out
+
+    def test_error_reports_as_the_one_shot_commands(self, tmp_path):
+        # the step limit's last steps, then the session goes on
+        path = tmp_path / "f.qpres"
+        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
+                        "generator: x\ngenerator: h\ngenerator: y\n"
+                        "relation: r1 : h*x - x*h*h\n"
+                        "relation: r2 : y*x*h*h - y*h*x\n")
+        script = (f"algebra {path}\nnormalize y*h*x\nnormalize y*(x\n"
+                  "commutator x ; x\nquit\n")
+        code, out, err = run_cli_process("repl", stdin=script)
+        assert code == 0
+        assert out == "algebra set to f\n0\n"
+        assert "Traceback" not in err
+        assert ("[f] engine error: step limit 10000 exceeded\n"
+                "# r2 @ 0: y*h*x\n"
+                "# r1 @ 1: y*x*h^2\n"
+                "# r2 @ 0: y*h*x\n"
+                "# r1 @ 1: y*x*h^2\n"
+                "# r2 @ 0: y*h*x\n"
+                "[f] parse error: ") in err
 
 
 class TestReadme:

@@ -195,6 +195,11 @@ class TestNormalize:
         assert str(exc.value) == (
             f"word length limit {WORD_LENGTH_LIMIT} exceeded: a step made a "
             f"word of {WORD_LENGTH_LIMIT + 1} letters")
+        # the chain holds the one step that made the long word: h*x ->
+        # x*h^2 at position 20, and the polynomial after it
+        (origin, pos, poly), = exc.value.chain
+        assert (origin, pos) == ("h_x", 20)
+        assert max(map(len, poly.terms)) == WORD_LENGTH_LIMIT + 1
 
     def test_word_length_limit_admits_the_input_length(self):
         # completion may normalize a relation with a word longer than the
