@@ -36,8 +36,11 @@ def _load_algebra(spec):
     raise UnknownFamily(f"{spec!r} is neither a family id nor a presentation file")
 
 
-def _print_step(origin, pos, poly, scope=None):
-    print(f"# {origin} @ {pos}: {format_expr(poly, scope=scope)}",
+def _print_step(step):
+    """A step ``(rule id, position, polynomial)`` on stderr, scoped by the
+    polynomial's alphabet: the rewrite system's, with every generator."""
+    origin, pos, poly = step
+    print(f"# {origin} @ {pos}: {format_expr(poly, scope=poly)}",
           file=sys.stderr)
 
 
@@ -60,8 +63,7 @@ def _reduce_and_print(pres, poly, style="plain", trace=False):
     ``trace``, each step on stderr as it is made, then the note of
     ``_confluence_note``, then the result on stdout.  The one path of
     normalize, trace and commutator in both front ends."""
-    step = (lambda snap: _print_step(*snap, scope=pres)) if trace else None
-    result = _reduce(poly, pres.system(), step)
+    result = _reduce(poly, pres.system(), _print_step if trace else None)
     _confluence_note(pres)
     print(format_expr(result, style, scope=pres))
     return 0
@@ -173,7 +175,7 @@ def _report(exc):
         code, category = ENGINE_ERROR, "engine error"
     print(f"{category}: {exc}", file=sys.stderr)
     for step in getattr(exc, "chain", ())[-5:]:
-        _print_step(*step)
+        _print_step(step)
     return code
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from ._record import Record
 from .coeffs import Coefficient
-from .errors import (AlphabetError, ExponentOverflow, NonTermination,
-                     NotOreShaped, ParamError, ParseError, UnknownFamily)
+from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
+                     QheisError, UnknownFamily)
 from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
 from .parser import _IDENT, parse_expr
 from .rewrite import TermOrder, check_confluence, complete, normalize, orient
@@ -68,14 +68,16 @@ class Presentation:
     generator's name to its code there.  Without relations it is the scope
     in which a builder or a document parses them.
 
-    ``system()`` orients the relations, ``confluent()`` checks that system
-    with ``check_confluence`` and ``completed()`` runs Knuth-Bendix
-    completion on them (``rewrite.complete``, with the inverse pairs'
-    cancellation relations); each keeps its first result, so a presentation
-    is oriented, checked and completed at most once.  ``extract_ore``
-    likewise keeps the Ore data of each tower it reads off the
-    presentation.  ``system()``, ``completed()`` and ``extract_ore`` store
-    nothing when they raise, and the next call tries again."""
+    ``all_relation_polys()``, built once here, is the one relation set that
+    ``system()``, ``completed()`` and the verifiers read: the listed
+    relations, then the cancellation relation ``a*b - 1`` of each inverse
+    pair, both ways round, unless a listed relation is a scalar multiple
+    of it.  ``system()`` orients that set, ``confluent()`` checks the
+    system with ``check_confluence``, ``completed()`` runs Knuth-Bendix
+    completion on the set (``rewrite.complete``) and ``extract_ore`` reads
+    an Ore tower off the system.  Each is computed at most once per
+    presentation (``_once``): the first call keeps its result, or the
+    QheisError it raised, and later calls return or raise that again."""
 
     def __init__(self, name, generators, relations, inverse_pairs=(),
                  parameters=None, metadata=None, order_kind="deglex"):
@@ -86,10 +88,7 @@ class Presentation:
         self.parameters = dict(parameters or {})
         self.metadata = dict(metadata or {})
         self.order_kind = order_kind
-        self._system = None
-        self._confluent = None
-        self._completed = None
-        self._ore = {}  # tower symbols -> OreData, kept by extract_ore
+        self._kept = {}  # key -> the result or QheisError of ``_once``
         self._validate()
 
     def _validate(self):
@@ -138,6 +137,28 @@ class Presentation:
                     )
         self.generator_map = gmap
         self.generator_codes = {sym: alphabet.code[g] for sym, g in gmap.items()}
+        units = [(f"unit:{a.sym}*{b.sym}", self.poly(a.sym, b.sym) - 1)
+                 for pair in self.inverse_pairs for a, b in (pair, pair[::-1])]
+        self._all_relations = self.relations + tuple(
+            (label, unit) for label, unit in units
+            if all(unit_ratio(rel, unit) is None for _, rel in self.relations))
+
+    def _once(self, key, compute):
+        """``compute()``, called at most once per presentation under
+        ``key`` ("system", "confluent", "completed" or a tower's symbols):
+        the first call keeps its result, or the QheisError it raised, and
+        later calls return or raise that again.  Other exceptions are not
+        kept."""
+        if key not in self._kept:
+            try:
+                self._kept[key] = compute()
+            except QheisError as exc:
+                self._kept[key] = exc
+        kept = self._kept[key]
+        if isinstance(kept, QheisError):
+            # a bare re-raise would keep every earlier call's traceback
+            raise kept.with_traceback(None)
+        return kept
 
     def gen(self, sym):
         try:
@@ -157,25 +178,14 @@ class Presentation:
         return parse_expr(text, self)
 
     def system(self):
-        if self._system is None:
-            self._system = orient(self)
-        return self._system
+        """``orient`` of ``all_relation_polys()``: raises OrientationError
+        when a relation does not orient or two share a leading word."""
+        return self._once("system", lambda: orient(self))
 
     def confluent(self):
-        """Whether ``system()`` is confluent, by ``check_confluence``;
-        raises OrientationError when the relations do not orient.  A
-        NonTermination or ExponentOverflow of the check is kept, and later
-        calls raise it again without re-running the check."""
-        if self._confluent is None:
-            sysm = self.system()
-            try:
-                self._confluent = check_confluence(sysm).confluent
-            except (NonTermination, ExponentOverflow) as exc:
-                self._confluent = exc
-        if isinstance(self._confluent, Exception):
-            # a bare re-raise would keep every earlier call's traceback
-            raise self._confluent.with_traceback(None)
-        return self._confluent
+        """Whether ``system()`` is confluent, by ``check_confluence``."""
+        return self._once("confluent",
+                          lambda: check_confluence(self.system()).confluent)
 
     def completed(self):
         """The confluent rewrite system of the presentation's ideal, by
@@ -183,10 +193,9 @@ class Presentation:
         certifies membership.  Raises NonTermination when completion exceeds
         its bound and OrientationError when a derived relation does not
         orient."""
-        if self._completed is None:
-            self._completed = complete(self.all_relation_polys(),
-                                       TermOrder(self.order_kind))
-        return self._completed
+        return self._once("completed",
+                          lambda: complete(self.all_relation_polys(),
+                                           TermOrder(self.order_kind)))
 
     def normalize(self, x):
         """Normal form of ``x`` (a polynomial or its text) under
@@ -199,15 +208,9 @@ class Presentation:
         return normalize(x, self.system())
 
     def all_relation_polys(self):
-        """Listed relations plus the cancellation relations of inverse pairs."""
-        out = list(self.relations)
-        listed = {label for label, _ in out}
-        for g, ginv in self.inverse_pairs:
-            for a, b in ((g, ginv), (ginv, g)):
-                label = f"unit:{a.sym}*{b.sym}"
-                if label not in listed:
-                    out.append((label, self.poly(a.sym, b.sym) - 1))
-        return out
+        """Listed relations plus the cancellation relations of inverse pairs
+        that no listed relation already states."""
+        return self._all_relations
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -596,19 +599,17 @@ def extract_ore(presentation, tower_order):
     sets delta = NF(a*b) - c*NF(b*a)), so a*b - sigma*a - delta is zero in
     the algebra by construction and is not normalized again.
 
-    The presentation keeps the data of each tower, by its symbols, so a
-    tower is extracted once per presentation; a tower that raises keeps
-    nothing.  Each call returns a new ``OreData`` with dicts of its own,
-    whose polynomials are immutable, so no caller changes what the next
-    one reads.
+    The presentation keeps the data of each tower, or its error, by the
+    tower's symbols, so a tower is extracted at most once per presentation.
+    Each call returns a new ``OreData`` with dicts of its own, whose
+    polynomials are immutable, so no caller changes what the next one
+    reads.
     """
     sysm = presentation.system()
     tower = tuple(presentation.gen(g if isinstance(g, str) else g.sym)
                   for g in tower_order)
-    key = tuple(g.sym for g in tower)
-    ore = presentation._ore.get(key)
-    if ore is None:
-        ore = presentation._ore[key] = _extract_ore(presentation, sysm, tower)
+    ore = presentation._once(tuple(g.sym for g in tower),
+                             lambda: _extract_ore(presentation, sysm, tower))
     return OreData(ore.tower, dict(ore.sigma), dict(ore.delta))
 
 

@@ -278,7 +278,7 @@ def format_expr(poly, style="plain", scope=None):
     When the alphabet shadows the central symbol q or p with a generator of
     the same name, the central variable is printed as its base square root
     (s or t) so the plain form stays unambiguous and re-parseable.  Pass the
-    presentation as ``scope`` to use its full alphabet for that decision;
+    presentation (or a polynomial) as ``scope`` to use its whole alphabet;
     otherwise the letters that occur in the polynomial's words decide.
     """
     if style == "machine":

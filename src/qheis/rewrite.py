@@ -62,7 +62,7 @@ from heapq import heappop, heappush
 from ._record import Record
 from .coeffs import Coefficient, _addmul, _frozen, _unit_term
 from .errors import NonTermination, OrientationError, ParamError
-from .ncpoly import _EMPTY, NCPoly, Word, _ncpoly, _over
+from .ncpoly import _EMPTY, NCPoly, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
 # The longest word a step inside ``complete`` may enter, unless the input
@@ -135,10 +135,11 @@ class RewriteSystem:
                 )
             lhs = alphabet.encode(r.lhs)
             if lhs in by_lhs:
+                prev = by_lhs[lhs][0]
                 raise OrientationError(
-                    f"rules {by_lhs[lhs][0].origin} and {r.origin} share the left "
-                    f"side {r.lhs!r}"
-                )
+                    f"relations {prev.origin} and {r.origin} orient to the same rule"
+                    if prev.rhs == r.rhs else f"rules {prev.origin} and "
+                    f"{r.origin} share the left side {r.lhs!r}")
             lk = order.code_key(lhs, alphabet)
             _, rhs = _over(alphabet, r.rhs)
             for s in rhs:
@@ -219,33 +220,13 @@ def orient_relation(label, poly, order):
 
 
 def orient(presentation):
-    """Compile a presentation's relations into a RewriteSystem.
-
-    Each relation becomes a rule by ``orient_relation``.  Declared inverse
-    pairs contribute the two cancellation rules g*g_inv -> 1 and
-    g_inv*g -> 1 unless equivalent relations are already listed.  Exact
-    duplicates and relations whose leading word is empty or a single letter
-    are rejected loudly: they are presentation typos.
-    """
+    """The RewriteSystem of a presentation's ``all_relation_polys()``, each
+    relation oriented by ``orient_relation``; two with one leading word are
+    rejected, as typos or a pair to solve first."""
     order = TermOrder(presentation.order_kind)
-    rules = []
-    seen = {}
-    for label, poly in presentation.relations:
-        rule = orient_relation(label, poly, order)
-        prev = seen.get(rule.lhs)
-        if prev is not None and prev.rhs == rule.rhs:
-            raise OrientationError(
-                f"relations {prev.origin} and {label} orient to the same rule"
-            )
-        seen.setdefault(rule.lhs, rule)
-        rules.append(rule)
-    for g, ginv in presentation.inverse_pairs:
-        for a, b, tag in ((g, ginv, f"unit:{g.sym}*{ginv.sym}"),
-                          (ginv, g, f"unit:{ginv.sym}*{g.sym}")):
-            lhs = Word((a, b))
-            if lhs not in {r.lhs for r in rules}:
-                rules.append(RewriteRule(lhs, presentation.poly(), tag))
-    return RewriteSystem(rules, order)
+    return RewriteSystem([orient_relation(label, poly, order)
+                          for label, poly in presentation.all_relation_polys()],
+                         order)
 
 
 def _inversions(ranks):

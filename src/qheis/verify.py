@@ -27,12 +27,13 @@ produce identical reports byte for byte.
 
 A process shares the presentations the corpus uses, and with them their
 rewrite systems, completions and Ore data: each hashable ``catalog`` call
-is built once (``_catalog``), as is each fixed pair of presentations, and a
-presentation keeps its ``system()``, whether that is ``confluent()``, its
-``completed()`` and the Ore data of each tower ``extract_ore`` reads off
-it.  No verifier mutates a presentation.  Reports and verdicts are
-recomputed on every call, and the public ``catalog`` still returns a new
-presentation each time.
+is built once (``_catalog``), as is each fixed pair of presentations.  A
+presentation computes its ``system()``, ``confluent()``, ``completed()``
+and each tower's Ore data at most once, keeping the result or the error,
+so a second suite run orients, completes and extracts nothing.  The
+verifiers read the ``all_relation_polys()`` its rules are built from and
+mutate no presentation.  Reports and verdicts are recomputed on every
+call, and the public ``catalog`` still returns a new presentation each time.
 """
 
 from __future__ import annotations

@@ -107,6 +107,40 @@ class TestNormalize:
                        "# r1 @ 1: y*x*h^2\n"
                        "# r2 @ 0: y*h*x\n")
 
+    def test_non_termination_chain_prints_as_the_trace(self, capsys, tmp_path):
+        # with a generator q the central q prints as s^2: in the steps of
+        # --trace and in the last steps after the error alike
+        path = tmp_path / "q.qpres"
+        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
+                        "generator: q\ngenerator: x\ngenerator: h\n"
+                        "generator: y\nrelation: r1 : h*x - x*h*h\n"
+                        "relation: r2 : y*x*h*h - s^2*y*h*x\n")
+        argv = ("normalize", "--algebra", str(path), "--expr", "y*h*x")
+        chain = ["# r2 @ 0: s^9996*y*h*x", "# r1 @ 1: s^9996*y*x*h^2",
+                 "# r2 @ 0: s^9998*y*h*x", "# r1 @ 1: s^9998*y*x*h^2",
+                 "# r2 @ 0: s^10000*y*h*x"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["engine error: step limit 10000 exceeded",
+                                    *chain]
+        code, out, err = run_cli(capsys, *argv, "--trace")
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (3, "", 10006)
+        assert lines[9995:] == [*chain, "engine error: step limit 10000 "
+                                        "exceeded", *chain]
+
+    def test_conflicting_cancellation_relation(self, capsys, tmp_path):
+        # L*L_inv = 2 beside the inverse pair's L*L_inv = 1 does not orient
+        path = tmp_path / "inv.qpres"
+        path.write_text("qheis-presentation 1\nname: inv\n"
+                        "generator: L_inv\ngenerator: L\ninverse: L L_inv\n"
+                        "relation: inv : L*L_inv - 2\n")
+        code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
+                                 "--expr", "L*L_inv")
+        assert (code, out) == (3, "")
+        assert err == ("engine error: rules inv and unit:L*L_inv share the "
+                       "left side L*L_inv\n")
+
     @pytest.mark.parametrize("error", [DivisionByZero("inverse of zero"),
                                        AlphabetError("clashing alphabets")])
     def test_stray_engine_error(self, capsys, monkeypatch, error):

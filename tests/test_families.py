@@ -237,13 +237,16 @@ class TestOre:
         (lambda: catalog("wess"), ("x", "x"), ParamError),
         (_bad_tower, ("a", "b"), NotOreShaped),
     ])
-    def test_raising_tower_keeps_nothing(self, extract_calls, make, tower,
-                                         error):
+    def test_raising_tower_keeps_its_error(self, extract_calls, make, tower,
+                                           error):
+        # the second call raises the first one's error without extracting
         pres = make()
-        for n in (1, 2):
-            with pytest.raises(error):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
                 extract_ore(pres, tower)
-            assert len(extract_calls) == n and pres._ore == {}
+            messages.append(str(info.value))
+        assert len(extract_calls) == 1 and messages[0] == messages[1]
 
     def test_copies_after_extraction(self, extract_calls):
         w = catalog("wess")

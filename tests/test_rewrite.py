@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import qheis
 from qheis import (NCPoly, Presentation, catalog, check_confluence,
-                   critical_pairs, format_expr, normalize, reduce_trace,
-                   save_presentation)
+                   critical_pairs, format_expr, load_presentation, normalize,
+                   reduce_trace, save_presentation)
 from qheis.coeffs import EXP_LIMIT, Coefficient
 from qheis.errors import ExponentOverflow, NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
@@ -129,6 +130,38 @@ class TestOrientation:
         s = families["schmudgen"]
         origins = {r.origin for r in s.system().rules}
         assert "unit:u*u_inv" in origins and "unit:u_inv*u" in origins
+
+    @staticmethod
+    def _with_inverse(relation):
+        return load_presentation(
+            "qheis-presentation 1\nname: inv\ngenerator: L_inv\n"
+            "generator: L\ninverse: L L_inv\n"
+            f"relation: inv : {relation}\n")
+
+    @pytest.mark.parametrize("relation",
+                             ["L*L_inv - 1", "1 - L*L_inv", "2*L*L_inv - 2"])
+    def test_listed_cancellation_relation_is_not_added_again(self, relation):
+        # a listed scalar multiple of L*L_inv - 1 stands for the pair's own
+        # cancellation relation in the one relation set
+        pres = self._with_inverse(relation)
+        assert [label for label, _ in pres.all_relation_polys()] == \
+            ["inv", "unit:L_inv*L"]
+        one = pres.poly()
+        assert [(r.lhs, r.rhs, r.origin) for r in pres.system().rules] == \
+            [(pres.word("L", "L_inv"), one, "inv"),
+             (pres.word("L_inv", "L"), one, "unit:L_inv*L")]
+        assert pres.confluent()
+        assert pres.completed().rules == pres.system().rules
+
+    def test_conflicting_cancellation_relation_rejected(self):
+        # L*L_inv = 2 beside the pair's L*L_inv = 1 gives 1 = 0: the rules
+        # and the completion of the one relation set both refuse it
+        pres = self._with_inverse("L*L_inv - 2")
+        with pytest.raises(OrientationError,
+                           match=r"rules inv and unit:L\*L_inv share"):
+            pres.system()
+        with pytest.raises(OrientationError, match="shorter than two letters"):
+            pres.completed()
 
     def test_duplicate_leading_words_rejected(self, families):
         with pytest.raises(OrientationError):
@@ -737,12 +770,15 @@ class TestCompletion:
         assert {r.lhs: r.rhs for r in sysm.rules} == \
             {r.lhs: r.rhs for r in _completed(pres).rules}
 
-    def test_failed_completion_is_not_stored(self, complete_calls):
+    def test_failed_completion_is_kept(self, complete_calls):
+        # the second call raises the first one's error without completing
         braid = _braid()
-        for n in (1, 2):
-            with pytest.raises(NonTermination, match="completion derived"):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NonTermination, match="completion derived") as info:
                 braid.completed()
-            assert len(complete_calls) == n and braid._completed is None
+            messages.append(str(info.value))
+        assert len(complete_calls) == 1 and messages[0] == messages[1]
 
 
 class TestCopies:
@@ -761,6 +797,26 @@ class TestCopies:
             assert mine.rules == theirs.rules and mine.order == theirs.order
         a = pres.parse("x*p*Lambda*x - 2*p*Lambda_inv*x*p")
         assert normalize(a, copied.system()) == normalize(a, sysm)
+
+    def test_copies_keep_errors(self, monkeypatch, complete_calls):
+        # a copy raises the error its original kept, without orienting or
+        # completing again
+        orients = []
+        real = qheis.families.orient
+        monkeypatch.setattr(qheis.families, "orient",
+                            lambda pres: orients.append(pres) or real(pres))
+        definition, braid = catalog("schmudgen", variant="definition"), _braid()
+        cases = ((definition, Presentation.system, OrientationError),
+                 (braid, Presentation.completed, NonTermination))
+        for pres, call, error in cases:
+            with pytest.raises(error) as info:
+                call(pres)
+            message = re.escape(str(info.value))
+            for copied in (copy.deepcopy(pres), pickle.loads(pickle.dumps(pres))):
+                assert copied == pres
+                with pytest.raises(error, match=message):
+                    call(copied)
+        assert orients == [definition] and len(complete_calls) == 1
 
     def test_system_pickle_round_trip(self):
         pres = catalog("gha")
