@@ -16,15 +16,22 @@ leftmost position of the largest reducible word; among words of equal order
 key the one inserted into the term dict first wins.  A heap holds the
 reducible words, each keyed and matched once when it enters the polynomial,
 so a step costs O(|rhs| log terms) word operations and not a rescan of every
-term.  The coefficients are accumulated in place (``coeffs._addmul``): a
-step adds coeff*rc into the numerator dict of each right-side word, at a
-cost linear in the terms of coeff and with no new Coefficient.  The call
-owns these dicts: a word keeps the Coefficient it came with (input and
-rule coefficients are never written) until a step first writes it, which
-copies its numerator once.  Coefficients are built only for the output and
-the trace snapshots, one per written term.  A coefficient with a multi-term
-denominator, and a rule coefficient of several terms, go through
-Coefficient arithmetic in the same loop.  A step past the system's
+term.  Under invlex the inversion count in the key of a word that a step
+makes comes from the rewritten word's count and the right-side word's
+inversion delta (``_inversion_delta``, built with the system): a few
+``str.count`` calls on the prefix and suffix, where a count from scratch
+costs time quadratic in the word's length.  Input words, and every word
+when the input has letters outside the system's alphabet, are counted from
+scratch, as are the keys of ``orient_relation``, ``code_key`` and
+``critical_pairs``.  The coefficients are accumulated in place
+(``coeffs._addmul``): a step adds coeff*rc into the numerator dict of each
+right-side word, at a cost linear in the terms of coeff and with no new
+Coefficient.  The call owns these dicts: a word keeps the Coefficient it
+came with (input and rule coefficients are never written) until a step
+first writes it, which copies its numerator once.  Coefficients are built
+only for the output and the trace snapshots, one per written term.  A
+coefficient with a multi-term denominator, and a rule coefficient of
+several terms, go through Coefficient arithmetic in the same loop.  A step past the system's
 ``step_limit`` raises NonTermination.  So does, in the systems ``complete``
 builds while it runs, a step that enters a word longer than
 WORD_LENGTH_LIMIT (or the input's longest word): under invlex a rule such
@@ -55,9 +62,10 @@ an ideal's members are exactly what normalizes to zero.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heappop, heappush
+from itertools import repeat
 
 from ._record import Record
 from .coeffs import Coefficient, _addmul, _frozen, _unit_term
@@ -126,8 +134,14 @@ class RewriteSystem:
         alphabet = _EMPTY
         for p in (*(r.rhs for r in rules), NCPoly({r.lhs: 1 for r in rules})):
             alphabet, _ = _over(alphabet, p)
-        # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term))
+        # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term,
+        # its _inversion_delta under invlex or else None))
         by_lhs = {}
+        ranked = None
+        if order.kind == "invlex":
+            asc = alphabet.asc
+            codes = sorted(asc, key=asc.get)
+            ranked = ("".join(map(chr, codes)), [asc[i] for i in codes])
         for r in rules:
             if len(r.lhs) < 2:
                 raise OrientationError(
@@ -148,8 +162,10 @@ class RewriteSystem:
                         f"rule {r.origin}: right-side word {alphabet.word(s)!r} is "
                         f"not smaller than {r.lhs!r}"
                     )
-            by_lhs[lhs] = (r, tuple((s, c, _unit_term(c))
-                                    for s, c in rhs.items()))
+            by_lhs[lhs] = (r, tuple(
+                (s, c, _unit_term(c),
+                 ranked and _inversion_delta(lhs, s, alphabet.asc, ranked))
+                for s, c in rhs.items()))
         # "(?!)" never matches: the pattern of a system without rules
         pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
         object.__setattr__(self, "rules", rules)
@@ -193,7 +209,7 @@ def _reduct(sys, s, pos, lhs):
     """Term dict of the one-step rewrite of the word ``s`` (coefficient 1)
     at the occurrence of the left side ``lhs`` at ``pos``."""
     prefix, suffix = s[:pos], s[pos + len(lhs):]
-    return {prefix + rw + suffix: rc for rw, rc, _ in sys._by_lhs[lhs][1]}
+    return {prefix + rw + suffix: rc for rw, rc, _, _ in sys._by_lhs[lhs][1]}
 
 
 def orient_relation(label, poly, order):
@@ -240,6 +256,39 @@ def _inversions(ranks):
     return inv
 
 
+def _inversion_delta(lhs, rw, asc, ranked):
+    """``(d, below, above)`` of the right-side word ``rw`` of the left side
+    ``lhs``, code strings whose letters ``asc`` ranks: for every prefix p
+    and suffix s over the alphabet, inv(p+rw+s) is inv(p+lhs+s) + d plus
+    k*p.count(c) for each ``(c, k)`` of ``below`` and k*s.count(c) for each
+    of ``above``.  d = inv(rw) - inv(lhs).  A letter of p is inverted with
+    each letter of the middle ranked below it, one of s with each ranked
+    above it, so k is that number for rw minus that for lhs; letters of
+    weight 0 are left out.  ``ranked`` is ``(codes, ranks)``, the
+    alphabet's codes in ascending rank and their ranks."""
+    codes, ranks = ranked
+    lr = sorted(map(asc.__getitem__, map(ord, lhs)))
+    rr = sorted(map(asc.__getitem__, map(ord, rw)))
+
+    def weights(cuts, weight):
+        # ``weight`` is constant between the cuts, positions in ``ranks``
+        out = []
+        edges = sorted({0, len(ranks), *cuts})
+        for i, j in zip(edges, edges[1:]):
+            k = weight(ranks[i])
+            if k:
+                out.extend(zip(codes[i:j], repeat(k)))
+        return tuple(out)
+
+    below = weights([bisect_right(ranks, r) for r in lr + rr],
+                    lambda r: bisect_left(rr, r) - bisect_left(lr, r))
+    above = weights([bisect_left(ranks, r) for r in lr + rr],
+                    lambda r: (len(rr) - bisect_right(rr, r))
+                    - (len(lr) - bisect_right(lr, r)))
+    d = _inversions(rw.translate(asc)) - _inversions(lhs.translate(asc))
+    return d, below, above
+
+
 def _reduce(poly, sys, trace):
     """Normal form of ``poly``; ``trace``, unless None, is called with each
     step's (rule id, position, polynomial after the step)."""
@@ -252,26 +301,34 @@ def _reduce(poly, sys, trace):
     # Max-heap of the reducible words in ``terms`` by order key; ties go to
     # the smaller insertion number, i.e. to the earlier word in dict order.
     # A word removed from ``terms`` (and maybe re-inserted under a new
-    # number) leaves a stale entry, skipped through ``live``.
+    # number) leaves a stale entry, skipped through ``live``.  The invlex
+    # key (-inversions, -length, ranks) of a word that a step makes takes
+    # its count from the rewritten word's key and the right-side word's
+    # _inversion_delta; input words, and every word when the input has
+    # letters outside the system's alphabet (no delta weighs them), are
+    # counted from scratch.
     heap = []
     live = {}
     seq = 0
     invlex = sys.order.kind == "invlex"
+    derive = invlex and len(alphabet.letters) == len(sys.alphabet.letters)
 
-    def enter(w):
+    def push(w, m, inv=None):
         nonlocal seq
-        m = search(w)
-        if m is not None:
-            seq += 1
-            live[w] = seq
-            if invlex:
-                key = (-_inversions(w.translate(asc)), -len(w), w.translate(desc))
-            else:
-                key = (-len(w), w.translate(desc))
-            heappush(heap, (key, seq, w, m))
+        seq += 1
+        live[w] = seq
+        if invlex:
+            if inv is None:
+                inv = _inversions(w.translate(asc))
+            key = (-inv, -len(w), w.translate(desc))
+        else:
+            key = (-len(w), w.translate(desc))
+        heappush(heap, (key, seq, w, m))
 
     for w in terms:
-        enter(w)
+        m = search(w)
+        if m is not None:
+            push(w, m)
     steps = 0
     limit = sys.step_limit
     # unbounded outside completion; raised to the input's longest word when
@@ -283,7 +340,7 @@ def _reduce(poly, sys, trace):
     last = limit - chain.maxlen
     over = 0
     while heap:
-        _, n, best, m = heappop(heap)
+        key, n, best, m = heappop(heap)
         if live[best] != n or best not in terms:
             continue
         steps += 1
@@ -294,7 +351,7 @@ def _reduce(poly, sys, trace):
         # the step always cancels the rewritten word
         coeff = terms.pop(best)
         prefix, suffix = best[:pos], best[m.end():]
-        for rw, rc, term in rhs:
+        for rw, rc, term, delta in rhs:
             nw = prefix + rw + suffix
             old = terms.get(nw)
             if old is None and len(nw) > longest:
@@ -305,7 +362,18 @@ def _reduce(poly, sys, trace):
             c = _addmul(old, coeff, rc, term)
             if old is None:
                 terms[nw] = c
-                enter(nw)
+                nm = search(nw)
+                if nm is None:
+                    continue
+                inv = None
+                if derive:
+                    d, below, above = delta
+                    inv = d - key[0]  # key[0] is -inversions of best
+                    for ch, k in below:
+                        inv += k * prefix.count(ch)
+                    for ch, k in above:
+                        inv += k * suffix.count(ch)
+                push(nw, nm, inv)
             elif c is None:
                 del terms[nw]
             elif c is not old:

@@ -24,7 +24,7 @@ from qheis.errors import ExponentOverflow, NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
 from qheis.rewrite import (WORD_LENGTH_LIMIT, RewriteRule, RewriteSystem,
-                           TermOrder, complete)
+                           TermOrder, _inversions, complete)
 from conftest import random_poly
 from reference import reference_reduce
 
@@ -89,6 +89,16 @@ def _wide_window(kind, b):
     foreign = [Generator("f", 0, -1), Generator("f", 1, 4 * (b // 2) + 1),
                Generator("f", 2, 4 * WIDE), Generator("f", 3, 4 * ((b + 1) // 2))]
     return sysm, g[b:b + 4], foreign
+
+
+def _parse_with(pres, f, text):
+    """``text`` over the generators of ``pres`` and the letter ``f``, whose
+    precedence may tie with one of theirs."""
+    top = max(g.precedence for g in pres.generators)
+    stand_in = Generator(f.name, f.index, top + 1)
+    poly = Presentation("scope", (*pres.generators, stand_in), []).parse(text)
+    return NCPoly({tuple(f if g == stand_in else g for g in w): c
+                   for w, c in poly.terms.items()})
 
 
 def _snapshot(steps):
@@ -259,6 +269,15 @@ class TestNormalize:
         assert got == pres.parse(expected)
         assert max(map(len, got.terms)) == WORD_LENGTH_LIMIT + 10
 
+    @pytest.mark.parametrize("fam", ["gha", "q_gha"])
+    def test_normal_forms_twice_the_word_length_limit(self, fam, families):
+        # 2047 steps to a word of 2059 letters: with every new word's
+        # inversions recounted from scratch this took over a second
+        pres = families[fam]
+        got = pres.normalize("h*x^11")
+        assert got == pres.parse("x^11*h^2048")
+        assert max(map(len, got.terms)) == 2 * WORD_LENGTH_LIMIT + 11
+
     def test_idempotent(self, rng, families):
         for fam, pres in families.items():
             sysm = pres.system()
@@ -351,6 +370,11 @@ class TestStrategyEquivalence:
             gens = window * 4 + foreign
         else:
             gens, sysm = list(families[key].generators), families[key].system()
+            if sysm.order.kind == "invlex":
+                # a letter the system does not know, below, tied with,
+                # between or above its letters: no inversion delta weighs
+                # it, so the words of an input with it are recounted
+                gens = gens * 3 + [Generator("f", None, rng.randrange(-2, 7) / 2)]
         a = random_poly(rng, gens, max_len=5, max_terms=4)
         want_trace = _assert_same_as_reference(a, sysm)
         if not want_trace:
@@ -377,6 +401,20 @@ class TestStrategyEquivalence:
             # decides the order of the steps
             a = a + NCPoly({(g1, g0, t): 1 for t in (between, g2, below, tied, above)})
             assert _assert_same_as_reference(a, sysm), b
+
+    @pytest.mark.parametrize("fam", ["gha", "q_gha"])
+    @pytest.mark.parametrize("precedence, text", [
+        (2, "-f*y*x^2*h + 2*f*x*y"),
+        *((p, t) for p in (3, 1, -1) for t in (
+            "2*h*f*y^2*x - h*y*h*f^2 + 2*h*f*x*h",
+            "y*x^3*f + 2*y^2*f*y - x^2*f*x",
+            "2*y*x^2*f*h + h*y^2*h*y + 2*y*x*h^2")),
+    ])
+    def test_letters_outside_the_system(self, fam, precedence, text, families):
+        # a count derived without f's cross terms misorders these words
+        pres = families[fam]
+        a = _parse_with(pres, Generator("f", None, precedence), text)
+        assert _assert_same_as_reference(a, pres.system())
 
     def test_code_tables_stay_per_system(self, families, rng):
         # the two systems share rules but not tables, and letters no rule
@@ -439,6 +477,41 @@ class TestStrategyEquivalence:
         g = pickle.loads(bytes.fromhex(out.stdout))
         assert g == Generator("x", 2, 5)
         assert hash(g) == hash(("x", 2, 5))
+
+
+class TestInversionDelta:
+    """A right-side word's inversion delta gives the inversions of each word
+    a step makes from those of the word it rewrites."""
+
+    @pytest.mark.parametrize("key, draws", [("gha", 40), ("q_gha", 40),
+                                            ("wide_invlex", 1)])
+    def test_derived_count_equals_recount(self, key, draws, families, rng):
+        if key == "wide_invlex":
+            sysm = _wide_system("invlex")[1]  # precedences tied in pairs
+        else:
+            sysm = families[key].system()
+        asc = sysm.alphabet.asc
+        letters = "".join(map(chr, asc))
+
+        def context(weights):
+            # each weighted letter at least once, so that a lost weight
+            # changes the sum
+            side = [c for c, _ in weights] + rng.choices(letters, k=rng.randrange(6))
+            rng.shuffle(side)
+            return "".join(side)
+
+        checked = 0
+        for lhs, (rule, rhs) in sysm._by_lhs.items():
+            for rw, _, _, (d, below, above) in rhs:
+                for _ in range(draws):
+                    p, s = context(below), context(above)
+                    derived = (_inversions((p + lhs + s).translate(asc)) + d
+                               + sum(k * p.count(c) for c, k in below)
+                               + sum(k * s.count(c) for c, k in above))
+                    assert derived == _inversions((p + rw + s).translate(asc)), (
+                        key, rule.origin, rw, p, s)
+                    checked += 1
+        assert checked >= draws * len(sysm.rules)
 
 
 def _abcd_system(b_a, rest=()):
