@@ -66,6 +66,34 @@ def families():
     return {fam: qheis.catalog(fam) for fam in qheis.family_ids()}
 
 
+def assert_reduced(sysm):
+    """No left side of ``sysm`` contains another, and no right-side word
+    contains a left side."""
+    encode = sysm.alphabet.encode
+    for rule in sysm.rules:
+        lhs = encode(rule.lhs)
+        assert list(sysm.redexes(lhs)) == [(0, lhs)], rule
+        for word in rule.rhs.terms:
+            assert not any(sysm.redexes(encode(word))), (rule, word)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def completions_are_reduced():
+    """Every ``rewrite.complete`` result the suite builds passes
+    ``assert_reduced``."""
+    real = qheis.rewrite.complete
+
+    def checked(*args):
+        sysm = real(*args)
+        assert_reduced(sysm)
+        return sysm
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (qheis, qheis.rewrite, qheis.families):
+            mp.setattr(module, "complete", checked)
+        yield
+
+
 @pytest.fixture
 def complete_calls(monkeypatch):
     """The arguments of each ``rewrite.complete`` call that

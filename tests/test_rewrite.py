@@ -16,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qheis
-from qheis import (NCPoly, Presentation, catalog, check_confluence,
-                   critical_pairs, format_expr, load_presentation, normalize,
-                   reduce_trace, save_presentation)
+from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
+                   check_confluence, critical_pairs, format_expr,
+                   load_presentation, normalize, reduce_trace, rewrite,
+                   save_presentation, unified)
 from qheis.coeffs import EXP_LIMIT, Coefficient
 from qheis.errors import ExponentOverflow, NonTermination, OrientationError
 from qheis.ncpoly import Generator, Word
 from qheis.printer import parse_machine
 from qheis.rewrite import (WORD_LENGTH_LIMIT, RewriteRule, RewriteSystem,
-                           TermOrder, _inversions, complete)
-from conftest import random_poly
+                           TermOrder, _inversions)
+from conftest import make_rng, random_poly
 from reference import reference_reduce
 
 C = Coefficient
@@ -252,8 +253,9 @@ class TestNormalize:
         rels = [*cls.all_relation_polys(),
                 ("long", cls.parse(f"x_1^{n - 3}*(p_1*x_1^2 - x_1^2*p_1 "
                                    f"+ 2*i*hbar*x_1)"))]
-        assert (complete(rels, TermOrder("deglex")).rules
-                == complete(cls.all_relation_polys(), TermOrder("deglex")).rules)
+        assert (rewrite.complete(rels, TermOrder("deglex")).rules
+                == rewrite.complete(cls.all_relation_polys(),
+                                    TermOrder("deglex")).rules)
 
     @pytest.mark.parametrize("fam", ["gha", "q_gha"])
     @pytest.mark.parametrize("text, expected", [
@@ -435,6 +437,10 @@ class TestStrategyEquivalence:
                     a = a + NCPoly({(z, x, t): 1 for t in tails})
                 _assert_same_as_reference(a, s)
 
+    def test_catalog_systems_keep_the_presentation_alphabet(self, families):
+        for fam, pres in families.items():
+            assert pres.system().alphabet is pres.alphabet, fam
+
     def test_system_without_rules(self, rng, families):
         empty = RewriteSystem([], TermOrder("invlex"))
         a = random_poly(rng, list(families["gha"].generators), 5, 4)
@@ -512,6 +518,15 @@ class TestInversionDelta:
                         key, rule.origin, rw, p, s)
                     checked += 1
         assert checked >= draws * len(sysm.rules)
+
+    def test_commutation_weighs_no_letter(self):
+        # a right-side word with its left side's letters, as in u_i:
+        # g_i+2*g_i -> -g_i*g_i+2
+        sysm = _wide_system("invlex")[1]
+        same = [delta for lhs, (_, rhs) in sysm._by_lhs.items()
+                for rw, _, _, delta in rhs if sorted(rw) == sorted(lhs)]
+        assert len(same) > WIDE // 4
+        assert all(delta[1:] == ((), ()) for delta in same)
 
 
 def _abcd_system(b_a, rest=()):
@@ -673,7 +688,7 @@ class TestCriticalPairs:
         # 7, which reduces to c*b^2*a and to a*b^2*c
         a, b, c = (Generator(s, None, i) for i, s in enumerate("abc"))
         pres = Presentation("abba", [a, b, c], [
-            ("r", NCPoly.from_word((a, b, b, a)) - NCPoly.from_generator(c))])
+            ("r", NCPoly.from_word((a, b, b, a)) - NCPoly.from_word((c,)))])
         report = check_confluence(pres.system())
         assert not report.confluent
         assert report.checked == 1
@@ -776,7 +791,8 @@ class TestConfluence:
 
 
 def _completed(pres):
-    return complete(pres.all_relation_polys(), TermOrder(pres.order_kind))
+    # through the module, so that the suite's reduced-system check sees it
+    return rewrite.complete(pres.all_relation_polys(), TermOrder(pres.order_kind))
 
 
 def _braid():
@@ -834,7 +850,7 @@ class TestCompletion:
         w = NCPoly.from_word
         rels = [("xy", w((x, y)) - 1), ("yx", w((y, x)) - 2)]
         with pytest.raises(OrientationError, match="shorter than two letters"):
-            complete(rels, TermOrder("deglex"))
+            rewrite.complete(rels, TermOrder("deglex"))
 
     def test_completed_keeps_its_result(self, complete_calls):
         pres = catalog("schmudgen", variant="definition")
@@ -852,6 +868,63 @@ class TestCompletion:
                 braid.completed()
             messages.append(str(info.value))
         assert len(complete_calls) == 1 and messages[0] == messages[1]
+
+
+# the presentations whose generating sets TestReducedCompletionIsUnique
+# varies: the catalog, printed gaddis, schmudgen's definition, three
+# confluent unified points and the example files
+UNIQUENESS_CASES = (
+    *((fam, lambda fam=fam: catalog(fam)) for fam in qheis.family_ids()),
+    ("gaddis_printed", lambda: catalog("gaddis", variant="printed")),
+    ("schmudgen_definition", lambda: catalog("schmudgen", variant="definition")),
+    *((f"unified_-1_-1_{l}", lambda l=l: unified(UnifiedParams(-1, -1, l, 1, 1, 1)))
+      for l in (-1, 0, 1)),
+    *((path.name, lambda path=path: load_presentation(path.read_text()))
+      for path in sorted(EXAMPLES.glob("*.qpres"))),
+)
+
+
+def _generating_set(relations, gens, rng):
+    """Another generating set of the ideal of ``relations``: shuffled, each
+    scaled by 2, q or -1, one r_i replaced by r_i + a*r_j*b (j != i) and
+    one a*r appended, for words a and b of at most one letter."""
+    scales = (C.from_scalar(2), C.q_power(1), C.from_scalar(-1))
+
+    def word():
+        return NCPoly.from_word(rng.choices(gens, k=rng.randrange(2)))
+
+    rels = [(label, poly * rng.choice(scales)) for label, poly in relations]
+    rng.shuffle(rels)
+    if len(rels) > 1:
+        i, j = rng.sample(range(len(rels)), 2)
+        label, poly = rels[i]
+        rels[i] = (label, poly + word() * rels[j][1] * word())
+    rels.append(("extra", word() * rng.choice(rels)[1]))
+    return rels
+
+
+class TestReducedCompletionIsUnique:
+    """With monic leads, a reduced complete system is unique for its ideal
+    and term order (Bergman 1978; Metivier 1983), so every generating set
+    of one ideal completes to the same rules."""
+
+    VARIANTS = 20
+
+    @pytest.mark.parametrize("case", range(len(UNIQUENESS_CASES)),
+                             ids=[name for name, _ in UNIQUENESS_CASES])
+    def test_generating_sets_complete_to_the_same_rules(self, case):
+        pres = UNIQUENESS_CASES[case][1]()
+        order = TermOrder(pres.order_kind)
+        relations = pres.all_relation_polys()
+        want = {r.lhs: r.rhs for r in rewrite.complete(relations, order).rules}
+        rng = make_rng(case)
+        differ = []
+        for k in range(self.VARIANTS):
+            rels = _generating_set(relations, pres.generators, rng)
+            got = {r.lhs: r.rhs for r in rewrite.complete(rels, order).rules}
+            if got != want:
+                differ.append(k)
+        assert not differ, f"variants {differ} complete to other rules"
 
 
 class TestCopies:
@@ -908,16 +981,16 @@ class TestTermOrder:
         x = Generator("x", None, 0)
         p = Generator("p", None, 1)
         order = TermOrder("deglex")
-        assert order.greater((p, x), (x, p))
-        assert order.greater((x, x, x), (p, p))
+        assert order.key((p, x)) > order.key((x, p))
+        assert order.key((x, x, x)) > order.key((p, p))
 
     def test_invlex_counts_inversions(self):
         x = Generator("x", None, 0)
         h = Generator("h", None, 1)
         order = TermOrder("invlex")
         # one inversion beats any inversion-free word, regardless of length
-        assert order.greater((h, x), (x, h, h, h, h))
-        assert order.greater((x, h, h), (x, h))
+        assert order.key((h, x)) > order.key((x, h, h, h, h))
+        assert order.key((x, h, h)) > order.key((x, h))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
