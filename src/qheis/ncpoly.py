@@ -152,10 +152,6 @@ class NCPoly:
         return NCPoly({Word(word): coeff})
 
     @staticmethod
-    def from_generator(g, coeff=1):
-        return NCPoly({Word((g,)): coeff})
-
-    @staticmethod
     def from_scalar(c):
         if isinstance(c, NCPoly):
             return c

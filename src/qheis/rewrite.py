@@ -16,13 +16,14 @@ leftmost position of the largest reducible word; among words of equal order
 key the one inserted into the term dict first wins.  A heap holds the
 reducible words, each keyed and matched once when it enters the polynomial,
 so a step costs O(|rhs| log terms) word operations and not a rescan of every
-term.  Under invlex the inversion count in the key of a word that a step
-makes comes from the rewritten word's count and the right-side word's
-inversion delta (``_inversion_delta``, built with the system): a few
-``str.count`` calls on the prefix and suffix, where a count from scratch
-costs time quadratic in the word's length.  Input words, and every word
-when the input has letters outside the system's alphabet, are counted from
-scratch, as are the keys of ``orient_relation``, ``code_key`` and
+term; no word is kept once rewritten, so memory follows the polynomial,
+not the steps.  Under invlex the inversion count in the key of a word that
+a step makes comes from the rewritten word's count and the right-side
+word's inversion delta (``_inversion_delta``, built with the system): a
+few ``str.count`` calls on the prefix and suffix, where a count from
+scratch costs time quadratic in the word's length.  Input words, and every
+word when the input has letters outside the system's alphabet, are counted
+from scratch, as are the keys of ``orient_relation``, ``code_key`` and
 ``critical_pairs``.  The coefficients are accumulated in place
 (``coeffs._addmul``): a step adds coeff*rc into the numerator dict of each
 right-side word, at a cost linear in the terms of coeff and with no new
@@ -65,12 +66,12 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain
 
 from ._record import Record
 from .coeffs import Coefficient, _addmul, _frozen, _unit_term
 from .errors import NonTermination, OrientationError, ParamError
-from .ncpoly import _EMPTY, NCPoly, _ncpoly, _over
+from .ncpoly import Alphabet, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
 # The longest word a step inside ``complete`` may enter, unless the input
@@ -104,9 +105,6 @@ class TermOrder(Record, frozen=True):
             return (len(ranks), ranks)
         return (_inversions(ranks), len(ranks), ranks)
 
-    def greater(self, w1, w2):
-        return self.key(w1) > self.key(w2)
-
     def __repr__(self):
         return f"TermOrder({self.kind!r})"
 
@@ -123,7 +121,8 @@ class RewriteRule(Record, frozen=True):
 
 class RewriteSystem:
     """Validated, immutable collection of oriented rules, over the join of
-    the alphabets of their sides."""
+    the alphabets of their sides: the right sides' alphabets in rule order,
+    then the left sides' letters, each letter at its first occurrence."""
 
     __slots__ = ("rules", "order", "step_limit", "alphabet", "_by_lhs",
                  "_lengths", "_search", "_word_limit")
@@ -131,17 +130,16 @@ class RewriteSystem:
     def __init__(self, rules, order=None, step_limit=DEFAULT_STEP_LIMIT):
         order = order or TermOrder("deglex")
         rules = tuple(rules)
-        alphabet = _EMPTY
-        for p in (*(r.rhs for r in rules), NCPoly({r.lhs: 1 for r in rules})):
-            alphabet, _ = _over(alphabet, p)
+        alphabets = [r.rhs.alphabet for r in rules]
+        letters = tuple(dict.fromkeys(chain(*(a.letters for a in alphabets),
+                                            *(r.lhs for r in rules))))
+        # one name of two precedences raises AlphabetError
+        alphabet = next((a for a in alphabets if a.letters == letters),
+                        None) or Alphabet(letters)
+        invlex = order.kind == "invlex"
         # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term,
         # its _inversion_delta under invlex or else None))
         by_lhs = {}
-        ranked = None
-        if order.kind == "invlex":
-            asc = alphabet.asc
-            codes = sorted(asc, key=asc.get)
-            ranked = ("".join(map(chr, codes)), [asc[i] for i in codes])
         for r in rules:
             if len(r.lhs) < 2:
                 raise OrientationError(
@@ -164,7 +162,7 @@ class RewriteSystem:
                     )
             by_lhs[lhs] = (r, tuple(
                 (s, c, _unit_term(c),
-                 ranked and _inversion_delta(lhs, s, alphabet.asc, ranked))
+                 _inversion_delta(lhs, s, alphabet.asc) if invlex else None)
                 for s, c in rhs.items()))
         # "(?!)" never matches: the pattern of a system without rules
         pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
@@ -256,36 +254,27 @@ def _inversions(ranks):
     return inv
 
 
-def _inversion_delta(lhs, rw, asc, ranked):
+def _inversion_delta(lhs, rw, asc):
     """``(d, below, above)`` of the right-side word ``rw`` of the left side
     ``lhs``, code strings whose letters ``asc`` ranks: for every prefix p
     and suffix s over the alphabet, inv(p+rw+s) is inv(p+lhs+s) + d plus
     k*p.count(c) for each ``(c, k)`` of ``below`` and k*s.count(c) for each
     of ``above``.  d = inv(rw) - inv(lhs).  A letter of p is inverted with
     each letter of the middle ranked below it, one of s with each ranked
-    above it, so k is that number for rw minus that for lhs; letters of
-    weight 0 are left out.  ``ranked`` is ``(codes, ranks)``, the
-    alphabet's codes in ascending rank and their ranks."""
-    codes, ranks = ranked
+    above it, so k is that number for rw minus that for lhs, bisected from
+    their sorted ranks; letters of weight 0 are left out, and sides of
+    equal ranks (a commutation rule's) weigh none without a pass over the
+    alphabet."""
     lr = sorted(map(asc.__getitem__, map(ord, lhs)))
     rr = sorted(map(asc.__getitem__, map(ord, rw)))
-
-    def weights(cuts, weight):
-        # ``weight`` is constant between the cuts, positions in ``ranks``
-        out = []
-        edges = sorted({0, len(ranks), *cuts})
-        for i, j in zip(edges, edges[1:]):
-            k = weight(ranks[i])
-            if k:
-                out.extend(zip(codes[i:j], repeat(k)))
-        return tuple(out)
-
-    below = weights([bisect_right(ranks, r) for r in lr + rr],
-                    lambda r: bisect_left(rr, r) - bisect_left(lr, r))
-    above = weights([bisect_left(ranks, r) for r in lr + rr],
-                    lambda r: (len(rr) - bisect_right(rr, r))
-                    - (len(lr) - bisect_right(lr, r)))
     d = _inversions(rw.translate(asc)) - _inversions(lhs.translate(asc))
+    if lr == rr:
+        return d, (), ()
+    grow = len(rr) - len(lr)
+    below = tuple((chr(i), k) for i, r in asc.items()
+                  if (k := bisect_left(rr, r) - bisect_left(lr, r)))
+    above = tuple((chr(i), k) for i, r in asc.items()
+                  if (k := bisect_right(lr, r) - bisect_right(rr, r) + grow))
     return d, below, above
 
 
@@ -301,9 +290,10 @@ def _reduce(poly, sys, trace):
     # Max-heap of the reducible words in ``terms`` by order key; ties go to
     # the smaller insertion number, i.e. to the earlier word in dict order.
     # A word removed from ``terms`` (and maybe re-inserted under a new
-    # number) leaves a stale entry, skipped through ``live``.  The invlex
-    # key (-inversions, -length, ranks) of a word that a step makes takes
-    # its count from the rewritten word's key and the right-side word's
+    # number) leaves a stale entry, skipped through ``live``, which holds
+    # only the words of ``terms`` still on the heap.  The invlex key
+    # (-inversions, -length, ranks) of a word that a step makes takes its
+    # count from the rewritten word's key and the right-side word's
     # _inversion_delta; input words, and every word when the input has
     # letters outside the system's alphabet (no delta weighs them), are
     # counted from scratch.
@@ -341,8 +331,9 @@ def _reduce(poly, sys, trace):
     over = 0
     while heap:
         key, n, best, m = heappop(heap)
-        if live[best] != n or best not in terms:
+        if live.get(best) != n:
             continue
+        del live[best]
         steps += 1
         if steps > limit:
             raise NonTermination(f"step limit {limit} exceeded", chain=chain)
@@ -376,6 +367,7 @@ def _reduce(poly, sys, trace):
                 push(nw, nm, inv)
             elif c is None:
                 del terms[nw]
+                live.pop(nw, None)
             elif c is not old:
                 terms[nw] = c
         if trace is not None or steps > last:
@@ -516,7 +508,8 @@ def complete(relations, order):
         nonlocal sys
         for lhs in [lhs for lhs in rules if _occurs(rule.lhs, lhs)]:
             old = rules.pop(lhs)
-            queue.append((old.origin, NCPoly.from_word(lhs) - old.rhs))
+            a = old.rhs.alphabet  # its relation's, with the letters of lhs
+            queue.append((old.origin, _ncpoly({a.encode(lhs): _ONE}, a) - old.rhs))
         rules[rule.lhs] = rule
         sys = None
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
                    save_presentation, unified)
 from qheis.coeffs import EXP_LIMIT, Coefficient
 from qheis.errors import ExponentOverflow, NonTermination, OrientationError
-from qheis.ncpoly import Generator, Word
+from qheis.ncpoly import Alphabet, Generator, Word
 from qheis.printer import parse_machine
 from qheis.rewrite import (WORD_LENGTH_LIMIT, RewriteRule, RewriteSystem,
                            TermOrder, _inversions)
@@ -271,6 +272,23 @@ class TestNormalize:
         assert got == pres.parse(expected)
         assert max(map(len, got.terms)) == WORD_LENGTH_LIMIT + 10
 
+    def test_memory_follows_the_polynomial(self):
+        # h*x -> x*h^12 enters words of up to 20 740 letters on the way to
+        # x^4*h^20736; a word that normalize has rewritten is not kept
+        pres = load_presentation(
+            "qheis-presentation 1\nname: grow\norder: invlex\n"
+            "generator: x\ngenerator: h\nrelation: h_x : h*x - x*h^12\n")
+        sysm, a = pres.system(), pres.parse("h*x^4")
+        tracemalloc.start()
+        try:
+            got = normalize(a, sysm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # past the parser's exponent limit, so compared as text
+        assert format_expr(got, "plain") == "x^4*h^20736"
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("fam", ["gha", "q_gha"])
     def test_normal_forms_twice_the_word_length_limit(self, fam, families):
         # 2047 steps to a word of 2059 letters: with every new word's
@@ -436,6 +454,17 @@ class TestStrategyEquivalence:
                     tails = rng.sample(foreign + gens, 6)
                     a = a + NCPoly({(z, x, t): 1 for t in tails})
                 _assert_same_as_reference(a, s)
+
+    @pytest.mark.parametrize("kind", ["deglex", "invlex"])
+    def test_one_alphabet_per_system(self, kind, monkeypatch):
+        # the join of 957 rules, each over an alphabet of its own letters
+        rules = _wide_system(kind)[1].rules
+        made = []
+        real = Alphabet.__init__
+        monkeypatch.setattr(Alphabet, "__init__", lambda self, letters:
+                            made.append(letters) or real(self, letters))
+        sysm = RewriteSystem(rules, TermOrder(kind))
+        assert len(made) == 1 and len(sysm.alphabet.letters) == WIDE
 
     def test_catalog_systems_keep_the_presentation_alphabet(self, families):
         for fam, pres in families.items():
