@@ -9,7 +9,6 @@ and unhashable.  This is what ``dataclasses`` would generate, without the
 cost of importing it and building the methods at import time.
 """
 
-from itertools import repeat
 from operator import attrgetter
 
 _setattr = object.__setattr__
@@ -38,8 +37,8 @@ class Record:
 
     def _set(self, *values):
         """Set every field, in ``__slots__`` order (bypasses frozen)."""
-        # each call returns None, so ``any`` makes them all, in C
-        any(map(_setattr, repeat(self), self.__slots__, values))
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -59,6 +59,10 @@ from math import gcd, lcm
 from .errors import (DivisionByZero, ExponentOverflow, ParamError, PoleAtPoint,
                      UnboundVariable)
 
+# The most terms that an exact division may give, and that a product the
+# parser forms may pair: a longer quotient is not formed.
+MAX_TERMS = 100_000
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals as reduced integer triples (a, b, d) = (a + b*i)/d.
 # ---------------------------------------------------------------------------
@@ -322,9 +326,6 @@ def _p_mul(a, b):
     if len(b) == 1:
         ((m, t),) = b.items()
         return _p_scale(a, m, t)
-    if len(a) == 1:
-        ((m, t),) = a.items()
-        return _p_scale(b, m, t)
     if not (a and b):
         return {}
     out = {}
@@ -418,7 +419,9 @@ def _p_divide_exact(a, b, off):
     Quotient terms come in decreasing order, and the last term of an exact
     quotient is trail(a)/trail(b), trail being the smallest term: a quotient
     term m with m*trail(b) below trail(a) ends a failing division at once
-    instead of after one step per degree.
+    instead of after one step per degree.  A quotient of more than
+    ``MAX_TERMS`` terms is given up on, as an inexact one is, so a wide
+    numerator such as q^(10^8) + 1 over q + 1 ends after MAX_TERMS steps.
     """
     if not a:
         return {}
@@ -438,7 +441,7 @@ def _p_divide_exact(a, b, off):
             continue
         m = lead_r - lead_b
         # rem and b are polynomials, so every field of m is in range
-        if (m + off) & off != off or m < floor:
+        if (m + off) & off != off or m < floor or len(quot) == MAX_TERMS:
             return None
         if not quot:
             # set up on the first quotient term: most calls end before it
@@ -509,9 +512,9 @@ def _canonical(num, den):
     A unit denominator is already canonical.  Any other single-term
     denominator is folded into the numerator; a multi-term one is shifted
     to nonnegative exponents, made monic and divided out when it divides
-    the numerator exactly.  The monic choice reads the leading term in
-    lex order on the variable names, so that no output depends on the
-    interning order.
+    the numerator exactly, with a quotient of at most ``MAX_TERMS`` terms.
+    The monic choice reads the leading term in lex order on the variable
+    names, so that no output depends on the interning order.
     """
     if not den:
         raise DivisionByZero("zero denominator")

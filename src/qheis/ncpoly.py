@@ -29,17 +29,6 @@ class Generator(Record, frozen=True):
     def __init__(self, name, index=None, precedence=0):
         self._set(name, index, precedence)
 
-    # the record's own methods, spelled out: generators key every alphabet,
-    # and reading the slots by name hashes in two thirds of the time
-    def __hash__(self):
-        return hash((self.name, self.index, self.precedence))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.index, self.precedence)
-                    == (other.name, other.index, other.precedence))
-        return NotImplemented
-
     @property
     def sym(self):
         return self.name if self.index is None else f"{self.name}_{self.index}"

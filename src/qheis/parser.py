@@ -24,21 +24,24 @@ character is refused at its position.
 
 A term is read as one coefficient and one code string: a generator, or a
 generator to an integer power k, appends its code (k times), and a factor
-of one word multiplies its coefficient in.  A generator with no exponent,
-the common case, is read by ``term`` itself: its code joins the word with
-no factor built.  A group that holds one such term is read as that term.
-From the first factor of several words or none (a group, a commutator, a
-zero) on, the term is an NCPoly product.  The limits below hold for every
-product either way, with the same messages and positions.  An exponent is
-read as an int pair n/d in lowest terms.
+of one word multiplies its coefficient in.  ``factor`` reads a term's
+first factor.  After a ``*``, a generator with no exponent, the common
+case, is read by ``term`` itself: its code joins the word with no factor
+built.  A group that holds one such term is read as that term.  From the
+first factor that is an NCPoly (a group of several words or none, a
+group's power, a commutator, a zero) on, the term is an NCPoly product.
+The limits below hold for every product either way, with the same
+messages and positions.  An exponent is read as an int pair n/d in lowest
+terms.
 
 Brackets nest at most ``MAX_NESTING`` deep, no exponent exceeds
 ``MAX_POWER`` in magnitude and no product (power and commutator steps
 included, scalar powers too) pairs more than ``MAX_TERMS`` numerator or
 denominator terms of its coefficients, summed over its words; deeper or
 larger input, a zero denominator and an integer literal too long for ``int``
-are a ParseError.  Powers whose central exponents leave the coefficient
-kernel's range raise its ExponentOverflow.
+are a ParseError.  ``MAX_TERMS`` is the coefficient kernel's, which also
+bounds its exact divisions.  Powers whose central exponents leave the
+coefficient kernel's range raise its ExponentOverflow.
 """
 
 from __future__ import annotations
@@ -47,13 +50,12 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .coeffs import Coefficient, _power
+from .coeffs import MAX_TERMS, Coefficient, _power
 from .errors import ParseError
 from .ncpoly import _EMPTY, NCPoly, _ncpoly, _over
 
 MAX_NESTING = 100
 MAX_POWER = 10_000
-MAX_TERMS = 100_000
 
 _OPERATORS = "-+*^()[],/"
 # a symbol name: one token
@@ -161,17 +163,13 @@ class _Parser:
         return value
 
     def term(self):
-        """The product of the factors: one-word factors give a one-word
-        term, and from the first factor of several words (or none) on it is
-        an NCPoly product.  A generator with no exponent is read here: its
-        code joins the one-word term, with no factor built."""
+        """The product of the factors, the first read by ``factor``:
+        one-word factors give a one-word term, and from the first NCPoly
+        factor on it is an NCPoly product.  A generator with no exponent
+        after a ``*`` is read here: its code joins the one-word term, with
+        no factor built."""
         tokens, codes = self.tokens, self.codes
-        kind, name, _ = tokens[self.k]
-        if kind == "ident" and name in codes and tokens[self.k + 1][0] != "^":
-            self.k += 1
-            value = _ONE, codes[name], self.alphabet
-        else:
-            value = self.factor()
+        value = self.factor()
         while tokens[self.k][0] == "*":
             pos = tokens[self.k][2]
             self.k += 1
@@ -191,8 +189,8 @@ class _Parser:
         return value
 
     def factor(self):
-        """A one-word term, or the factor's NCPoly if it has several words
-        or none."""
+        """The atom, to its exponent if one follows: a one-word term or an
+        NCPoly, as ``atom`` and ``_power`` give it."""
         base, tag = self.atom()
         if self.tokens[self.k][0] == "^":
             pos = self.take()[2]
@@ -201,9 +199,6 @@ class _Parser:
                 raise ParseError(f"exponent {_ratio_text(n, d)} at {pos} exceeds "
                                  f"the limit {MAX_POWER}", pos)
             base = self._power(base, tag, n, d, pos)
-        if type(base) is NCPoly and len(base._terms) == 1:
-            (code, coeff), = base._terms.items()
-            return coeff, code, base.alphabet
         return base
 
     def exponent(self):

@@ -39,6 +39,9 @@ WORD_LENGTH_LIMIT (or the input's longest word): under invlex a rule such
 as h*x -> x*h^2 lengthens words, and completion would otherwise reduce
 ever longer ones.  ``normalize`` on any other system has no such limit, as
 a finite normal form may need long words (gha's h*x^10 is x^10*h^1024).
+Every reduction, completion's too, raises NonTermination once the words
+its steps make hold more than LETTER_BUDGET letters in all: the step limit
+alone leaves the time and memory of a step unbounded when words grow.
 
 ``normalize`` is linear, NF(a + c*b) = NF(a) + c*NF(b), also when the
 system is not confluent.  Each word has one fixed one-step reduct, by the
@@ -79,6 +82,11 @@ DEFAULT_STEP_LIMIT = 10_000
 # step can, and a relation such as h*x -> x*h^2 then grows words without
 # bound.
 WORD_LENGTH_LIMIT = 1024
+# The most letters one reduction may enter, summed over the words its steps
+# make.  The corpus enters at most a few hundred per call and gha's h*x^11
+# 2.1 M; a step limit alone lets a rule such as h*x -> x*h^50 build words
+# of millions of letters, for seconds, before it ends.
+LETTER_BUDGET = 2**28
 
 
 class TermOrder(Record, frozen=True):
@@ -324,11 +332,14 @@ def _reduce(poly, sys, trace):
     # unbounded outside completion; raised to the input's longest word when
     # a longer word comes up
     longest = sys._word_limit or float("inf")
+    # the letters of every word the steps make, whether new or not
+    letters, budget = 0, LETTER_BUDGET
     # NCPoly snapshots of the last steps, for NonTermination.chain: from
-    # step ``last`` on, and of a step that made a word over the limit
+    # step ``last`` on, and of a step that crossed a limit, which ``error``
+    # then names
     chain = deque(maxlen=5)
     last = limit - chain.maxlen
-    over = 0
+    error = None
     while heap:
         key, n, best, m = heappop(heap)
         if live.get(best) != n:
@@ -344,15 +355,18 @@ def _reduce(poly, sys, trace):
         prefix, suffix = best[:pos], best[m.end():]
         for rw, rc, term, delta in rhs:
             nw = prefix + rw + suffix
+            letters += len(nw)
             old = terms.get(nw)
-            if old is None and len(nw) > longest:
-                longest = max(longest, *map(len, poly._terms))
-                if len(nw) > longest and not over:
-                    # the step ends, so that its snapshot holds the word
-                    over, last = len(nw), 0
             c = _addmul(old, coeff, rc, term)
             if old is None:
                 terms[nw] = c
+                if len(nw) > longest:
+                    longest = max(longest, *map(len, poly._terms))
+                    if len(nw) > longest and error is None:
+                        # the step ends, so that its snapshot holds the word
+                        error = (f"word length limit {longest} exceeded: a "
+                                 f"step made a word of {len(nw)} letters")
+                        last = 0
                 nm = search(nw)
                 if nm is None:
                     continue
@@ -370,15 +384,17 @@ def _reduce(poly, sys, trace):
                 live.pop(nw, None)
             elif c is not old:
                 terms[nw] = c
+        if letters > budget and error is None:
+            error = (f"letter budget {budget} exceeded: {steps} steps made "
+                     f"words of {letters} letters in all")
+            last = 0
         if trace is not None or steps > last:
             snap = (rule.origin, pos, _snapshot(terms, alphabet))
             chain.append(snap)
             if trace is not None:
                 trace(snap)
-            if over:
-                raise NonTermination(
-                    f"word length limit {longest} exceeded: a step made a "
-                    f"word of {over} letters", chain=chain)
+            if error is not None:
+                raise NonTermination(error, chain=chain)
     return _snapshot(terms, alphabet)
 
 

@@ -474,10 +474,9 @@ def _equivalence(make_pair, case):
                                            expected=case.expected)
 
 
-# The fixed pairs of presentations the corpus compares, built once per
-# process like ``_catalog``.
+# The fixed pairs of presentations the corpus compares, each built once per
+# process: schmudgen's by ``_catalog``, the others cached here.
 
-@cache
 def _schmudgen_pair():
     return _catalog("schmudgen", variant="definition"), _catalog("schmudgen")
 

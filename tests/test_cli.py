@@ -129,6 +129,19 @@ class TestNormalize:
         assert lines[9995:] == [*chain, "engine error: step limit 10000 "
                                         "exceeded", *chain]
 
+    def test_letter_budget_is_engine_error(self, capsys, tmp_path):
+        # h*x -> x*h^50 on h*x^4 builds words of millions of letters
+        path = tmp_path / "grow.qpres"
+        path.write_text("qheis-presentation 1\nname: grow\norder: invlex\n"
+                        "generator: x\ngenerator: h\n"
+                        "relation: h_x : h*x - x*h^50\n")
+        code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
+                                 "--expr", "h*x^4")
+        assert (code, out) == (3, "")
+        assert err.startswith("engine error: letter budget 268435456 exceeded")
+        # the one step that crossed the budget follows
+        assert len(err.splitlines()) == 2
+
     def test_conflicting_cancellation_relation(self, capsys, tmp_path):
         # L*L_inv = 2 beside the inverse pair's L*L_inv = 1 does not orient
         path = tmp_path / "inv.qpres"
@@ -207,6 +220,17 @@ class TestNormalize:
             "normalize", "--algebra", "gaddis",
             "--expr", "(q^10000)^10000*(q+1)^-1*x", timeout=20)
         assert (code, out, err) == (0, "q^100000000*(q + 1)^-1*x\n", "")
+
+    def test_wide_exact_division_gives_up(self):
+        # q + 1 divides q^100000000 + 1, but the quotient has 10^8 terms:
+        # the division gives up past MAX_TERMS and keeps the fraction
+        t0 = time.perf_counter()
+        code, out, err = run_cli_process(
+            "normalize", "--algebra", "gaddis",
+            "--expr", "((q^10000)^10000 + 1)*(q + 1)^-1*x", timeout=20)
+        assert time.perf_counter() - t0 < 5.0
+        assert (code, out, err) == (
+            0, "(q^100000000 + 1)*(q + 1)^-1*x\n", "")
 
     @pytest.mark.parametrize("expr, message", [
         ("1/0*x", "division by zero at 2"),

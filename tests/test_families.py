@@ -216,6 +216,7 @@ class TestOre:
         with pytest.raises(NotOreShaped):
             extract_ore(_bad_tower(), ("a", "b"))
 
+    @pytest.mark.hashseed
     def test_ore_extracted_once_per_presentation(self, extract_calls):
         w = catalog("wess")
         first = extract_ore(w, ("Lambda", "p", "x"))

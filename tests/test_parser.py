@@ -255,6 +255,7 @@ _DIFF_CASES = st.one_of(*(st.tuples(st.just(fam), _expressions(pres))
                           for fam, pres in sorted(_DIFF_PRESENTATIONS.items())))
 
 
+@pytest.mark.hashseed
 class TestParseDifferential:
     @settings(max_examples=200, deadline=None)
     @given(_DIFF_CASES)

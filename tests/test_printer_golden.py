@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,9 +192,11 @@ class TestPrinterGolden:
             counts[name] = len(forms)
         assert sum(counts.values()) == 649
 
+    @pytest.mark.hashseed
     def test_golden_bytes_pinned(self):
         assert golden_digest() == GOLDEN_SHA256
 
+    @pytest.mark.hashseed
     def test_golden_bytes_independent_of_interning_order(self):
         # the opaque names are interned in reverse order before anything
         # else, so they take the low packed fields in the opposite order
@@ -210,6 +213,7 @@ class TestPrinterGolden:
         assert out.stdout.strip() == GOLDEN_SHA256
 
 
+@pytest.mark.hashseed
 class TestPrinterMemo:
     """Each term's monomial prints from a bounded memo of monomial texts,
     keyed by style and by the base variables a scope prints raw."""
@@ -331,6 +335,7 @@ def _plain_sum_monos(text):
     return monos
 
 
+@pytest.mark.hashseed
 class TestPrinterTermPath:
     """Long coefficients: their text reads back to their value, and their
     terms print in lex order on the variable names."""

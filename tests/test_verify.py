@@ -176,6 +176,7 @@ class TestEquivalence:
         assert report.detail == ("both inclusions certified; no cross-check, "
                                  "as neither side orients")
 
+    @pytest.mark.hashseed
     @pytest.mark.parametrize("case_id, fresh", [("t-pp", False), ("z", True)],
                              ids=("t-pp-rr-ideal shift by z_x moved a normal "
                                   "form", "z-rr-ideal shift by z_x moved a "
@@ -199,6 +200,7 @@ class TestEquivalence:
             "pass", "both inclusions certified; no cross-check, as neither "
                     "side is confluent", None)
 
+    @pytest.mark.hashseed
     @pytest.mark.parametrize("sides, detail", [
         ("rc", "relation zz of gaddis-zz does not normalize to zero under "
                "gaddis_printed"),
@@ -257,6 +259,7 @@ class TestEquivalence:
                     "side normalizes to zero under wess; cross-checked under "
                     "wess only, as wess-from-unified is not confluent")
 
+    @pytest.mark.hashseed
     @pytest.mark.parametrize("case_id, sides", [
         ("t-wrong", (False, True)), ("t-bad", (True, True)),
     ], ids=("t-wrong-ideal shift by x_p moved a normal form",
@@ -284,6 +287,7 @@ class TestEquivalence:
         assert (report.status, report.detail, report.witness) == (
             "fail", *want)
 
+    @pytest.mark.hashseed
     @pytest.mark.parametrize("make_pair", [
         _wess_rearranged_pair, _gaddis_one_parameter_pair,
     ], ids=("wess-rearranged", "gaddis-one-parameter"))
@@ -395,16 +399,19 @@ class TestSuite:
                                  "wess-ore-x-pp$"):
             run_suite(["wess-ore-x-p", "wess-ore-x-pp", "no-such-case"])
 
+    @pytest.mark.hashseed
     def test_byte_determinism(self, reports):
         again = run_suite("all", k=10)
         assert reports_to_json(reports) == reports_to_json(again)
 
+    @pytest.mark.hashseed
     def test_report_bytes_pinned(self, reports):
         # the whole report, every coefficient's printed text included;
         # a change that is meant to alter it updates this hash and says why
         digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
         assert digest == REPORT_SHA256
 
+    @pytest.mark.hashseed
     def test_report_bytes_independent_of_interning_order(self):
         # opaque names interned before the catalog's own variables take the
         # low fields of the packed monomial keys; no byte may change
@@ -420,6 +427,7 @@ class TestSuite:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == REPORT_SHA256
 
+    @pytest.mark.hashseed
     def test_report_bytes_independent_of_code_order(self):
         # polynomials over alphabets in reversed precedence order, with
         # letters no presentation declares, normalized before the suite
@@ -442,6 +450,7 @@ class TestSuite:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == REPORT_SHA256
 
+    @pytest.mark.hashseed
     def test_suite_builds_each_presentation_once(self):
         # counts the catalog builds, orientations, completions and Ore
         # extractions of two runs in a fresh process, and snapshots each
@@ -669,6 +678,7 @@ class TestCaseDeclaration:
         r = case.run()
         return r.status, r.detail, r.witness
 
+    @pytest.mark.hashseed
     def test_failed_classical_limit(self, monkeypatch):
         # against a commuting x_1, p_1 the rules for p_1*x_1 differ
         cls = qheis.verify._classical_limit_pair()[1]
