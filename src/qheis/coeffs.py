@@ -407,6 +407,23 @@ def _p_shift_mono(a, off):
     return out
 
 
+def _content_free(a):
+    """Whether no variable divides every term of ``a``, a polynomial (no
+    negative exponents), so that its packed fields are its exponents.
+    ``_canonical`` shifts a denominator only out of negative exponents:
+    q^2 + q stays, and such a denominator can divide m*N for a monomial m
+    without dividing N."""
+    used = 0
+    for m in a:
+        used |= m
+    sh = 0
+    while used >> sh:
+        if (used >> sh) & _FIELD and all((m >> sh) & _FIELD for m in a):
+            return False
+        sh += _W
+    return True
+
+
 def _p_divide_exact(a, b, off):
     """Exact Laurent division a/b, or None when b does not divide a.
 
@@ -578,8 +595,10 @@ class Coefficient:
 
     The public constructor copies its arguments and canonicalizes;
     operations whose result is canonical by construction (negation, sums
-    and products of operands with unit denominators) skip that step, and
-    a product with the ``one()`` object returns the other factor.  The
+    and products of operands with unit denominators, and a one-term factor
+    over the unit times a fraction whose denominator no variable divides)
+    skip that step, and a product with the ``one()`` object returns the
+    other factor.  The
     constructor takes int, Fraction and constant Coefficient values and
     drops zero values from both dicts, so an all-zero denominator raises
     DivisionByZero; a key that is not a monomial, or a value that is not
@@ -719,6 +738,14 @@ class Coefficient:
             return other
         if len(self._den) == 1 and len(other._den) == 1:
             return _coeff(_p_mul(self._num, other._num), {0: _T_ONE})
+        # one term m*t over the unit times N/D: a Laurent unit changes
+        # neither whether D divides N nor the length of the quotient, so
+        # when no variable divides D, m*t*N/D is canonical as it stands
+        unit, frac = (self, other) if len(self._den) == 1 else (other, self)
+        if (len(unit._num) == 1 and len(unit._den) == 1
+                and _content_free(frac._den)):
+            ((m, t),) = unit._num.items()
+            return _coeff(_p_scale(frac._num, m, t), dict(frac._den))
         return _coeff(*_canonical(_p_mul(self._num, other._num),
                                   _p_mul(self._den, other._den)))
 

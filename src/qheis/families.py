@@ -449,17 +449,36 @@ class UnifiedParams(Record):
         self._set(n, m, l, psi, pi, phi, alpha_range, lambda_range, beta_range)
 
 
+# Each relation adds its dynamical-function term only when that function is
+# nonzero, so a zero psi, pi or phi forms no coefficient (for pi, a power of
+# q - 1).
+
 def _x_p_relation(n, psi, x, p):
-    return x * p - _q(n) * (p * x) - (I * _q(n - 1) * C.hbar_power(n)) * psi
+    rel = x * p - _q(n) * (p * x)
+    if psi.is_zero:
+        return rel
+    return rel - (I * _q(n - 1) * C.hbar_power(n)) * psi
 
 
 def _x_y_relation(m, pi, x, y):
-    qm1 = _q(1) - C.one()
-    return _q(m) * (x * y) - y * x + (I * qm1 ** (m - 1) * C.hbar_power(m - 1)) * pi
+    rel = _q(m) * (x * y) - y * x
+    if pi.is_zero:
+        return rel
+    return rel + (I * (_q(1) - C.one()) ** (m - 1) * C.hbar_power(m - 1)) * pi
 
 
 def _y_p_relation(l, phi, y, p):
-    return _q(l) * (y * p) - _q(l + 1) * (p * y) - (I * C.hbar_power(l)) * phi
+    rel = _q(l) * (y * p) - _q(l + 1) * (p * y)
+    if phi.is_zero:
+        return rel
+    return rel - (I * C.hbar_power(l)) * phi
+
+
+# nH1-nH3: constructor, the parameters of its exponent and its dynamical
+# function, and the two roles it pairs
+_UNIFIED_RELATIONS = {"nH1": (_x_p_relation, "n", "psi", "x", "p"),
+                      "nH2": (_x_y_relation, "m", "pi", "x", "y"),
+                      "nH3": (_y_p_relation, "l", "phi", "y", "p")}
 
 
 def unified_relation_polys(n, m, l, psi, pi, phi, x, y, p):
@@ -488,20 +507,17 @@ def unified(params):
             return parse_expr(v, scope)
         return NCPoly.from_scalar(v)
 
-    psi, pi, phi = as_poly(params.psi), as_poly(params.pi), as_poly(params.phi)
+    fns = {f: as_poly(getattr(params, f)) for f in ("psi", "pi", "phi")}
+    roles = {"x": xs, "y": ys, "p": ps}
     rels = []
-    kinds = ((xs, ps, _x_p_relation, params.n, psi),
-             (xs, ys, _x_y_relation, params.m, pi),
-             (ys, ps, _y_p_relation, params.l, phi))
-    for left, right, relation, exp, fn in kinds:
-        for a in left:
-            for b in right:
-                rels.append((f"{a.name}{b.name}_{a.index}_{b.index}",
-                             relation(exp, fn, _w(a), _w(b))))
+    for relation, exp, fn, left, right in _UNIFIED_RELATIONS.values():
+        for a in roles[left]:
+            for b in roles[right]:
+                rel = relation(getattr(params, exp), fns[fn], _w(a), _w(b))
+                rels.append((f"{a.name}{b.name}_{a.index}_{b.index}", rel))
     return Presentation(
         "unified", gens, rels,
-        parameters={"n": params.n, "m": params.m, "l": params.l,
-                    "psi": psi, "pi": pi, "phi": phi},
+        parameters={"n": params.n, "m": params.m, "l": params.l, **fns},
         metadata={"q_domain": "real, q not in {0, 1}; q = 1 only via the "
                               "classical-limit pathway"})
 

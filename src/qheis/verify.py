@@ -34,6 +34,12 @@ so a second suite run orients, completes and extracts nothing.  The
 verifiers read the ``all_relation_polys()`` its rules are built from and
 mutate no presentation.  Reports and verdicts are recomputed on every
 call, and the public ``catalog`` still returns a new presentation each time.
+
+The two verifiers that dominate a suite run form nothing that they throw
+away or form again.  A specialization check builds only the relations its
+row lists, parsing only their dynamical functions, and a zero function adds
+no term (no power of q - 1 for pi = 0).  The power identities carry x^k and
+y^k, and the powers k - 1, from one k to the next.
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ from ._record import Record
 from .coeffs import Coefficient, qnumber
 from .errors import (OracleDivergence, OracleOverflow, OrientationError,
                      ParamError, QheisError)
-from .families import (Presentation, UnifiedParams, catalog, classical_limit,
-                       extract_ore, subs_poly, unified, unified_relation_polys,
-                       unit_ratio)
+from .families import (_UNIFIED_RELATIONS, Presentation, UnifiedParams,
+                       catalog, classical_limit, extract_ore, subs_poly,
+                       unified, unit_ratio)
 from .ncpoly import NCPoly, _ncpoly, _over
 from .parser import parse_expr
 from .printer import format_expr
@@ -231,12 +237,17 @@ def _cross_check(p1, p2, sides):
                   f"under {under}", None)
 
 
-def _power_expansions(pres, k):
-    """(label, product, its claimed normal form) for y*x^k and y^k*x."""
+def _power_expansions(pres, K):
+    """(label, product, its claimed normal form) for y*x^k and then y^k*x,
+    for k = 1..K in turn.  x^k and y^k, and the powers k - 1 the claims
+    read, are carried from one k to the next: each is one product more."""
     x, z, y = pres.poly("x"), pres.poly("z"), pres.poly("y")
-    q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
-    return ((f"y*x^{k}", y * x**k, x**k * y * q + x**(k - 1) * z * tail),
-            (f"y^{k}*x", y**k * x, x * y**k * q + z * y**(k - 1) * tail))
+    xk = yk = NCPoly.one()
+    for k in range(1, K + 1):
+        x1, y1, xk, yk = xk, yk, xk * x, yk * y
+        q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
+        yield f"y*x^{k}", y * xk, xk * y * q + x1 * z * tail
+        yield f"y^{k}*x", yk * x, x * yk * q + z * y1 * tail
 
 
 def verify_power_identities(case_id="gaddis-power-identities", K=10,
@@ -246,14 +257,12 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
     if K < 1:
         raise ParamError(f"power-identity exponent K must be at least 1, got {K}")
     pres = presentation or _catalog("gaddis")
-    for k in range(1, K + 1):
-        for text, lhs, claimed in _power_expansions(pres, k):
-            ok, nf = ideal_membership(lhs - claimed, pres)
-            if not ok:
-                return VerificationReport(
-                    case_id, "power_identity", _failed(expected), expected,
-                    detail=f"{text} expansion mismatch",
-                    witness=format_expr(nf))
+    for text, lhs, claimed in _power_expansions(pres, K):
+        ok, nf = ideal_membership(lhs - claimed, pres)
+        if not ok:
+            return VerificationReport(
+                case_id, "power_identity", _failed(expected), expected,
+                detail=f"{text} expansion mismatch", witness=format_expr(nf))
     return VerificationReport(case_id, "power_identity", "pass", expected,
                               detail=f"both identities exact for k = 1..{K}")
 
@@ -343,34 +352,32 @@ class SpecializationRow(Record, frozen=True):
 
 
 def _check_row_values(row, target):
-    """Check the listed relations for one set of parameter values.
+    """Check the listed relations for one set of parameter values; only
+    those are built, each with its own dynamical function.
 
     Returns (ok, lines, unit_of_first_relation); a row with no relations,
-    one other than nH1-nH3, or no x or p role raises ParamError.
+    one other than nH1-nH3, no x or p role, or no y role while it lists
+    nH2 or nH3 raises ParamError.
     """
     if not row.relations:
         raise ParamError(f"row {row.row_id} lists no relations")
     for name in row.relations:
-        if name not in ("nH1", "nH2", "nH3"):
+        if name not in _UNIFIED_RELATIONS:
             raise ParamError(f"row {row.row_id}: unknown relation {name!r}, "
                              f"not one of nH1, nH2, nH3")
-    for role in ("x", "p"):
-        if role not in row.rename:
+    roles = {"x", "p"}.union(*(_UNIFIED_RELATIONS[name][3:]
+                               for name in row.relations))
+    for role in ("x", "p", "y"):
+        if role in roles and role not in row.rename:
             raise ParamError(f"row {row.row_id} has no {role!r} role in rename")
-    x = target.poly(row.rename["x"])
-    p = target.poly(row.rename["p"])
-    y = target.poly(row.rename["y"]) if "y" in row.rename else NCPoly.zero()
-    psi = parse_expr(row.psi, target)
-    pi = parse_expr(row.pi, target)
-    phi = parse_expr(row.phi, target)
-    rel1, rel2, rel3 = unified_relation_polys(row.n, row.m, row.l,
-                                              psi, pi, phi, x, y, p)
-    polys = {"nH1": rel1, "nH2": rel2, "nH3": rel3}
+    gens = {role: target.poly(row.rename[role]) for role in roles}
     lines = []
     unit_repr = None
     ok = True
     for name in row.relations:
-        rel = polys[name]
+        make, exp, fn, a, b = _UNIFIED_RELATIONS[name]
+        rel = make(getattr(row, exp), parse_expr(getattr(row, fn), target),
+                   gens[a], gens[b])
         if row.at_q1:
             rel = subs_poly(rel, {"s": 1})
         for label, t in target.all_relation_polys():
@@ -499,7 +506,8 @@ def _gaddis_one_parameter_pair():
 
 def _case_gaddis_printed_zx(case):
     pres = _catalog("gaddis", variant="printed")
-    _, lhs, want = _power_expansions(pres, 2)[0]
+    # y*x^2, the first expansion of k = 2
+    _, lhs, want = list(_power_expansions(pres, 2))[2]
     holds, residue = ideal_membership(lhs - want, pres)
     report = check_confluence(pres.system())
     lines = []

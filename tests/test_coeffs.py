@@ -490,6 +490,76 @@ class TestPackedKernel:
         assert (ra, rb) == (_raw(a), _raw(b))
 
 
+# A denominator in s and t, and a unit whose exponent of h reaches the
+# limit: a large exponent of a variable of the denominator could make a
+# failing trial division walk MAX_TERMS quotient terms.
+_st_monos = st.lists(st.tuples(st.sampled_from("st"), st.integers(-3, 3)),
+                     max_size=2).map(_mono)
+_edge_monos = st.tuples(_big_exps, _st_monos).map(
+    lambda p: _mono((("h", p[0]),) + p[1]))
+_den_monos = st.lists(st.tuples(st.sampled_from("st"), st.integers(0, 3)),
+                      min_size=1, max_size=2).map(_mono)
+
+
+class TestUnitTimesFraction:
+    """A one-term factor over the unit times N/D with a multi-term D skips
+    the trial division when no variable divides D: its pair equals the one
+    ``_canonical`` gives, key order included.  A D with a monomial factor
+    takes the ``_canonical`` route, since there m*N/D can divide out where
+    N/D does not."""
+
+    @staticmethod
+    def _route(a, b):
+        from qheis.coeffs import _canonical, _p_mul
+
+        return _canonical(_p_mul(a._num, b._num), _p_mul(a._den, b._den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_monos, _gauss, _poly(_monos, min_size=1),
+           _poly(_den_monos, min_size=1), _gauss, st.booleans())
+    # s^(L-1) times 1/(s + 1): the product reaches the limit
+    @example(((("s", EXP_LIMIT - 1),)), _ONE_P, {MONO_UNIT: _ONE_P},
+             {(("s", 1),): _ONE_P}, _ONE_P, True)
+    # s^(L-1) times s/(s + 1): one exponent past the limit
+    @example(((("s", EXP_LIMIT - 1),)), _ONE_P, {(("s", 1),): _ONE_P},
+             {(("s", 1),): _ONE_P}, _ONE_P, True)
+    # q times (q + 1)/(q^2 + q): D has the factor s^2, and the product is 1
+    @example(((("s", 2),)), _ONE_P, {MONO_UNIT: _ONE_P, (("s", 2),): _ONE_P},
+             {(("s", 4),): _ONE_P, (("s", 2),): _ONE_P}, _ONE_P, False)
+    # s^(L-2) times a fraction whose trial division forms s^L: the
+    # _canonical route raises, though the product is in range
+    @example(((("s", EXP_LIMIT - 2),)), _ONE_P,
+             {(("h", 3), ("s", -1), ("t", 2)): _ONE_P,
+              (("h", -3), ("s", -3), ("t", 3)): (Fraction(2), Fraction(0))},
+             {(("h", 3), ("t", 1)): _pneg(_ONE_P), (("h", 2), ("s", 2)): _ONE_P,
+              (("h", 1), ("s", 3)): _ONE_P, (("s", 1),): _pneg(_ONE_P)},
+             _ONE_P, False)
+    def test_pair_matches_the_canonical_route(self, mono, g, n, d, c0, one):
+        from qheis.coeffs import _p_mul
+
+        if one:
+            d = {**d, MONO_UNIT: c0}
+        frac = C(_consts(n), _consts(d))
+        assume(len(frac._den) > 1)
+        unit = C({mono: C.from_gauss(*g)})
+        for a, b in ((unit, frac), (frac, unit)):
+            try:
+                want = self._route(a, b)
+            except ExponentOverflow:
+                try:
+                    prod = _p_mul(a._num, b._num)
+                except ExponentOverflow:
+                    with pytest.raises(ExponentOverflow):
+                        a * b
+                    continue
+                # the product is in range: only a term of the trial
+                # division left it, and the shortcut divides nothing
+                want = prod, frac._den
+            got = a * b
+            assert list(got._num.items()) == list(want[0].items())
+            assert list(got._den.items()) == list(want[1].items())
+
+
 class TestExponentLimit:
     """Exponents lie in [-EXP_LIMIT, EXP_LIMIT), checked where monomials
     enter and in every product."""

@@ -12,7 +12,7 @@ import qheis
 from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
                    classical_limit, extract_ore, load_presentation_file,
                    normalize, orient, presentation_from_ore,
-                   save_presentation, unified)
+                   save_presentation, unified, unified_relation_polys)
 from qheis.coeffs import Coefficient
 from qheis.errors import (NotOreShaped, ParamError, PoleAtPoint,
                           QheisError, UnknownFamily)
@@ -298,6 +298,34 @@ class TestUnified:
         labels = {lab for lab, _ in uni.relations}
         assert {"xp_1_1", "xp_1_2", "xp_2_1", "xp_2_2", "xy_1_1", "xy_2_1",
                 "yp_1_1", "yp_1_2"} <= labels
+
+    @pytest.mark.parametrize("functions", [
+        ("0", "0", "0"),
+        ("2*p*x + hbar*y", "q^-1*y*x - x", "p*y + 3"),
+    ], ids=("zero", "nonzero"))
+    def test_relations_match_their_text(self, functions):
+        # each relation equals its defining formula parsed from text, with
+        # its words in the same order; a zero function leaves no term
+        scope = Presentation("t", [Generator("x", None, 0),
+                                   Generator("y", None, 1),
+                                   Generator("p", None, 2)], ())
+        x, y, p = (scope.poly(g) for g in "xyp")
+        fns = [scope.parse(f) for f in functions]
+        texts = ("x*p - q^({n})*p*x - i*q^({n1})*hbar^({n})*({0})",
+                 "q^({m})*x*y - y*x + i*(q - 1)^({m1})*hbar^({m1})*({1})",
+                 "q^({l})*y*p - q^({l1})*p*y - i*hbar^({l})*({2})")
+        for n, m, l in itertools.product(range(-2, 3), repeat=3):
+            rels = unified_relation_polys(n, m, l, *fns, x, y, p)
+            if functions[0] == "0":
+                assert [r._terms for r in rels] == [
+                    r._terms for r in unified_relation_polys(
+                        n, m, l, 0, 0, 0, x, y, p)]
+            for rel, text in zip(rels, texts):
+                want = scope.parse(text.format(*functions, n=n, m=m, l=l,
+                                               n1=n - 1, m1=m - 1, l1=l + 1))
+                assert rel == want
+                assert list(rel._terms) == list(want._terms)
+                assert rel.alphabet.letters == want.alphabet.letters
 
     def test_pole_guard_in_classical_limit(self):
         uni = unified(UnifiedParams(1, 0, 1, psi="1", pi="1"))

@@ -19,9 +19,11 @@ from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
 from qheis.families import unified_relation_polys
-from qheis.verify import (EXAMPLE_ROWS, VerificationCase, _cross_check,
-                          _gaddis_one_parameter_pair, _wess_rearranged_pair,
-                          ideal_membership, render_table, reports_to_json,
+from qheis.verify import (EXAMPLE_ROWS, TABLE_ROWS, VerificationCase,
+                          _ROLES, _catalog, _check_row_values, _cross_check,
+                          _gaddis_one_parameter_pair, _power_expansions,
+                          _wess_rearranged_pair, ideal_membership,
+                          render_table, reports_to_json,
                           verify_relation_set_equivalence)
 
 C = Coefficient
@@ -90,11 +92,69 @@ class TestPowerIdentities:
         report = verify_power_identities(K=10)
         assert report.status == "pass"
 
+    def test_expansions_carry_the_powers(self, families):
+        # x^k, y^k and the powers k - 1 carried across k give the products
+        # and claims built from x**k and y**k, with their words in order
+        g = families["gaddis"]
+        x, z, y = g.poly("x"), g.poly("z"), g.poly("y")
+        got = list(_power_expansions(g, 6))
+        assert len(got) == 12
+        for k in range(1, 7):
+            q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
+            want = ((f"y*x^{k}", y * x**k,
+                     x**k * y * q + x**(k - 1) * z * tail),
+                    (f"y^{k}*x", y**k * x,
+                     x * y**k * q + z * y**(k - 1) * tail))
+            for (text, lhs, claim), (wtext, wlhs, wclaim) in zip(
+                    got[2 * k - 2:2 * k], want):
+                assert text == wtext
+                assert list(lhs._terms.items()) == list(wlhs._terms.items())
+                assert list(claim._terms.items()) == \
+                    list(wclaim._terms.items())
+
     @pytest.mark.parametrize("K", [0, -3])
     def test_no_exponent_is_refused(self, K):
         # an empty range of k would pass without checking anything
         with pytest.raises(ParamError, match="at least 1"):
             verify_power_identities(K=K)
+
+
+class TestWorkGuard:
+    """Work the verifiers leave out, counted by calls rather than timed."""
+
+    @staticmethod
+    def _count(monkeypatch, cls):
+        calls = []
+        pow_ = cls.__pow__
+
+        def counted(self, k):
+            calls.append(k)
+            return pow_(self, k)
+
+        monkeypatch.setattr(cls, "__pow__", counted)
+        return calls
+
+    def test_no_coefficient_power_without_pi(self, monkeypatch):
+        # nH2's pi term is the only coefficient power of a row check: with
+        # pi = 0 (33 of the 34 checks of the corpus rows), (q - 1)^(m - 1)
+        # is never formed
+        calls = self._count(monkeypatch, Coefficient)
+        checks = []
+        for row in EXAMPLE_ROWS + TABLE_ROWS:
+            target = _catalog(row.target, **row.target_params)
+            for _, overrides in (("as printed", {}),) + tuple(row.attempts):
+                values = row.replace(**overrides)
+                calls.clear()
+                _check_row_values(values, target)
+                checks.append((values.pi, len(calls)))
+        assert len(checks) == 34
+        assert [n for pi, n in checks if pi == "0"] == [0] * 33
+        assert [n for pi, n in checks if pi != "0"] == [1]
+
+    def test_power_loop_takes_no_polynomial_power(self, monkeypatch):
+        calls = self._count(monkeypatch, NCPoly)
+        assert verify_power_identities(K=10).status == "pass"
+        assert calls == []
 
 
 class TestEquivalence:
@@ -537,6 +597,7 @@ class TestSuite:
         ({"relations": ("nH1", "nH4")}, "unknown relation 'nH4'"),
         ({"rename": {"x": "x", "y": "Lambda"}}, "no 'p' role"),
         ({"rename": {"y": "Lambda", "p": "p"}}, "no 'x' role"),
+        ({"rename": {"x": "x", "p": "p"}}, "no 'y' role"),
     ])
     def test_malformed_row_is_an_error(self, changes, message):
         row = EXAMPLE_ROWS[0].replace(**changes)
@@ -546,6 +607,18 @@ class TestSuite:
                                 "pass", lambda case: verify_specialization(row))
         r = case.run()
         assert r.status == "error" and message in r.detail
+
+    def test_row_without_y_role_cannot_list_nh2_or_nh3(self):
+        # qhbar has no y role: nH2 and nH3 would be built with y = 0, read
+        # zero, and pass without checking anything
+        for relations in (("nH1", "nH2", "nH3"), ("nH2",), ("nH1", "nH3")):
+            row = SpecializationRow("t-qhbar", "qhbar", _ROLES["qhbar"],
+                                    -1, 5, 7, psi="hbar^2*q^(3/2)",
+                                    relations=relations)
+            with pytest.raises(ParamError, match="no 'y' role"):
+                verify_specialization(row)
+        row = row.replace(relations=("nH1",))
+        assert verify_specialization(row).status == "pass"
 
     def test_row_with_unhashable_target_params(self):
         # a Coefficient parameter cannot key the shared catalog: the row
