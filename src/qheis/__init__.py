@@ -15,7 +15,7 @@ from .errors import (AlphabetError, DivisionByZero, ExponentOverflow,
                      UnboundVariable, UnknownFamily)
 from .families import (FAMILIES, OreData, Presentation, UnifiedParams,
                        catalog, classical_limit, extract_ore, family_ids,
-                       presentation_from_ore, unified, unified_relation_polys)
+                       presentation_from_ore, unified)
 from .ncpoly import Generator, NCPoly, Word, commutator, substitute
 from .parser import parse_expr
 from .presfile import (load_presentation, load_presentation_file,

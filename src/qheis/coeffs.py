@@ -31,10 +31,14 @@ cover only the fields the operands use, so the work of a product does not
 grow with the number of interned names.  A Laurent polynomial is a dict from
 packed monomials to nonzero triples.  A ``Coefficient`` is a
 numerator/denominator pair of such dicts, whose denominator is the unit
-unless it has several terms.  The ``_t_*`` and ``_p_*`` helpers work on
-plain integers only.  The public form of a monomial stays the tuple of its
-(variable, nonzero exponent) pairs, sorted by variable, with ``()`` for 1:
-the constructor and ``monomial`` validate and encode it in one pass.
+unless it has several terms; then no variable divides all of its terms, it
+is monic in lex order on the names and it does not divide the numerator.
+A common factor that is not a monomial stays, as no polynomial GCD is
+taken: (q - 1)/(q^2 - 1) is kept as it is.  The ``_t_*`` and ``_p_*``
+helpers work on plain integers only.  The public form of a monomial stays
+the tuple of its (variable, nonzero exponent) pairs, sorted by variable,
+with ``()`` for 1: the constructor and ``monomial`` validate and encode it
+in one pass.
 
 ``Coefficient`` is the one exact scalar type: a Gaussian rational is a
 constant coefficient, whose numerator is at most the one triple at key 0.
@@ -389,47 +393,27 @@ def _p_vars(a):
 
 
 def _p_shift_mono(a, off):
-    """Monomial m with a*m a genuine polynomial (min exponent 0 per
-    variable); ``off`` covers the fields of ``a``.  A field's bit W-2 in
-    ``m + off`` is clear exactly when its exponent is negative, so only the
-    fields with a negative exponent are read."""
-    low = off
-    for m in a:
-        low &= m + off
-    neg = off ^ low
+    """Monomial m with a*m a polynomial that no variable divides: minus
+    each used variable's least exponent over the keys of ``a``; ``off``
+    covers the fields of ``a``."""
+    used = _p_used(a, off)
     out = 0
     sh = 0
-    while neg >> sh:
-        if (neg >> sh) & _FIELD:
+    while used >> sh:
+        if (used >> sh) & _FIELD:
             e = min(((m + off) >> sh) & _FIELD for m in a) - EXP_LIMIT
             out -= e << sh
         sh += _W
     return out
 
 
-def _content_free(a):
-    """Whether no variable divides every term of ``a``, a polynomial (no
-    negative exponents), so that its packed fields are its exponents.
-    ``_canonical`` shifts a denominator only out of negative exponents:
-    q^2 + q stays, and such a denominator can divide m*N for a monomial m
-    without dividing N."""
-    used = 0
-    for m in a:
-        used |= m
-    sh = 0
-    while used >> sh:
-        if (used >> sh) & _FIELD and all((m >> sh) & _FIELD for m in a):
-            return False
-        sh += _W
-    return True
-
-
 def _p_divide_exact(a, b, off):
     """Exact Laurent division a/b, or None when b does not divide a.
 
-    ``b`` must be a polynomial (no negative exponents), as ``_canonical``
-    leaves every multi-term denominator; only ``a`` is shifted.  ``off``
-    covers the fields of a and b.
+    ``b`` must be a polynomial that no variable divides, as ``_canonical``
+    leaves every multi-term denominator, and ``a`` is shifted the same way
+    first, so that an exact quotient is a polynomial too.  ``off`` covers
+    the fields of a and b.
 
     The packed keys compare as ints, which is a lex order (highest field
     first) compatible with products, so the division runs in that order.
@@ -528,10 +512,13 @@ def _canonical(num, den):
 
     A unit denominator is already canonical.  Any other single-term
     denominator is folded into the numerator; a multi-term one is shifted
-    to nonnegative exponents, made monic and divided out when it divides
-    the numerator exactly, with a quotient of at most ``MAX_TERMS`` terms.
-    The monic choice reads the leading term in lex order on the variable
-    names, so that no output depends on the interning order.
+    by a monomial until no variable divides all of its terms (each
+    variable's least exponent 0), made monic and divided out when it
+    divides the numerator exactly, with a quotient of at most
+    ``MAX_TERMS`` terms.  The monic choice reads the leading term in lex
+    order on the variable names, so that no output depends on the
+    interning order.  A common factor that is not a monomial is not looked
+    for: (q - 1)/(q^2 - 1) stays as it is.
     """
     if not den:
         raise DivisionByZero("zero denominator")
@@ -585,10 +572,12 @@ class Coefficient:
     to reduced ``(a, b, d)`` triples.  A public monomial is a tuple of
     (variable, nonzero integer exponent) pairs sorted by distinct
     variables, and ``MONO_UNIT == ()`` is 1.  The denominator is either the
-    unit ``{0: (1, 0, 1)}`` or has several terms;
-    in the second case it is shifted to nonnegative exponents, monic and
-    does not divide the numerator exactly, so common factors like
-    (q^2-1)/(q-1) collapse.  A Gaussian rational is a constant coefficient.
+    unit ``{0: (1, 0, 1)}`` or has several terms; in the second case no
+    variable divides all of its terms, it is monic in lex order on the
+    names and it does not divide the numerator exactly, so
+    (q^2-1)/(q-1) and (1+q)/(q+q^2) = q^-1 collapse.  A common factor that
+    is not a monomial stays: (q-1)/(q^2-1) is kept as it is.  A Gaussian
+    rational is a constant coefficient.
     ``num`` and ``den`` are read-only views: each access builds a fresh
     ``{monomial: constant Coefficient}`` dict, the form the public
     constructor takes.
@@ -596,14 +585,13 @@ class Coefficient:
     The public constructor copies its arguments and canonicalizes;
     operations whose result is canonical by construction (negation, sums
     and products of operands with unit denominators, and a one-term factor
-    over the unit times a fraction whose denominator no variable divides)
-    skip that step, and a product with the ``one()`` object returns the
-    other factor.  The
-    constructor takes int, Fraction and constant Coefficient values and
-    drops zero values from both dicts, so an all-zero denominator raises
-    DivisionByZero; a key that is not a monomial, or a value that is not
-    constant, raises ParamError.  Equality falls back to cross
-    multiplication, so representation gaps never affect comparisons.
+    over the unit times a fraction) skip that step, and a product with the
+    ``one()`` object returns the other factor.  The constructor takes int,
+    Fraction and constant Coefficient values and drops zero values from
+    both dicts, so an all-zero denominator raises DivisionByZero; a key
+    that is not a monomial, or a value that is not constant, raises
+    ParamError.  Equality falls back to cross multiplication, so
+    representation gaps never affect comparisons.
     """
 
     __slots__ = ("_num", "_den")
@@ -738,12 +726,12 @@ class Coefficient:
             return other
         if len(self._den) == 1 and len(other._den) == 1:
             return _coeff(_p_mul(self._num, other._num), {0: _T_ONE})
-        # one term m*t over the unit times N/D: a Laurent unit changes
-        # neither whether D divides N nor the length of the quotient, so
-        # when no variable divides D, m*t*N/D is canonical as it stands
+        # one term m*t over the unit times N/D: monomials are units of the
+        # Laurent ring, and no variable divides a canonical D, so D divides
+        # m*N exactly when it divides N, with a quotient as long, and
+        # m*t*N/D is canonical as it stands
         unit, frac = (self, other) if len(self._den) == 1 else (other, self)
-        if (len(unit._num) == 1 and len(unit._den) == 1
-                and _content_free(frac._den)):
+        if len(unit._num) == 1 and len(unit._den) == 1:
             ((m, t),) = unit._num.items()
             return _coeff(_p_scale(frac._num, m, t), dict(frac._den))
         return _coeff(*_canonical(_p_mul(self._num, other._num),

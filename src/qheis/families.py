@@ -481,18 +481,6 @@ _UNIFIED_RELATIONS = {"nH1": (_x_p_relation, "n", "psi", "x", "p"),
                       "nH3": (_y_p_relation, "l", "phi", "y", "p")}
 
 
-def unified_relation_polys(n, m, l, psi, pi, phi, x, y, p):
-    """The three defining relation polynomials for one index combination.
-
-    x, y, p are single-generator polynomials (already renamed if the caller
-    targets another algebra); psi/pi/phi are polynomials over the same
-    alphabet.
-    """
-    psi, pi, phi = map(NCPoly.from_scalar, (psi, pi, phi))
-    return (_x_p_relation(n, psi, x, p), _x_y_relation(m, pi, x, y),
-            _y_p_relation(l, phi, y, p))
-
-
 def unified(params):
     """Construct the unified q-hbar Heisenberg presentation."""
     xs = [Generator("x", a, i) for i, a in enumerate(params.alpha_range)]

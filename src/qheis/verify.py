@@ -250,12 +250,29 @@ def _power_expansions(pres, K):
         yield f"y^{k}*x", yk * x, x * yk * q + z * y1 * tail
 
 
+# The largest power-identity exponent: the time of the power-identity
+# cases grows faster than k^2, to seconds at k = 200.
+MAX_K = 200
+
+
+def _check_k(k, name):
+    """ParamError unless 1 <= k <= MAX_K; ``name`` is the caller's name for
+    the largest power-identity exponent.  An empty range of k would pass
+    without checking anything."""
+    if k < 1:
+        raise ParamError(f"power-identity exponent {name} must be at least 1, "
+                         f"got {k}")
+    if k > MAX_K:
+        raise ParamError(f"power-identity exponent {name} must be at most "
+                         f"{MAX_K}, got {k}")
+
+
 def verify_power_identities(case_id="gaddis-power-identities", K=10,
                             presentation=None, expected="pass"):
     """Pass iff y*x^k and y^k*x minus their quantum-integer expansions lie in
-    the ideal (``ideal_membership``), 1 <= k <= K; a witness is that NF."""
-    if K < 1:
-        raise ParamError(f"power-identity exponent K must be at least 1, got {K}")
+    the ideal (``ideal_membership``), 1 <= k <= K <= MAX_K; a witness is
+    that NF."""
+    _check_k(K, "K")
     pres = presentation or _catalog("gaddis")
     for text, lhs, claimed in _power_expansions(pres, K):
         ok, nf = ideal_membership(lhs - claimed, pres)
@@ -784,11 +801,6 @@ def _case_table(k):
     return tuple(cases)
 
 
-# The largest power-identity exponent run_suite accepts: the time of the
-# power-identity cases grows faster than k^2, to seconds at k = 200.
-MAX_K = 200
-
-
 def run_suite(selection="all", k=10):
     """Run the corpus; returns reports in declaration order.
 
@@ -796,11 +808,7 @@ def run_suite(selection="all", k=10):
     ids, each of which must name a case (ParamError names those that do
     not).  ``k`` is the largest power-identity exponent, from 1 to MAX_K.
     """
-    if k < 1:
-        raise ParamError(f"power-identity exponent k must be at least 1, got {k}")
-    if k > MAX_K:
-        raise ParamError(f"power-identity exponent k must be at most {MAX_K}, "
-                         f"got {k}")
+    _check_k(k, "k")
     cases = _case_table(k)
     if selection in (None, "all"):
         chosen = cases

@@ -384,11 +384,10 @@ def _ref_inv(m):
 
 
 def _ref_shift(p):
-    mins = {}
-    for m in p:
-        for v, e in m:
-            mins[v] = min(mins.get(v, 0), e)
-    return _mono((v, -e) for v, e in mins.items() if e < 0)
+    """Minus each variable's least exponent over the terms of ``p``, a term
+    without the variable counting as exponent 0."""
+    names = {v for m in p for v, _ in m}
+    return _mono((v, -min(dict(m).get(v, 0) for m in p)) for v in names)
 
 
 def _key_order(names):
@@ -503,10 +502,10 @@ _den_monos = st.lists(st.tuples(st.sampled_from("st"), st.integers(0, 3)),
 
 class TestUnitTimesFraction:
     """A one-term factor over the unit times N/D with a multi-term D skips
-    the trial division when no variable divides D: its pair equals the one
-    ``_canonical`` gives, key order included.  A D with a monomial factor
-    takes the ``_canonical`` route, since there m*N/D can divide out where
-    N/D does not."""
+    the trial division: its pair equals the one ``_canonical`` gives, key
+    order included.  No variable divides a canonical D, so D divides m*N
+    exactly when it divides N; a D built with a monomial factor, as in
+    q*(q + 1)/(q^2 + q), loses it when the fraction is constructed."""
 
     @staticmethod
     def _route(a, b):
@@ -523,11 +522,12 @@ class TestUnitTimesFraction:
     # s^(L-1) times s/(s + 1): one exponent past the limit
     @example(((("s", EXP_LIMIT - 1),)), _ONE_P, {(("s", 1),): _ONE_P},
              {(("s", 1),): _ONE_P}, _ONE_P, True)
-    # q times (q + 1)/(q^2 + q): D has the factor s^2, and the product is 1
+    # q times (q + 1)/(q^2 + q): D is built with the factor s^2, which the
+    # constructor divides out (the fraction is q^-1)
     @example(((("s", 2),)), _ONE_P, {MONO_UNIT: _ONE_P, (("s", 2),): _ONE_P},
              {(("s", 4),): _ONE_P, (("s", 2),): _ONE_P}, _ONE_P, False)
-    # s^(L-2) times a fraction whose trial division forms s^L: the
-    # _canonical route raises, though the product is in range
+    # s^(L-2) times a fraction whose numerator, shifted only out of its
+    # negative exponents, would form s^L in the trial division
     @example(((("s", EXP_LIMIT - 2),)), _ONE_P,
              {(("h", 3), ("s", -1), ("t", 2)): _ONE_P,
               (("h", -3), ("s", -3), ("t", 3)): (Fraction(2), Fraction(0))},
@@ -558,6 +558,81 @@ class TestUnitTimesFraction:
             got = a * b
             assert list(got._num.items()) == list(want[0].items())
             assert list(got._den.items()) == list(want[1].items())
+
+
+class TestDenominatorContent:
+    """No variable divides all the terms of a multi-term canonical
+    denominator (each variable's least exponent in it is 0), which is monic
+    in lex order on the names, so a monomial factor shared with the
+    numerator divides out and equal values print alike."""
+
+    @pytest.mark.hashseed
+    def test_monomial_factor_divides_out(self):
+        from qheis.printer import format_coefficient, format_expr
+
+        a, b = coeff("(1+q)*(q+q^2)^-1"), coeff("(q^-1+1)*(1+q)^-1")
+        assert (a._num, a._den) == (b._num, b._den)
+        for c in (a, b):
+            assert format_coefficient(c) == "q^-1"
+            assert format_coefficient(c, latex=True) == "q^{-1}"
+        assert format_expr(qheis.NCPoly.from_scalar(a), "machine") == \
+            format_expr(qheis.NCPoly.from_scalar(b), "machine")
+
+    @pytest.mark.hashseed
+    def test_content_leaves_a_multi_term_denominator(self):
+        assert str(coeff("hbar*(q^2*hbar + q*hbar^2)^-1")) == \
+            "q^-1*(hbar + q)^-1"
+
+    @pytest.mark.hashseed
+    def test_trial_division_stays_in_range(self):
+        # the numerator is shifted by its own content before the division,
+        # so no remainder term it forms on the way to failing nears s^L
+        lim = EXP_LIMIT
+        num = {(("h", 3), ("s", lim - 3), ("t", 2)): 1,
+               (("h", -3), ("s", lim - 5), ("t", 3)): 2}
+        den = {(("h", 3), ("t", 1)): -1, (("h", 2), ("s", 2)): 1,
+               (("h", 1), ("s", 3)): 1, (("s", 1),): -1}
+        c = C(num, den)
+        # monic: the leading term in lex order on the names is h^3*t
+        assert c.num == {m: -e for m, e in num.items()}
+        assert c.den == {m: -e for m, e in den.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_poly(_monos, min_size=1), _poly(_monos, min_size=2),
+           _poly(_monos, min_size=1), _poly(_monos, min_size=2), _monos,
+           _gauss)
+    # q*(q + 1) over q^2 + q: the product of the two is 1
+    @example({MONO_UNIT: _ONE_P}, {(("s", 2),): _ONE_P, (("s", 4),): _ONE_P},
+             {(("s", 2),): _ONE_P}, {MONO_UNIT: _ONE_P, (("s", 2),): _ONE_P},
+             (("s", 2),), _ONE_P)
+    def test_denominators_have_no_monomial_factor(self, n1, d1, n2, d2,
+                                                  mono, g):
+        a, b = C(_consts(n1), _consts(d1)), C(_consts(n2), _consts(d2))
+        unit = C({mono: C.from_gauss(*g)})
+        results = [a, b, a * b, a + b, a - b, unit * a, b * unit]
+        results += [c.inverse() for c in (a, b) if not c.is_zero]
+        for c in results:
+            if len(c._den) > 1:
+                den = _view(c._den)
+                assert den[_ref_lead(den)] == _ONE_P
+                assert _ref_shift(den) == MONO_UNIT
+
+    @pytest.mark.hashseed
+    def test_content_is_read_whatever_the_interning_order(self):
+        # A and B take the lower field in turn; the product divides out
+        # A*B, the content of the denominator, in either order
+        src = str(Path(qheis.__file__).resolve().parent.parent)
+        for first in ("AB", "BA"):
+            code = ("from qheis import Coefficient as C\n"
+                    f"for name in {first!r}:\n"
+                    "    C.opaque(name)\n"
+                    "a, b = C.opaque('A'), C.opaque('B')\n"
+                    "print(a * b * (a * a * b + a * b * b).inverse())\n")
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src)).stdout
+            assert out == "(A + B)^-1\n", first
 
 
 class TestExponentLimit:

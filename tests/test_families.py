@@ -12,8 +12,9 @@ import qheis
 from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
                    classical_limit, extract_ore, load_presentation_file,
                    normalize, orient, presentation_from_ore,
-                   save_presentation, unified, unified_relation_polys)
+                   save_presentation, unified)
 from qheis.coeffs import Coefficient
+from qheis.families import _UNIFIED_RELATIONS
 from qheis.errors import (NotOreShaped, ParamError, PoleAtPoint,
                           QheisError, UnknownFamily)
 from qheis.ncpoly import Generator
@@ -21,6 +22,17 @@ from qheis.rewrite import TermOrder
 from conftest import random_poly
 
 C = Coefficient
+
+
+def _table_relations(exps, fns, roles):
+    """nH1-nH3 from the constructors of ``_UNIFIED_RELATIONS``, as
+    ``unified()`` and the specialization check build them: ``exps`` is
+    (n, m, l), ``fns`` is (psi, pi, phi) and ``roles`` maps x, y and p to
+    polynomials."""
+    exps = dict(zip("nml", exps))
+    fns = dict(zip(("psi", "pi", "phi"), fns))
+    return [make(exps[exp], fns[fn], roles[a], roles[b])
+            for make, exp, fn, a, b in _UNIFIED_RELATIONS.values()]
 
 
 class TestCatalog:
@@ -309,17 +321,18 @@ class TestUnified:
         scope = Presentation("t", [Generator("x", None, 0),
                                    Generator("y", None, 1),
                                    Generator("p", None, 2)], ())
-        x, y, p = (scope.poly(g) for g in "xyp")
+        roles = {g: scope.poly(g) for g in "xyp"}
         fns = [scope.parse(f) for f in functions]
+        zeros = [NCPoly.from_scalar(0)] * 3
         texts = ("x*p - q^({n})*p*x - i*q^({n1})*hbar^({n})*({0})",
                  "q^({m})*x*y - y*x + i*(q - 1)^({m1})*hbar^({m1})*({1})",
                  "q^({l})*y*p - q^({l1})*p*y - i*hbar^({l})*({2})")
         for n, m, l in itertools.product(range(-2, 3), repeat=3):
-            rels = unified_relation_polys(n, m, l, *fns, x, y, p)
+            rels = _table_relations((n, m, l), fns, roles)
             if functions[0] == "0":
                 assert [r._terms for r in rels] == [
-                    r._terms for r in unified_relation_polys(
-                        n, m, l, 0, 0, 0, x, y, p)]
+                    r._terms for r in _table_relations((n, m, l), zeros,
+                                                       roles)]
             for rel, text in zip(rels, texts):
                 want = scope.parse(text.format(*functions, n=n, m=m, l=l,
                                                n1=n - 1, m1=m - 1, l1=l + 1))

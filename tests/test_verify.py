@@ -18,8 +18,8 @@ from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
-from qheis.families import unified_relation_polys
-from qheis.verify import (EXAMPLE_ROWS, TABLE_ROWS, VerificationCase,
+from qheis.families import _UNIFIED_RELATIONS
+from qheis.verify import (EXAMPLE_ROWS, MAX_K, TABLE_ROWS, VerificationCase,
                           _ROLES, _catalog, _check_row_values, _cross_check,
                           _gaddis_one_parameter_pair, _power_expansions,
                           _wess_rearranged_pair, ideal_membership,
@@ -117,6 +117,14 @@ class TestPowerIdentities:
         # an empty range of k would pass without checking anything
         with pytest.raises(ParamError, match="at least 1"):
             verify_power_identities(K=K)
+
+    def test_exponent_past_the_limit_is_refused(self):
+        # a direct call takes the bound of run_suite and the CLI, and is
+        # refused before any power is formed
+        with pytest.raises(ParamError, match=f"at most {MAX_K}"):
+            verify_power_identities(K=MAX_K + 1)
+        with pytest.raises(ParamError, match=f"at most {MAX_K}"):
+            run_suite("gaddis", k=MAX_K + 1)
 
 
 class TestWorkGuard:
@@ -304,13 +312,12 @@ class TestEquivalence:
         # cross-check runs under wess alone
         w = families["wess"]
         row = next(r for r in EXAMPLE_ROWS if r.row_id == "wess-from-unified")
-        x, y, p = (w.poly(row.rename[role]) for role in ("x", "y", "p"))
-        rels = unified_relation_polys(
-            row.n, row.m, row.l,
-            *(qheis.parse_expr(v, w) for v in (row.psi, row.pi, row.phi)),
-            x, y, p)
-        u = qheis.Presentation(row.row_id, w.generators,
-                               list(zip(("nH1", "nH2", "nH3"), rels)),
+        roles = {role: w.poly(row.rename[role]) for role in ("x", "y", "p")}
+        rels = [(name, make(getattr(row, exp),
+                            qheis.parse_expr(getattr(row, fn), w),
+                            roles[a], roles[b]))
+                for name, (make, exp, fn, a, b) in _UNIFIED_RELATIONS.items()]
+        u = qheis.Presentation(row.row_id, w.generators, rels,
                                inverse_pairs=w.inverse_pairs)
         assert not u.confluent() and w.confluent()
         report = verify_relation_set_equivalence(row.row_id, u, w)
