@@ -92,7 +92,7 @@ class Presentation:
         self._validate()
 
     def _validate(self):
-        TermOrder(self.order_kind)  # raises ParamError for an unknown kind
+        light = TermOrder(self.order_kind).light  # ParamError if unknown
         gmap = {}
         for g in self.generators:
             if g.sym in gmap:
@@ -101,6 +101,9 @@ class Presentation:
                 raise ParamError(f"{self.name}: generator name {g.sym} is "
                                  f"reserved for a central symbol")
             gmap[g.sym] = g
+        if light is not None and light not in gmap:
+            raise ParamError(f"{self.name}: the light letter {light} of "
+                             f"{self.order_kind} is not a generator")
         if len({g.precedence for g in self.generators}) != len(self.generators):
             raise ParamError(f"{self.name}: generator precedences are not distinct")
         opaques = [k for k, v in self.parameters.items() if v == "opaque"]
@@ -384,7 +387,7 @@ def _gha(f="h^2"):
         ("y_x", _w(y, x) - _w(x, y) - HBAR * f + HBAR * _w(h)),
     ]
     return Presentation("gha", [x, h, y], rels, parameters={"f": f},
-                        order_kind="invlex")
+                        order_kind="wreath h")
 
 
 def _q_gha(f="h^2", g="h"):
@@ -400,7 +403,7 @@ def _q_gha(f="h^2", g="h"):
         ("y_x", _w(y, x) - _q(1) * _w(x, y) - HBAR * g),
     ]
     return Presentation("q_gha", [x, h, y], rels, parameters={"f": f, "g": g},
-                        order_kind="invlex")
+                        order_kind="wreath h")
 
 
 def _qhbar():

@@ -27,11 +27,12 @@ from __future__ import annotations
 import re
 
 from .coeffs import Coefficient
-from .errors import ParseError, QheisError, SchemaError
+from .errors import ParamError, ParseError, QheisError, SchemaError
 from .families import Presentation
 from .ncpoly import Generator, NCPoly
 from .parser import parse_expr
 from .printer import format_coefficient, format_expr
+from .rewrite import TermOrder
 
 _HEADER = "qheis-presentation 1"
 _GEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*?)(?:_(\d+))?$")
@@ -93,10 +94,10 @@ def load_presentation(text):
         if key == "name":
             name = rest
         elif key == "order":
-            if rest not in ("deglex", "invlex"):
-                raise SchemaError(f"line {lineno}: unknown order {rest!r}",
-                                  path="order")
-            order = rest
+            try:
+                order = TermOrder(rest).kind
+            except ParamError as exc:
+                raise SchemaError(f"line {lineno}: {exc}", path="order") from None
         elif key == "generator":
             gname, idx = _split_sym(rest)
             gens.append(Generator(gname, idx, len(gens)))

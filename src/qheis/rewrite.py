@@ -1,30 +1,31 @@
 """Oriented rewriting: compile relations to rules, normalize, check confluence.
 
 Relations ``poly = 0`` are oriented by picking the order-maximal word as the
-left-hand side; the rule rewrites it to the remaining (smaller) terms.  Two
-term orders are provided:
+left-hand side; the rule rewrites it to the remaining (smaller) terms.  Both
+term orders are well-founded and respect multiplication (u > v gives
+p*u*s > p*v*s), so ``RewriteSystem``'s check that each right-side word is
+smaller certifies termination (Bergman 1978):
 
 * ``deglex``  - word length first, then the precedence sequence from the
   left.  Every catalog family with length-nonincreasing relations uses it.
-* ``invlex``  - number of inversions first (pairs of letters, adjacent or
-  not, whose precedences are out of order), then length, then the
-  precedence sequence.  Needed when a relation trades one inversion for
-  extra low letters, as in h*x -> x*f(h) with deg f >= 2.
+* ``wreath l`` - kin to Sims's wreath-product orderings (Sims 1994): the
+  words with the light letter l deleted by deglex, then the weight W, then
+  deglex.  W sums 2^(32*e) over the l's, e the letters ranked below l right
+  of it plus those above l left of it; LETTER_BUDGET keeps every count
+  below 2^32, so W compares as the vector of how many l's have each e.  It
+  orients h*x -> x*f(h) for every polynomial f (gha, q_gha).
 
 Normalization applies, deterministically, the first matching rule at the
-leftmost position of the largest reducible word; among words of equal order
-key the one inserted into the term dict first wins.  A heap holds the
-reducible words, each keyed and matched once when it enters the polynomial,
-so a step costs O(|rhs| log terms) word operations and not a rescan of every
-term; no word is kept once rewritten, so memory follows the polynomial,
-not the steps.  Under invlex the inversion count in the key of a word that
-a step makes comes from the rewritten word's count and the right-side
-word's inversion delta (``_inversion_delta``, built with the system): a
-few ``str.count`` calls on the prefix and suffix, where a count from
-scratch costs time quadratic in the word's length.  Input words, and every
-word when the input has letters outside the system's alphabet, are counted
-from scratch, as are the keys of ``orient_relation``, ``code_key`` and
-``critical_pairs``.  The coefficients are accumulated in place
+leftmost position of the largest reducible word; among words of equal
+order key the one inserted into the term dict first wins.  A heap holds the
+reducible words, each keyed and matched once when it enters the
+polynomial, so a step costs O(|rhs| log terms) word operations and not a
+rescan of every term; no word is kept once rewritten, so memory follows
+the polynomial, not the steps.  Under wreath a step by a right-side word
+that is its left side once l is deleted keeps the rewritten word's key
+fields of the word without l and moves W by (W(rw) - W(lhs)) << 32*k, k
+the letters above l in the prefix and below l in the suffix; other words
+are keyed from scratch.  The coefficients are accumulated in place
 (``coeffs._addmul``): a step adds coeff*rc into the numerator dict of each
 right-side word, at a cost linear in the terms of coeff and with no new
 Coefficient.  The call owns these dicts: a word keeps the Coefficient it
@@ -32,16 +33,17 @@ came with (input and rule coefficients are never written) until a step
 first writes it, which copies its numerator once.  Coefficients are built
 only for the output and the trace snapshots, one per written term.  A
 coefficient with a multi-term denominator, and a rule coefficient of
-several terms, go through Coefficient arithmetic in the same loop.  A step past the system's
-``step_limit`` raises NonTermination.  So does, in the systems ``complete``
-builds while it runs, a step that enters a word longer than
-WORD_LENGTH_LIMIT (or the input's longest word): under invlex a rule such
-as h*x -> x*h^2 lengthens words, and completion would otherwise reduce
-ever longer ones.  ``normalize`` on any other system has no such limit, as
-a finite normal form may need long words (gha's h*x^10 is x^10*h^1024).
-Every reduction, completion's too, raises NonTermination once the words
-its steps make hold more than LETTER_BUDGET letters in all: the step limit
-alone leaves the time and memory of a step unbounded when words grow.
+several terms, go through Coefficient arithmetic in the same loop.  A step
+past the system's ``step_limit`` raises NonTermination.  So does, in the
+systems ``complete`` builds while it runs, a step that enters a word
+longer than WORD_LENGTH_LIMIT (or the input's longest word): under wreath
+a rule such as h*x -> x*h^2 lengthens words, and completion would
+otherwise reduce ever longer ones.  ``normalize`` on any other system has
+no such limit, as a finite normal form may need long words (gha's h*x^10
+is x^10*h^1024).  Every reduction, completion's too, raises NonTermination
+once the words its steps make hold more than LETTER_BUDGET letters in all:
+the step limit alone leaves the time and memory of a step unbounded when
+words grow.
 
 ``normalize`` is linear, NF(a + c*b) = NF(a) + c*NF(b), also when the
 system is not confluent.  Each word has one fixed one-step reduct, by the
@@ -66,7 +68,6 @@ an ideal's members are exactly what normalizes to zero.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from itertools import chain
@@ -78,43 +79,74 @@ from .ncpoly import Alphabet, _ncpoly, _over
 
 DEFAULT_STEP_LIMIT = 10_000
 # The longest word a step inside ``complete`` may enter, unless the input
-# has a longer one.  Under deglex no step lengthens a word; under invlex a
-# step can, and a relation such as h*x -> x*h^2 then grows words without
-# bound.
+# has a longer one.  Under deglex no step lengthens a word; under wreath a
+# step can: a relation such as h*x -> x*h^2 doubles the h's that pass each
+# x, so the words of a terminating reduction can grow exponentially.
 WORD_LENGTH_LIMIT = 1024
 # The most letters one reduction may enter, summed over the words its steps
 # make.  The corpus enters at most a few hundred per call and gha's h*x^11
 # 2.1 M; a step limit alone lets a rule such as h*x -> x*h^50 build words
-# of millions of letters, for seconds, before it ends.
+# of millions of letters, for seconds, before it ends.  It also keeps every
+# count in a wreath weight below 2^32, the width of its fields.
 LETTER_BUDGET = 2**28
 
 
 class TermOrder(Record, frozen=True):
-    """Well-ordering of words used to orient rules and steer normalization."""
+    """Well-ordering of words that respects multiplication, used to orient
+    rules and steer normalization.  ``kind`` is its ``.qpres`` spelling:
+    ``deglex``, or ``wreath l`` with ``light`` l a generator's symbol."""
 
     __slots__ = ("kind",)
 
     def __init__(self, kind="deglex"):
-        if kind not in ("deglex", "invlex"):
-            raise ParamError(f"unknown term order {kind!r}")
+        name, _, light = kind.partition(" ")
+        if kind != "deglex" and not (name == "wreath" and light.split() == [light]):
+            head = ("term order 'invlex' does not respect multiplication"
+                    if kind == "invlex" else f"unknown term order {kind!r}")
+            raise ParamError(f"{head}; use 'deglex' or 'wreath <letter>'")
         self._set(kind)
 
-    def key(self, word):
-        """Sort key of a Word."""
-        return self._key(tuple(g.precedence for g in word))
+    @property
+    def light(self):
+        return self.kind.partition(" ")[2] or None
 
     def code_key(self, s, alphabet):
-        """Sort key of a code string over ``alphabet``; within one alphabet
-        it orders words as ``key`` does."""
-        return self._key(s.translate(alphabet.asc))
-
-    def _key(self, ranks):
+        """Sort key of a code string over ``alphabet``."""
+        ranks = s.translate(alphabet.asc)
         if self.kind == "deglex":
             return (len(ranks), ranks)
-        return (_inversions(ranks), len(ranks), ranks)
+        light, marks, _, _ = _marks(self.light, alphabet)
+        rest = s.replace(light, "").translate(alphabet.asc)
+        return (len(rest), rest, _weight(s.translate(marks)), ranks)
 
     def __repr__(self):
         return f"TermOrder({self.kind!r})"
+
+
+def _marks(light, alphabet):
+    """``(code, table, above, below)`` of the letter of ``alphabet`` whose
+    symbol is ``light``: its code ("" if none), a ``str.translate`` table
+    that writes it "l", letters below and above it "<" and ">" and deletes
+    those tied with it, and the codes of the letters above and below it."""
+    code = next((c for g, c in alphabet.code.items() if g.sym == light), "")
+    if not code:
+        return "", dict.fromkeys(alphabet.asc), (), ()
+    r = alphabet.asc[ord(code)]
+    table = {i: "l" if chr(i) == code else "<" if k < r else ">" if k > r
+             else None for i, k in alphabet.asc.items()}
+    return (code, table, *([chr(i) for i, m in table.items() if m == c]
+                           for c in "><"))
+
+
+def _weight(marked):
+    """The wreath weight W of a word written by ``_marks``: the sum over its
+    "l"s of 2^(32*e), e the ">"s left of it plus the "<"s right of it."""
+    e, w = marked.count("<"), 0
+    for part in marked.split("l")[:-1]:
+        if part:
+            e += part.count(">") - part.count("<")
+        w += 1 << 32 * e
+    return w
 
 
 class RewriteRule(Record, frozen=True):
@@ -133,7 +165,7 @@ class RewriteSystem:
     then the left sides' letters, each letter at its first occurrence."""
 
     __slots__ = ("rules", "order", "step_limit", "alphabet", "_by_lhs",
-                 "_lengths", "_search", "_word_limit")
+                 "_lengths", "_search", "_word_limit", "_wreath")
 
     def __init__(self, rules, order=None, step_limit=DEFAULT_STEP_LIMIT):
         order = order or TermOrder("deglex")
@@ -144,9 +176,11 @@ class RewriteSystem:
         # one name of two precedences raises AlphabetError
         alphabet = next((a for a in alphabets if a.letters == letters),
                         None) or Alphabet(letters)
-        invlex = order.kind == "invlex"
-        # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term,
-        # its _inversion_delta under invlex or else None))
+        # under wreath, the _marks of its light letter
+        wreath = order.light and _marks(order.light, alphabet)
+        light, marks = wreath[:2] if wreath else ("", None)
+        # lhs code -> (rule, rhs as (code, Coefficient, its _unit_term, and its
+        # W shift W(code) - W(lhs) if they agree without the light letter))
         by_lhs = {}
         for r in rules:
             if len(r.lhs) < 2:
@@ -169,9 +203,9 @@ class RewriteSystem:
                         f"not smaller than {r.lhs!r}"
                     )
             by_lhs[lhs] = (r, tuple(
-                (s, c, _unit_term(c),
-                 _inversion_delta(lhs, s, alphabet.asc) if invlex else None)
-                for s, c in rhs.items()))
+                (s, c, _unit_term(c), _weight(s.translate(marks)) - lk[2]
+                 if wreath and s.replace(light, "") == lhs.replace(light, "")
+                 else None) for s, c in rhs.items()))
         # "(?!)" never matches: the pattern of a system without rules
         pattern = "|".join(map(re.escape, sorted(by_lhs, key=len))) or "(?!)"
         object.__setattr__(self, "rules", rules)
@@ -183,6 +217,7 @@ class RewriteSystem:
         object.__setattr__(self, "_search", re.compile(pattern).search)
         # WORD_LENGTH_LIMIT in the systems of a running completion
         object.__setattr__(self, "_word_limit", None)
+        object.__setattr__(self, "_wreath", wreath)
 
     def __setattr__(self, name, value):
         raise AttributeError("RewriteSystem is immutable")
@@ -251,76 +286,43 @@ def orient(presentation):
                          order)
 
 
-def _inversions(ranks):
-    """Number of pairs i < j with ranks[i] > ranks[j]."""
-    inv = 0
-    seen = []  # the items right of the current one, sorted
-    for c in reversed(ranks):
-        k = bisect_left(seen, c)
-        inv += k
-        seen.insert(k, c)
-    return inv
-
-
-def _inversion_delta(lhs, rw, asc):
-    """``(d, below, above)`` of the right-side word ``rw`` of the left side
-    ``lhs``, code strings whose letters ``asc`` ranks: for every prefix p
-    and suffix s over the alphabet, inv(p+rw+s) is inv(p+lhs+s) + d plus
-    k*p.count(c) for each ``(c, k)`` of ``below`` and k*s.count(c) for each
-    of ``above``.  d = inv(rw) - inv(lhs).  A letter of p is inverted with
-    each letter of the middle ranked below it, one of s with each ranked
-    above it, so k is that number for rw minus that for lhs, bisected from
-    their sorted ranks; letters of weight 0 are left out, and sides of
-    equal ranks (a commutation rule's) weigh none without a pass over the
-    alphabet."""
-    lr = sorted(map(asc.__getitem__, map(ord, lhs)))
-    rr = sorted(map(asc.__getitem__, map(ord, rw)))
-    d = _inversions(rw.translate(asc)) - _inversions(lhs.translate(asc))
-    if lr == rr:
-        return d, (), ()
-    grow = len(rr) - len(lr)
-    below = tuple((chr(i), k) for i, r in asc.items()
-                  if (k := bisect_left(rr, r) - bisect_left(lr, r)))
-    above = tuple((chr(i), k) for i, r in asc.items()
-                  if (k := bisect_right(lr, r) - bisect_right(rr, r) + grow))
-    return d, below, above
-
-
 def _reduce(poly, sys, trace):
     """Normal form of ``poly``; ``trace``, unless None, is called with each
     step's (rule id, position, polynomial after the step)."""
     alphabet, terms = _over(sys.alphabet, poly)
     # each word's accumulated coefficient (see coeffs._addmul)
     terms = dict(terms)
-    asc, desc = alphabet.asc, alphabet.desc
+    desc = alphabet.desc
     search, by_lhs = sys._search, sys._by_lhs
 
     # Max-heap of the reducible words in ``terms`` by order key; ties go to
     # the smaller insertion number, i.e. to the earlier word in dict order.
     # A word removed from ``terms`` (and maybe re-inserted under a new
     # number) leaves a stale entry, skipped through ``live``, which holds
-    # only the words of ``terms`` still on the heap.  The invlex key
-    # (-inversions, -length, ranks) of a word that a step makes takes its
-    # count from the rewritten word's key and the right-side word's
-    # _inversion_delta; input words, and every word when the input has
-    # letters outside the system's alphabet (no delta weighs them), are
-    # counted from scratch.
+    # only the words of ``terms`` still on the heap.  A wreath key is
+    # derived from the rewritten word's by a right-side word's W shift,
+    # unless the input has letters outside the system's alphabet.
     heap = []
     live = {}
     seq = 0
-    invlex = sys.order.kind == "invlex"
-    derive = invlex and len(alphabet.letters) == len(sys.alphabet.letters)
+    wreath = sys._wreath
+    derive = wreath and len(alphabet.letters) == len(sys.alphabet.letters)
+    if wreath:
+        light, marks, above, below = wreath if derive else _marks(
+            sys.order.light, alphabet)
 
-    def push(w, m, inv=None):
+    def push(w, m, key=None):
         nonlocal seq
         seq += 1
         live[w] = seq
-        if invlex:
-            if inv is None:
-                inv = _inversions(w.translate(asc))
-            key = (-inv, -len(w), w.translate(desc))
-        else:
-            key = (-len(w), w.translate(desc))
+        if key is None:
+            if wreath:
+                rest, d = w.replace(light, ""), w.translate(desc)
+                key = ((-len(w), d, 0, d) if len(rest) == len(w) else
+                       (-len(rest), rest.translate(desc),
+                        -_weight(w.translate(marks)), d))
+            else:
+                key = (-len(w), w.translate(desc))
         heappush(heap, (key, seq, w, m))
 
     for w in terms:
@@ -353,7 +355,7 @@ def _reduce(poly, sys, trace):
         # the step always cancels the rewritten word
         coeff = terms.pop(best)
         prefix, suffix = best[:pos], best[m.end():]
-        for rw, rc, term, delta in rhs:
+        for rw, rc, term, shift in rhs:
             nw = prefix + rw + suffix
             letters += len(nw)
             old = terms.get(nw)
@@ -370,15 +372,13 @@ def _reduce(poly, sys, trace):
                 nm = search(nw)
                 if nm is None:
                     continue
-                inv = None
-                if derive:
-                    d, below, above = delta
-                    inv = d - key[0]  # key[0] is -inversions of best
-                    for ch, k in below:
-                        inv += k * prefix.count(ch)
-                    for ch, k in above:
-                        inv += k * suffix.count(ch)
-                push(nw, nm, inv)
+                nkey = None
+                if shift is not None and derive:
+                    k = (sum(map(prefix.count, above))
+                         + sum(map(suffix.count, below)))
+                    nkey = (key[0], key[1], key[2] - (shift << 32 * k),
+                            nw.translate(desc))
+                push(nw, nm, nkey)
             elif c is None:
                 del terms[nw]
                 live.pop(nw, None)

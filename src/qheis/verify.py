@@ -139,9 +139,10 @@ def _failed(expected):
 def ideal_membership(rel, presentation):
     """Whether ``rel`` lies in the presentation's two-sided ideal: (ok, nf),
     nf the normal form of ``rel`` in ``presentation.completed()`` and ok
-    that it is zero.  Under ``invlex`` a nonzero nf means only "not
-    certified".  The presentation is completed on its first such call and
-    keeps the result.
+    that it is zero.  Both term orders respect multiplication, so the
+    completed system terminates and is confluent: a nonzero nf certifies
+    that ``rel`` is not a member.  The presentation is completed on its
+    first such call and keeps the result.
     """
     nf = normalize(rel, presentation.completed())
     return nf.is_zero, nf

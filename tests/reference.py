@@ -1,8 +1,8 @@
 """Independent references for the engine's kernels.
 
-Word-level rewriting: words here are ``Word`` tuples and orders come from
-``TermOrder.key``; the engine rewrites code strings over an alphabet and
-compares precedence ranks.  Tests hold ``normalize`` and ``reduce_trace`` to
+Word-level rewriting: words here are ``Word`` tuples, keyed by
+``TermOrder.code_key`` over the system's alphabet joined with the input's
+letters; the engine rewrites code strings and keeps its heap keys itself.  Tests hold ``normalize`` and ``reduce_trace`` to
 ``reference_reduce``, and the basis checks use ``is_irreducible``.
 
 Expression values: ``evaluate`` gives the value of an expression tree from
@@ -17,7 +17,7 @@ from fractions import Fraction
 from qheis import NCPoly
 from qheis.coeffs import Coefficient
 from qheis.errors import NonTermination
-from qheis.ncpoly import Word, commutator
+from qheis.ncpoly import Alphabet, Word, commutator
 
 
 @functools.cache
@@ -69,11 +69,12 @@ def reference_reduce(poly, system, trace):
     """The full-scan strategy: every step rescans all terms for the largest
     reducible word, ties going to the earliest word in dict order."""
     terms = dict(poly.terms)
+    alphabet = Alphabet((*system.alphabet.letters, *(g for w in terms for g in w)))
     chain = deque(maxlen=5)
     while True:
         best = best_key = None
         for w in terms:
-            k = system.order.key(w)
+            k = system.order.code_key(alphabet.encode(w), alphabet)
             if best_key is not None and k <= best_key:
                 continue
             m = first_redex(system, w)

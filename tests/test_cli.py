@@ -18,6 +18,9 @@ from qheis.errors import AlphabetError, DivisionByZero
 from qheis.verify import MAX_K
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# y*x -> x*y under deglex: y^101*x^100 needs more steps than the limit
+STEPS = ("qheis-presentation 1\nname: f\ngenerator: x\ngenerator: y\n"
+         "generator: z\nrelation: r1 : y*x - x*y\n")
 
 
 def run_cli(capsys, *argv):
@@ -91,34 +94,32 @@ class TestNormalize:
         assert "engine error" in err
 
     def test_non_termination_prints_the_last_steps(self, capsys, tmp_path):
-        # y*h*x -> y*x*h^2 -> y*h*x -> ... never ends under invlex
+        # y^101*x^100 takes 10 100 swaps to x^100*y^101
         path = tmp_path / "f.qpres"
-        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
-                        "generator: x\ngenerator: h\ngenerator: y\n"
-                        "relation: r1 : h*x - x*h*h\n"
-                        "relation: r2 : y*x*h*h - y*h*x\n")
+        path.write_text(STEPS)
         code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
-                                 "--expr", "y*h*x")
+                                 "--expr", "y^101*x^100")
         assert (code, out) == (3, "")
         assert err == ("engine error: step limit 10000 exceeded\n"
-                       "# r2 @ 0: y*h*x\n"
-                       "# r1 @ 1: y*x*h^2\n"
-                       "# r2 @ 0: y*h*x\n"
-                       "# r1 @ 1: y*x*h^2\n"
-                       "# r2 @ 0: y*h*x\n")
+                       "# r1 @ 101: x^98*y^3*x*y^98*x\n"
+                       "# r1 @ 100: x^98*y^2*x*y^99*x\n"
+                       "# r1 @ 99: x^98*y*x*y^100*x\n"
+                       "# r1 @ 98: x^99*y^101*x\n"
+                       "# r1 @ 199: x^99*y^100*x*y\n")
 
     def test_non_termination_chain_prints_as_the_trace(self, capsys, tmp_path):
         # with a generator q the central q prints as s^2: in the steps of
         # --trace and in the last steps after the error alike
         path = tmp_path / "q.qpres"
-        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
-                        "generator: q\ngenerator: x\ngenerator: h\n"
-                        "generator: y\nrelation: r1 : h*x - x*h*h\n"
-                        "relation: r2 : y*x*h*h - s^2*y*h*x\n")
-        argv = ("normalize", "--algebra", str(path), "--expr", "y*h*x")
-        chain = ["# r2 @ 0: s^9996*y*h*x", "# r1 @ 1: s^9996*y*x*h^2",
-                 "# r2 @ 0: s^9998*y*h*x", "# r1 @ 1: s^9998*y*x*h^2",
-                 "# r2 @ 0: s^10000*y*h*x"]
+        path.write_text("qheis-presentation 1\nname: f\ngenerator: q\n"
+                        "generator: x\ngenerator: y\n"
+                        "relation: r1 : y*x - s^2*x*y\n")
+        argv = ("normalize", "--algebra", str(path), "--expr", "y^101*x^100")
+        chain = ["# r1 @ 101: s^19992*x^98*y^3*x*y^98*x",
+                 "# r1 @ 100: s^19994*x^98*y^2*x*y^99*x",
+                 "# r1 @ 99: s^19996*x^98*y*x*y^100*x",
+                 "# r1 @ 98: s^19998*x^99*y^101*x",
+                 "# r1 @ 199: s^20000*x^99*y^100*x*y"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.splitlines() == ["engine error: step limit 10000 exceeded",
@@ -132,7 +133,7 @@ class TestNormalize:
     def test_letter_budget_is_engine_error(self, capsys, tmp_path):
         # h*x -> x*h^50 on h*x^4 builds words of millions of letters
         path = tmp_path / "grow.qpres"
-        path.write_text("qheis-presentation 1\nname: grow\norder: invlex\n"
+        path.write_text("qheis-presentation 1\nname: grow\norder: wreath h\n"
                         "generator: x\ngenerator: h\n"
                         "relation: h_x : h*x - x*h^50\n")
         code, out, err = run_cli(capsys, "normalize", "--algebra", str(path),
@@ -434,13 +435,10 @@ class TestNonConfluentNote:
 
     @pytest.fixture
     def endless(self, tmp_path):
-        # x is a normal form, but a critical pair of r1 and r2 reduces
-        # without end
+        # x is a normal form, but the inclusion of r1 in r2 reduces past the
+        # step limit: y^100*x*y*x^99*z takes 10 099 swaps
         path = tmp_path / "f.qpres"
-        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
-                        "generator: x\ngenerator: h\ngenerator: y\n"
-                        "relation: r1 : h*x - x*h*h\n"
-                        "relation: r2 : y*x*h*h - y*h*x\n")
+        path.write_text(STEPS + "relation: r2 : y^101*x^100*z - z\n")
         return str(path)
 
     def test_check_that_does_not_end(self, capsys, endless):
@@ -555,22 +553,19 @@ class TestRepl:
     def test_error_reports_as_the_one_shot_commands(self, tmp_path):
         # the step limit's last steps, then the session goes on
         path = tmp_path / "f.qpres"
-        path.write_text("qheis-presentation 1\nname: f\norder: invlex\n"
-                        "generator: x\ngenerator: h\ngenerator: y\n"
-                        "relation: r1 : h*x - x*h*h\n"
-                        "relation: r2 : y*x*h*h - y*h*x\n")
-        script = (f"algebra {path}\nnormalize y*h*x\nnormalize y*(x\n"
+        path.write_text(STEPS)
+        script = (f"algebra {path}\nnormalize y^101*x^100\nnormalize y*(x\n"
                   "commutator x ; x\nquit\n")
         code, out, err = run_cli_process("repl", stdin=script)
         assert code == 0
         assert out == "algebra set to f\n0\n"
         assert "Traceback" not in err
         assert ("[f] engine error: step limit 10000 exceeded\n"
-                "# r2 @ 0: y*h*x\n"
-                "# r1 @ 1: y*x*h^2\n"
-                "# r2 @ 0: y*h*x\n"
-                "# r1 @ 1: y*x*h^2\n"
-                "# r2 @ 0: y*h*x\n"
+                "# r1 @ 101: x^98*y^3*x*y^98*x\n"
+                "# r1 @ 100: x^98*y^2*x*y^99*x\n"
+                "# r1 @ 99: x^98*y*x*y^100*x\n"
+                "# r1 @ 98: x^99*y^101*x\n"
+                "# r1 @ 199: x^99*y^100*x*y\n"
                 "[f] parse error: ") in err
 
 

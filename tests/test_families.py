@@ -86,7 +86,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 # sha256 of ``catalog_pin_lines()``; any change to a built presentation (a
 # relation label, its position, a term, the order of its terms, an alphabet
 # code, a parameter or an oriented rule) changes it
-CATALOG_SHA256 = "b460074ed1e2e62e58e7cee1d4417de083c34d18cdb3c0344ea7d59fa76fb4de"
+CATALOG_SHA256 = "8207d05aa57550a25e1448cdf3d86c699db9a7552c68d6de2d695939e9aba57c"
 
 
 def _pinned_presentations():
@@ -185,6 +185,11 @@ class TestPresentationChecks:
                                            order_kind="invlx")):
             with pytest.raises(ParamError, match="unknown term order 'invlx'"):
                 build()
+
+    def test_light_letter_is_a_generator(self):
+        with pytest.raises(ParamError, match="the light letter h of wreath h "
+                                             "is not a generator"):
+            Presentation("no_h", [self.X, self.Y], (), order_kind="wreath h")
 
 
 def _bad_tower():

@@ -1,6 +1,7 @@
 """Expression grammar, printers, presentation documents."""
 
 import gc
+import re
 import time
 
 import pytest
@@ -529,6 +530,20 @@ class TestPresentationDocs:
         doc = f"qheis-presentation 1\nname: r\ngenerator: x\nparam: k = {value}\n"
         got = load_presentation(doc).parameters["k"]
         assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("order, message, path", [
+        ("invlex", "line 3: term order 'invlex' does not respect "
+                   "multiplication; use 'deglex' or 'wreath <letter>'", "order"),
+        ("wreath", "line 3: unknown term order 'wreath'", "order"),
+        ("wreath z", "the light letter z of wreath z is not a generator",
+         "presentation"),
+    ], ids=["invlex", "no-letter", "not-a-generator"])
+    def test_bad_order_line(self, order, message, path):
+        doc = (f"qheis-presentation 1\nname: r\norder: {order}\n"
+               "generator: x\ngenerator: h\n")
+        with pytest.raises(SchemaError, match=re.escape(message)) as exc:
+            load_presentation(doc)
+        assert exc.value.path == path
 
     def test_missing_header(self):
         with pytest.raises(SchemaError):

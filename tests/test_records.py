@@ -33,7 +33,7 @@ RECORDS = [
     (Generator, ("x", 2), {"name": "x", "index": 2, "precedence": 0}, "x_2",
      {"precedence": 1}),
     (TermOrder, (), {"kind": "deglex"}, "TermOrder('deglex')",
-     {"kind": "invlex"}),
+     {"kind": "wreath x"}),
     (RewriteRule, (Word((P, X)), XP, "p_x"),
      {"lhs": Word((P, X)), "rhs": XP, "origin": "p_x"},
      "p*x -> 2*hbar^2*q^(-1/2)*x*p  [p_x]", {"origin": "p_x2"}),
@@ -142,8 +142,13 @@ class TestRecordDetails:
                 UnifiedParams(**{"n": 1, "m": 1, "l": 1, **bad})
 
     def test_term_order_checks_its_kind(self):
-        with pytest.raises(ParamError, match="unknown term order"):
-            TermOrder("mystery")
+        for bad in ("mystery", "wreath", "wreath ", "wreath x y", "deglex x"):
+            with pytest.raises(ParamError, match="unknown term order"):
+                TermOrder(bad)
+        # the retired order names its replacement
+        with pytest.raises(ParamError, match="does not respect multiplication; "
+                                             "use 'deglex' or 'wreath <letter>'"):
+            TermOrder("invlex")
 
     def test_ore_data_entry(self):
         ore = OreData((X, P), {(P, X): 1}, {})

@@ -1,7 +1,9 @@
 """Rewrite engine: orientation, normalization, traces, critical pairs."""
 
+import contextlib
 import copy
 import functools
+import heapq
 import json
 import os
 import pickle
@@ -23,10 +25,10 @@ from qheis import (NCPoly, Presentation, UnifiedParams, catalog,
                    save_presentation, unified)
 from qheis.coeffs import EXP_LIMIT, Coefficient
 from qheis.errors import ExponentOverflow, NonTermination, OrientationError
-from qheis.ncpoly import Alphabet, Generator, Word
+from qheis.ncpoly import Alphabet, Generator, Word, _ncpoly
 from qheis.printer import parse_machine
 from qheis.rewrite import (LETTER_BUDGET, WORD_LENGTH_LIMIT, RewriteRule,
-                           RewriteSystem, TermOrder, _inversions)
+                           RewriteSystem, TermOrder, _marks, _weight)
 from conftest import make_rng, random_poly
 from reference import reference_reduce
 
@@ -53,14 +55,16 @@ def _tied_system():
 
 
 WIDE = 320  # codes run past 0xFF and through every regex metacharacter
+# the wide system's wreath order: g_163 ties with its light letter
+WIDE_WREATH = "wreath g_162"
 
 
 @functools.lru_cache(maxsize=None)
 def _wide_system(kind):
     """Generated system on WIDE generators g_i of precedence 4*(i//2): the
     letters tie in pairs, and the gaps between pairs leave room for
-    foreign letters.  Every letter occurs in some left side.  Under invlex
-    some rules trade an inversion for a longer word."""
+    foreign letters.  Every letter occurs in some left side.  Under
+    WIDE_WREATH the rule of g_162*g_161 lengthens words."""
     g = [Generator("g", i, 4 * (i // 2)) for i in range(WIDE)]
     w = NCPoly.from_word
     rules = []
@@ -73,7 +77,7 @@ def _wide_system(kind):
             if i + 2 < WIDE:
                 rules.append(RewriteRule(Word((g[i + 2], lo)), -w((lo, g[i + 2])),
                                          f"u{i}"))
-        elif kind == "invlex" and i % 4 == 1:
+        elif kind == WIDE_WREATH and i == 161:
             rules.append(RewriteRule(Word((hi, lo)), C.q_power(1) * w((lo, hi, hi)),
                                      f"s{i}"))
         else:
@@ -191,7 +195,7 @@ class TestOrientation:
         with pytest.raises(OrientationError):
             pres.system()
 
-    def test_invlex_orients_polynomial_image(self, families):
+    def test_wreath_orients_polynomial_image(self, families):
         # h x -> x f(h) grows the word, so the graded order cannot orient it
         g = families["gha"]
         rule = {r.origin: r for r in g.system().rules}["h_x"]
@@ -225,26 +229,37 @@ class TestNormalize:
             normalize(g.parse("y*y*x*x*x"), tight)
 
     @pytest.mark.parametrize("fam", ["gha", "q_gha"])
-    def test_word_growth_ends_in_the_word_length_limit(self, fam, families):
-        # without y_x, completion normalizes words that h*x -> x*h^2
-        # lengthens without bound; the step limit alone let this run for
-        # more than a minute
+    def test_completion_without_y_x_is_bounded(self, fam, families):
+        # completing the ideal of h_x and y_h alone under wreath h derives
+        # relations past the limit
         pres = families[fam]
         trimmed = Presentation(f"{fam}-no-y_x", pres.generators,
                                [(lab, rel) for lab, rel in pres.relations
                                 if lab != "y_x"],
                                inverse_pairs=pres.inverse_pairs,
                                order_kind=pres.order_kind)
-        with pytest.raises(NonTermination) as exc:
+        with pytest.raises(NonTermination, match="completion derived more "
+                           f"than {rewrite.COMPLETION_LIMIT} relations"):
             trimmed.completed()
+
+    def test_word_growth_ends_in_the_word_length_limit(self):
+        # the ambiguity h*x^10*y of h_x and r resolves through words as long
+        # as x^10*h^1024*y; completion stops at the limit, normalize does not
+        pres = load_presentation(
+            "qheis-presentation 1\nname: long\norder: wreath h\n"
+            "generator: x\ngenerator: h\ngenerator: y\n"
+            "relation: h_x : h*x - x*h^2\nrelation: r : x^10*y - y\n")
+        with pytest.raises(NonTermination) as exc:
+            pres.completed()
         assert str(exc.value) == (
             f"word length limit {WORD_LENGTH_LIMIT} exceeded: a step made a "
             f"word of {WORD_LENGTH_LIMIT + 1} letters")
         # the chain holds the one step that made the long word: h*x ->
-        # x*h^2 at position 20, and the polynomial after it
+        # x*h^2 at position 19, and the polynomial after it
         (origin, pos, poly), = exc.value.chain
-        assert (origin, pos) == ("h_x", 20)
+        assert (origin, pos) == ("h_x", 19)
         assert max(map(len, poly.terms)) == WORD_LENGTH_LIMIT + 1
+        assert pres.normalize("h*x^10*y") == pres.parse("x^10*h^1024*y")
 
     def test_word_length_limit_admits_the_input_length(self):
         # completion may normalize a relation with a word longer than the
@@ -274,9 +289,9 @@ class TestNormalize:
 
     @staticmethod
     def _grow(e):
-        """Generators x then h under invlex and the relation h*x = x*h^e."""
+        """Generators x then h under wreath h and the relation h*x = x*h^e."""
         return load_presentation(
-            "qheis-presentation 1\nname: grow\norder: invlex\n"
+            "qheis-presentation 1\nname: grow\norder: wreath h\n"
             f"generator: x\ngenerator: h\nrelation: h_x : h*x - x*h^{e}\n")
 
     def test_memory_follows_the_polynomial(self):
@@ -323,8 +338,8 @@ class TestNormalize:
     @pytest.mark.hashseed
     @pytest.mark.parametrize("fam", ["gha", "q_gha"])
     def test_normal_forms_twice_the_word_length_limit(self, fam, families):
-        # 2047 steps to a word of 2059 letters: with every new word's
-        # inversions recounted from scratch this took over a second
+        # 2047 steps to a word of 2059 letters, each new word's weight
+        # derived from the rewritten word's
         pres = families[fam]
         got = pres.normalize("h*x^11")
         assert got == pres.parse("x^11*h^2048")
@@ -413,21 +428,23 @@ class TestStrategyEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["gha", "q_gha", "gaddis", "classical", "tied",
-                            "wide_deglex", "wide_invlex"]),
+                            "wide_deglex", "wide_wreath"]),
            st.randoms(use_true_random=False), st.data())
     def test_same_steps_as_full_scan(self, families, key, rng, data):
         if key == "tied":
             gens, sysm = _tied_system()
         elif key.startswith("wide_"):
-            sysm, window, foreign = _wide_window(key[5:], rng.randrange(WIDE - 3))
+            sysm, window, foreign = _wide_window(
+                "deglex" if key == "wide_deglex" else WIDE_WREATH,
+                rng.randrange(WIDE - 3))
             # rule letters weighted up, so that most words reduce
             gens = window * 4 + foreign
         else:
             gens, sysm = list(families[key].generators), families[key].system()
-            if sysm.order.kind == "invlex":
+            if sysm.order.kind != "deglex":
                 # a letter the system does not know, below, tied with,
-                # between or above its letters: no inversion delta weighs
-                # it, so the words of an input with it are recounted
+                # between or above its letters: the words of an input with
+                # it are keyed from scratch
                 gens = gens * 3 + [Generator("f", None, rng.randrange(-2, 7) / 2)]
         a = random_poly(rng, gens, max_len=5, max_terms=4)
         want_trace = _assert_same_as_reference(a, sysm)
@@ -442,7 +459,7 @@ class TestStrategyEquivalence:
         assert str(exc.value) == str(ref.value)
         assert _snapshot(exc.value.chain) == _snapshot(ref.value.chain)
 
-    @pytest.mark.parametrize("kind", ["deglex", "invlex"])
+    @pytest.mark.parametrize("kind", ["deglex", WIDE_WREATH])
     def test_every_letter_of_a_wide_alphabet(self, kind):
         # each letter in turn, so every code, 0xFF and the regex
         # metacharacters among them, is matched and ranked
@@ -462,10 +479,13 @@ class TestStrategyEquivalence:
         *((p, t) for p in (3, 1, -1) for t in (
             "2*h*f*y^2*x - h*y*h*f^2 + 2*h*f*x*h",
             "y*x^3*f + 2*y^2*f*y - x^2*f*x",
-            "2*y*x^2*f*h + h*y^2*h*y + 2*y*x*h^2")),
+            "2*y*x^2*f*h + h*y^2*h*y + 2*y*x*h^2",
+            # with f above h these tie in W, and h*f*h*x is the larger
+            # when f is not counted
+            "h*f*h*x + f*h*x*h")),
     ])
     def test_letters_outside_the_system(self, fam, precedence, text, families):
-        # a count derived without f's cross terms misorders these words
+        # a weight derived without f misorders these words
         pres = families[fam]
         a = _parse_with(pres, Generator("f", None, precedence), text)
         assert _assert_same_as_reference(a, pres.system())
@@ -489,7 +509,7 @@ class TestStrategyEquivalence:
                     a = a + NCPoly({(z, x, t): 1 for t in tails})
                 _assert_same_as_reference(a, s)
 
-    @pytest.mark.parametrize("kind", ["deglex", "invlex"])
+    @pytest.mark.parametrize("kind", ["deglex", WIDE_WREATH])
     def test_one_alphabet_per_system(self, kind, monkeypatch):
         # the join of 957 rules, each over an alphabet of its own letters
         rules = _wide_system(kind)[1].rules
@@ -505,7 +525,7 @@ class TestStrategyEquivalence:
             assert pres.system().alphabet is pres.alphabet, fam
 
     def test_system_without_rules(self, rng, families):
-        empty = RewriteSystem([], TermOrder("invlex"))
+        empty = RewriteSystem([], TermOrder("wreath h"))
         a = random_poly(rng, list(families["gha"].generators), 5, 4)
         got = normalize(a, empty)
         assert got == a and list(got.terms) == list(a.terms)
@@ -513,7 +533,8 @@ class TestStrategyEquivalence:
 
     def test_ties_follow_dict_order(self):
         (a, b, c), sysm = _tied_system()
-        assert sysm.order.key((c, a)) == sysm.order.key((c, b))
+        key = functools.partial(sysm.order.code_key, alphabet=sysm.alphabet)
+        assert key(sysm.alphabet.encode((c, a))) == key(sysm.alphabet.encode((c, b)))
         # equal keys go in dict order: a*c*b before a*c*a; in the second
         # input c*a precedes c*b, but the first step cancels c*a and the
         # second re-inserts it after c*b
@@ -549,48 +570,43 @@ class TestStrategyEquivalence:
 
 
 @pytest.mark.hashseed
-class TestInversionDelta:
-    """A right-side word's inversion delta gives the inversions of each word
-    a step makes from those of the word it rewrites."""
+class TestWreathShift:
+    """Under wreath, a step by a right-side word that is its left side once
+    the light letter is deleted derives the key of the word it makes from
+    the rewritten word's; every other word is keyed from scratch."""
 
-    @pytest.mark.parametrize("key, draws", [("gha", 40), ("q_gha", 40),
-                                            ("wide_invlex", 1)])
-    def test_derived_count_equals_recount(self, key, draws, families, rng):
-        if key == "wide_invlex":
-            sysm = _wide_system("invlex")[1]  # precedences tied in pairs
+    @pytest.mark.parametrize("key, draws", [("gha", 30), ("q_gha", 30),
+                                            ("grow", 30), ("wide", 1)])
+    def test_derived_key_equals_recount(self, key, draws, families, rng,
+                                        monkeypatch):
+        if key == "grow":
+            sysm = TestNormalize._grow(50).system()
+        elif key == "wide":
+            sysm = _wide_system(WIDE_WREATH)[1]  # g_163 ties with g_162
         else:
             sysm = families[key].system()
-        asc = sysm.alphabet.asc
-        letters = "".join(map(chr, asc))
-
-        def context(weights):
-            # each weighted letter at least once, so that a lost weight
-            # changes the sum
-            side = [c for c, _ in weights] + rng.choices(letters, k=rng.randrange(6))
-            rng.shuffle(side)
-            return "".join(side)
-
-        checked = 0
-        for lhs, (rule, rhs) in sysm._by_lhs.items():
-            for rw, _, _, (d, below, above) in rhs:
-                for _ in range(draws):
-                    p, s = context(below), context(above)
-                    derived = (_inversions((p + lhs + s).translate(asc)) + d
-                               + sum(k * p.count(c) for c, k in below)
-                               + sum(k * s.count(c) for c, k in above))
-                    assert derived == _inversions((p + rw + s).translate(asc)), (
-                        key, rule.origin, rw, p, s)
-                    checked += 1
-        assert checked >= draws * len(sysm.rules)
-
-    def test_commutation_weighs_no_letter(self):
-        # a right-side word with its left side's letters, as in u_i:
-        # g_i+2*g_i -> -g_i*g_i+2
-        sysm = _wide_system("invlex")[1]
-        same = [delta for lhs, (_, rhs) in sysm._by_lhs.items()
-                for rw, _, _, delta in rhs if sorted(rw) == sorted(lhs)]
-        assert len(same) > WIDE // 4
-        assert all(delta[1:] == ((), ()) for delta in same)
+        alphabet = sysm.alphabet
+        starved = RewriteSystem(sysm.rules, sysm.order, step_limit=40)
+        letters = "".join(map(chr, alphabet.asc))
+        pushed = []
+        monkeypatch.setattr(rewrite, "heappush", lambda heap, item: (
+            pushed.append(item), heapq.heappush(heap, item)))
+        derived = 0
+        for lhs, (_, rhs) in sysm._by_lhs.items():
+            derived += sum(shift is not None for *_, shift in rhs)
+            for _ in range(draws):
+                p, s = ("".join(rng.choices(letters, k=rng.randrange(6)))
+                        for _ in range(2))
+                with contextlib.suppress(NonTermination):
+                    normalize(_ncpoly({p + lhs + s: C.one()}, alphabet), starved)
+        assert len(pushed) > draws * len(sysm.rules)
+        for key_, _, w, _ in pushed:
+            want = sysm.order.code_key(w, alphabet)
+            rest = w.replace(sysm._wreath[0], "")
+            assert key_ == (-want[0], rest.translate(alphabet.desc), -want[2],
+                            w.translate(alphabet.desc)), (key, w)
+        # h_x and y_h derive, y_x is keyed from scratch
+        assert derived == {"gha": 2, "q_gha": 2, "grow": 1, "wide": 5}[key]
 
 
 def _abcd_system(b_a, rest=()):
@@ -776,7 +792,7 @@ class TestCriticalPairs:
             rules = [RewriteRule(Word(lhs), NCPoly.from_word(lhs[:1]), f"r{i}")
                      for i, lhs in enumerate(sorted(lhss, key=repr))]
             sysm = RewriteSystem(rules, TermOrder("deglex"))
-            want = _ambiguities(rules, sysm.order)
+            want = _ambiguities(rules, sysm)
             got = [(tuple(cp.overlap_word), cp.left_rule, cp.right_rule)
                    for cp in critical_pairs(sysm)]
             assert got == [w[:3] for w in want], rules
@@ -810,7 +826,7 @@ class TestCriticalPairs:
                 (want["checked"], want["confluent"]), key
 
 
-def _ambiguities(rules, order):
+def _ambiguities(rules, sysm):
     """``(word, left rule, right rule, kind)`` of every ambiguity, sorted
     like ``critical_pairs``: the lhs of r2 placed at each offset p inside
     the lhs of r1, kept when the letters they share agree.  Offset 0 with
@@ -832,7 +848,9 @@ def _ambiguities(rules, order):
                     kind = ("prefix" if p == 0 else
                             "suffix" if end == len(l1) else "infix")
                     out.append((l1, r1.origin, r2.origin, kind))
-    out.sort(key=lambda a: (order.key(a[0]), a[1], a[2]))
+    alphabet = sysm.alphabet
+    out.sort(key=lambda a: (sysm.order.code_key(alphabet.encode(a[0]), alphabet),
+                            a[1], a[2]))
     return out
 
 
@@ -952,11 +970,11 @@ UNIQUENESS_CASES = (
 def _generating_set(relations, gens, rng):
     """Another generating set of the ideal of ``relations``: shuffled, each
     scaled by 2, q or -1, one r_i replaced by r_i + a*r_j*b (j != i) and
-    one a*r appended, for words a and b of at most one letter."""
+    one a*r appended, for words a and b of at most two letters."""
     scales = (C.from_scalar(2), C.q_power(1), C.from_scalar(-1))
 
     def word():
-        return NCPoly.from_word(rng.choices(gens, k=rng.randrange(2)))
+        return NCPoly.from_word(rng.choices(gens, k=rng.randrange(3)))
 
     rels = [(label, poly * rng.choice(scales)) for label, poly in relations]
     rng.shuffle(rels)
@@ -994,21 +1012,17 @@ class TestReducedCompletionIsUnique:
 
 
 class TestCompletionOfOtherGeneratingSets:
-    """Generating sets of a catalog ideal that ``complete`` does not yet
-    complete; each case passes once it does."""
+    """Generating sets of a catalog ideal that ``complete`` failed to
+    complete under invlex, which does not respect multiplication."""
 
-    @pytest.mark.xfail(raises=NonTermination, strict=True, reason=(
-        "FOUND: complete can fail on a generating set of an ideal that it "
-        "completes from another (a normalize inside the completion exceeds "
-        "the step limit)"))
     @pytest.mark.parametrize("fam, label, other, right", [
         ("gha", "h_x", "y_x", "x*x"),
         ("q_gha", "y_x", "h_x", "y*x"),
     ])
     def test_two_letter_multipliers(self, fam, label, other, right):
         # r_label -> r_label + r_other*right generates the same ideal, so it
-        # must complete to the catalog's rules; TestReducedCompletionIsUnique
-        # uses one-letter multipliers because of these
+        # must complete to the catalog's rules; under invlex h^2*x^2 and
+        # y*x^3 rewrote to each other and a normalize reached the step limit
         pres = catalog(fam)
         order = TermOrder(pres.order_kind)
         relations = pres.all_relation_polys()
@@ -1058,7 +1072,7 @@ class TestCopies:
 
     def test_system_pickle_round_trip(self):
         pres = catalog("gha")
-        sysm = RewriteSystem(pres.system().rules, TermOrder("invlex"), 77)
+        sysm = RewriteSystem(pres.system().rules, TermOrder("wreath h"), 77)
         back = pickle.loads(pickle.dumps(sysm))
         assert (back.rules, back.order, back.step_limit) == \
             (sysm.rules, sysm.order, 77)
@@ -1068,21 +1082,56 @@ class TestCopies:
         assert copy.copy(sysm).rules == sysm.rules
 
 
-class TestTermOrder:
-    def test_deglex(self):
-        x = Generator("x", None, 0)
-        p = Generator("p", None, 1)
-        order = TermOrder("deglex")
-        assert order.key((p, x)) > order.key((x, p))
-        assert order.key((x, x, x)) > order.key((p, p))
+def _spelled_key(order, letters):
+    """``order``'s key of a word spelled one character per letter, each
+    character the symbol of one of ``letters``."""
+    alphabet = Alphabet(letters)
+    codes = {g.sym: alphabet.code[g] for g in letters}
+    return lambda text: order.code_key("".join(map(codes.get, text)), alphabet)
 
-    def test_invlex_counts_inversions(self):
-        x = Generator("x", None, 0)
-        h = Generator("h", None, 1)
-        order = TermOrder("invlex")
-        # one inversion beats any inversion-free word, regardless of length
-        assert order.key((h, x)) > order.key((x, h, h, h, h))
-        assert order.key((x, h, h)) > order.key((x, h))
+
+class TestTermOrder:
+    X, H, Y = (Generator(s, None, i) for i, s in enumerate("xhy"))  # gha's
+
+    def test_deglex(self):
+        key = _spelled_key(TermOrder("deglex"), [self.X, Generator("p", None, 1)])
+        assert key("px") > key("xp")
+        assert key("xxx") > key("pp")
+
+    def test_wreath_deletes_the_light_letter_first(self):
+        key = _spelled_key(TermOrder("wreath h"), [self.X, self.H, self.Y])
+        # the words without h decide: any y*x beats any power of h
+        assert key("yx") > key("hhhhhh") and key("x") > key("hhhhhh")
+        # then W: an h with one x right of it weighs 2^32, one with none 1
+        assert key("hx") > key("x" + "h" * 1000)
+        assert key("xhh") > key("xh")
+        # so does a y left of it, and both count
+        assert key("yhx") > key("hyx") and key("yhx") > key("yxh")
+        assert key("yhx") > key("yx" + "h" * 1000)
+        assert key("hyhx") > key("hhyx")
+        # a tie in W (one h with one letter counted each) goes to deglex
+        assert key("yxh") > key("hyx")
+
+    @pytest.mark.parametrize("kind", ["deglex", "wreath h"])
+    @pytest.mark.parametrize("precedence", [-1, 0.5, 1, 1.5, 3])
+    def test_respects_multiplication(self, kind, precedence, rng):
+        # u > v gives p*u*s > p*v*s, which the diamond lemma needs; f is a
+        # letter no gha rule mentions, ranked below, between, tied with or
+        # above gha's letters
+        key = _spelled_key(TermOrder(kind), [self.X, self.H, self.Y,
+                                             Generator("f", None, precedence)])
+        # the witness that invlex (inversions first) is not a monomial
+        # order: y*x > h^2 there, but y*x^3 < h^2*x^2
+        assert key("yx") > key("hh") and key("yxxx") > key("hhxx")
+
+        def word():
+            return "".join(rng.choices("xhyf", k=rng.randrange(5)))
+
+        for _ in range(400):
+            u, v, p, s = word(), word(), word(), word()
+            assert ((key(u) > key(v)) - (key(u) < key(v))
+                    == (key(p + u + s) > key(p + v + s))
+                    - (key(p + u + s) < key(p + v + s))), (u, v, p, s)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -1090,7 +1139,9 @@ class TestTermOrder:
 
     def test_value_semantics(self):
         order = TermOrder()
-        assert order == TermOrder("deglex") != TermOrder("invlex")
+        assert order == TermOrder("deglex") != TermOrder("wreath h")
+        assert (order.light, TermOrder("wreath h").light) == (None, "h")
         assert repr(order) == "TermOrder('deglex')"
+        assert pickle.loads(pickle.dumps(TermOrder("wreath h"))) == TermOrder("wreath h")
         with pytest.raises(AttributeError):
-            order.kind = "invlex"
+            order.kind = "wreath h"

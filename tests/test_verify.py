@@ -397,9 +397,9 @@ class TestEquivalence:
                     "side normalizes to zero under both sides")
 
     def test_sides_ordered_differently_pass(self):
-        # one relation under deglex and invlex: both systems are confluent
+        # one relation under deglex and wreath y: both systems are confluent
         # and generate one ideal, but orient it in opposite directions, so
-        # z*x is a normal form under deglex and not under invlex.  Their
+        # z*x is a normal form under deglex and not under wreath y.  Their
         # normal forms differ, and each side's relation still vanishes
         # under the other's rules
         gens = [Generator(s, None, i) for i, s in enumerate("xyz")]
@@ -407,7 +407,7 @@ class TestEquivalence:
         rel = scope.parse("z*x - x*y*z")
         p1, p2 = (qheis.Presentation(order, gens, [("r", rel)],
                                      order_kind=order)
-                  for order in ("deglex", "invlex"))
+                  for order in ("deglex", "wreath y"))
         assert p1.confluent() and p2.confluent()
         assert p1.normalize(scope.parse("z*x")) != \
             p2.normalize(scope.parse("z*x"))
