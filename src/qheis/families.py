@@ -25,7 +25,8 @@ from ._record import Record
 from .coeffs import Coefficient
 from .errors import (AlphabetError, NotOreShaped, ParamError, ParseError,
                      QheisError, UnknownFamily)
-from .ncpoly import Alphabet, Generator, NCPoly, Word, _ncpoly, _over
+from .ncpoly import (Alphabet, Generator, NCPoly, Word, _accumulate, _ncpoly,
+                     _over)
 from .parser import _IDENT, parse_expr
 from .rewrite import TermOrder, check_confluence, complete, normalize, orient
 
@@ -452,29 +453,38 @@ class UnifiedParams(Record):
         self._set(n, m, l, psi, pi, phi, alpha_range, lambda_range, beta_range)
 
 
-# Each relation adds its dynamical-function term only when that function is
-# nonzero, so a zero psi, pi or phi forms no coefficient (for pi, a power of
-# q - 1).
+# Each relation is built from its words, the codes of its two role letters
+# over ``alphabet``; a zero function forms no scale (for pi, no (q - 1)^k).
 
-def _x_p_relation(n, psi, x, p):
-    rel = x * p - _q(n) * (p * x)
-    if psi.is_zero:
-        return rel
-    return rel - (I * _q(n - 1) * C.hbar_power(n)) * psi
+def _relation(alphabet, terms, fn, scale):
+    """``terms`` ((code string, Coefficient) pairs) plus ``scale()`` times
+    ``fn``, over ``alphabet`` joined with fn's letters; terms on one word
+    merge and a cancelled word drops, as in NCPoly sums."""
+    alphabet, fn_terms = _over(alphabet, fn)
+    out = {}
+    for s, c in terms:
+        _accumulate(out, s, c)
+    if fn_terms:
+        c = scale()
+        for s, cc in fn_terms.items():
+            _accumulate(out, s, cc * c)
+    return _ncpoly(out, alphabet)
 
 
-def _x_y_relation(m, pi, x, y):
-    rel = _q(m) * (x * y) - y * x
-    if pi.is_zero:
-        return rel
-    return rel + (I * (_q(1) - C.one()) ** (m - 1) * C.hbar_power(m - 1)) * pi
+def _x_p_relation(n, psi, x, p, alphabet):
+    return _relation(alphabet, ((x + p, C.one()), (p + x, -_q(n))), psi,
+                     lambda: -(I * _q(n - 1) * C.hbar_power(n)))
 
 
-def _y_p_relation(l, phi, y, p):
-    rel = _q(l) * (y * p) - _q(l + 1) * (p * y)
-    if phi.is_zero:
-        return rel
-    return rel - (I * C.hbar_power(l)) * phi
+def _x_y_relation(m, pi, x, y, alphabet):
+    return _relation(alphabet, ((x + y, _q(m)), (y + x, -C.one())), pi,
+                     lambda: I * (_q(1) - C.one()) ** (m - 1)
+                     * C.hbar_power(m - 1))
+
+
+def _y_p_relation(l, phi, y, p, alphabet):
+    return _relation(alphabet, ((y + p, _q(l)), (p + y, -_q(l + 1))), phi,
+                     lambda: -(I * C.hbar_power(l)))
 
 
 # nH1-nH3: constructor, the parameters of its exponent and its dynamical
@@ -491,7 +501,7 @@ def unified(params):
     ps = [Generator("p", b, len(xs) + len(ys) + i) for i, b in enumerate(params.beta_range)]
     gens = xs + ys + ps
     scope = Presentation("unified", gens, ())
-    _w = _words(*gens)
+    code = scope.alphabet.code
 
     def as_poly(v):
         if isinstance(v, str):
@@ -504,7 +514,8 @@ def unified(params):
     for relation, exp, fn, left, right in _UNIFIED_RELATIONS.values():
         for a in roles[left]:
             for b in roles[right]:
-                rel = relation(getattr(params, exp), fns[fn], _w(a), _w(b))
+                rel = relation(getattr(params, exp), fns[fn], code[a],
+                               code[b], scope.alphabet)
                 rels.append((f"{a.name}{b.name}_{a.index}_{b.index}", rel))
     return Presentation(
         "unified", gens, rels,

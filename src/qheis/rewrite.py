@@ -110,12 +110,13 @@ class TermOrder(Record, frozen=True):
     def light(self):
         return self.kind.partition(" ")[2] or None
 
-    def code_key(self, s, alphabet):
-        """Sort key of a code string over ``alphabet``."""
+    def code_key(self, s, alphabet, wreath=None):
+        """Sort key of a code string over ``alphabet``; ``wreath``, if
+        given, is the ``_marks`` of the light letter over it."""
         ranks = s.translate(alphabet.asc)
         if self.kind == "deglex":
             return (len(ranks), ranks)
-        light, marks, _, _ = _marks(self.light, alphabet)
+        light, marks, _, _ = wreath or _marks(self.light, alphabet)
         rest = s.replace(light, "").translate(alphabet.asc)
         return (len(rest), rest, _weight(s.translate(marks)), ranks)
 
@@ -194,10 +195,10 @@ class RewriteSystem:
                     f"relations {prev.origin} and {r.origin} orient to the same rule"
                     if prev.rhs == r.rhs else f"rules {prev.origin} and "
                     f"{r.origin} share the left side {r.lhs!r}")
-            lk = order.code_key(lhs, alphabet)
+            lk = order.code_key(lhs, alphabet, wreath)
             _, rhs = _over(alphabet, r.rhs)
             for s in rhs:
-                if not lk > order.code_key(s, alphabet):
+                if not lk > order.code_key(s, alphabet, wreath):
                     raise OrientationError(
                         f"rule {r.origin}: right-side word {alphabet.word(s)!r} is "
                         f"not smaller than {r.lhs!r}"
@@ -442,6 +443,7 @@ def critical_pairs(sys):
     agree.
     """
     alphabet, by_lhs = sys.alphabet, sys._by_lhs
+    key = sys.order.code_key
     out = []
 
     def add(s, l1, l2, p2):
@@ -449,7 +451,7 @@ def critical_pairs(sys):
         left = _ncpoly(_reduct(sys, s, 0, l1), alphabet)
         right = _ncpoly(_reduct(sys, s, p2, l2), alphabet)
         resolved = normalize(left, sys) == normalize(right, sys)
-        out.append((sys.order.code_key(s, alphabet), r1.origin, r2.origin,
+        out.append((key(s, alphabet, sys._wreath), r1.origin, r2.origin,
                     CriticalPair(alphabet.word(s), r1.origin, r2.origin, left,
                                  right, resolved)))
 

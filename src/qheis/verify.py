@@ -35,11 +35,12 @@ verifiers read the ``all_relation_polys()`` its rules are built from and
 mutate no presentation.  Reports and verdicts are recomputed on every
 call, and the public ``catalog`` still returns a new presentation each time.
 
-The two verifiers that dominate a suite run form nothing that they throw
-away or form again.  A specialization check builds only the relations its
-row lists, parsing only their dynamical functions, and a zero function adds
-no term (no power of q - 1 for pi = 0).  The power identities carry x^k and
-y^k, and the powers k - 1, from one k to the next.
+The two verifiers that dominate a suite run build what they check from its
+words, with no free-algebra product: a specialized relation is two words
+plus its dynamical function's terms (none for a zero function), and y*x^k
+is the word y + x*k.  A row builds only the relations it lists, and each
+distinct relation check runs once within a row, in a table that lives for
+one ``verify_specialization`` call: nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -240,15 +241,16 @@ def _cross_check(p1, p2, sides):
 
 def _power_expansions(pres, K):
     """(label, product, its claimed normal form) for y*x^k and then y^k*x,
-    for k = 1..K in turn.  x^k and y^k, and the powers k - 1 the claims
-    read, are carried from one k to the next: each is one product more."""
-    x, z, y = pres.poly("x"), pres.poly("z"), pres.poly("y")
-    xk = yk = NCPoly.one()
+    for k = 1..K in turn, each built from its words over the presentation's
+    alphabet: y*x^k is the code string y + x*k."""
+    x, z, y = (pres.alphabet.encode(pres.word(g)) for g in "xzy")
+    terms = partial(_ncpoly, alphabet=pres.alphabet)
     for k in range(1, K + 1):
-        x1, y1, xk, yk = xk, yk, xk * x, yk * y
         q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
-        yield f"y*x^{k}", y * xk, xk * y * q + x1 * z * tail
-        yield f"y^{k}*x", yk * x, x * yk * q + z * y1 * tail
+        yield (f"y*x^{k}", terms({y + x * k: C.one()}),
+               terms({x * k + y: q, x * (k - 1) + z: tail}))
+        yield (f"y^{k}*x", terms({y * k + x: C.one()}),
+               terms({x + y * k: q, z + y * (k - 1): tail}))
 
 
 # The largest power-identity exponent: the time of the power-identity
@@ -369,9 +371,10 @@ class SpecializationRow(Record, frozen=True):
         return SpecializationRow(**{**fields, **changes})
 
 
-def _check_row_values(row, target):
+def _check_row_values(row, target, checked=None):
     """Check the listed relations for one set of parameter values; only
-    those are built, each with its own dynamical function.
+    those are built.  ``checked`` maps what decides a check (relation name,
+    exponent, function text, ``at_q1``, role letters) to its result.
 
     Returns (ok, lines, unit_of_first_relation); a row with no relations,
     one other than nH1-nH3, no x or p role, or no y role while it lists
@@ -388,43 +391,51 @@ def _check_row_values(row, target):
     for role in ("x", "p", "y"):
         if role in roles and role not in row.rename:
             raise ParamError(f"row {row.row_id} has no {role!r} role in rename")
-    gens = {role: target.poly(row.rename[role]) for role in roles}
-    lines = []
-    unit_repr = None
-    ok = True
+    codes = {r: target.alphabet.code[target.gen(row.rename[r])] for r in roles}
+    checked = {} if checked is None else checked
+    lines, unit_repr, ok = [], None, True
     for name in row.relations:
         make, exp, fn, a, b = _UNIFIED_RELATIONS[name]
-        rel = make(getattr(row, exp), parse_expr(getattr(row, fn), target),
-                   gens[a], gens[b])
-        if row.at_q1:
-            rel = subs_poly(rel, {"s": 1})
-        for label, t in target.all_relation_polys():
-            c = unit_ratio(rel, t)
-            if c is not None:
-                unit = format_expr(NCPoly.from_scalar(c))
-                lines.append(f"{name}: unit {unit} of target relation {label}")
-                unit_repr = unit_repr or unit
-                break
-        else:
-            member, nf = ideal_membership(rel, target)
-            if member:
-                lines.append(f"{name}: normalizes to zero in the target")
-            else:
-                lines.append(f"{name}: FAILS, residue {format_expr(nf)}")
-                ok = False
+        key = (name, getattr(row, exp), getattr(row, fn), row.at_q1,
+               codes[a], codes[b])
+        if key not in checked:
+            rel = make(getattr(row, exp), parse_expr(getattr(row, fn), target),
+                       codes[a], codes[b], target.alphabet)
+            checked[key] = _check_relation(
+                name, subs_poly(rel, {"s": 1}) if row.at_q1 else rel, target)
+        line, holds, unit = checked[key]
+        lines.append(line)
+        ok = ok and holds
+        unit_repr = unit_repr or unit
     return ok, lines, unit_repr
 
 
+def _check_relation(name, rel, target):
+    """(line, holds, unit) of the check of the specialized relation ``rel``."""
+    for label, t in target.all_relation_polys():
+        c = unit_ratio(rel, t)
+        if c is not None:
+            unit = format_expr(NCPoly.from_scalar(c))
+            return f"{name}: unit {unit} of target relation {label}", True, unit
+    member, nf = ideal_membership(rel, target)
+    if member:
+        return f"{name}: normalizes to zero in the target", True, None
+    return f"{name}: FAILS, residue {format_expr(nf)}", False, None
+
+
 def verify_specialization(row):
-    """Run a specialization row with its diagnostic attempts."""
+    """Run a specialization row with its diagnostic attempts, which share
+    one table of relation checks (``_check_row_values``)."""
     target = _catalog(row.target, **row.target_params)
     report = partial(VerificationReport, row.row_id, "specialization",
                      expected=row.expected)
     note = (row.note,) if row.note else ()
     attempts = (("as printed", {}),) + tuple(row.attempts)
     all_lines = []
+    checked = {}
     for idx, (label, overrides) in enumerate(attempts):
-        ok, lines, unit = _check_row_values(row.replace(**overrides), target)
+        ok, lines, unit = _check_row_values(row.replace(**overrides), target,
+                                            checked)
         all_lines.append(f"[{label}] " + "; ".join(lines))
         if ok:
             if idx == 0:

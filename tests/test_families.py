@@ -28,10 +28,13 @@ def _table_relations(exps, fns, roles):
     """nH1-nH3 from the constructors of ``_UNIFIED_RELATIONS``, as
     ``unified()`` and the specialization check build them: ``exps`` is
     (n, m, l), ``fns`` is (psi, pi, phi) and ``roles`` maps x, y and p to
-    polynomials."""
+    one-letter polynomials over one alphabet, whose codes the constructors
+    take."""
     exps = dict(zip("nml", exps))
     fns = dict(zip(("psi", "pi", "phi"), fns))
-    return [make(exps[exp], fns[fn], roles[a], roles[b])
+    codes = {role: next(iter(w._terms)) for role, w in roles.items()}
+    alphabet = roles["x"].alphabet
+    return [make(exps[exp], fns[fn], codes[a], codes[b], alphabet)
             for make, exp, fn, a, b in _UNIFIED_RELATIONS.values()]
 
 

@@ -520,6 +520,23 @@ class TestStrategyEquivalence:
         sysm = RewriteSystem(rules, TermOrder(kind))
         assert len(made) == 1 and len(sysm.alphabet.letters) == WIDE
 
+    def test_one_marks_table_per_system(self, families, monkeypatch):
+        # a wreath system keys its rule sides, and critical_pairs its
+        # overlaps, with the marks of its light letter that it holds
+        rules = _wide_system(WIDE_WREATH)[1].rules
+        gha = families["gha"].system()
+        made = []
+        real = rewrite._marks
+        monkeypatch.setattr(rewrite, "_marks", lambda light, alphabet:
+                            made.append(light) or real(light, alphabet))
+        sysm = RewriteSystem(rules, TermOrder(WIDE_WREATH))
+        assert made == ["g_162"]
+        assert sysm._wreath[0] == sysm.alphabet.code[Generator("g", 162, 324)]
+        made.clear()
+        assert len(critical_pairs(gha)) == len(critical_pairs(
+            RewriteSystem(gha.rules, gha.order)))
+        assert made == ["h"]
+
     def test_catalog_systems_keep_the_presentation_alphabet(self, families):
         for fam, pres in families.items():
             assert pres.system().alphabet is pres.alphabet, fam

@@ -14,6 +14,7 @@ import qheis
 from qheis import (SpecializationRow, brute_force_reduce, catalog,
                    normalize, run_suite, suite_ok, verify_power_identities,
                    verify_specialization)
+from qheis import verify as verify_module
 from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
@@ -29,6 +30,9 @@ from qheis.verify import (EXAMPLE_ROWS, MAX_K, TABLE_ROWS, VerificationCase,
 C = Coefficient
 REPORT_SHA256 = ("9a7e073d3aea4d14e3375e1f68aec989"
                  "0e30732ea1c7dd9df1adcc670a033f35")
+# reports_to_json(run_suite("all", k=40)): the power loop past k = 10
+REPORT_K40_SHA256 = ("14e339d3529ca9d1d5f2e626a059782e"
+                     "8a20316f3520fc44508495ea22436092")
 
 
 class TestBruteForce:
@@ -93,13 +97,13 @@ class TestPowerIdentities:
         assert report.status == "pass"
 
     def test_expansions_carry_the_powers(self, families):
-        # x^k, y^k and the powers k - 1 carried across k give the products
-        # and claims built from x**k and y**k, with their words in order
+        # the products and claims built from their words are those built
+        # from x**k and y**k, with their words in order
         g = families["gaddis"]
         x, z, y = g.poly("x"), g.poly("z"), g.poly("y")
-        got = list(_power_expansions(g, 6))
-        assert len(got) == 12
-        for k in range(1, 7):
+        got = list(_power_expansions(g, 40))
+        assert len(got) == 80
+        for k in range(1, 41):
             q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
             want = ((f"y*x^{k}", y * x**k,
                      x**k * y * q + x**(k - 1) * z * tail),
@@ -131,15 +135,15 @@ class TestWorkGuard:
     """Work the verifiers leave out, counted by calls rather than timed."""
 
     @staticmethod
-    def _count(monkeypatch, cls):
+    def _count(monkeypatch, cls, method="__pow__"):
         calls = []
-        pow_ = cls.__pow__
+        real = getattr(cls, method)
 
-        def counted(self, k):
-            calls.append(k)
-            return pow_(self, k)
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
 
-        monkeypatch.setattr(cls, "__pow__", counted)
+        monkeypatch.setattr(cls, method, counted)
         return calls
 
     def test_no_coefficient_power_without_pi(self, monkeypatch):
@@ -163,6 +167,42 @@ class TestWorkGuard:
         calls = self._count(monkeypatch, NCPoly)
         assert verify_power_identities(K=10).status == "pass"
         assert calls == []
+
+    def test_each_relation_check_once_per_row(self, monkeypatch):
+        # the rows' 92 relation checks, over their attempts, are 78 distinct
+        # ones: an attempt reuses what an earlier attempt of its row decided
+        run_suite("all")
+        built = []
+        for name, (make, *rest) in _UNIFIED_RELATIONS.items():
+            monkeypatch.setitem(_UNIFIED_RELATIONS, name, (
+                lambda *args, make=make: built.append(args) or make(*args),
+                *rest))
+        assert suite_ok(run_suite("all"))
+        assert len(built) == 78
+
+    def test_rows_and_power_loop_form_no_product(self, monkeypatch):
+        # after a warm-up run has built the catalog and its completions, a
+        # row builds its relations and the power loop its expansions from
+        # their words: the only products are those that parsing the
+        # dynamical functions forms
+        run_suite("all")
+        products = self._count(monkeypatch, NCPoly, "__mul__")
+        parse = verify_module.parse_expr
+
+        def parse_uncounted(*args):
+            n = len(products)
+            out = parse(*args)
+            del products[n:]
+            return out
+
+        monkeypatch.setattr(verify_module, "parse_expr", parse_uncounted)
+        for row in EXAMPLE_ROWS + TABLE_ROWS:
+            target = _catalog(row.target, **row.target_params)
+            for _, overrides in (("as printed", {}),) + tuple(row.attempts):
+                _check_row_values(row.replace(**overrides), target)
+        assert products == []
+        assert len(list(_power_expansions(_catalog("gaddis"), 40))) == 80
+        assert products == []
 
 
 class TestEquivalence:
@@ -312,10 +352,11 @@ class TestEquivalence:
         # cross-check runs under wess alone
         w = families["wess"]
         row = next(r for r in EXAMPLE_ROWS if r.row_id == "wess-from-unified")
-        roles = {role: w.poly(row.rename[role]) for role in ("x", "y", "p")}
+        codes = {role: w.generator_codes[row.rename[role]]
+                 for role in ("x", "y", "p")}
         rels = [(name, make(getattr(row, exp),
                             qheis.parse_expr(getattr(row, fn), w),
-                            roles[a], roles[b]))
+                            codes[a], codes[b], w.alphabet))
                 for name, (make, exp, fn, a, b) in _UNIFIED_RELATIONS.items()]
         u = qheis.Presentation(row.row_id, w.generators, rels,
                                inverse_pairs=w.inverse_pairs)
@@ -477,6 +518,13 @@ class TestSuite:
         # a change that is meant to alter it updates this hash and says why
         digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
         assert digest == REPORT_SHA256
+
+    @pytest.mark.hashseed
+    def test_report_bytes_pinned_past_k10(self):
+        # the power loop to k = 40, where its coefficients and words are
+        # longest
+        text = reports_to_json(run_suite("all", k=40))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_K40_SHA256
 
     @pytest.mark.hashseed
     def test_report_bytes_independent_of_interning_order(self):
