@@ -909,12 +909,12 @@ def _addmul(acc, c, rc, term):
 def qnumber(k):
     """Two-parameter quantum integer: sum_{i=0}^{k-1} q^i * p^-(k-1-i).
 
-    Agrees with the closed form (q^k - p^-k)/(q - p^-1).
+    Agrees with the closed form (q^k - p^-k)/(q - p^-1).  Its k monomials
+    are distinct, so it is built as one numerator over the unit, keys in
+    order of i, with no addition: the i-th key is p^-(k-1) times (q*p)^i.
     """
     if k < 0 or int(k) != k:
         raise ParamError(f"qnumber index must be a nonnegative integer, got {k}")
     k = int(k)
-    total = _C_ZERO
-    for i in range(k):
-        total = total + Coefficient.monomial({"s": 2 * i, "t": -2 * (k - 1 - i)})
-    return total
+    first, step = _field("t", 2 - 2 * k), _field("s", 2) + _field("t", 2)
+    return _coeff({first + i * step: _T_ONE for i in range(k)}, {0: _T_ONE})

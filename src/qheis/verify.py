@@ -37,10 +37,13 @@ call, and the public ``catalog`` still returns a new presentation each time.
 
 The two verifiers that dominate a suite run build what they check from its
 words, with no free-algebra product: a specialized relation is two words
-plus its dynamical function's terms (none for a zero function), and y*x^k
-is the word y + x*k.  A row builds only the relations it lists, and each
-distinct relation check runs once within a row, in a table that lives for
-one ``verify_specialization`` call: nothing is kept across calls.
+plus its dynamical function's terms (none for a zero function), and the
+power identities are decided by induction on k, each claim for k - 1
+shifted by the word x or y into the next step, so a step takes two rewrite
+steps whatever k is.  A row builds only the relations it lists, and each
+distinct relation check and each function text's parse runs once within a
+row, in a table that lives for one ``verify_specialization`` call: nothing
+is kept across calls.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .families import (_UNIFIED_RELATIONS, Presentation, UnifiedParams,
                        unified, unit_ratio)
 from .ncpoly import NCPoly, _ncpoly, _over
 from .parser import parse_expr
-from .printer import format_expr
+from .printer import format_coefficient, format_expr
 from .rewrite import _reduct, check_confluence, normalize
 
 C = Coefficient
@@ -253,8 +256,9 @@ def _power_expansions(pres, K):
                terms({x + y * k: q, z + y * (k - 1): tail}))
 
 
-# The largest power-identity exponent: the time of the power-identity
-# cases grows faster than k^2, to seconds at k = 200.
+# The largest power-identity exponent.  By induction on k the power loop
+# takes two rewrite steps per identity past k = 1: 4K - 2 in all, 798 at
+# k = 200.
 MAX_K = 200
 
 
@@ -272,17 +276,33 @@ def _check_k(k, name):
 
 def verify_power_identities(case_id="gaddis-power-identities", K=10,
                             presentation=None, expected="pass"):
-    """Pass iff y*x^k and y^k*x minus their quantum-integer expansions lie in
-    the ideal (``ideal_membership``), 1 <= k <= K <= MAX_K; a witness is
-    that NF."""
+    """Pass iff y*x^k and y^k*x equal their quantum-integer expansions E_k
+    and E'_k in the algebra, 1 <= k <= K <= MAX_K, decided by induction on
+    k through ``ideal_membership``: y*x - E_1 for k = 1, and then
+    E_{k-1}*x - E_k and y*E'_{k-1} - E'_k, each shifted claim built from
+    its words.  The completed system is confluent (Bergman's diamond lemma),
+    so a normal form depends only on the class modulo the ideal: while the
+    earlier claims hold, a step's residue is NF(y*x^k - E_k), and the first
+    failing k, its detail and its witness (that NF) are those of checking
+    each k from scratch."""
     _check_k(K, "K")
     pres = presentation or _catalog("gaddis")
-    for text, lhs, claimed in _power_expansions(pres, K):
+    x, y = (pres.alphabet.encode(pres.word(g)) for g in "xy")
+    # E_{k-1}*x for the y*x^k series, y*E'_{k-1} for the y^k*x one
+    shifts = (lambda s: s + x, lambda s: y + s)
+    last = [None, None]
+    for i, (text, lhs, claimed) in enumerate(_power_expansions(pres, K)):
+        series = i % 2
+        if last[series] is not None:
+            lhs = _ncpoly({shifts[series](s): c
+                           for s, c in last[series]._terms.items()},
+                          pres.alphabet)
         ok, nf = ideal_membership(lhs - claimed, pres)
         if not ok:
             return VerificationReport(
                 case_id, "power_identity", _failed(expected), expected,
                 detail=f"{text} expansion mismatch", witness=format_expr(nf))
+        last[series] = claimed
     return VerificationReport(case_id, "power_identity", "pass", expected,
                               detail=f"both identities exact for k = 1..{K}")
 
@@ -348,7 +368,9 @@ def brute_force_reduce(poly, sys, cap=5000, cache=None):
 
 class SpecializationRow(Record, frozen=True):
     """One parameter row: instantiate the unified relations inside a target
-    family and check each against the target's relations."""
+    family and check each against the target's relations.  The functions
+    ``psi``, ``pi`` and ``phi`` are texts, parsed in the target; any other
+    value raises ParamError, in ``replace`` too."""
 
     __slots__ = ("row_id", "target",
                  "rename",  # unified role -> target generator sym
@@ -360,6 +382,10 @@ class SpecializationRow(Record, frozen=True):
     def __init__(self, row_id, target, rename, n, m, l, psi="0", pi="0",
                  phi="0", relations=("nH1", "nH2", "nH3"), at_q1=False,
                  target_params=None, attempts=(), expected="pass", note=""):
+        for field, text in (("psi", psi), ("pi", pi), ("phi", phi)):
+            if not isinstance(text, str):
+                raise ParamError(f"row {row_id}: {field} must be the text of "
+                                 f"a function, got {text!r}")
         self._set(row_id, target, rename, n, m, l, psi, pi, phi, relations,
                   at_q1, {} if target_params is None else target_params,
                   attempts, expected, note)
@@ -374,7 +400,9 @@ class SpecializationRow(Record, frozen=True):
 def _check_row_values(row, target, checked=None):
     """Check the listed relations for one set of parameter values; only
     those are built.  ``checked`` maps what decides a check (relation name,
-    exponent, function text, ``at_q1``, role letters) to its result.
+    exponent, function text, ``at_q1``, role letters) to its result, and
+    each function text to its parse in ``target``: a caller that passes one
+    table for its attempts parses each text once.
 
     Returns (ok, lines, unit_of_first_relation); a row with no relations,
     one other than nH1-nH3, no x or p role, or no y role while it lists
@@ -396,11 +424,13 @@ def _check_row_values(row, target, checked=None):
     lines, unit_repr, ok = [], None, True
     for name in row.relations:
         make, exp, fn, a, b = _UNIFIED_RELATIONS[name]
-        key = (name, getattr(row, exp), getattr(row, fn), row.at_q1,
-               codes[a], codes[b])
+        text = getattr(row, fn)
+        key = (name, getattr(row, exp), text, row.at_q1, codes[a], codes[b])
         if key not in checked:
-            rel = make(getattr(row, exp), parse_expr(getattr(row, fn), target),
-                       codes[a], codes[b], target.alphabet)
+            if text not in checked:
+                checked[text] = parse_expr(text, target)
+            rel = make(getattr(row, exp), checked[text], codes[a], codes[b],
+                       target.alphabet)
             checked[key] = _check_relation(
                 name, subs_poly(rel, {"s": 1}) if row.at_q1 else rel, target)
         line, holds, unit = checked[key]
@@ -415,7 +445,7 @@ def _check_relation(name, rel, target):
     for label, t in target.all_relation_polys():
         c = unit_ratio(rel, t)
         if c is not None:
-            unit = format_expr(NCPoly.from_scalar(c))
+            unit = format_coefficient(c)
             return f"{name}: unit {unit} of target relation {label}", True, unit
     member, nf = ideal_membership(rel, target)
     if member:

@@ -18,7 +18,8 @@ from qheis import verify as verify_module
 from qheis.coeffs import Coefficient, qnumber
 from qheis.errors import OracleDivergence, OracleOverflow, ParamError
 from qheis.ncpoly import Generator, NCPoly, Word
-from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder
+from qheis.printer import format_expr
+from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, reduce_trace
 from qheis.families import _UNIFIED_RELATIONS
 from qheis.verify import (EXAMPLE_ROWS, MAX_K, TABLE_ROWS, VerificationCase,
                           _ROLES, _catalog, _check_row_values, _cross_check,
@@ -33,6 +34,20 @@ REPORT_SHA256 = ("9a7e073d3aea4d14e3375e1f68aec989"
 # reports_to_json(run_suite("all", k=40)): the power loop past k = 10
 REPORT_K40_SHA256 = ("14e339d3529ca9d1d5f2e626a059782e"
                      "8a20316f3520fc44508495ea22436092")
+# reports_to_json(run_suite("all", k=MAX_K)): the bytes that checking each
+# power identity from scratch gives
+REPORT_K200_SHA256 = ("aa7d931a41f855c4dc6a84f5f6860dbf"
+                      "46743026bf58d820351b9f803e08e409")
+
+
+def _power_identities_from_scratch(pres, K):
+    """(status, detail, witness) of deciding each y*x^k and y^k*x of
+    ``_power_expansions`` on its own, the reference for the induction."""
+    for text, lhs, claimed in verify_module._power_expansions(pres, K):
+        ok, nf = ideal_membership(lhs - claimed, pres)
+        if not ok:
+            return "fail", f"{text} expansion mismatch", format_expr(nf)
+    return "pass", f"both identities exact for k = 1..{K}", None
 
 
 class TestBruteForce:
@@ -116,6 +131,38 @@ class TestPowerIdentities:
                 assert list(claim._terms.items()) == \
                     list(wclaim._terms.items())
 
+    @pytest.mark.parametrize("corrupt, k", [
+        ("qnumber", 1), ("qnumber", 7), ("q_power", 3), ("q_power", 12),
+        ("y^k*x", 5)])
+    def test_induction_fails_where_each_k_fails(self, monkeypatch, corrupt, k):
+        # one wrong claim: the induction stops at the same k as the check
+        # from scratch, with the same detail and witness
+        pres = _catalog("gaddis")
+        pres.completed()
+        if corrupt == "qnumber":
+            real = verify_module.qnumber
+            monkeypatch.setattr(verify_module, "qnumber",
+                                lambda j: real(j) + (1 if j == k else 0))
+        elif corrupt == "q_power":
+            real = C.q_power
+            monkeypatch.setattr(C, "q_power", staticmethod(
+                lambda e: real(e) * (2 if e == k else 1)))
+        else:
+            # the y*x^k series stays right
+            real = verify_module._power_expansions
+
+            def expansions(pres, K):
+                for text, lhs, claimed in real(pres, K):
+                    yield text, lhs, claimed * (2 if text == f"y^{k}*x" else 1)
+
+            monkeypatch.setattr(verify_module, "_power_expansions", expansions)
+        want = _power_identities_from_scratch(pres, 15)
+        assert want[0] == "fail"
+        if corrupt == "y^k*x":
+            assert want[1] == f"y^{k}*x expansion mismatch"
+        report = verify_power_identities(K=15)
+        assert (report.status, report.detail, report.witness) == want
+
     @pytest.mark.parametrize("K", [0, -3])
     def test_no_exponent_is_refused(self, K):
         # an empty range of k would pass without checking anything
@@ -163,6 +210,50 @@ class TestWorkGuard:
         assert [n for pi, n in checks if pi == "0"] == [0] * 33
         assert [n for pi, n in checks if pi != "0"] == [1]
 
+    def test_power_loop_steps_grow_linearly(self, monkeypatch):
+        # by induction each identity past k = 1 takes two rewrite steps:
+        # 4K - 2 in all, where checking each k from scratch took 2K^2
+        verify_power_identities(K=1)
+        steps = []
+        real = verify_module.normalize
+
+        def counted(poly, sys):
+            steps.append(len(reduce_trace(poly, sys)))
+            return real(poly, sys)
+
+        monkeypatch.setattr(verify_module, "normalize", counted)
+        for K, want in ((10, 38), (40, 158)):
+            steps.clear()
+            assert verify_power_identities(K=K).status == "pass"
+            assert len(steps) == 2 * K and sum(steps) == want
+
+    def test_qnumber_is_the_successive_sum(self):
+        # built in one pass, it keeps the value and the key order of the
+        # sum of its monomials
+        for k in range(201):
+            want = C.zero()
+            for i in range(k):
+                want = want + C.monomial({"s": 2 * i, "t": -2 * (k - 1 - i)})
+            got = qnumber(k)
+            assert got == want
+            assert list(got._num.items()) == list(want._num.items())
+            assert got._den == want._den
+        assert qnumber(3.0) == qnumber(3) and qnumber(True) == C.one()
+        for bad in (-1, 2.5):
+            with pytest.raises(ParamError, match="nonnegative integer"):
+                qnumber(bad)
+
+    def test_rows_parse_each_function_once(self, monkeypatch):
+        # the rows' 78 relation builds read 42 distinct function texts of
+        # their rows: an attempt reuses the parses of its row's table
+        parsed = []
+        real = verify_module.parse_expr
+        monkeypatch.setattr(verify_module, "parse_expr",
+                            lambda *args: parsed.append(args[0]) or real(*args))
+        for row in EXAMPLE_ROWS + TABLE_ROWS:
+            verify_specialization(row)
+        assert len(parsed) == 42
+
     def test_power_loop_takes_no_polynomial_power(self, monkeypatch):
         calls = self._count(monkeypatch, NCPoly)
         assert verify_power_identities(K=10).status == "pass"
@@ -202,6 +293,8 @@ class TestWorkGuard:
                 _check_row_values(row.replace(**overrides), target)
         assert products == []
         assert len(list(_power_expansions(_catalog("gaddis"), 40))) == 80
+        assert products == []
+        assert verify_power_identities(K=40).status == "pass"
         assert products == []
 
 
@@ -527,6 +620,13 @@ class TestSuite:
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_K40_SHA256
 
     @pytest.mark.hashseed
+    def test_report_bytes_pinned_at_max_k(self):
+        # the largest exponent the suite takes: the induction reports what
+        # checking each k from scratch reported
+        text = reports_to_json(run_suite("all", k=MAX_K))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_K200_SHA256
+
+    @pytest.mark.hashseed
     def test_report_bytes_independent_of_interning_order(self):
         # opaque names interned before the catalog's own variables take the
         # low fields of the packed monomial keys; no byte may change
@@ -674,6 +774,24 @@ class TestSuite:
                 verify_specialization(row)
         row = row.replace(relations=("nH1",))
         assert verify_specialization(row).status == "pass"
+
+    @pytest.mark.parametrize("value", [5, ["x"]])
+    def test_function_that_is_not_text_is_refused(self, value):
+        # refused by the constructor, so an attempt's override too ends in
+        # an error report and not in a bare TypeError
+        with pytest.raises(ParamError, match="row t: psi must be the text"):
+            SpecializationRow("t", "wess", _ROLES["wess"], -1, -1, -1,
+                              psi=value)
+        with pytest.raises(ParamError, match="phi must be the text"):
+            EXAMPLE_ROWS[0].replace(phi=value)
+        row = EXAMPLE_ROWS[0].replace(attempts=(("bad", {"pi": value}),),
+                                      psi="0")
+        case = VerificationCase(row.row_id, "specialization", (row.target,),
+                                "pass", lambda case: verify_specialization(row))
+        r = case.run()
+        assert r.status == "error"
+        assert r.detail.startswith(
+            f"ParamError: row {row.row_id}: pi must be the text")
 
     def test_row_with_unhashable_target_params(self):
         # a Coefficient parameter cannot key the shared catalog: the row
