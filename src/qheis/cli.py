@@ -16,7 +16,7 @@ from .errors import (ExponentOverflow, NonTermination, ParamError,
 from .families import FAMILIES, catalog, extract_ore, family_ids
 from .presfile import load_presentation_file
 from .printer import format_expr
-from .rewrite import _reduce, check_confluence
+from .rewrite import check_confluence, normalize
 from .ncpoly import commutator
 from . import verify as verify_mod
 
@@ -63,7 +63,7 @@ def _reduce_and_print(pres, poly, style="plain", trace=False):
     ``trace``, each step on stderr as it is made, then the note of
     ``_confluence_note``, then the result on stdout.  The one path of
     normalize, trace and commutator in both front ends."""
-    result = _reduce(poly, pres.system(), _print_step if trace else None)
+    result = normalize(poly, pres.system(), _print_step if trace else None)
     _confluence_note(pres)
     print(format_expr(result, style, scope=pres))
     return 0

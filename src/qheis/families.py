@@ -41,11 +41,6 @@ def _q(exp=1):
     return C.monomial({"s": 2 * exp}) if isinstance(exp, int) else C.q_power(exp)
 
 
-def _p(exp=1):
-    """p**exp for an int exp, on t = p^(1/2)."""
-    return C.monomial({"t": 2 * exp})
-
-
 # names the parser and the printer give central scalars: ``i`` and ``hbar``
 # always print so, and central q and p print as ``s^2`` and ``t^2`` where a
 # generator shadows them.  An opaque name must avoid all of them and the
@@ -341,7 +336,7 @@ _GADDIS_VARIANTS = ("consistent", "printed")
 def _gaddis(p=None, q=None, variant="consistent"):
     if variant not in _GADDIS_VARIANTS:
         raise ParamError(f"gaddis: variant must be one of {_GADDIS_VARIANTS}")
-    pv = C.from_scalar(p) if p is not None else _p(1)
+    pv = C.from_scalar(p) if p is not None else C.p_power(1)
     qv = C.from_scalar(q) if q is not None else _q(1)
     x = Generator("x", None, 0)
     z = Generator("z", None, 1)

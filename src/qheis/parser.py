@@ -196,7 +196,7 @@ class _Parser:
             pos = self.take()[2]
             n, d = self.exponent()
             if abs(n) > MAX_POWER * d:
-                raise ParseError(f"exponent {_ratio_text(n, d)} at {pos} exceeds "
+                raise ParseError(f"exponent {Fraction(n, d)} at {pos} exceeds "
                                  f"the limit {MAX_POWER}", pos)
             base = self._power(base, tag, n, d, pos)
         return base
@@ -244,11 +244,11 @@ class _Parser:
         if tag in _ROOT:
             if 2 * n % d:
                 raise ParseError(
-                    f"exponent {_ratio_text(n, d)} on {tag} must be an integer "
+                    f"exponent {Fraction(n, d)} on {tag} must be an integer "
                     f"or half-integer (at {pos})", pos)
             return Coefficient.monomial({_ROOT[tag]: 2 * n // d}), "", _EMPTY
         if d != 1:
-            raise ParseError(f"fractional exponent {_ratio_text(n, d)} allowed on "
+            raise ParseError(f"fractional exponent {Fraction(n, d)} allowed on "
                              f"q and p only (at {pos})", pos)
         k = n
         if tag == "group":
@@ -348,12 +348,6 @@ def _poly(value):
         coeff, code, alphabet = value
         return _ncpoly({code: coeff}, alphabet)
     return value
-
-
-def _ratio_text(n, d):
-    """The exponent n/d as ``str(Fraction(n, d))`` reads it, n/d in lowest
-    terms."""
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _refuse_run(c, pos):

@@ -24,8 +24,9 @@ rescan of every term; no word is kept once rewritten, so memory follows
 the polynomial, not the steps.  Under wreath a step by a right-side word
 that is its left side once l is deleted keeps the rewritten word's key
 fields of the word without l and moves W by (W(rw) - W(lhs)) << 32*k, k
-the letters above l in the prefix and below l in the suffix; other words
-are keyed from scratch.  The coefficients are accumulated in place
+the letters above l in the prefix and below l in the suffix, the input's
+letters outside the system's alphabet among them; other words are keyed
+from scratch.  The coefficients are accumulated in place
 (``coeffs._addmul``): a step adds coeff*rc into the numerator dict of each
 right-side word, at a cost linear in the terms of coeff and with no new
 Coefficient.  The call owns these dicts: a word keeps the Coefficient it
@@ -287,9 +288,10 @@ def orient(presentation):
                          order)
 
 
-def _reduce(poly, sys, trace):
-    """Normal form of ``poly``; ``trace``, unless None, is called with each
-    step's (rule id, position, polynomial after the step)."""
+def normalize(poly, sys, trace=None):
+    """Fixed point of rule application; canonical form when the system is
+    confluent.  ``trace``, unless None, is called with each step's (rule id,
+    position, polynomial after the step)."""
     alphabet, terms = _over(sys.alphabet, poly)
     # each word's accumulated coefficient (see coeffs._addmul)
     terms = dict(terms)
@@ -301,16 +303,16 @@ def _reduce(poly, sys, trace):
     # A word removed from ``terms`` (and maybe re-inserted under a new
     # number) leaves a stale entry, skipped through ``live``, which holds
     # only the words of ``terms`` still on the heap.  A wreath key is
-    # derived from the rewritten word's by a right-side word's W shift,
-    # unless the input has letters outside the system's alphabet.
+    # derived from the rewritten word's by a right-side word's W shift.
     heap = []
     live = {}
     seq = 0
     wreath = sys._wreath
-    derive = wreath and len(alphabet.letters) == len(sys.alphabet.letters)
     if wreath:
-        light, marks, above, below = wreath if derive else _marks(
-            sys.order.light, alphabet)
+        # a join only appends letters, so the rules' codes and W shifts hold
+        # over it, and its marks count the input's other letters in k
+        light, marks, above, below = (wreath if alphabet is sys.alphabet
+                                      else _marks(sys.order.light, alphabet))
 
     def push(w, m, key=None):
         nonlocal seq
@@ -332,9 +334,10 @@ def _reduce(poly, sys, trace):
             push(w, m)
     steps = 0
     limit = sys.step_limit
-    # unbounded outside completion; raised to the input's longest word when
-    # a longer word comes up
-    longest = sys._word_limit or float("inf")
+    # unbounded outside completion; there no shorter than the input's
+    # longest word (a zero input has none)
+    longest = (max([sys._word_limit, *map(len, terms)]) if sys._word_limit
+               else float("inf"))
     # the letters of every word the steps make, whether new or not
     letters, budget = 0, LETTER_BUDGET
     # NCPoly snapshots of the last steps, for NonTermination.chain: from
@@ -363,18 +366,16 @@ def _reduce(poly, sys, trace):
             c = _addmul(old, coeff, rc, term)
             if old is None:
                 terms[nw] = c
-                if len(nw) > longest:
-                    longest = max(longest, *map(len, poly._terms))
-                    if len(nw) > longest and error is None:
-                        # the step ends, so that its snapshot holds the word
-                        error = (f"word length limit {longest} exceeded: a "
-                                 f"step made a word of {len(nw)} letters")
-                        last = 0
+                if len(nw) > longest and error is None:
+                    # the step ends, so that its snapshot holds the word
+                    error = (f"word length limit {longest} exceeded: a "
+                             f"step made a word of {len(nw)} letters")
+                    last = 0
                 nm = search(nw)
                 if nm is None:
                     continue
                 nkey = None
-                if shift is not None and derive:
+                if shift is not None:
                     k = (sum(map(prefix.count, above))
                          + sum(map(suffix.count, below)))
                     nkey = (key[0], key[1], key[2] - (shift << 32 * k),
@@ -404,19 +405,12 @@ def _snapshot(terms, alphabet):
     return _ncpoly(_frozen(terms), alphabet)
 
 
-def normalize(poly, sys):
-    """Fixed point of rule application; canonical form when the system is
-    confluent."""
-    return _reduce(poly, sys, None)
-
-
 def reduce_trace(poly, sys):
-    """All reduction steps as (rule id, position, intermediate polynomial).
-
-    Replaying the trace ends at ``normalize(poly, sys)``.
-    """
+    """All reduction steps as (rule id, position, intermediate polynomial):
+    the list of what ``normalize(poly, sys, trace)`` passes to ``trace``.
+    Replaying the trace ends at ``normalize(poly, sys)``."""
     trace = []
-    _reduce(poly, sys, trace.append)
+    normalize(poly, sys, trace.append)
     return trace
 
 

@@ -38,12 +38,12 @@ call, and the public ``catalog`` still returns a new presentation each time.
 The two verifiers that dominate a suite run build what they check from its
 words, with no free-algebra product: a specialized relation is two words
 plus its dynamical function's terms (none for a zero function), and the
-power identities are decided by induction on k, each claim for k - 1
-shifted by the word x or y into the next step, so a step takes two rewrite
-steps whatever k is.  A row builds only the relations it lists, and each
-distinct relation check and each function text's parse runs once within a
-row, in a table that lives for one ``verify_specialization`` call: nothing
-is kept across calls.
+power identities are decided by induction on k from E_0 = y and E'_0 = x,
+each claim for k - 1 shifted by the word x or y into the next step, so a
+step takes at most two rewrite steps whatever k is.  A row builds only the
+relations it lists, and each distinct relation check and each function
+text's parse runs once within a row, in a table that lives for one
+``verify_specialization`` call: nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def _power_expansions(pres, K):
     x, z, y = (pres.alphabet.encode(pres.word(g)) for g in "xzy")
     terms = partial(_ncpoly, alphabet=pres.alphabet)
     for k in range(1, K + 1):
-        q, tail = C.q_power(k), C.hbar_power(1) * qnumber(k)
+        q, tail = C.q_power(k), qnumber(k) * C.hbar_power(1)
         yield (f"y*x^{k}", terms({y + x * k: C.one()}),
                terms({x * k + y: q, x * (k - 1) + z: tail}))
         yield (f"y^{k}*x", terms({y * k + x: C.one()}),
@@ -278,10 +278,10 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
                             presentation=None, expected="pass"):
     """Pass iff y*x^k and y^k*x equal their quantum-integer expansions E_k
     and E'_k in the algebra, 1 <= k <= K <= MAX_K, decided by induction on
-    k through ``ideal_membership``: y*x - E_1 for k = 1, and then
-    E_{k-1}*x - E_k and y*E'_{k-1} - E'_k, each shifted claim built from
-    its words.  The completed system is confluent (Bergman's diamond lemma),
-    so a normal form depends only on the class modulo the ideal: while the
+    k through ``ideal_membership``: E_{k-1}*x - E_k and y*E'_{k-1} - E'_k
+    from E_0 = y and E'_0 = x, each shifted claim built from its words.
+    The completed system is confluent (Bergman's diamond lemma), so a
+    normal form depends only on the class modulo the ideal: while the
     earlier claims hold, a step's residue is NF(y*x^k - E_k), and the first
     failing k, its detail and its witness (that NF) are those of checking
     each k from scratch."""
@@ -290,13 +290,11 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
     x, y = (pres.alphabet.encode(pres.word(g)) for g in "xy")
     # E_{k-1}*x for the y*x^k series, y*E'_{k-1} for the y^k*x one
     shifts = (lambda s: s + x, lambda s: y + s)
-    last = [None, None]
-    for i, (text, lhs, claimed) in enumerate(_power_expansions(pres, K)):
+    last = [_ncpoly({s: C.one()}, pres.alphabet) for s in (y, x)]
+    for i, (text, _, claimed) in enumerate(_power_expansions(pres, K)):
         series = i % 2
-        if last[series] is not None:
-            lhs = _ncpoly({shifts[series](s): c
-                           for s, c in last[series]._terms.items()},
-                          pres.alphabet)
+        lhs = _ncpoly({shifts[series](s): c
+                       for s, c in last[series]._terms.items()}, pres.alphabet)
         ok, nf = ideal_membership(lhs - claimed, pres)
         if not ok:
             return VerificationReport(
@@ -311,6 +309,13 @@ def verify_power_identities(case_id="gaddis-power-identities", K=10,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
+# The longest reduction path the oracle follows, the words it is exploring
+# at once: it recurses once per step of a path, and a path of some 490
+# steps would exceed the interpreter's recursion limit.  The oracle inputs
+# of the corpus and the benchmark take at most 49 steps.
+ORACLE_DEPTH = 256
+
+
 def brute_force_reduce(poly, sys, cap=5000, cache=None):
     """All-paths reduction, independent of the normalization strategy.
 
@@ -319,7 +324,8 @@ def brute_force_reduce(poly, sys, cap=5000, cache=None):
     this explores every single-step rewrite and demands that all branches
     end in the same normal form (memoized); the polynomial result is the
     linear combination of the word results.  Raises OracleDivergence when
-    branches disagree and OracleOverflow past ``cap`` distinct words.
+    branches disagree, and OracleOverflow past ``cap`` distinct words or
+    on a path longer than ORACLE_DEPTH steps.
 
     Pass a dict as ``cache`` to share word results across calls against the
     same system.  Its keys are codes over the system's alphabet: a polynomial
@@ -336,6 +342,9 @@ def brute_force_reduce(poly, sys, cap=5000, cache=None):
             raise OracleOverflow(f"cyclic reduction through {alphabet.word(s)!r}")
         if len(cache) > cap:
             raise OracleOverflow(f"word cap {cap} exceeded")
+        if len(in_progress) >= ORACLE_DEPTH:
+            raise OracleOverflow(f"path depth {ORACLE_DEPTH} exceeded at a "
+                                 f"word of {len(s)} letters")
         in_progress.add(s)
         # every single-step rewrite: one per redex (``RewriteSystem.redexes``)
         reducts = [_reduct(sys, s, pos, lhs) for pos, lhs in sys.redexes(s)]

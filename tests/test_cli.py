@@ -161,7 +161,7 @@ class TestNormalize:
         # every QheisError that reaches main is reported by its category
         def fail(*_):
             raise error
-        monkeypatch.setattr(cli, "_reduce", fail)
+        monkeypatch.setattr(cli, "normalize", fail)
         code, out, err = run_cli(capsys, "normalize", "--algebra", "gaddis",
                                  "--expr", "y*x*x")
         assert (code, out, err) == (3, "", f"engine error: {error}\n")

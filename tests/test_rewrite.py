@@ -443,8 +443,8 @@ class TestStrategyEquivalence:
             gens, sysm = list(families[key].generators), families[key].system()
             if sysm.order.kind != "deglex":
                 # a letter the system does not know, below, tied with,
-                # between or above its letters: the words of an input with
-                # it are keyed from scratch
+                # between or above its letters: the keys derived for an
+                # input with it count it in each W shift's k
                 gens = gens * 3 + [Generator("f", None, rng.randrange(-2, 7) / 2)]
         a = random_poly(rng, gens, max_len=5, max_terms=4)
         want_trace = _assert_same_as_reference(a, sysm)
@@ -590,19 +590,32 @@ class TestStrategyEquivalence:
 class TestWreathShift:
     """Under wreath, a step by a right-side word that is its left side once
     the light letter is deleted derives the key of the word it makes from
-    the rewritten word's; every other word is keyed from scratch."""
+    the rewritten word's, also when the input has letters outside the
+    system's alphabet; every other word is keyed from scratch."""
 
+    @pytest.mark.parametrize("foreign", [None, "below", "between", "above"])
     @pytest.mark.parametrize("key, draws", [("gha", 30), ("q_gha", 30),
                                             ("grow", 30), ("wide", 1)])
-    def test_derived_key_equals_recount(self, key, draws, families, rng,
-                                        monkeypatch):
+    def test_derived_key_equals_recount(self, key, draws, foreign, families,
+                                        rng, monkeypatch):
         if key == "grow":
             sysm = TestNormalize._grow(50).system()
         elif key == "wide":
             sysm = _wide_system(WIDE_WREATH)[1]  # g_163 ties with g_162
         else:
             sysm = families[key].system()
-        alphabet = sysm.alphabet
+        alphabet, extra = sysm.alphabet, ""
+        if foreign:
+            # a letter whose precedence falls below or above all, or between
+            # the light letter's and a neighbour's
+            ranks = sorted({g.precedence for g in alphabet.letters})
+            i = ranks.index(alphabet.letters[ord(sysm._wreath[0])].precedence)
+            near = ranks[i + 1] if i + 1 < len(ranks) else ranks[i - 1]
+            f = Generator("f", None, {"below": ranks[0] - 1, "above": ranks[-1] + 1,
+                                      "between": (ranks[i] + near) / 2}[foreign])
+            # the join appends f, and the rules' codes still hold
+            alphabet = Alphabet(alphabet.letters + (f,))
+            extra = alphabet.code[f]
         starved = RewriteSystem(sysm.rules, sysm.order, step_limit=40)
         letters = "".join(map(chr, alphabet.asc))
         pushed = []
@@ -614,6 +627,8 @@ class TestWreathShift:
             for _ in range(draws):
                 p, s = ("".join(rng.choices(letters, k=rng.randrange(6)))
                         for _ in range(2))
+                # the foreign letter on one side of the redex at least
+                p, s = (p + extra, s) if rng.random() < 0.5 else (p, extra + s)
                 with contextlib.suppress(NonTermination):
                     normalize(_ncpoly({p + lhs + s: C.one()}, alphabet), starved)
         assert len(pushed) > draws * len(sysm.rules)
@@ -624,6 +639,22 @@ class TestWreathShift:
                             w.translate(alphabet.desc)), (key, w)
         # h_x and y_h derive, y_x is keyed from scratch
         assert derived == {"gha": 2, "q_gha": 2, "grow": 1, "wide": 5}[key]
+
+    def test_foreign_letter_keeps_the_derivation(self, families, monkeypatch):
+        # f between h and y: of the words f*h*x^6 makes on its way to its
+        # normal form, only the input is keyed from scratch; recounting
+        # each word's weight would take 63 calls
+        pres = families["gha"]
+        sysm = pres.system()
+        x, h = (pres.gen(s) for s in "xh")
+        a = NCPoly.from_word((Generator("f", None, 1.5), h) + (x,) * 6)
+        calls = []
+        monkeypatch.setattr(rewrite, "_weight", lambda marked: calls.append(
+            marked) or _weight(marked))
+        assert _assert_same_as_reference(a, sysm)
+        calls.clear()
+        normalize(a, sysm)
+        assert len(calls) == 1
 
 
 def _abcd_system(b_a, rest=()):

@@ -21,7 +21,8 @@ from qheis.ncpoly import Generator, NCPoly, Word
 from qheis.printer import format_expr
 from qheis.rewrite import RewriteRule, RewriteSystem, TermOrder, reduce_trace
 from qheis.families import _UNIFIED_RELATIONS
-from qheis.verify import (EXAMPLE_ROWS, MAX_K, TABLE_ROWS, VerificationCase,
+from qheis.verify import (EXAMPLE_ROWS, MAX_K, ORACLE_DEPTH, TABLE_ROWS,
+                          VerificationCase,
                           _ROLES, _catalog, _check_row_values, _cross_check,
                           _gaddis_one_parameter_pair, _power_expansions,
                           _wess_rearranged_pair, ideal_membership,
@@ -89,6 +90,27 @@ class TestBruteForce:
         with pytest.raises(OracleDivergence) as exc:
             brute_force_reduce(w((a, b, c)), sysm)
         assert exc.value.forms == (w((a, c)), w((d,)))
+
+    @pytest.mark.parametrize("power, why", [
+        (7, "word cap 5000 exceeded"), (8, "word cap 5000 exceeded"),
+        (9, f"path depth {ORACLE_DEPTH} exceeded at a word of 266 letters")])
+    def test_long_paths_overflow(self, families, power, why):
+        # gha's h*x^9 has a reduction path of some 490 steps, one recursion
+        # each, which would exceed the interpreter's recursion limit
+        g = families["gha"]
+        with pytest.raises(OracleOverflow) as exc:
+            brute_force_reduce(g.parse(f"h*x^{power}"), g.system())
+        assert str(exc.value) == why
+
+    def test_identity_past_the_depth_bound_overflows(self, families):
+        # qhbar's p^20*x^20 equals its own normal form, which the oracle
+        # cannot confirm within ORACLE_DEPTH steps of a path
+        pres = families["qhbar"]
+        a = pres.parse("p^20*x^20")
+        nf = normalize(a, pres.completed())
+        with pytest.raises(OracleOverflow, match=f"path depth {ORACLE_DEPTH} "
+                                                 "exceeded at a word of 40 letters"):
+            qheis.verify_poly_identity("deep", a, nf, pres)
 
 
 class TestPowerIdentities:
@@ -253,6 +275,17 @@ class TestWorkGuard:
         for row in EXAMPLE_ROWS + TABLE_ROWS:
             verify_specialization(row)
         assert len(parsed) == 42
+
+    def test_power_loop_scales_by_one_term_factors(self, monkeypatch):
+        # hbar*[k] puts the one-term factor right, where the product scales
+        # each term of [k] and runs no pairwise loop
+        verify_power_identities(K=1)
+        calls = []
+        real = qheis.coeffs._p_mul
+        monkeypatch.setattr(qheis.coeffs, "_p_mul", lambda a, b: calls.append(
+            (len(a), len(b))) or real(a, b))
+        assert verify_power_identities(K=40).status == "pass"
+        assert calls and [n for n in calls if n[0] == 1 < n[1]] == []
 
     def test_power_loop_takes_no_polynomial_power(self, monkeypatch):
         calls = self._count(monkeypatch, NCPoly)
